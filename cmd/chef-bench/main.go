@@ -28,6 +28,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"time"
 
 	"chef/internal/benchfmt"
@@ -308,36 +309,7 @@ func prewarm(p *packages.Package, cfg experiments.Configuration, b experiments.B
 // in-memory caches) driven by up to shards epoch workers.
 func runCell(p *packages.Package, cfg experiments.Configuration, b experiments.Budgets,
 	cache string, workers, shards int, warmFile string) (benchfmt.Config, error) {
-	seg := p.Name
-	strategy := ""
-	if cfg.Strategy == chef.StrategyDFS {
-		seg += "/dfs"
-		strategy = "dfs"
-	}
-	solverMode := ""
-	switch b.SolverMode {
-	case solver.ModeIncremental:
-		seg += "/inc"
-		solverMode = "incremental"
-	case solver.ModeBDD:
-		seg += "/bdd"
-		solverMode = "bdd"
-	}
-	name := fmt.Sprintf("%s/%s/w%d", seg, cache, workers)
-	if shards > 0 {
-		name = fmt.Sprintf("%s/%s/s%d", seg, cache, shards)
-	}
-	c := benchfmt.Config{
-		Name:       name,
-		Package:    p.Name,
-		Language:   string(p.Lang),
-		Cache:      cache,
-		Workers:    workers,
-		Shards:     shards,
-		SolverMode: solverMode,
-		Strategy:   strategy,
-		Sessions:   b.Reps,
-	}
+	c := cellConfig(p, cfg, b, cache, workers, shards)
 	reg := obs.NewRegistry()
 	b.Metrics = reg
 	b.Parallel = workers
@@ -382,6 +354,41 @@ func runCell(p *packages.Package, cfg experiments.Configuration, b experiments.B
 		}
 	}
 	return c, nil
+}
+
+// cellConfig names and describes one matrix cell, before it is measured.
+func cellConfig(p *packages.Package, cfg experiments.Configuration, b experiments.Budgets,
+	cache string, workers, shards int) benchfmt.Config {
+	seg := p.Name
+	strategy := ""
+	if cfg.Strategy == chef.StrategyDFS {
+		seg += "/dfs"
+		strategy = "dfs"
+	}
+	solverMode := ""
+	switch b.SolverMode {
+	case solver.ModeIncremental:
+		seg += "/inc"
+		solverMode = "incremental"
+	case solver.ModeBDD:
+		seg += "/bdd"
+		solverMode = "bdd"
+	}
+	name := fmt.Sprintf("%s/%s/w%d", seg, cache, workers)
+	if shards > 0 {
+		name = fmt.Sprintf("%s/%s/s%d", seg, cache, shards)
+	}
+	return benchfmt.Config{
+		Name:       name,
+		Package:    p.Name,
+		Language:   strings.ToLower(p.Lang.String()),
+		Cache:      cache,
+		Workers:    workers,
+		Shards:     shards,
+		SolverMode: solverMode,
+		Strategy:   strategy,
+		Sessions:   b.Reps,
+	}
 }
 
 // printShardScaling reports the scaling payoff of sharding: the ratio of

@@ -231,6 +231,7 @@ type Engine struct {
 
 	clock int64 // virtual time: steps + solver propagation cost
 	stats Stats
+	pcBuf []*symexpr.Expr // path condition of the query being checked
 
 	// Observability (all nil when disabled; observation-only).
 	tracer     obs.Tracer
@@ -590,7 +591,9 @@ func (e *Engine) runStateInner(st *State) *RunInfo {
 	// The path condition is passed in path order (root first) with the
 	// state's trail signature: the incremental backend keys its
 	// prefix-sharing trail reuse off exactly this shape.
-	res, model := e.solver.CheckQuery(solver.Query{PC: st.pc.slice(), Base: st.base, PathSig: st.Sig})
+	// The solver copies whatever it keeps, so one buffer serves every query.
+	e.pcBuf = st.pc.fill(e.pcBuf)
+	res, model := e.solver.CheckQuery(solver.Query{PC: e.pcBuf, Base: st.base, PathSig: st.Sig})
 	e.chargeSolver(before)
 	switch res {
 	case solver.Unsat:

@@ -30,15 +30,22 @@ type pcNode struct {
 	depth  int
 }
 
-func (n *pcNode) slice() []*symexpr.Expr {
+func (n *pcNode) slice() []*symexpr.Expr { return n.fill(nil) }
+
+// fill writes the path condition, root first, into dst's storage
+// (growing it as needed) and returns it.
+func (n *pcNode) fill(dst []*symexpr.Expr) []*symexpr.Expr {
 	if n == nil {
-		return nil
+		return dst[:0]
 	}
-	out := make([]*symexpr.Expr, n.depth)
+	if cap(dst) < n.depth {
+		dst = make([]*symexpr.Expr, n.depth)
+	}
+	dst = dst[:n.depth]
 	for p := n; p != nil; p = p.parent {
-		out[p.depth-1] = p.c
+		dst[p.depth-1] = p.c
 	}
-	return out
+	return dst
 }
 
 // Machine is the per-run guest context handed to the instrumented

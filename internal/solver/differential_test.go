@@ -46,7 +46,7 @@ func TestBlastAgreesWithEval(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		e := randExpr(r, 4)
 		env := sx.Assignment{}
-		for _, v := range sx.Vars(e) {
+		for _, v := range exprVars(e) {
 			env[v] = uint64(r.Intn(256))
 		}
 		want := sx.Eval(e, env)

@@ -242,7 +242,8 @@ func (c *Context) Solve(pc []*symexpr.Expr, budget int64) (Result, symexpr.Assig
 func (c *Context) extractModel(pc []*symexpr.Expr) symexpr.Assignment {
 	out := symexpr.Assignment{}
 	for _, e := range pc {
-		for _, v := range symexpr.Vars(e) {
+		for _, l := range e.VarLeaves() {
+			v := l.VarRef()
 			if _, ok := out[v]; ok {
 				continue
 			}

@@ -35,26 +35,17 @@ const MaxOracleBits = 16
 // — but it is generally a *different* model than the SAT solver's; callers
 // compare verdicts and validate models, never compare models to each other.
 func OracleCheck(pc []*symexpr.Expr) (res Result, model symexpr.Assignment, feasible bool) {
-	seen := map[symexpr.Var]bool{}
+	seen := map[*symexpr.Expr]bool{}
 	var vars []symexpr.Var
 	for _, c := range pc {
-		for _, v := range symexpr.Vars(c) {
-			if !seen[v] {
-				seen[v] = true
-				vars = append(vars, v)
+		for _, l := range c.VarLeaves() {
+			if !seen[l] {
+				seen[l] = true
+				vars = append(vars, l.VarRef())
 			}
 		}
 	}
-	sort.Slice(vars, func(i, j int) bool {
-		a, b := vars[i], vars[j]
-		if a.Buf != b.Buf {
-			return a.Buf < b.Buf
-		}
-		if a.Idx != b.Idx {
-			return a.Idx < b.Idx
-		}
-		return a.W < b.W
-	})
+	sort.Slice(vars, func(i, j int) bool { return vars[i].Less(vars[j]) })
 	totalBits := 0
 	for _, v := range vars {
 		totalBits += int(v.W)

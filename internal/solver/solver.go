@@ -268,6 +268,8 @@ type Solver struct {
 	stats   Stats
 	cache   *QueryCache // nil iff DisableCache and no shared cache given
 	backend Backend
+	slicer  slicer
+	work    []*symexpr.Expr // constant-filtered query, reused across queries
 
 	// Observability (all nil when disabled).
 	tracer          obs.Tracer
@@ -508,8 +510,9 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 	// the path order, so both receive the uncanonicalized sequence.
 	pathOrder := incremental || s.opts.SolverMode == ModeBDD
 	// Constant-filter: drop constraints that are literally true; a literally
-	// false constraint decides the query immediately.
-	work := make([]*symexpr.Expr, 0, len(q.PC))
+	// false constraint decides the query immediately. work is scratch: the
+	// slicer copies what it keeps, and every other consumer copies too.
+	work := s.work[:0]
 	for _, c := range q.PC {
 		if c.IsConst() {
 			if c.ConstVal() == 0 {
@@ -520,25 +523,10 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 		}
 		work = append(work, c)
 	}
+	s.work = work
 	if len(work) == 0 {
 		s.stats.SatQueries++
 		return Sat, symexpr.Assignment{}
-	}
-
-	toSolve := work
-	kept := symexpr.Assignment{}
-	if !s.opts.DisableSlicing && q.Base != nil {
-		// Slicing composes with either backend: it is a pure function of
-		// (pc, base), so the backend sees a deterministic sub-conjunction
-		// stream. For the incremental backend the sliced queries still share
-		// prefixes — a branch flip at depth d keeps the touched group of
-		// nearby flips — and the constraints it drops stay warm in the
-		// context's gated circuitry for the next query that touches them.
-		toSolve, kept = slice(work, q.Base)
-		if len(toSolve) == 0 {
-			s.stats.SatQueries++
-			return Sat, kept
-		}
 	}
 
 	// Canonicalize: sort by the process-independent structural order and
@@ -546,16 +534,30 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 	// *and model* are a pure function of the constraint set — the property
 	// every cache layer (exact, subsume, persistent) relies on. The
 	// incremental backend instead keeps path order (its prefix reuse depends
-	// on it) and canonicalizes a copy for the cache keys only; its models
+	// on it) and uses the canonical copy for the cache keys only; its models
 	// are a function of the solver's whole query stream, which per-cell
 	// solver ownership keeps deterministic.
-	backendInput := toSolve
+	toSolve := work
 	var canon []*symexpr.Expr
-	if pathOrder {
-		canon = canonicalize(append([]*symexpr.Expr(nil), toSolve...))
+	var kept symexpr.Assignment
+	if !s.opts.DisableSlicing && q.Base != nil {
+		// Slicing composes with either backend: it is a pure function of
+		// (pc, base), so the backend sees a deterministic sub-conjunction
+		// stream. For the incremental backend the sliced queries still share
+		// prefixes — a branch flip at depth d keeps the touched group of
+		// nearby flips — and the constraints it drops stay warm in the
+		// context's gated circuitry for the next query that touches them.
+		toSolve, canon, kept = s.slicer.slice(work, q.Base)
+		if len(toSolve) == 0 {
+			s.stats.SatQueries++
+			return Sat, kept
+		}
 	} else {
-		canon = canonicalize(toSolve)
-		backendInput = canon
+		canon = canonicalize(append([]*symexpr.Expr(nil), work...))
+	}
+	backendInput := canon
+	if pathOrder {
+		backendInput = toSolve
 	}
 	key := canonKey(canon)
 
@@ -670,8 +672,7 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 
 // canonicalize sorts the constraint slice by symexpr.Compare — a structural,
 // process-independent total order — and drops duplicates (pointer-equal after
-// interning). The slice is modified in place; check always passes a freshly
-// allocated slice.
+// interning). The slice is modified in place; callers pass a fresh copy.
 func canonicalize(cs []*symexpr.Expr) []*symexpr.Expr {
 	sort.Slice(cs, func(i, j int) bool { return symexpr.Compare(cs[i], cs[j]) < 0 })
 	out := cs[:0]
@@ -753,81 +754,6 @@ func (oneshotBackend) Solve(constraints []*symexpr.Expr, budget int64) (Result, 
 		out[v] = val
 	}
 	return Sat, out, cost()
-}
-
-// slice partitions constraints into groups connected by shared variables and
-// returns (groups that base does not satisfy, values from base for the
-// variables of satisfied groups).
-func slice(pc []*symexpr.Expr, base symexpr.Assignment) ([]*symexpr.Expr, symexpr.Assignment) {
-	// Union-find over constraint indices keyed through variables.
-	parent := make([]int, len(pc))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
-	varOwner := map[symexpr.Var]int{}
-	varsOf := make([][]symexpr.Var, len(pc))
-	for i, c := range pc {
-		varsOf[i] = symexpr.Vars(c)
-		for _, v := range varsOf[i] {
-			if o, ok := varOwner[v]; ok {
-				union(i, o)
-			} else {
-				varOwner[v] = i
-			}
-		}
-	}
-	groups := map[int][]int{}
-	for i := range pc {
-		r := find(i)
-		groups[r] = append(groups[r], i)
-	}
-	var keepIdx []int
-	kept := symexpr.Assignment{}
-	// Deterministic group order.
-	roots := make([]int, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-	for _, r := range roots {
-		idxs := groups[r]
-		satByBase := true
-		for _, i := range idxs {
-			if !symexpr.EvalBool(pc[i], base) {
-				satByBase = false
-				break
-			}
-		}
-		if satByBase {
-			for _, i := range idxs {
-				for _, v := range varsOf[i] {
-					kept[v] = base[v] & v.W.Mask()
-				}
-			}
-		} else {
-			keepIdx = append(keepIdx, idxs...)
-		}
-	}
-	// Surviving constraints keep their original path order: the oneshot
-	// backend canonicalizes anyway, and the incremental backend's prefix
-	// reuse depends on consecutive queries sharing a pointer prefix, which
-	// path order preserves and group order would shuffle.
-	sort.Ints(keepIdx)
-	unsatisfied := make([]*symexpr.Expr, 0, len(keepIdx))
-	for _, i := range keepIdx {
-		unsatisfied = append(unsatisfied, pc[i])
-	}
-	return unsatisfied, kept
 }
 
 // Maximize returns the largest value e can take subject to q.PC, found by

@@ -174,7 +174,8 @@ func subset(a, b map[uint64]bool) bool {
 func recheck(canon []*symexpr.Expr, donor symexpr.Assignment) (symexpr.Assignment, bool) {
 	m := symexpr.Assignment{}
 	for _, c := range canon {
-		for _, v := range symexpr.Vars(c) {
+		for _, l := range c.VarLeaves() {
+			v := l.VarRef()
 			if _, ok := m[v]; !ok {
 				m[v] = donor[v] & v.W.Mask() // zero when donor leaves it free
 			}
@@ -194,7 +195,8 @@ func recheck(canon []*symexpr.Expr, donor symexpr.Assignment) (symexpr.Assignmen
 func restrict(canon []*symexpr.Expr, donor symexpr.Assignment) symexpr.Assignment {
 	m := symexpr.Assignment{}
 	for _, c := range canon {
-		for _, v := range symexpr.Vars(c) {
+		for _, l := range c.VarLeaves() {
+			v := l.VarRef()
 			if _, ok := m[v]; !ok {
 				m[v] = donor[v] & v.W.Mask()
 			}

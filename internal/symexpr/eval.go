@@ -48,25 +48,3 @@ func Eval(e *Expr, a Assignment) uint64 {
 
 // EvalBool evaluates a width-1 expression as a boolean.
 func EvalBool(e *Expr, a Assignment) bool { return Eval(e, a) != 0 }
-
-// CollectVars appends every distinct variable occurring in e to dst, using
-// seen to deduplicate across calls. It returns the extended slice.
-func CollectVars(e *Expr, seen map[Var]bool, dst []Var) []Var {
-	if !e.syms {
-		return dst
-	}
-	if e.IsVar() {
-		if !seen[*e.varr] {
-			seen[*e.varr] = true
-			dst = append(dst, *e.varr)
-		}
-		return dst
-	}
-	for _, k := range e.kids {
-		dst = CollectVars(k, seen, dst)
-	}
-	return dst
-}
-
-// Vars returns the distinct variables of e.
-func Vars(e *Expr) []Var { return CollectVars(e, map[Var]bool{}, nil) }

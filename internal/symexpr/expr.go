@@ -104,6 +104,17 @@ type Var struct {
 	W   Width
 }
 
+// Less orders variables by (Buf, Idx, W), a process-independent order.
+func (v Var) Less(o Var) bool {
+	if v.Buf != o.Buf {
+		return v.Buf < o.Buf
+	}
+	if v.Idx != o.Idx {
+		return v.Idx < o.Idx
+	}
+	return v.W < o.W
+}
+
 // String renders the variable as name[idx]:width.
 func (v Var) String() string { return fmt.Sprintf("%s[%d]:%d", v.Buf, v.Idx, v.W) }
 
@@ -119,9 +130,9 @@ type Expr struct {
 	varr *Var   // variable (non-nil iff this is a leaf variable)
 	kids []*Expr
 	hash uint64
-	id   uint64 // process-unique interning ID (see Expr.ID)
-	size int32  // number of nodes in the DAG view (upper bound; shared nodes recounted)
-	syms bool   // contains at least one variable
+	id   uint64   // process-unique interning ID (see Expr.ID)
+	size int32    // number of nodes in the DAG view (upper bound; shared nodes recounted)
+	vars *[]*Expr // distinct variable leaves (see VarLeaves); nil iff none
 }
 
 // Width returns the bit width of the expression.
@@ -159,7 +170,19 @@ func (e *Expr) Child(i int) *Expr { return e.kids[i] }
 func (e *Expr) NumChildren() int { return len(e.kids) }
 
 // HasSymbols reports whether any variable occurs in the expression.
-func (e *Expr) HasSymbols() bool { return e.syms }
+func (e *Expr) HasSymbols() bool { return e.vars != nil }
+
+// VarLeaves returns the distinct variable leaves occurring in e, sorted by
+// interning ID; nil when e has no variables. The set is computed once, when e
+// is interned, and shared with e's children wherever one of them already
+// covers it, so the slice must not be modified. ID order is process-local:
+// callers that need a process-independent order sort by VarRef.
+func (e *Expr) VarLeaves() []*Expr {
+	if e.vars == nil {
+		return nil
+	}
+	return *e.vars
+}
 
 // Hash returns the structural hash of the expression.
 func (e *Expr) Hash() uint64 { return e.hash }
@@ -213,22 +236,20 @@ func NewVar(v Var) *Expr {
 	h = mix(h, uint64(v.Idx))
 	h = mix(h, uint64(v.W))
 	vv := v
-	return intern(&Expr{w: v.W, varr: &vv, hash: h, size: 1, syms: true})
+	return intern(&Expr{w: v.W, varr: &vv, hash: h, size: 1})
 }
 
 func newNode(op Op, w Width, kids ...*Expr) *Expr {
 	h := mix(hashSeed^uint64(op)<<8, uint64(w))
 	sz := int32(1)
-	syms := false
 	for _, k := range kids {
 		h = mix(h, k.hash)
 		sz += k.size
-		syms = syms || k.syms
 	}
 	if sz > 1<<28 {
 		sz = 1 << 28
 	}
-	return intern(&Expr{op: op, w: w, kids: kids, hash: h, size: sz, syms: syms})
+	return intern(&Expr{op: op, w: w, kids: kids, hash: h, size: sz})
 }
 
 // Equal reports structural equality. Hash-consing makes structural equality

@@ -1,6 +1,7 @@
 package symexpr
 
 import (
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -92,10 +93,45 @@ func intern(e *Expr) *Expr {
 		}
 	}
 	e.id = internNextID.Add(1)
+	e.vars = varsOf(e)
 	sh.m[e.hash] = append(sh.m[e.hash], e)
 	sh.mu.Unlock()
 	internSize.Add(1)
 	return e
+}
+
+// varsOf computes the variable set of a node being registered, so a
+// constructor call that finds its node already interned pays nothing. A
+// leaf's set is itself; an interior node shares its widest child's set when
+// that covers the union of its children's, and gets a fresh one otherwise.
+func varsOf(e *Expr) *[]*Expr {
+	if e.varr != nil {
+		return &[]*Expr{e}
+	}
+	var widest *[]*Expr
+	var u []*Expr
+	for _, k := range e.kids {
+		if k.vars != nil {
+			u = append(u, *k.vars...)
+			if widest == nil || len(*k.vars) > len(*widest) {
+				widest = k.vars
+			}
+		}
+	}
+	if widest == nil || len(u) == len(*widest) {
+		return widest
+	}
+	sort.Slice(u, func(i, j int) bool { return u[i].id < u[j].id })
+	out := u[:1]
+	for _, l := range u[1:] {
+		if l != out[len(out)-1] {
+			out = append(out, l)
+		}
+	}
+	if len(out) == len(*widest) {
+		return widest
+	}
+	return &out
 }
 
 // InternedCount returns the number of distinct expressions interned so far

@@ -415,7 +415,7 @@ func BenchmarkSolverByteEquations(b *testing.B) {
 			v := symexpr.NewVar(symexpr.Var{Buf: "s", Idx: j, W: symexpr.W8})
 			cs = append(cs, symexpr.Eq(v, symexpr.Const(uint64('a'+j%26), symexpr.W8)))
 		}
-		if res, _ := s.Check(cs, nil); res != solver.Sat {
+		if res, _ := s.CheckQuery(solver.Query{PC: cs}); res != solver.Sat {
 			b.Fatal("unexpected unsat")
 		}
 	}
@@ -433,7 +433,7 @@ func BenchmarkSolverHashInversion(b *testing.B) {
 		}
 		target := symexpr.And(h, symexpr.Const(7, symexpr.W64))
 		cs := []*symexpr.Expr{symexpr.Eq(target, symexpr.Const(uint64(i%8), symexpr.W64))}
-		s.Check(cs, nil)
+		s.CheckQuery(solver.Query{PC: cs})
 	}
 }
 
@@ -629,11 +629,11 @@ func BenchmarkCheckCached(b *testing.B) {
 	run := func(b *testing.B, opts solver.Options) {
 		s := solver.New(opts)
 		for _, q := range queries { // warm every layer
-			s.Check(q, nil)
+			s.CheckQuery(solver.Query{PC: q})
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if res, _ := s.Check(queries[i%len(queries)], nil); res != solver.Sat {
+			if res, _ := s.CheckQuery(solver.Query{PC: queries[i%len(queries)]}); res != solver.Sat {
 				b.Fatalf("unexpected verdict %v", res)
 			}
 		}

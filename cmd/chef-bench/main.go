@@ -4,15 +4,17 @@
 // small and fully deterministic: both interpreters, cold versus warm
 // persistent cache, serial versus parallel workers, warm sharded-
 // exploration cells at 1, 2 and 4 shard workers, incremental-solver cells
-// (cold/warm at 1 and 4 shards) and deep-path DFS cell trios (oneshot,
-// incremental, bdd) that measure each stateful backend's per-query solver
-// speedup — incremental asserted as a geometric mean across the deep-path
-// package set, bdd as a best-of gate anchored by the boolean-dominated
-// flagmaze target — all at seed 42. The
-// deterministic columns (tests, virtual time, span virtual aggregates) make
-// drift between two trajectory points attributable to code changes; the
-// wall-clock columns record what the host actually paid — including the
-// shard-scaling ratio (virtual throughput at 4 shards over 1 shard).
+// (cold/warm at 1 and 4 shards) and deep-path DFS cell pairs (oneshot,
+// incremental) that measure the incremental backend's per-query solver
+// speedup, asserted as a geometric mean across the deep-path package set —
+// all at seed 42. The decision-diagram backend's dfs cells and its speedup
+// gate are gone with the backend, which lost to incremental in wall clock
+// on every measured package; historic files that carry those cells still
+// validate. The deterministic columns (tests, virtual time, span virtual
+// aggregates) make drift between two trajectory points attributable to
+// code changes; the wall-clock columns record what the host actually paid —
+// including the shard-scaling ratio (virtual throughput at 4 shards over 1
+// shard).
 //
 // Usage:
 //
@@ -56,7 +58,6 @@ func run() int {
 		micro     = flag.Bool("micro", false, "run the 1-config smoke matrix (CI): simplejson, cold+warm, serial, 1 rep, reduced budget")
 		validate  = flag.String("validate", "", "validate an existing BENCH file and exit")
 		assertInc = flag.Float64("assert-inc-speedup", 0, "with -validate: require the incremental dfs cells' per-query solver virtual cost to beat the oneshot dfs cells by at least this ratio")
-		assertBDD = flag.Float64("assert-bdd-speedup", 0, "with -validate: require the bdd dfs cells' per-query solver virtual cost to beat the oneshot dfs cells by at least this ratio on at least one deep-path package (the boolean-dominated ones carry the signal)")
 	)
 	flag.Parse()
 
@@ -79,12 +80,6 @@ func run() int {
 				return 1
 			}
 		}
-		if *assertBDD > 0 {
-			if err := assertBDDSpeedup(f, *assertBDD); err != nil {
-				fmt.Fprintf(os.Stderr, "chef-bench: %s: %v\n", *validate, err)
-				return 1
-			}
-		}
 		return 0
 	}
 
@@ -97,7 +92,7 @@ func run() int {
 	shardCounts := []int{1, 2, 4}
 	// Incremental-solver cells run the sharded semantics cold and warm at
 	// these shard counts; the deep-path pair below carries the speedup
-	// signal, these carry the determinism contract (cold == warm, 1 == 4).
+	// signal, these carry the determinism contract (1 == 4 at each warmth).
 	incShardCounts := []int{1, 4}
 	deepPath := true
 	// Deep-path-only packages: heavier solver workloads that run just the
@@ -106,8 +101,7 @@ func run() int {
 	// arithmetic workloads incremental solving exists for; the parser
 	// packages above contribute their (lower) ratios to the same geomean.
 	// flagmaze is the bench-only boolean-dominated target (every branch
-	// condition a single-byte flag) that carries the bdd fast-path signal;
-	// see packages.Benchmarks.
+	// condition a single-byte flag); see packages.Benchmarks.
 	deepPkgNames := []string{"moonscript", "xlrd", "flagmaze"}
 	if *micro {
 		pkgNames = []string{"simplejson"}
@@ -189,25 +183,18 @@ func run() int {
 		printShardScaling(p.Name, file.Configs)
 
 		// Incremental-solver cells: the sharded semantics, cold and warm, at
-		// 1 and 4 shard workers. The prewarm pass itself runs sharded (shard
-		// counts are scheduling, not semantics) so the warm cells are fully
-		// warm: an incremental cell's models are a function of its solver's
-		// whole query stream, and only a fully-warm store — recorded from the
-		// byte-identical stream — preserves them exactly (see
-		// solver.Options.SolverMode).
+		// 1 and 4 shard workers. Incremental solves are never persisted (an
+		// incremental model is a function of its solver's whole query
+		// stream; see solver.Options.SolverMode), so the warm cells read the
+		// package's oneshot store. A persist hit bypasses the live context,
+		// so warm and cold incremental cells form separate determinism
+		// groups (see benchfmt).
 		if len(incShardCounts) > 0 {
 			incBase := base
 			incBase.SolverMode = solver.ModeIncremental
-			incWarmFile := filepath.Join(tmp, name+"-inc.ndjson")
-			incPre := incBase
-			incPre.Shards = 1
-			if err := prewarm(p, cfg, incPre, incWarmFile); err != nil {
-				fmt.Fprintf(os.Stderr, "chef-bench: prewarm %s (incremental): %v\n", name, err)
-				return 1
-			}
 			for _, cache := range caches {
 				for _, shards := range incShardCounts {
-					c, err := runCell(p, cfg, incBase, cache, 1, shards, incWarmFile)
+					c, err := runCell(p, cfg, incBase, cache, 1, shards, warmFile)
 					if err != nil {
 						fmt.Fprintf(os.Stderr, "chef-bench: %s: %v\n", c.Name, err)
 						return 1
@@ -220,7 +207,7 @@ func run() int {
 		}
 
 		if deepPath {
-			if err := runDeepPair(p, cfg, base, tmp, &file); err != nil {
+			if err := runDeepPair(p, cfg, base, &file); err != nil {
 				fmt.Fprintf(os.Stderr, "chef-bench: %v\n", err)
 				return 1
 			}
@@ -233,7 +220,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "chef-bench: unknown package %q\n", name)
 			return 1
 		}
-		if err := runDeepPair(p, cfg, base, tmp, &file); err != nil {
+		if err := runDeepPair(p, cfg, base, &file); err != nil {
 			fmt.Fprintf(os.Stderr, "chef-bench: %v\n", err)
 			return 1
 		}
@@ -256,26 +243,21 @@ func run() int {
 	return 0
 }
 
-// runDeepPair runs the deep-path DFS cell trio for p: DFS drives the path
+// runDeepPair runs the deep-path DFS cell pair for p: DFS drives the path
 // condition deep with long shared prefixes between consecutive queries —
-// the workload the incremental and bdd backends exist for. All backends run
-// warm from their own fully-warm store, so the recorded per-query solver
-// costs are the replayed solve costs and their ratios are the solver-layer
-// virtual speedups (printed per package, asserted by -assert-inc-speedup
-// in aggregate and -assert-bdd-speedup on the best package).
+// the workload the incremental backend exists for. Both backends run cold,
+// so each cell's wall time is its backend actually solving, and the ratio
+// of per-query solver costs is the solver-layer virtual speedup (printed
+// per package, asserted in aggregate by -assert-inc-speedup).
 func runDeepPair(p *packages.Package, cfg experiments.Configuration, base experiments.Budgets,
-	tmp string, file *benchfmt.File) error {
+	file *benchfmt.File) error {
 	dfsCfg := cfg
 	dfsCfg.Name = "dfs+opt"
 	dfsCfg.Strategy = chef.StrategyDFS
-	for _, sm := range []solver.SolverMode{solver.ModeOneshot, solver.ModeIncremental, solver.ModeBDD} {
+	for _, sm := range []solver.SolverMode{solver.ModeOneshot, solver.ModeIncremental} {
 		dfsBase := base
 		dfsBase.SolverMode = sm
-		dfsWarmFile := filepath.Join(tmp, p.Name+"-dfs-"+sm.String()+".ndjson")
-		if err := prewarm(p, dfsCfg, dfsBase, dfsWarmFile); err != nil {
-			return fmt.Errorf("prewarm %s (dfs, %s): %v", p.Name, sm, err)
-		}
-		c, err := runCell(p, dfsCfg, dfsBase, "warm", 1, 0, dfsWarmFile)
+		c, err := runCell(p, dfsCfg, dfsBase, "cold", 1, 0, "")
 		if err != nil {
 			return fmt.Errorf("%s: %v", c.Name, err)
 		}
@@ -284,7 +266,6 @@ func runDeepPair(p *packages.Package, cfg experiments.Configuration, base experi
 		file.Configs = append(file.Configs, c)
 	}
 	printIncSpeedup(p.Name, file.Configs)
-	printBDDSpeedup(p.Name, file.Configs)
 	return nil
 }
 
@@ -316,11 +297,9 @@ func runCell(p *packages.Package, cfg experiments.Configuration, b experiments.B
 	b.Shards = shards
 	if cache == "warm" {
 		// Each warm cell reads a private copy of the store: a cell's
-		// sessions may append queries the prewarm stream missed (an
-		// incremental warm run's query stream diverges wherever a persist
-		// hit bypasses the backend and shifts the context's assumption
-		// state), and a shared file would leak those appends into the next
-		// cell's read side, breaking cell-order independence.
+		// sessions may append queries the prewarm stream missed, and a
+		// shared file would leak those appends into the next cell's read
+		// side, breaking cell-order independence.
 		data, err := os.ReadFile(warmFile)
 		if err != nil {
 			return c, err
@@ -366,13 +345,9 @@ func cellConfig(p *packages.Package, cfg experiments.Configuration, b experiment
 		strategy = "dfs"
 	}
 	solverMode := ""
-	switch b.SolverMode {
-	case solver.ModeIncremental:
+	if b.SolverMode == solver.ModeIncremental {
 		seg += "/inc"
 		solverMode = "incremental"
-	case solver.ModeBDD:
-		seg += "/bdd"
-		solverMode = "bdd"
 	}
 	name := fmt.Sprintf("%s/%s/w%d", seg, cache, workers)
 	if shards > 0 {
@@ -438,11 +413,11 @@ func solverCheckPerQuery(c *benchfmt.Config) float64 {
 	return 0
 }
 
-// dfsSpeedup finds pkg's dfs cells for the oneshot baseline and the given
-// solver mode and returns the oneshot/mode ratio of per-query solver virtual
-// cost — the solver-layer speedup of that backend on the deep-path workload.
-func dfsSpeedup(pkg, mode string, configs []benchfmt.Config) (float64, bool) {
-	var one, alt *benchfmt.Config
+// incSpeedup finds pkg's oneshot and incremental dfs cells and returns the
+// oneshot/incremental ratio of per-query solver virtual cost — the
+// solver-layer speedup of the incremental backend on the deep-path workload.
+func incSpeedup(pkg string, configs []benchfmt.Config) (float64, bool) {
+	var one, inc *benchfmt.Config
 	for i := range configs {
 		c := &configs[i]
 		if c.Package != pkg || c.Strategy != "dfs" {
@@ -451,23 +426,18 @@ func dfsSpeedup(pkg, mode string, configs []benchfmt.Config) (float64, bool) {
 		switch c.SolverMode {
 		case "":
 			one = c
-		case mode:
-			alt = c
+		case "incremental":
+			inc = c
 		}
 	}
-	if one == nil || alt == nil {
+	if one == nil || inc == nil {
 		return 0, false
 	}
-	po, pa := solverCheckPerQuery(one), solverCheckPerQuery(alt)
-	if po <= 0 || pa <= 0 {
+	po, pi := solverCheckPerQuery(one), solverCheckPerQuery(inc)
+	if po <= 0 || pi <= 0 {
 		return 0, false
 	}
-	return po / pa, true
-}
-
-// incSpeedup is dfsSpeedup for the incremental backend.
-func incSpeedup(pkg string, configs []benchfmt.Config) (float64, bool) {
-	return dfsSpeedup(pkg, "incremental", configs)
+	return po / pi, true
 }
 
 // printIncSpeedup reports the deep-path solver-layer speedup of the
@@ -476,15 +446,6 @@ func printIncSpeedup(pkg string, configs []benchfmt.Config) {
 	if r, ok := incSpeedup(pkg, configs); ok {
 		fmt.Printf("%-32s incremental per-query solver cost %.2fx cheaper than oneshot (dfs)\n",
 			pkg+" inc speedup", r)
-	}
-}
-
-// printBDDSpeedup reports the deep-path solver-layer speedup of the bdd
-// backend for one package.
-func printBDDSpeedup(pkg string, configs []benchfmt.Config) {
-	if r, ok := dfsSpeedup(pkg, "bdd", configs); ok {
-		fmt.Printf("%-32s bdd per-query solver cost %.2fx cheaper than oneshot (dfs)\n",
-			pkg+" bdd speedup", r)
 	}
 }
 
@@ -522,41 +483,5 @@ func assertIncSpeedup(f *benchfmt.File, min float64) error {
 		return fmt.Errorf("aggregate incremental speedup %.2fx (geomean over %d packages) below required %.2fx", agg, pairs, min)
 	}
 	fmt.Printf("chef-bench: aggregate incremental solver speedup %.2fx over %d packages (>= %.2fx)\n", agg, pairs, min)
-	return nil
-}
-
-// assertBDDSpeedup requires the best per-package bdd dfs speedup in the file
-// to be at least min. The gate is a best-of, not an aggregate: the diagram's
-// fail-fast only pays on boolean-dominated streams (flagmaze), while on
-// arithmetic-heavy packages every query falls back to CDCL and the ratio
-// hovers near (slightly below) 1x — which is the documented degradation
-// contract, not a regression. The bar proves the fast path actually wins
-// where its workload exists.
-func assertBDDSpeedup(f *benchfmt.File, min float64) error {
-	seen := map[string]bool{}
-	best, bestPkg, pairs := 0.0, "", 0
-	for i := range f.Configs {
-		pkg := f.Configs[i].Package
-		if seen[pkg] {
-			continue
-		}
-		seen[pkg] = true
-		r, ok := dfsSpeedup(pkg, "bdd", f.Configs)
-		if !ok {
-			continue
-		}
-		pairs++
-		fmt.Printf("chef-bench: %s bdd solver speedup %.2fx\n", pkg, r)
-		if r > best {
-			best, bestPkg = r, pkg
-		}
-	}
-	if pairs == 0 {
-		return fmt.Errorf("-assert-bdd-speedup: no dfs oneshot/bdd cell pairs in file")
-	}
-	if best < min {
-		return fmt.Errorf("best bdd speedup %.2fx (%s, over %d packages) below required %.2fx", best, bestPkg, pairs, min)
-	}
-	fmt.Printf("chef-bench: best bdd solver speedup %.2fx on %s (>= %.2fx)\n", best, bestPkg, min)
 	return nil
 }

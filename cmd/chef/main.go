@@ -45,7 +45,7 @@ func main() {
 		vanilla  = flag.Bool("vanilla", false, "use the unoptimized interpreter build")
 		out      = flag.String("out", "", "write generated tests as NDJSON to this file")
 		cmode    = flag.String("cachemode", "exact", "counterexample cache lookup layers: exact | subsume")
-		smode    = flag.String("solvermode", "oneshot", "decision procedure behind the cache layers: oneshot (fresh CNF per query) | incremental (assumption-scoped context with learned-clause retention) | bdd (boolean-skeleton diagram with CDCL fallback)")
+		smode    = flag.String("solvermode", "oneshot", "decision procedure behind the cache layers: oneshot (fresh CNF per query) | incremental (assumption-scoped context with learned-clause retention)")
 		shards   = flag.Int("shards", 0, "sharded exploration: split the path space across signature-subtree ranges driven by up to N epoch workers (0 = plain session; results are identical for every N >= 1)")
 		cfile    = flag.String("cachefile", "", "persistent counterexample cache: load solved queries from this file at startup, append new ones")
 		fspec    = flag.String("faults", "", "deterministic fault-injection plan, e.g. 'seed=7;solver.unknown:p=0.05;persist.write:err@n=3' (see docs/ROBUSTNESS.md)")

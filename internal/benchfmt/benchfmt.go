@@ -53,12 +53,13 @@ type Config struct {
 	// determinism check groups them separately per package.
 	Shards int `json:"shards,omitempty"`
 	// SolverMode is the decision procedure behind the solver's cache layers
-	// ("oneshot", "incremental" or "bdd"); empty means oneshot, keeping
-	// files from before the field existed valid. Incremental cells return
-	// different (equally valid) models than oneshot ones, and bdd cells
-	// spend different (equally deterministic) virtual costs, so exploration
-	// legitimately diverges: the determinism check groups each mode
-	// separately.
+	// ("oneshot" or "incremental"); empty means oneshot, keeping files from
+	// before the field existed valid. "bdd" names the since-removed BDD
+	// backend and is still accepted so historic files validate. Incremental
+	// cells return different (equally valid) models than oneshot ones, and
+	// bdd cells spent different (equally deterministic) virtual costs, so
+	// exploration legitimately diverges: the determinism check groups each
+	// mode separately.
 	SolverMode string `json:"solver_mode,omitempty"`
 	// Strategy names the state-selection strategy when a cell deviates from
 	// the matrix default (e.g. "dfs" for the deep-path cells that exercise
@@ -216,12 +217,10 @@ func (f *File) Validate() error {
 			// models) are a function of the context's whole query stream,
 			// and warmth changes the stream: a persist hit bypasses the
 			// backend, so the context sees fewer queries and later solves
-			// start from different internal state (assumption trail, or the
-			// diagram's memo tables). Only full warmth — every query
-			// replayed — reproduces the cold stream, and Unknown verdicts
-			// are never persisted, so partial warmth is inherent. Cold and
-			// warm cells of these modes are therefore separate determinism
-			// groups; within each, shard counts must still agree exactly.
+			// start from different internal state (the assumption trail, or
+			// the historic bdd backend's memo tables). Cold and warm cells
+			// of these modes are therefore separate determinism groups;
+			// within each, shard counts must still agree exactly.
 			key += "|" + c.Cache
 		}
 		if c.Strategy != "" {

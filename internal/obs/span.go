@@ -21,12 +21,7 @@ const (
 	// runs in incremental mode: one span per assumption-scoped context solve
 	// (delta blast + solveUnderAssumptions), virtual duration = the solve's
 	// propagation cost.
-	SpanSolverInc = "solver.inc"
-	// SpanSolverBDD replaces solver.blast on the miss path when the solver
-	// runs in bdd mode: one span per diagram solve (skeleton conjoin plus,
-	// for arithmetic-bearing queries, the CDCL fallback blast), virtual
-	// duration = the solve's total cost in propagation units.
-	SpanSolverBDD     = "solver.bdd"
+	SpanSolverInc     = "solver.inc"
 	SpanCacheLookup   = "solver.cache_lookup"
 	SpanPersistLookup = "solver.persist_lookup"
 	SpanPersistFlush  = "persist.flush"

@@ -2,18 +2,16 @@ package packages
 
 import "chef/internal/symtest"
 
-// FlagMazeSrc is the boolean-dominated deep-path benchmark target behind the
-// -solvermode=bdd speedup gate. It is deliberately not part of the Table 3
-// evaluation set: its shape is synthetic — every branch condition is either a
-// single-byte equality against one constant or a propositional combination
-// of such flags, with no symbolic arithmetic anywhere — so every path
-// condition the DFS exploration emits is a liftable boolean skeleton the BDD
-// backend decides without ever reaching the CDCL core. Each input byte is
-// compared against exactly one constant, which keeps every query's atoms
-// variable-disjoint (the backend's liftability condition). The re-test
-// cascade after the forking prefix adds no new paths, only branch queries
-// whose infeasible arm dies in the diagram — the fail-fast workload the
-// fast path exists for.
+// FlagMazeSrc is the boolean-dominated deep-path benchmark target. It is
+// deliberately not part of the Table 3 evaluation set: its shape is
+// synthetic — every branch condition is either a single-byte equality
+// against one constant or a propositional combination of such flags, with
+// no symbolic arithmetic anywhere — so its DFS path conditions are long
+// conjunctions of propositional re-tests. Each input byte is compared
+// against exactly one constant. The re-test cascade after the forking
+// prefix adds no new paths, only branch queries whose infeasible arm the
+// solver must refute; it is the solver-bound DFS shape the deep-path bench
+// cells and the deep-dfs workload measure.
 const FlagMazeSrc = `
 def drive(s):
     n = 0

@@ -228,6 +228,47 @@ func TestSecondJobObservesPersistWarmHits(t *testing.T) {
 	}
 }
 
+// An incremental job's models depend on its solver's whole query stream, so
+// they must not enter a store that oneshot jobs read: a oneshot job run after
+// an incremental one on the same store is byte-identical to a cold oneshot
+// job.
+func TestIncrementalJobLeavesOneshotOutputUnchanged(t *testing.T) {
+	spec := quickSpec(42)
+	cold, err := Execute(context.Background(), spec, ExecOptions{})
+	if err != nil {
+		t.Fatalf("cold run: %v", err)
+	}
+	coldTests, err := symtest.MarshalTests(cold.Tests)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := solver.OpenPersistentStore(filepath.Join(t.TempDir(), "cxc.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{Workers: 1, Persist: store})
+	t.Cleanup(func() { _ = store.Close() })
+	inc := spec
+	inc.SolverMode = "incremental"
+	if st := s.poll(t, s.submit(t, "", inc)); st.State != StateSucceeded {
+		t.Fatalf("incremental job state = %s (error %q)", st.State, st.Error)
+	}
+	id := s.submit(t, "", spec)
+	st := s.poll(t, id)
+	if st.State != StateSucceeded {
+		t.Fatalf("oneshot job state = %s (error %q)", st.State, st.Error)
+	}
+	_, warmTests := s.do(t, "GET", "/v1/jobs/"+id+"/tests", "", nil)
+	if !bytes.Equal(warmTests, coldTests) {
+		t.Fatalf("oneshot job after an incremental one diverged from cold: %d vs %d bytes",
+			len(warmTests), len(coldTests))
+	}
+	if *st.Summary != cold.Summary {
+		t.Fatalf("oneshot job summary diverged from cold:\ncold: %+v\nwarm: %+v", cold.Summary, *st.Summary)
+	}
+}
+
 // N concurrent jobs against one store + shared cache under -race: every job
 // succeeds, later jobs can observe warm hits, and the store file stays
 // loadable afterwards.
@@ -452,18 +493,34 @@ func assertAccounting(t *testing.T, srv *Server) {
 // Invalid specs and bodies answer 400 and count as invalid, not submitted.
 func TestInvalidSubmissions(t *testing.T) {
 	s := newTestServer(t, Options{Workers: 1})
-	for name, body := range map[string]any{
-		"unknown package": JobSpec{Package: "no-such-package"},
-		"bad strategy":    JobSpec{Package: "simplejson", Strategy: "psychic"},
-		"no target":       JobSpec{},
-		"both targets":    JobSpec{Package: "simplejson", Language: "python", Source: "x"},
-		"bad input kind": JobSpec{Language: "python", Source: "def f(x):\n    return x\n", Entry: "f",
-			Inputs: []InputSpec{{Name: "x", Kind: "float"}}},
+	for name, tc := range map[string]struct {
+		spec    JobSpec
+		wantErr string // when set, the exact Validate error
+	}{
+		"unknown package": {spec: JobSpec{Package: "no-such-package"}},
+		"bad strategy":    {spec: JobSpec{Package: "simplejson", Strategy: "psychic"}},
+		"no target":       {spec: JobSpec{}},
+		"both targets":    {spec: JobSpec{Package: "simplejson", Language: "python", Source: "x"}},
+		"bad input kind": {spec: JobSpec{Language: "python", Source: "def f(x):\n    return x\n", Entry: "f",
+			Inputs: []InputSpec{{Name: "x", Kind: "float"}}}},
+		// The BDD backend was removed; its spelling is now unknown.
+		"removed bdd solvermode": {
+			spec:    JobSpec{Package: "simplejson", SolverMode: "bdd"},
+			wantErr: `unknown solvermode "bdd" (want oneshot or incremental)`,
+		},
 	} {
-		resp, data := s.do(t, "POST", "/v1/jobs", "", body)
+		if tc.wantErr != "" {
+			if err := tc.spec.Validate(); err == nil || err.Error() != tc.wantErr {
+				t.Fatalf("%s: Validate() = %v, want %q", name, err, tc.wantErr)
+			}
+		}
+		resp, data := s.do(t, "POST", "/v1/jobs", "", tc.spec)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d (%s), want 400", name, resp.StatusCode, data)
 		}
+	}
+	if _, ok := solver.ParseSolverMode("bdd"); ok {
+		t.Fatal(`ParseSolverMode("bdd") accepted the removed backend`)
 	}
 	req, _ := http.NewRequest("POST", s.ts.URL+"/v1/jobs", strings.NewReader("{not json"))
 	resp, err := http.DefaultClient.Do(req)

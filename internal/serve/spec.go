@@ -90,7 +90,7 @@ type JobSpec struct {
 	Seed       int64  `json:"seed,omitempty"`
 	Vanilla    bool   `json:"vanilla,omitempty"`    // unoptimized interpreter build
 	CacheMode  string `json:"cachemode,omitempty"`  // exact | subsume
-	SolverMode string `json:"solvermode,omitempty"` // oneshot | incremental | bdd
+	SolverMode string `json:"solvermode,omitempty"` // oneshot | incremental
 
 	// Shards selects sharded exploration (chef.ShardedSession): the job's
 	// path space is split into signature-subtree ranges driven by up to
@@ -161,7 +161,7 @@ func (s *JobSpec) Validate() error {
 		return fmt.Errorf("unknown cachemode %q (want exact or subsume)", s.CacheMode)
 	}
 	if _, ok := solver.ParseSolverMode(s.SolverMode); !ok {
-		return fmt.Errorf("unknown solvermode %q (want oneshot, incremental or bdd)", s.SolverMode)
+		return fmt.Errorf("unknown solvermode %q (want oneshot or incremental)", s.SolverMode)
 	}
 	if s.Shards < 0 || s.Shards > chef.ShardSubtrees {
 		return fmt.Errorf("shards %d out of range [0, %d]", s.Shards, chef.ShardSubtrees)

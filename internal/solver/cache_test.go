@@ -150,7 +150,7 @@ func TestSolverCacheAccounting(t *testing.T) {
 	v := symexpr.NewVar(symexpr.Var{Buf: "x", W: symexpr.W32})
 	for i := 0; i < 8; i++ {
 		pc := []*symexpr.Expr{symexpr.Ult(v, symexpr.Const(uint64(10+i%2), symexpr.W32))}
-		if res, _ := s.Check(pc, nil); res != Sat {
+		if res, _ := s.CheckQuery(Query{PC: pc}); res != Sat {
 			t.Fatalf("query %d: %v, want Sat", i, res)
 		}
 	}

@@ -56,7 +56,7 @@ func TestBlastAgreesWithEval(t *testing.T) {
 			cs = append(cs, sx.Eq(sx.NewVar(v), sx.Const(val, v.W)))
 		}
 		cs = append(cs, sx.Eq(e, sx.Const(want, e.Width())))
-		res, model := s.Check(cs, nil)
+		res, model := s.CheckQuery(Query{PC: cs})
 		if res != Sat {
 			t.Fatalf("trial %d: e=%v env=%v want=%d: solver says %v (blast/eval disagreement)",
 				trial, e, env, want, res)
@@ -68,7 +68,7 @@ func TestBlastAgreesWithEval(t *testing.T) {
 		}
 		// And the contradiction must be unsat.
 		cs[len(cs)-1] = sx.Ne(e, sx.Const(want, e.Width()))
-		res, _ = s.Check(cs, nil)
+		res, _ = s.CheckQuery(Query{PC: cs})
 		if res != Unsat {
 			t.Fatalf("trial %d: e=%v env=%v: negated value says %v, want unsat", trial, e, env, res)
 		}
@@ -109,7 +109,7 @@ func TestBlastWiderWidths(t *testing.T) {
 			sx.Eq(b, sx.Const(env[bVar], w)),
 			sx.Eq(e, sx.Const(want, w)),
 		}
-		res, model := s.Check(cs, nil)
+		res, model := s.CheckQuery(Query{PC: cs})
 		if res != Sat {
 			t.Fatalf("trial %d (w=%d): %v under %v should be sat (want %d)", trial, w, e, env, want)
 		}
@@ -156,8 +156,8 @@ func TestSlicingEquivalence(t *testing.T) {
 			sx.Eq(sx.NewVar(sx.Var{Buf: "p", W: sx.W8}), sx.Const(5, sx.W8)),
 			sx.Ult(sx.NewVar(sx.Var{Buf: "q", W: sx.W8}), sx.Const(k, sx.W8)),
 		}
-		r1, m1 := full.Check(cs, base)
-		r2, m2 := noslice.Check(cs, base)
+		r1, m1 := full.CheckQuery(Query{PC: cs, Base: base})
+		r2, m2 := noslice.CheckQuery(Query{PC: cs, Base: base})
 		if r1 != r2 {
 			t.Fatalf("trial %d: slicing changes verdict: %v vs %v (k=%d)", trial, r1, r2, k)
 		}

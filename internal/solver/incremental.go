@@ -273,8 +273,6 @@ type incrementalBackend struct {
 	maxVars    int32
 }
 
-func (b *incrementalBackend) Mode() SolverMode { return ModeIncremental }
-
 // ensure makes b.ctx live, rebuilding past the growth caps or after a
 // poisoning. It reports whether the context was built by this call.
 func (b *incrementalBackend) ensure() bool {

@@ -34,7 +34,7 @@ func TestSolverMatchesOracleUnderInjectedUnknowns(t *testing.T) {
 		s := New(Options{Mode: mode, Faults: plan.Injector("oracle/" + mode.String())})
 		unknowns := 0
 		for i, q := range queries {
-			res, model := s.Check(q.pc, q.base)
+			res, model := s.CheckQuery(Query{PC: q.pc, Base: q.base})
 			if res == Unknown {
 				unknowns++
 				continue
@@ -60,9 +60,9 @@ func TestSolverMatchesOracleUnderInjectedUnknowns(t *testing.T) {
 		// intercepts real solves), and forced Unknowns re-solve because they
 		// were never cached, so every query converges to the oracle verdict.
 		for i, q := range queries {
-			res, model := s.Check(q.pc, q.base)
+			res, model := s.CheckQuery(Query{PC: q.pc, Base: q.base})
 			for try := 0; res == Unknown && try < 200; try++ {
-				res, model = s.Check(q.pc, q.base)
+				res, model = s.CheckQuery(Query{PC: q.pc, Base: q.base})
 			}
 			if res != q.want {
 				t.Fatalf("[%s] query %d: did not converge to oracle verdict: got %v, want %v",
@@ -92,7 +92,7 @@ func TestSolverOraclePersistentUnderInjectedUnknowns(t *testing.T) {
 	s := New(Options{Mode: CacheExact, Persist: cold, Faults: plan.Injector("cold")})
 	solved := 0
 	for i, q := range queries {
-		res, model := s.Check(q.pc, q.base)
+		res, model := s.CheckQuery(Query{PC: q.pc, Base: q.base})
 		if res == Unknown {
 			continue
 		}
@@ -122,7 +122,7 @@ func TestSolverOraclePersistentUnderInjectedUnknowns(t *testing.T) {
 	}
 	s2 := New(Options{Mode: CacheExact, Persist: warm, Faults: plan.Injector("warm")})
 	for i, q := range queries {
-		res, model := s2.Check(q.pc, q.base)
+		res, model := s2.CheckQuery(Query{PC: q.pc, Base: q.base})
 		if res != Unknown && res != q.want {
 			t.Fatalf("warm query %d: verdict flipped: solver=%v oracle=%v", i, res, q.want)
 		}

@@ -126,7 +126,7 @@ func genOracleQueries(t testing.TB, n int, seed int64) []oracleQuery {
 // verdict, validating the model on Sat.
 func checkAgainstOracle(t *testing.T, cfg string, i int, q oracleQuery, s *Solver) (Result, sx.Assignment) {
 	t.Helper()
-	res, model := s.Check(q.pc, q.base)
+	res, model := s.CheckQuery(Query{PC: q.pc, Base: q.base})
 	if res != q.want {
 		t.Fatalf("[%s] query %d: solver=%v oracle=%v pc=%v base=%v", cfg, i, res, q.want, q.pc, q.base)
 	}
@@ -153,7 +153,7 @@ func TestSolverMatchesOracle(t *testing.T) {
 	queries := genOracleQueries(t, n, 424242)
 
 	modes := []CacheMode{CacheExact, CacheSubsume}
-	for _, sm := range []SolverMode{ModeOneshot, ModeIncremental, ModeBDD} {
+	for _, sm := range []SolverMode{ModeOneshot, ModeIncremental} {
 		qs := queries
 		if sm == ModeIncremental {
 			// The random stream shares no prefixes, so every query pops the
@@ -209,7 +209,8 @@ func TestSolverMatchesOracle(t *testing.T) {
 // persistent store, then warm from the written file, checking both passes
 // against the oracle and checking the warm pass returns bit-identical
 // results — verdict, model and accumulated propagation count — to the cold
-// one.
+// one. For the incremental backend, whose solves are never persisted, the
+// warm pass runs oneshot and must find the store empty.
 func TestSolverMatchesOraclePersistent(t *testing.T) {
 	n := 300
 	if !testing.Short() {
@@ -244,7 +245,7 @@ func TestSolverMatchesOraclePersistent(t *testing.T) {
 		return outs, s.Stats()
 	}
 
-	for _, sm := range []SolverMode{ModeOneshot, ModeIncremental, ModeBDD} {
+	for _, sm := range []SolverMode{ModeOneshot, ModeIncremental} {
 		qs := queries
 		if sm == ModeIncremental {
 			// Same wall-time consideration as TestSolverMatchesOracle: the
@@ -258,10 +259,20 @@ func TestSolverMatchesOraclePersistent(t *testing.T) {
 			if err := removeIfExists(path); err != nil {
 				t.Fatal(err)
 			}
-			// A fully-warm store replays every cold verdict, model and cost
-			// byte-for-byte regardless of backend: the cold pass recorded the
-			// whole stream, so the warm pass never reaches the live context.
 			cold, coldStats := runPass("cold/"+cfg, mode, sm, qs)
+			if sm == ModeIncremental {
+				// Incremental models depend on the solver's whole query
+				// stream, so an incremental pass appends nothing: a oneshot
+				// pass after it starts from an empty store.
+				_, warmStats := runPass("warm/"+cfg, mode, ModeOneshot, qs)
+				if warmStats.CacheHitsPersist != 0 {
+					t.Fatalf("cfg=%s: oneshot pass hit %d entries written by the incremental pass",
+						cfg, warmStats.CacheHitsPersist)
+				}
+				continue
+			}
+			// A fully-warm store replays every cold verdict, model and cost
+			// byte-for-byte: the cold pass recorded the whole stream.
 			warm, warmStats := runPass("warm/"+cfg, mode, sm, qs)
 			if warmStats.CacheHitsPersist == 0 {
 				t.Fatalf("cfg=%s: warm pass recorded no persistent hits", cfg)
@@ -311,7 +322,7 @@ func TestSubsumptionHitsOccur(t *testing.T) {
 		sx.Ne(a, sx.Const(50, sx.W8)),
 	}
 	for i := 1; i <= len(grow); i++ {
-		if res, m := s.Check(grow[:i], nil); res != Sat {
+		if res, m := s.CheckQuery(Query{PC: grow[:i]}); res != Sat {
 			t.Fatalf("prefix %d: %v, want Sat", i, res)
 		} else {
 			for _, c := range grow[:i] {
@@ -333,11 +344,11 @@ func TestSubsumptionHitsOccur(t *testing.T) {
 		sx.Ult(a, sx.Const(10, sx.W8)),
 		sx.Ult(sx.Const(20, sx.W8), a),
 	}
-	if res, _ := s2.Check(contradiction, nil); res != Unsat {
+	if res, _ := s2.CheckQuery(Query{PC: contradiction}); res != Unsat {
 		t.Fatalf("contradiction: %v, want Unsat", res)
 	}
 	wider := append(append([]*sx.Expr(nil), contradiction...), sx.Ne(a, sx.Const(3, sx.W8)))
-	if res, _ := s2.Check(wider, nil); res != Unsat {
+	if res, _ := s2.CheckQuery(Query{PC: wider}); res != Unsat {
 		t.Fatalf("superset of contradiction: %v, want Unsat", res)
 	}
 	if st := s2.Stats(); st.CacheHitsSubsumeUnsat == 0 {

@@ -172,8 +172,8 @@ func TestPersistCorruptStoreColdEquivalence(t *testing.T) {
 	cold := New(Options{})
 	queries := genOracleQueries(t, 50, 7)
 	for i, q := range queries {
-		r1, m1 := warm.Check(q.pc, q.base)
-		r2, m2 := cold.Check(q.pc, q.base)
+		r1, m1 := warm.CheckQuery(Query{PC: q.pc, Base: q.base})
+		r2, m2 := cold.CheckQuery(Query{PC: q.pc, Base: q.base})
 		if r1 != r2 || !sameModel(m1, m2) {
 			t.Fatalf("query %d: corrupt-store solver diverged from cold solver", i)
 		}

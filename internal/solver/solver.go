@@ -64,29 +64,22 @@ func ParseCacheMode(s string) (CacheMode, bool) {
 }
 
 // SolverMode selects the decision procedure behind the cache/persist front
-// end: the historical oneshot backend (fresh CNF per query), the
+// end: the historical oneshot backend (fresh CNF per query) or the
 // assumption-scoped incremental backend (one live Context per solver, see
-// incremental.go), or the BDD fast path for boolean-dominated path
-// conditions with a CDCL fallback (see bdd.go).
+// incremental.go).
 type SolverMode uint8
 
 // Solver modes. ModeOneshot is the default and preserves the historical
 // byte-exact behavior; ModeIncremental retains blasted CNF, trail prefixes
-// and learned clauses across the queries of one solver; ModeBDD conjoins
-// boolean skeletons into a reduced-ordered-BDD and bit-blasts only the
-// queries the diagram cannot decide.
+// and learned clauses across the queries of one solver.
 const (
 	ModeOneshot SolverMode = iota
 	ModeIncremental
-	ModeBDD
 )
 
 func (m SolverMode) String() string {
-	switch m {
-	case ModeIncremental:
+	if m == ModeIncremental {
 		return "incremental"
-	case ModeBDD:
-		return "bdd"
 	}
 	return "oneshot"
 }
@@ -98,8 +91,6 @@ func ParseSolverMode(s string) (SolverMode, bool) {
 		return ModeOneshot, true
 	case "incremental":
 		return ModeIncremental, true
-	case "bdd":
-		return ModeBDD, true
 	}
 	return ModeOneshot, false
 }
@@ -116,12 +107,10 @@ type Cost struct {
 // constant filter, slicing, canonicalization and every cache layer (exact,
 // subsume, persistent) compose in front of it unchanged; a Backend only sees
 // the queries that miss all of them. The oneshot backend receives canonical
-// constraint order; the incremental and bdd backends receive path order
-// (root first), which is what their prefix reuse keys off. A Backend is
-// owned by one Solver and shares its single-goroutine discipline.
+// constraint order; the incremental backend receives path order (root
+// first), which is what its prefix reuse keys off. A Backend is owned by
+// one Solver and shares its single-goroutine discipline.
 type Backend interface {
-	// Mode reports which SolverMode the backend implements.
-	Mode() SolverMode
 	// Solve decides the conjunction of pc under the given propagation
 	// budget. On Sat the model must cover every variable of pc.
 	Solve(pc []*symexpr.Expr, budget int64) (Result, symexpr.Assignment, Cost)
@@ -137,15 +126,13 @@ type Options struct {
 	// Mode selects the cache lookup layers (exact only, or exact+subsume).
 	Mode CacheMode
 	// SolverMode selects the decision procedure behind the cache layers:
-	// ModeOneshot (default; fresh CNF per query), ModeIncremental
-	// (assumption-scoped Context with trail and learned-clause retention),
-	// or ModeBDD (boolean-skeleton diagram with CDCL fallback; verdicts and
-	// models stay a pure function of each query, costs are stream-scoped).
-	// Incremental mode skips slicing — slicing rewrites the constraint
-	// sequence per query, destroying the path-prefix structure the Context
-	// reuses — and its models and propagation costs are a deterministic
-	// function of the solver's whole query stream rather than of each query
-	// alone (see Context).
+	// ModeOneshot (default; fresh CNF per query) or ModeIncremental
+	// (assumption-scoped Context with trail and learned-clause retention).
+	// Slicing runs in front of both. The incremental backend receives the
+	// sliced sub-conjunction in path order rather than canonical order, so
+	// its models and propagation costs are a deterministic function of the
+	// solver's whole query stream rather than of each query alone (see
+	// Context). For that reason only oneshot solves are appended to Persist.
 	SolverMode SolverMode
 	// PropBudget caps SAT propagations per query; 0 means the default cap.
 	PropBudget int64
@@ -157,11 +144,12 @@ type Options struct {
 	// Persist, when non-nil, is the disk-backed layer of solved queries (see
 	// persist.go): a *PersistentStore for single-run CLI use, or a
 	// *PersistView for multi-job servers that share one warm store. It is
-	// consulted after the in-memory layers miss, and every freshly *solved*
-	// (never derived) result is appended to it. A persistent hit replays the
-	// recorded propagation cost into the solver's stats, so a warm rerun
-	// spends the same virtual time a cold run would — the store accelerates
-	// wall clock without perturbing deterministic output.
+	// consulted after the in-memory layers miss (by either backend), and
+	// every result freshly *solved* (never derived) by the oneshot backend
+	// is appended to it. A persistent hit replays the recorded propagation
+	// cost into the solver's stats, so a warm rerun spends the same virtual
+	// time a cold run would — the store accelerates wall clock without
+	// perturbing deterministic output.
 	//
 	// Callers must not assign a typed-nil pointer here (wrap the assignment
 	// in a nil check); the solver treats any non-nil interface as enabled.
@@ -224,13 +212,6 @@ type Stats struct {
 	IncAssumptions int64 // assumption literals allocated
 	IncLearnedKept int64 // learned clauses carried into a query, summed over queries
 	IncRebuilds    int64 // contexts discarded at the growth caps
-
-	// BDD-backend counters (zero outside bdd mode).
-	BDDNodes     int64 // unique diagram nodes created
-	BDDApplyHits int64 // ite memo-cache hits
-	BDDFallbacks int64 // queries decided by the CDCL fallback
-	BDDRebuilds  int64 // diagrams discarded (node cap or step overrun)
-	BDDReorders  int64 // diagram rebuilds forced by variable-order insertions
 }
 
 // Add folds another snapshot into s, field by field. It is the merge helper
@@ -253,11 +234,6 @@ func (s *Stats) Add(o Stats) {
 	s.IncAssumptions += o.IncAssumptions
 	s.IncLearnedKept += o.IncLearnedKept
 	s.IncRebuilds += o.IncRebuilds
-	s.BDDNodes += o.BDDNodes
-	s.BDDApplyHits += o.BDDApplyHits
-	s.BDDFallbacks += o.BDDFallbacks
-	s.BDDRebuilds += o.BDDRebuilds
-	s.BDDReorders += o.BDDReorders
 }
 
 // Solver decides conjunctions of width-1 bit-vector expressions.
@@ -289,11 +265,6 @@ type Solver struct {
 	mIncAssumptions *obs.Counter
 	mIncLearnedKept *obs.Counter
 	mIncRebuilds    *obs.Counter
-	mBDDNodes       *obs.Counter
-	mBDDApplyHits   *obs.Counter
-	mBDDFallbacks   *obs.Counter
-	mBDDRebuilds    *obs.Counter
-	mBDDReorders    *obs.Counter
 	hVirt           *obs.Histogram
 	hWall           *obs.Histogram
 	observing       bool
@@ -334,22 +305,12 @@ func New(opts Options) *Solver {
 			s.mIncLearnedKept = reg.Counter(obs.MSolverIncLearnedKept)
 			s.mIncRebuilds = reg.Counter(obs.MSolverIncRebuilds)
 		}
-		if opts.SolverMode == ModeBDD {
-			s.mBDDNodes = reg.Counter(obs.MSolverBDDNodes)
-			s.mBDDApplyHits = reg.Counter(obs.MSolverBDDApplyHits)
-			s.mBDDFallbacks = reg.Counter(obs.MSolverBDDFallbacks)
-			s.mBDDRebuilds = reg.Counter(obs.MSolverBDDRebuilds)
-			s.mBDDReorders = reg.Counter(obs.MSolverBDDReorders)
-		}
 		s.hVirt = reg.Histogram(obs.MSolverQueryVirt)
 		s.hWall = reg.Histogram(obs.MSolverQueryWall)
 	}
-	switch opts.SolverMode {
-	case ModeIncremental:
+	if opts.SolverMode == ModeIncremental {
 		s.backend = &incrementalBackend{s: s}
-	case ModeBDD:
-		s.backend = newBDDBackend(s)
-	default:
+	} else {
 		s.backend = oneshotBackend{}
 	}
 	s.tracer = opts.Tracer
@@ -394,9 +355,6 @@ func (s *Solver) Attach(in Instruments) {
 	}
 }
 
-// Backend returns the solver's decision procedure (for mode inspection).
-func (s *Solver) Backend() Backend { return s.backend }
-
 // Stats returns a value snapshot of the accumulated counters, taken at call
 // time. The copy does not track later queries (staleness-by-copy is the
 // intended semantics); re-snapshot for fresh numbers and combine snapshots
@@ -423,14 +381,6 @@ type Query struct {
 	// belongs to (the engine's trail signature). Purely observational: it
 	// labels the query's trace event.
 	PathSig uint64
-}
-
-// Check decides whether the conjunction pc is satisfiable.
-//
-// Deprecated: Check is the positional pre-Query entry point, kept as a thin
-// wrapper for one release. Use CheckQuery.
-func (s *Solver) Check(pc []*symexpr.Expr, base symexpr.Assignment) (Result, symexpr.Assignment) {
-	return s.CheckQuery(Query{PC: pc, Base: base})
 }
 
 // CheckQuery decides whether the conjunction q.PC is satisfiable. On Sat the
@@ -506,9 +456,6 @@ func (s *Solver) CheckQuery(q Query) (Result, symexpr.Assignment) {
 func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 	s.stats.Queries++
 	incremental := s.opts.SolverMode == ModeIncremental
-	// Both stateful backends (incremental, bdd) key their prefix reuse off
-	// the path order, so both receive the uncanonicalized sequence.
-	pathOrder := incremental || s.opts.SolverMode == ModeBDD
 	// Constant-filter: drop constraints that are literally true; a literally
 	// false constraint decides the query immediately. work is scratch: the
 	// slicer copies what it keeps, and every other consumer copies too.
@@ -556,7 +503,7 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 		canon = canonicalize(append([]*symexpr.Expr(nil), work...))
 	}
 	backendInput := canon
-	if pathOrder {
+	if incremental {
 		backendInput = toSolve
 	}
 	key := canonKey(canon)
@@ -626,11 +573,8 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 	}
 
 	spanLayer := obs.SpanSolverBlast
-	switch s.opts.SolverMode {
-	case ModeIncremental:
+	if incremental {
 		spanLayer = obs.SpanSolverInc
-	case ModeBDD:
-		spanLayer = obs.SpanSolverBDD
 	}
 	bsp := s.spans.Start(spanLayer)
 	var res Result
@@ -649,11 +593,13 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 		if s.cache != nil {
 			s.cache.Store(key, canon, res, model)
 		}
-		if s.opts.Persist != nil {
-			// Only actually-solved results enter the persistent store: a
-			// subsume-derived entry could answer differently from the solve a
-			// cold run performs (different model for the same key), breaking
-			// warm/cold equivalence.
+		if s.opts.Persist != nil && !incremental {
+			// Only oneshot solves enter the persistent store, whose entries
+			// must be a pure function of the canonical key. A subsume-derived
+			// entry could answer differently from the solve a cold run
+			// performs, and an incremental model depends on the solver's
+			// whole query stream; either would make a later oneshot run read
+			// a model its own cold run never produces.
 			s.opts.Persist.Append(key, canon, res, model, cost.Propagations)
 		}
 	}
@@ -716,8 +662,6 @@ func merge(into, from symexpr.Assignment) symexpr.Assignment {
 // blaster per query, discarded afterwards. Its result and model are a pure
 // function of the (canonical) constraint sequence.
 type oneshotBackend struct{}
-
-func (oneshotBackend) Mode() SolverMode { return ModeOneshot }
 
 func (oneshotBackend) Solve(constraints []*symexpr.Expr, budget int64) (Result, symexpr.Assignment, Cost) {
 	sat := newSatSolver()

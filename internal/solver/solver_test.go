@@ -24,7 +24,7 @@ func checkModel(t *testing.T, constraints []*sx.Expr, m sx.Assignment) {
 func TestSatSimpleEquality(t *testing.T) {
 	s := New(Options{})
 	x := v8("x", 0)
-	res, m := s.Check(pc(sx.Eq(x, c8(42))), nil)
+	res, m := s.CheckQuery(Query{PC: pc(sx.Eq(x, c8(42)))})
 	if res != Sat {
 		t.Fatalf("got %v, want sat", res)
 	}
@@ -36,7 +36,7 @@ func TestSatSimpleEquality(t *testing.T) {
 func TestUnsatContradiction(t *testing.T) {
 	s := New(Options{})
 	x := v8("x", 0)
-	res, _ := s.Check(pc(sx.Eq(x, c8(1)), sx.Eq(x, c8(2))), nil)
+	res, _ := s.CheckQuery(Query{PC: pc(sx.Eq(x, c8(1)), sx.Eq(x, c8(2)))})
 	if res != Unsat {
 		t.Fatalf("got %v, want unsat", res)
 	}
@@ -47,7 +47,7 @@ func TestArithmeticConstraint(t *testing.T) {
 	x := v32("x")
 	// 3*x == 45 && x < 100
 	cs := pc(sx.Eq(sx.Mul(c32(3), x), c32(45)), sx.Ult(x, c32(100)))
-	res, m := s.Check(cs, nil)
+	res, m := s.CheckQuery(Query{PC: cs})
 	if res != Sat {
 		t.Fatalf("got %v, want sat", res)
 	}
@@ -63,7 +63,7 @@ func TestSignedComparison(t *testing.T) {
 	// x < 0 signed && x > -10 signed
 	minus10 := c32(uint64(uint32(0xfffffff6)))
 	cs := pc(sx.Slt(x, c32(0)), sx.Slt(minus10, x))
-	res, m := s.Check(cs, nil)
+	res, m := s.CheckQuery(Query{PC: cs})
 	if res != Sat {
 		t.Fatalf("got %v, want sat", res)
 	}
@@ -79,7 +79,7 @@ func TestDivRemConstraints(t *testing.T) {
 	x := v8("x", 0)
 	// x / 7 == 3 && x % 7 == 2  => x == 23
 	cs := pc(sx.Eq(sx.UDiv(x, c8(7)), c8(3)), sx.Eq(sx.URem(x, c8(7)), c8(2)))
-	res, m := s.Check(cs, nil)
+	res, m := s.CheckQuery(Query{PC: cs})
 	if res != Sat {
 		t.Fatalf("got %v, want sat", res)
 	}
@@ -92,7 +92,7 @@ func TestShiftConstraints(t *testing.T) {
 	s := New(Options{})
 	x := v8("x", 0)
 	cs := pc(sx.Eq(sx.Shl(x, c8(2)), c8(0x54)), sx.Ult(x, c8(0x40)))
-	res, m := s.Check(cs, nil)
+	res, m := s.CheckQuery(Query{PC: cs})
 	if res != Sat {
 		t.Fatalf("got %v, want sat", res)
 	}
@@ -109,7 +109,7 @@ func TestStringLikeByteConstraints(t *testing.T) {
 		cs = append(cs, sx.Eq(v8("s", i), c8(uint64(b))))
 	}
 	cs = append(cs, sx.Not(sx.Eq(v8("s", 5), c8(0))))
-	res, m := s.Check(cs, nil)
+	res, m := s.CheckQuery(Query{PC: cs})
 	if res != Sat {
 		t.Fatalf("got %v, want sat", res)
 	}
@@ -133,7 +133,7 @@ func TestHashInversionShape(t *testing.T) {
 	h = sx.Add(sx.Mul(h, c32(31)), sx.ZExt(v8("k", 2), sx.W32))
 	target := uint64(uint32('a')*31*31 + uint32('b')*31 + uint32('c'))
 	cs := pc(sx.Eq(h, c32(target)))
-	res, m := s.Check(cs, nil)
+	res, m := s.CheckQuery(Query{PC: cs})
 	if res != Sat {
 		t.Fatalf("got %v, want sat", res)
 	}
@@ -151,7 +151,7 @@ func TestSlicingReusesBaseValues(t *testing.T) {
 		sx.Eq(v8("a", 0), c8(10)),
 		sx.Eq(v8("b", 0), c8(99)),
 	)
-	res, m := s.Check(cs, base)
+	res, m := s.CheckQuery(Query{PC: cs, Base: base})
 	if res != Sat {
 		t.Fatalf("got %v, want sat", res)
 	}
@@ -167,9 +167,9 @@ func TestCacheHits(t *testing.T) {
 	s := New(Options{})
 	x := v8("x", 0)
 	cs := pc(sx.Eq(x, c8(7)))
-	s.Check(cs, nil)
+	s.CheckQuery(Query{PC: cs})
 	before := s.Stats().CacheHits
-	s.Check(cs, nil)
+	s.CheckQuery(Query{PC: cs})
 	if s.Stats().CacheHits != before+1 {
 		t.Fatalf("expected a cache hit, stats: %+v", s.Stats())
 	}
@@ -179,8 +179,8 @@ func TestCacheDisabled(t *testing.T) {
 	s := New(Options{DisableCache: true})
 	x := v8("x", 0)
 	cs := pc(sx.Eq(x, c8(7)))
-	s.Check(cs, nil)
-	s.Check(cs, nil)
+	s.CheckQuery(Query{PC: cs})
+	s.CheckQuery(Query{PC: cs})
 	if s.Stats().CacheHits != 0 {
 		t.Fatalf("cache disabled but got hits: %+v", s.Stats())
 	}
@@ -216,7 +216,7 @@ func TestBudgetExhaustionReturnsUnknown(t *testing.T) {
 	// A multiplication of two symbolic 32-bit values needs real work.
 	x, y := v32("x"), v32("y")
 	cs := pc(sx.Eq(sx.Mul(x, y), c32(0x12345678)), sx.Not(sx.Eq(x, c32(1))), sx.Not(sx.Eq(y, c32(1))))
-	res, _ := s.Check(cs, nil)
+	res, _ := s.CheckQuery(Query{PC: cs})
 	if res == Sat {
 		// With budget 1 the solver must not be able to finish real work;
 		// trivial simplification could still decide it, so only Sat-with-
@@ -259,7 +259,7 @@ func TestRandomByteSystemsProperty(t *testing.T) {
 				cs = append(cs, sx.Eq(a, c8(hidden[i])))
 			}
 		}
-		res, m := s.Check(cs, nil)
+		res, m := s.CheckQuery(Query{PC: cs})
 		if res != Sat {
 			t.Fatalf("trial %d: constructed-satisfiable system reported %v: %v", trial, res, cs)
 		}
@@ -278,7 +278,7 @@ func TestRandomUnsatSystemsProperty(t *testing.T) {
 			sx.Ult(x, c8(k+1)), // x <= k
 			sx.Ult(c8(k), x),   // x > k
 		)
-		res, _ := s.Check(cs, nil)
+		res, _ := s.CheckQuery(Query{PC: cs})
 		if res != Unsat {
 			t.Fatalf("trial %d: contradictory system reported %v", trial, res)
 		}
@@ -288,8 +288,8 @@ func TestRandomUnsatSystemsProperty(t *testing.T) {
 func TestStatsAccumulate(t *testing.T) {
 	s := New(Options{})
 	x := v8("x", 0)
-	s.Check(pc(sx.Eq(x, c8(1))), nil)
-	s.Check(pc(sx.Eq(x, c8(1)), sx.Eq(x, c8(2))), nil)
+	s.CheckQuery(Query{PC: pc(sx.Eq(x, c8(1)))})
+	s.CheckQuery(Query{PC: pc(sx.Eq(x, c8(1)), sx.Eq(x, c8(2)))})
 	st := s.Stats()
 	if st.Queries != 2 || st.SatQueries != 1 || st.UnsatQueries != 1 {
 		t.Fatalf("stats: %+v", st)
@@ -298,13 +298,13 @@ func TestStatsAccumulate(t *testing.T) {
 
 func TestEmptyAndTrivialQueries(t *testing.T) {
 	s := New(Options{})
-	if res, _ := s.Check(nil, nil); res != Sat {
+	if res, _ := s.CheckQuery(Query{PC: nil}); res != Sat {
 		t.Fatal("empty pc must be sat")
 	}
-	if res, _ := s.Check(pc(sx.True), nil); res != Sat {
+	if res, _ := s.CheckQuery(Query{PC: pc(sx.True)}); res != Sat {
 		t.Fatal("trivially true pc must be sat")
 	}
-	if res, _ := s.Check(pc(sx.False), nil); res != Unsat {
+	if res, _ := s.CheckQuery(Query{PC: pc(sx.False)}); res != Unsat {
 		t.Fatal("trivially false pc must be unsat")
 	}
 }
@@ -320,7 +320,7 @@ func TestCacheModelNotPolluted(t *testing.T) {
 		sx.Var{Buf: "c", W: sx.W8}: 0,
 	}
 	csA := pc(sx.Ule(v8("a", 0), c8(100)), target) // a <= 100 satisfied by baseA
-	res, mA := s.Check(csA, baseA)
+	res, mA := s.CheckQuery(Query{PC: csA, Base: baseA})
 	if res != Sat {
 		t.Fatalf("query A: %v", res)
 	}
@@ -331,7 +331,7 @@ func TestCacheModelNotPolluted(t *testing.T) {
 		sx.Var{Buf: "c", W: sx.W8}: 0,
 	}
 	csB := pc(sx.Ult(c8(100), v8("a", 0)), target)
-	res, mB := s.Check(csB, baseB)
+	res, mB := s.CheckQuery(Query{PC: csB, Base: baseB})
 	if res != Sat {
 		t.Fatalf("query B: %v", res)
 	}

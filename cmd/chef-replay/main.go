@@ -48,6 +48,21 @@ func writeSummary(w io.Writer, s summary) error {
 	return err
 }
 
+// replayMatches is the acceptance rule: the replay reproduces the recorded
+// result, and a recorded hang matches a replayed hang. The NDJSON format
+// JSON-encodes results, which replaces bytes that are not UTF-8 (guest error
+// messages quoting raw input bytes) with U+FFFD, so the replayed result is
+// compared after the same round trip.
+func replayMatches(tc symtest.SerializedTest, replayed string) bool {
+	if tc.Status == "hang" && replayed == "hang" {
+		return true
+	}
+	data, _ := json.Marshal(replayed) // a string always marshals
+	var wire string
+	_ = json.Unmarshal(data, &wire)
+	return wire == tc.Result
+}
+
 func main() {
 	var (
 		in      = flag.String("in", "", "NDJSON test file written by cmd/chef")
@@ -99,12 +114,7 @@ func main() {
 		hlLen += int64(rep.HLLen)
 		llBranches += rep.LLBranches
 		steps += rep.Steps
-		match := rep.Result == tc.Result
-		// Hang statuses compare through the recorded engine status.
-		if tc.Status == "hang" && rep.Result == "hang" {
-			match = true
-		}
-		if match {
+		if replayMatches(tc, rep.Result) {
 			confirmed++
 		} else {
 			mismatched++

@@ -9,7 +9,33 @@ import (
 	"chef/internal/minipy"
 	"chef/internal/packages"
 	"chef/internal/symexpr"
+	"chef/internal/symtest"
 )
+
+// TestReplayMatches pins the acceptance rule. Recorded results come from
+// NDJSON, where JSON encoding has replaced every byte that is not UTF-8 with
+// U+FFFD; the replayed result is raw, so it must be compared after the same
+// round trip.
+func TestReplayMatches(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		recorded symtest.SerializedTest
+		replayed string
+		want     bool
+	}{
+		{"non-UTF-8 result", symtest.SerializedTest{Result: "error:json: unexpected character \uFFFD\uFFFD", Status: "completed"},
+			"error:json: unexpected character \x80\xff", true},
+		{"exact match", symtest.SerializedTest{Result: "ok", Status: "completed"}, "ok", true},
+		{"real mismatch", symtest.SerializedTest{Result: "ok", Status: "completed"}, "error:json: unexpected character \x80", false},
+		{"replacement is not a wildcard", symtest.SerializedTest{Result: "x\uFFFD", Status: "completed"}, "xy", false},
+		{"hang", symtest.SerializedTest{Result: "hang", Status: "hang"}, "hang", true},
+		{"hang recorded, result replayed", symtest.SerializedTest{Result: "hang", Status: "hang"}, "ok", false},
+	} {
+		if got := replayMatches(tc.recorded, tc.replayed); got != tc.want {
+			t.Errorf("%s: replayMatches(%q, %q) = %v, want %v", tc.name, tc.recorded.Result, tc.replayed, got, tc.want)
+		}
+	}
+}
 
 func TestWriteSummaryOneLine(t *testing.T) {
 	var buf bytes.Buffer

@@ -331,8 +331,8 @@ func (ss *ShardedSession) RunContext(ctx context.Context, budget int64) []TestCa
 		// The epoch's contribution to the virtual makespan is its critical
 		// path: the largest virtual-time load any one worker carried. A pure
 		// function of the (deterministic) assignment, so it is reproducible
-		// per worker count — and the quantity the shard-scaling benchmark
-		// reports (virtual throughput = spent virtual time / makespan).
+		// per worker count — and the quantity shard.virt_makespan reports
+		// (virtual throughput = spent virtual time / makespan).
 		var maxLoad int64
 		for _, list := range assign {
 			var load int64

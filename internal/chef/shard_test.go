@@ -191,8 +191,8 @@ func TestShardedProgressIsRaceFreeDuringRun(t *testing.T) {
 	}
 }
 
-// TestShardedMakespanShrinksWithWorkers is the scaling property behind the
-// shard-scaling benchmark: more workers leave results untouched but shrink
+// TestShardedMakespanShrinksWithWorkers is the scaling property behind
+// shard.virt_makespan: more workers leave results untouched but shrink
 // the virtual-time critical path of the epoch schedule. With one worker
 // the makespan is the whole merged clock; with several it must drop below
 // it while staying bounded by clock/workers from below.

@@ -10,8 +10,8 @@ import "chef/internal/symtest"
 // conjunctions of propositional re-tests. Each input byte is compared
 // against exactly one constant. The re-test cascade after the forking
 // prefix adds no new paths, only branch queries whose infeasible arm the
-// solver must refute; it is the solver-bound DFS shape the deep-path bench
-// cells and the deep-dfs workload measure.
+// solver must refute; it is the solver-bound DFS shape the deep-dfs
+// benchmark workload measures.
 const FlagMazeSrc = `
 def drive(s):
     n = 0
@@ -56,14 +56,14 @@ def drive(s):
     return n
 `
 
-// Benchmarks returns the bench-only targets: packages chef-bench measures
-// that are not part of the Table 3 evaluation set (so All(), the tables and
-// the figures stay exactly the paper's eleven).
+// Benchmarks returns the bench-only targets: packages the deep-dfs benchmark
+// workload measures that are not part of the Table 3 evaluation set (so
+// All(), the tables and the figures stay exactly the paper's eleven).
 func Benchmarks() []*Package {
 	return []*Package{
 		{
 			Name: "flagmaze", Lang: Python, Type: "Bench",
-			Desc:   "Boolean flag maze (bdd fast-path workload)",
+			Desc:   "Boolean flag maze (deep-dfs solver workload)",
 			Source: FlagMazeSrc, Entry: "drive",
 			Inputs: []symtest.Input{symtest.Str("s", 8, "")},
 		},

@@ -3,7 +3,6 @@ package chef
 import (
 	"context"
 	"runtime"
-	"sync"
 
 	"chef/internal/obs"
 )
@@ -72,9 +71,6 @@ func RunPortfolioContext(ctx context.Context, members []PortfolioMember, opts Op
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(members) {
-		workers = len(members)
-	}
 	// Observability: each member session writes into its own child registry;
 	// children merge into the caller's registry in member order after the
 	// pool drains, so aggregated metrics are schedule-independent.
@@ -105,28 +101,7 @@ func RunPortfolioContext(ctx context.Context, members []PortfolioMember, opts Op
 		perMember[i] = s.RunContext(ctx, share)
 		summaries[i] = s.Summary()
 	}
-	if workers <= 1 {
-		for i := range members {
-			runMember(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					runMember(i)
-				}
-			}()
-		}
-		for i := range members {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
+	ParFor(workers, len(members), runMember)
 	if childRegs != nil {
 		for _, child := range childRegs {
 			opts.Metrics.Merge(child)

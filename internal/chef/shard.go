@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
+	"sort"
 
 	"chef/internal/faults"
 	"chef/internal/lowlevel"
 	"chef/internal/obs"
-	"chef/internal/shard"
 	"chef/internal/solver"
 )
 
@@ -32,10 +30,12 @@ import (
 //     all states, sources in ascending cell order). Every quantity above
 //     is a pure function of (seed, budget, program) — the worker count
 //     never appears.
-//   - Scheduling maps cells to N epoch workers via shard.Assign, a pure
-//     function of (seed, epoch, loads, N). Workers only lend CPU time to
-//     cells; they carry no state of their own, so N affects wall-clock
-//     time and the shard.steals metric, nothing else.
+//   - Scheduling is a work queue: each epoch, the live cells, largest
+//     pending queue first, are pulled by up to N workers through ParFor.
+//     Workers only lend CPU time to cells; they carry no state of their
+//     own, and a cell touches nothing another cell writes until the
+//     barrier, so which worker runs which cell affects wall-clock time
+//     and nothing else.
 //
 // Warmth is shared where sharing is deterministic: the process-global
 // symexpr interner and the persistent cache layer (whose hits replay
@@ -54,8 +54,9 @@ const (
 	ShardSubtrees = 1 << ShardSubtreeBits
 )
 
-// shardOwnerOf returns the index of the range cell owning sig.
-func shardOwnerOf(sig uint64) int { return shard.Owner(sig, ShardSubtreeBits) }
+// shardOwnerOf returns the index of the range cell owning sig: the cell
+// whose index equals sig's top ShardSubtreeBits bits.
+func shardOwnerOf(sig uint64) int { return int(sig >> (64 - ShardSubtreeBits)) }
 
 // shardCell is one range cell: a mini-Session confined to its signature
 // subtree plus the outgoing mailboxes of the cell's engine. It implements
@@ -91,26 +92,10 @@ func (c *shardCell) NoteVisited(sig uint64) {
 	c.outVisited[t] = append(c.outVisited[t], sig)
 }
 
-// ShardProgress is a barrier-time snapshot of a sharded run, published
-// through an atomic pointer so any goroutine may read it while epoch
-// workers are still driving the cell engines (the race-free read path of
-// the Engine concurrency contract).
-type ShardProgress struct {
-	// Epoch is the number of completed epochs.
-	Epoch int
-	// Spent is the merged virtual time at the last barrier.
-	Spent int64
-	// LiveRanges is the number of cells with pending work at the last
-	// barrier.
-	LiveRanges int
-	// Cells holds each range cell's engine snapshot in range order.
-	Cells []lowlevel.Snapshot
-}
-
 // ShardedSession explores one symbolic test across ShardSubtrees range
 // cells with up to `workers` epoch workers. Results are byte-identical
 // for every worker count, including 1; see the package comment above for
-// the argument. Methods are not safe for concurrent use except Progress.
+// the argument. Methods are not safe for concurrent use.
 type ShardedSession struct {
 	opts    Options
 	name    string
@@ -118,35 +103,28 @@ type ShardedSession struct {
 
 	cells     []*shardCell
 	childRegs []*obs.Registry
-	table     *shard.Table
 
 	// Coordinator observability (nil when disabled).
-	tracer    obs.Tracer
-	spans     *obs.SpanProfiler
-	mEpochs   *obs.Counter
-	mLive     *obs.Gauge
-	mStates   *obs.Counter
-	mNotes    *obs.Counter
-	mDups     *obs.Counter
-	mDepth    *obs.Histogram
-	mSteals   *obs.CounterVec
-	mStalled  *obs.Counter
-	mMakespan *obs.Counter
-	mMerged   *obs.Counter
+	tracer   obs.Tracer
+	spans    *obs.SpanProfiler
+	mEpochs  *obs.Counter
+	mLive    *obs.Gauge
+	mStates  *obs.Counter
+	mNotes   *obs.Counter
+	mDups    *obs.Counter
+	mDepth   *obs.Histogram
+	mStalled *obs.Counter
+	mMerged  *obs.Counter
 
 	stallInj *faults.Injector
 
 	ran            bool
 	initialDone    bool
 	spent          int64
-	makespan       int64
-	epochs         int
 	stalledWorkers int
 	cancelled      bool
 	tests          []TestCase
 	series         []SamplePoint
-
-	progress atomic.Pointer[ShardProgress]
 }
 
 // NewShardedSession builds a sharded exploration of prog. workers bounds
@@ -167,7 +145,6 @@ func NewShardedSession(prog TestProgram, opts Options, workers int) *ShardedSess
 		opts:    opts,
 		name:    name,
 		workers: workers,
-		table:   shard.NewTable(ShardSubtreeBits),
 		tracer:  obs.WithSession(opts.Tracer, name),
 	}
 	// The coordinator's injector uses the same scope a plain session
@@ -184,13 +161,8 @@ func NewShardedSession(prog TestProgram, opts Options, workers int) *ShardedSess
 		ss.mNotes = reg.Counter(obs.MShardVisitedNotes)
 		ss.mDups = reg.Counter(obs.MShardHandoffDups)
 		ss.mDepth = reg.Histogram(obs.MShardHandoffDepth)
-		ss.mSteals = reg.CounterVec(obs.MShardSteals)
 		ss.mStalled = reg.Counter(obs.MShardStalled)
-		ss.mMakespan = reg.Counter(obs.MShardVirtMakespan)
 		ss.mMerged = reg.Counter(obs.MChefTestsMerged)
-		reg.SetVecLabeler(obs.MShardSteals, func(k uint64) string {
-			return fmt.Sprintf("worker-%d", k)
-		})
 		ss.childRegs = make([]*obs.Registry, ShardSubtrees)
 		for i := range ss.childRegs {
 			ss.childRegs[i] = obs.NewRegistry()
@@ -264,7 +236,7 @@ func (ss *ShardedSession) RunContext(ctx context.Context, budget int64) []TestCa
 	// Worker-level stall injection: a stalled worker never joins the
 	// pool. Because semantics are worker-independent, any surviving
 	// worker reproduces the full result; only a total stall degrades.
-	var liveWorkers []int
+	pool := 0
 	for w := 0; w < ss.workers; w++ {
 		if ss.stallInj.FireStall(w) {
 			ss.stalledWorkers++
@@ -276,165 +248,71 @@ func (ss *ShardedSession) RunContext(ctx context.Context, budget int64) []TestCa
 			}
 			continue
 		}
-		liveWorkers = append(liveWorkers, w)
+		pool++
 	}
-	if len(liveWorkers) == 0 {
+	if pool == 0 {
 		if ss.tracer != nil {
 			ss.tracer.Emit(&obs.Event{Kind: obs.KindSessionEnd, Status: "stalled"})
 		}
-		ss.publishProgress(0)
 		return ss.tests
 	}
 
-	var prevAssign [][]int
-	for epoch := 0; ; epoch++ {
+	for {
 		if ctx.Err() != nil {
 			ss.cancelled = true
 			break
 		}
 		initial := !ss.initialDone
-		loads := make([]int64, ShardSubtrees)
-		live := 0
-		if initial {
-			loads[0] = 1
-			live = 1
-		} else {
-			for k, c := range ss.cells {
-				if p := c.sess.eng.Pending(); p > 0 {
-					loads[k] = int64(p)
-					live++
-				}
-			}
-		}
+		order := ss.liveCells(initial)
 		if ss.mLive != nil {
-			ss.mLive.Set(int64(live))
+			ss.mLive.Set(int64(len(order)))
 		}
-		if live == 0 || ss.spent >= budget {
+		if len(order) == 0 || ss.spent >= budget {
 			break
 		}
 		// Epoch slice: half the remaining budget spread over the live
 		// cells, floored at one step so every nonempty cell progresses.
-		slice := (budget - ss.spent) / int64(2*live)
+		slice := (budget - ss.spent) / int64(2*len(order))
 		if slice < 1 {
 			slice = 1
 		}
-		assign := shard.Assign(ss.opts.Seed, epoch, loads, len(liveWorkers))
-		ss.applyOwnership(assign, liveWorkers, prevAssign != nil)
-		prevAssign = assign
 		sp := ss.spans.Start(obs.SpanShardEpoch)
 		before := ss.spent
-		clocksBefore := make([]int64, len(ss.cells))
-		for k, c := range ss.cells {
-			clocksBefore[k] = c.sess.eng.Clock()
-		}
-		ss.runEpoch(ctx, assign, slice, initial)
-		// The epoch's contribution to the virtual makespan is its critical
-		// path: the largest virtual-time load any one worker carried. A pure
-		// function of the (deterministic) assignment, so it is reproducible
-		// per worker count — and the quantity shard.virt_makespan reports
-		// (virtual throughput = spent virtual time / makespan).
-		var maxLoad int64
-		for _, list := range assign {
-			var load int64
-			for _, k := range list {
-				load += ss.cells[k].sess.eng.Clock() - clocksBefore[k]
-			}
-			if load > maxLoad {
-				maxLoad = load
-			}
-		}
-		ss.makespan += maxLoad
+		// Cell engines migrate between worker goroutines only across the
+		// epoch barrier (ParFor returns after every call), satisfying the
+		// Engine ownership contract.
+		ParFor(pool, len(order), func(i int) {
+			k := order[i]
+			ss.runCellEpoch(ctx, ss.cells[k], slice, initial && k == 0)
+		})
 		ss.initialDone = true
 		ss.deliver()
-		ss.spent = 0
-		for _, c := range ss.cells {
-			ss.spent += c.sess.eng.Clock()
-		}
+		ss.spent = ss.Clock()
 		sp.End(ss.spent - before)
-		ss.epochs++
 		if ss.mEpochs != nil {
 			ss.mEpochs.Inc()
 		}
-		ss.publishProgress(epoch + 1)
 	}
 	ss.merge()
 	return ss.tests
 }
 
-// applyOwnership records this epoch's cell-to-worker mapping in the range
-// table: unowned ranges are claimed, ranges whose worker changed are
-// stolen (counted per stealing worker), dead ranges are released. The
-// mapping is shard.Assign's output, so every claim and steal is a pure
-// function of (seed, epoch, loads, workers).
-func (ss *ShardedSession) applyOwnership(assign [][]int, liveWorkers []int, countSteals bool) {
-	want := make([]int, ss.table.Len())
-	for i := range want {
-		want[i] = shard.Unowned
+// liveCells returns the cells with pending work, largest queue first and
+// ties by index, so the longest cells start earliest in the epoch's work
+// queue. The first epoch runs only cell 0, which holds the initial run.
+func (ss *ShardedSession) liveCells(initial bool) []int {
+	if initial {
+		return []int{0}
 	}
-	for wi, list := range assign {
-		for _, k := range list {
-			want[k] = liveWorkers[wi]
+	pending := make([]int, len(ss.cells))
+	var order []int
+	for k, c := range ss.cells {
+		if pending[k] = c.sess.eng.Pending(); pending[k] > 0 {
+			order = append(order, k)
 		}
 	}
-	for k := 0; k < ss.table.Len(); k++ {
-		cur := ss.table.Owner(k)
-		switch {
-		case want[k] == shard.Unowned:
-			if cur != shard.Unowned {
-				ss.table.Release(k)
-			}
-		case cur == shard.Unowned:
-			if err := ss.table.Claim(k, want[k]); err != nil {
-				panic(err)
-			}
-		case cur != want[k]:
-			if _, err := ss.table.Steal(k, want[k]); err != nil {
-				panic(err)
-			}
-			// First-epoch assignments are claims, not steals.
-			if countSteals && ss.mSteals != nil {
-				ss.mSteals.At(uint64(want[k])).Inc()
-			}
-		}
-	}
-}
-
-// runEpoch executes one epoch: each worker drives its assigned cells in
-// ascending range order. Cell engines migrate between worker goroutines
-// only across the epoch barrier (WaitGroup), satisfying the Engine
-// ownership contract.
-func (ss *ShardedSession) runEpoch(ctx context.Context, assign [][]int, slice int64, initial bool) {
-	runList := func(list []int) {
-		for _, k := range list {
-			ss.runCellEpoch(ctx, ss.cells[k], slice, initial && k == 0)
-		}
-	}
-	nonempty := 0
-	var only []int
-	for _, list := range assign {
-		if len(list) > 0 {
-			nonempty++
-			only = list
-		}
-	}
-	if nonempty <= 1 {
-		if only != nil {
-			runList(only)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for _, list := range assign {
-		if len(list) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(l []int) {
-			defer wg.Done()
-			runList(l)
-		}(list)
-	}
-	wg.Wait()
+	sort.SliceStable(order, func(a, b int) bool { return pending[order[a]] > pending[order[b]] })
+	return order
 }
 
 // runCellEpoch advances one cell by up to slice virtual time. The work is
@@ -521,7 +399,6 @@ func (ss *ShardedSession) merge() {
 	}
 	if ss.mMerged != nil {
 		ss.mMerged.Add(int64(len(ss.tests)))
-		ss.mMakespan.Add(ss.makespan)
 	}
 	for _, c := range ss.cells {
 		if c.sess.tracer != nil {
@@ -544,26 +421,7 @@ func (ss *ShardedSession) merge() {
 			ss.opts.Metrics.Merge(child)
 		}
 	}
-	ss.publishProgress(ss.epochs)
 }
-
-func (ss *ShardedSession) publishProgress(epoch int) {
-	p := &ShardProgress{Epoch: epoch, Spent: ss.spent, Cells: make([]lowlevel.Snapshot, len(ss.cells))}
-	for i, c := range ss.cells {
-		snap := c.sess.eng.Snapshot()
-		p.Cells[i] = snap
-		if snap.Pending > 0 {
-			p.LiveRanges++
-		}
-	}
-	ss.progress.Store(p)
-}
-
-// Progress returns the latest barrier snapshot (nil before the first
-// barrier). Unlike every other accessor it is safe to call from any
-// goroutine at any time: it reads only the atomically published copy,
-// never the live engines.
-func (ss *ShardedSession) Progress() *ShardProgress { return ss.progress.Load() }
 
 // Tests returns the merged test cases (valid after Run).
 func (ss *ShardedSession) Tests() []TestCase { return ss.tests }
@@ -585,19 +443,6 @@ func (ss *ShardedSession) Stalled() bool {
 // StalledWorkers returns how many shard workers were lost to worker.stall
 // injection.
 func (ss *ShardedSession) StalledWorkers() int { return ss.stalledWorkers }
-
-// Epochs returns the number of completed BSP epochs.
-func (ss *ShardedSession) Epochs() int { return ss.epochs }
-
-// VirtMakespan returns the virtual-time critical path of the epoch
-// schedule: per epoch, the maximum virtual load any one worker carried,
-// summed over epochs. With one worker it equals Clock(); with more it
-// shrinks toward Clock()/workers as the range loads balance. Deterministic
-// per worker count (the schedule is a pure function of seed, epoch, loads
-// and worker count), but — unlike every other semantic observable — a
-// function of the worker count: it measures the schedule, not the
-// exploration. Clock()/VirtMakespan() is the run's virtual throughput.
-func (ss *ShardedSession) VirtMakespan() int64 { return ss.makespan }
 
 // Clock returns the merged virtual time across all range cells.
 func (ss *ShardedSession) Clock() int64 {

@@ -44,9 +44,9 @@ func TestShardedSolverUnknownInvariants(t *testing.T) {
 }
 
 // TestShardedWorkerStallRescue: stalling one shard worker must not lose
-// any path — the barrier-time reassignment hands the stalled worker's
-// ranges to the survivors, so the output is byte-identical to the
-// unfaulted run (semantics are worker-independent by construction).
+// any path — the stalled worker never joins the pool and the survivors
+// pull every cell, so the output is byte-identical to the unfaulted run
+// (semantics are worker-independent by construction).
 func TestShardedWorkerStallRescue(t *testing.T) {
 	clean := runSharded(t, validateEmailProg(6),
 		Options{Strategy: StrategyCUPAPath, Seed: 42}, 4, shardFixtureBudget)

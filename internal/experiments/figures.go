@@ -297,7 +297,7 @@ func Fig12(maxFrames int, b Budgets) []Fig12Point {
 	// measurement; fan the frame counts out over the pool and concatenate in
 	// frame order.
 	perFrame := make([][]Fig12Point, maxFrames)
-	parfor(b.Workers(), maxFrames, func(fi int) {
+	chef.ParFor(b.Workers(), maxFrames, func(fi int) {
 		n := fi + 1
 		// Dedicated engine: explore the flat controller exhaustively.
 		src := packages.MacLearningFlatSource(n)

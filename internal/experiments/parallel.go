@@ -12,8 +12,8 @@ package experiments
 
 import (
 	"sync"
-	"sync/atomic"
 
+	"chef/internal/chef"
 	"chef/internal/packages"
 	"chef/internal/solver"
 )
@@ -26,43 +26,11 @@ type cell struct {
 	seed int64
 }
 
-// parfor runs fn(0..n-1) on at most workers goroutines and returns when all
-// calls finished. workers <= 1 degrades to a plain loop on the caller's
-// goroutine (the -parallel 1 serial baseline).
-func parfor(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// runCells executes every cell on the worker pool and gathers results in
-// cell order.
+// runCells executes every cell on the shared worker pool (chef.ParFor) and
+// gathers results in cell order.
 func runCells(b Budgets, cells []cell) []RunResult {
 	out := make([]RunResult, len(cells))
-	parfor(b.Workers(), len(cells), func(i int) {
+	chef.ParFor(b.Workers(), len(cells), func(i int) {
 		out[i] = runPackageCell(cells[i].p, cells[i].cfg, b, cells[i].seed, i)
 	})
 	return out

@@ -146,21 +146,6 @@ func TestSharedCacheAcrossSessions(t *testing.T) {
 	}
 }
 
-// TestParfor exercises the pool helper's edge cases.
-func TestParfor(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 64} {
-		n := 37
-		got := make([]int, n)
-		parfor(workers, n, func(i int) { got[i] = i + 1 })
-		for i, v := range got {
-			if v != i+1 {
-				t.Fatalf("workers=%d: index %d not executed (got %d)", workers, i, v)
-			}
-		}
-	}
-	parfor(4, 0, func(int) { t.Fatal("must not run") })
-}
-
 // TestBudgetsWorkers pins the worker-count policy.
 func TestBudgetsWorkers(t *testing.T) {
 	if (Budgets{Parallel: 3}).Workers() != 3 {

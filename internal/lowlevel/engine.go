@@ -215,9 +215,7 @@ type concretizeKey struct {
 // called from the goroutine currently driving the engine. Ownership may
 // move between goroutines only across a happens-before edge (channel,
 // WaitGroup, mutex), which is how the sharded coordinator migrates cells
-// between epoch workers. Code that needs engine numbers while another
-// goroutine may be driving it must read a barrier-published Snapshot
-// (see chef.ShardedSession.Progress) instead of calling accessors.
+// between epoch workers.
 type Engine struct {
 	opts     Options
 	solver   *solver.Solver
@@ -363,21 +361,6 @@ func (e *Engine) InjectState(st *State) bool {
 		e.mPending.Set(int64(e.strategy.Len()))
 	}
 	return true
-}
-
-// Snapshot is the engine's merge-time read surface in one value copy.
-type Snapshot struct {
-	Stats   Stats
-	Clock   int64
-	Pending int
-}
-
-// Snapshot captures Stats, Clock and Pending together. Like every other
-// engine method it must be called with engine ownership (see the Engine
-// concurrency contract); the returned value is then safe to publish to
-// other goroutines.
-func (e *Engine) Snapshot() Snapshot {
-	return Snapshot{Stats: e.stats, Clock: e.clock, Pending: e.strategy.Len()}
 }
 
 func (e *Engine) chargeSolver(propsBefore int64) {

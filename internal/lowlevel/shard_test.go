@@ -1,7 +1,6 @@
 package lowlevel
 
 import (
-	"math/rand"
 	"testing"
 
 	"chef/internal/symexpr"
@@ -89,18 +88,6 @@ func TestInjectStateDedups(t *testing.T) {
 	e.InjectVisited(0xbeef)
 	if e.InjectState(&State{Sig: 0xbeef, pc: &pcNode{}, base: symexpr.Assignment{}}) {
 		t.Fatal("injection after a visited note must dedup")
-	}
-}
-
-// TestSnapshotMatchesAccessors: Snapshot is the one-value view of the
-// accessor surface, taken atomically with respect to engine progress.
-func TestSnapshotMatchesAccessors(t *testing.T) {
-	e := NewEngine(nestedProg, NewRandomStrategy(rand.New(rand.NewSource(3))), Options{Seed: 3})
-	e.RunInitial()
-	snap := e.Snapshot()
-	if snap.Stats != e.Stats() || snap.Clock != e.Clock() || snap.Pending != e.Pending() {
-		t.Fatalf("snapshot %+v disagrees with accessors (stats=%+v clock=%d pending=%d)",
-			snap, e.Stats(), e.Clock(), e.Pending())
 	}
 }
 

@@ -117,25 +117,23 @@ const (
 	MServeSlotsInUse    = "serve.slots.in_use"   // gauge: worker slots held by running jobs (sharded jobs hold several)
 
 	// Path-space sharding (internal/chef's ShardedSession; see
-	// docs/DESIGN.md "Path-space sharding"). All families except
-	// shard.steals and shard.virt_makespan are pure functions of (seed,
-	// budget, shard semantics) and byte-identical across worker counts;
-	// those two are deterministic per worker count but depend on it:
-	// steals counts barrier-time range reassignments, and the virtual
-	// makespan is the critical path of the epoch schedule — per epoch, the
-	// maximum virtual-time load across workers — the deterministic
-	// analogue of parallel wall time (VirtTime / makespan is the run's
-	// virtual throughput).
+	// docs/DESIGN.md "Path-space sharding"). Every family is a pure
+	// function of (seed, budget, shard semantics) and byte-identical
+	// across worker counts.
 	MShardEpochs       = "shard.epochs"           // counter: BSP epochs executed
 	MShardRangesLive   = "shard.ranges.live"      // gauge: ranges with pending work at the last barrier
 	MShardHandoffs     = "shard.handoffs.states"  // counter: states delivered across ranges
 	MShardVisitedNotes = "shard.handoffs.visited" // counter: trail signatures delivered across ranges
 	MShardHandoffDups  = "shard.handoffs.dup"     // counter: delivered states dropped as already-visited
 	MShardHandoffDepth = "shard.handoff.depth"    // histogram: per-(epoch,target) delivered queue depth
-	MShardSteals       = "shard.steals"           // counter vec by worker: ranges moved between workers at a barrier
 	MShardStalled      = "shard.workers.stalled"  // counter: workers lost to worker.stall injection
-	MShardVirtMakespan = "shard.virt_makespan"    // counter: summed per-epoch max worker virtual load (critical path)
 	MChefTestsMerged   = "chef.tests.merged"      // counter: distinct tests after cross-range HLSig dedup
+
+	// MShardSteals is no longer emitted: epoch workers pull cells from a
+	// work queue and own no range. The name stays because the benchmark's
+	// per-layer table reads it, where it reports 0; drop it with the next
+	// benchmark change.
+	MShardSteals = "shard.steals"
 )
 
 // Counter is a monotonically increasing atomic counter.

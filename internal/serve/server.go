@@ -454,6 +454,12 @@ func (s *Server) runJob(j *Job) {
 		eo.Persist = s.opts.Persist.View()
 	}
 
+	// A sharded job runs no more epoch workers than the slots it was
+	// charged. Sharded results do not depend on the worker count, so only
+	// the goroutine count changes; the job record keeps the submitted spec.
+	spec := j.Spec
+	spec.Shards = min(spec.Shards, j.slots)
+
 	var res JobResult
 	var err error
 	func() {
@@ -466,7 +472,7 @@ func (s *Server) runJob(j *Job) {
 		// time includes spec build/compile overhead the session never sees;
 		// its virtual duration is the session's, making its self virt zero.
 		sp := eo.Spans.Start(obs.SpanServeJob)
-		res, err = Execute(j.ctx, j.Spec, eo)
+		res, err = Execute(j.ctx, spec, eo)
 		sp.End(res.Summary.VirtTime)
 	}()
 

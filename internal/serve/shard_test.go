@@ -151,6 +151,32 @@ func TestShardedJobSlotWeightClampsToPool(t *testing.T) {
 	}
 }
 
+// TestShardedJobRunsWithinItsSlots: a sharded job runs no more epoch
+// workers than the slots it was charged. On a 1-worker pool a 16-shard job
+// holds one slot, so a stall rule aimed at epoch worker 3 finds no such
+// worker, and the job record still shows the submitted shard count.
+func TestShardedJobRunsWithinItsSlots(t *testing.T) {
+	plan := mustPlan(t, "worker.stall:session=3")
+	s := newTestServer(t, Options{Workers: 1, Faults: plan})
+	spec := shardSpec(quickSpec(1), chef.ShardSubtrees)
+	spec.Budget = 100_000
+	id := s.submit(t, "", spec)
+	st := s.poll(t, id)
+	if st.State != StateSucceeded {
+		t.Fatalf("16-shard job on a 1-worker pool: %s (error %q)", st.State, st.Error)
+	}
+	if st.Summary == nil || st.Summary.Stalled != 0 {
+		t.Fatalf("summary %+v: a stall hit epoch worker 3 of a job holding one slot", st.Summary)
+	}
+	j, _ := s.srv.Job(id)
+	s.srv.mu.Lock()
+	shards := j.Spec.Shards
+	s.srv.mu.Unlock()
+	if shards != chef.ShardSubtrees {
+		t.Fatalf("job record shards = %d, want the submitted %d", shards, chef.ShardSubtrees)
+	}
+}
+
 // TestShardsValidation: out-of-range shard counts are rejected as invalid.
 func TestShardsValidation(t *testing.T) {
 	for _, shards := range []int{-1, chef.ShardSubtrees + 1} {

@@ -69,9 +69,15 @@ func TestSpannedSessionMatchesPlain(t *testing.T) {
 		t.Errorf("solver.check self %d + children %d+%d != total %d",
 			checks.VirtSelf, blast.VirtTotal, cacheL.VirtTotal, checks.VirtTotal)
 	}
+	// The CDCL search is the blast stage's only child.
+	search := aggs[obs.SpanSolverSearch]
+	if search.Count == 0 || blast.VirtSelf+search.VirtTotal != blast.VirtTotal {
+		t.Errorf("solver.blast self %d + solver.search total %d != total %d (%d searches)",
+			blast.VirtSelf, search.VirtTotal, blast.VirtTotal, search.Count)
+	}
 	// Span events and counters agree.
-	if got := int64(collect.CountKind(obs.KindSpan)); got != session.Count+runs.Count+checks.Count+blast.Count+cacheL.Count {
-		t.Errorf("span events = %d, counters sum = %d", got,
-			session.Count+runs.Count+checks.Count+blast.Count+cacheL.Count)
+	spans := session.Count + runs.Count + checks.Count + blast.Count + search.Count + cacheL.Count
+	if got := int64(collect.CountKind(obs.KindSpan)); got != spans {
+		t.Errorf("span events = %d, counters sum = %d", got, spans)
 	}
 }

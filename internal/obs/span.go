@@ -21,7 +21,11 @@ const (
 	// runs in incremental mode: one span per assumption-scoped context solve
 	// (delta blast + solveUnderAssumptions), virtual duration = the solve's
 	// propagation cost.
-	SpanSolverInc     = "solver.inc"
+	SpanSolverInc = "solver.inc"
+	// SpanSolverSearch is the CDCL search nested in solver.blast or
+	// solver.inc, so the parent's self time is CNF construction plus model
+	// decoding; virtual duration = the search's propagations.
+	SpanSolverSearch  = "solver.search"
 	SpanCacheLookup   = "solver.cache_lookup"
 	SpanPersistLookup = "solver.persist_lookup"
 	SpanPersistFlush  = "persist.flush"

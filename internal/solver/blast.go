@@ -54,10 +54,24 @@ func (b *blaster) add(lits []Lit) bool {
 
 func newBlaster(sat *satSolver) *blaster {
 	b := &blaster{sat: sat, cache: map[*symexpr.Expr][]Lit{}, vars: map[symexpr.Var][]Lit{}}
-	v := sat.newVar()
-	b.litTrue = mkLit(v, false)
-	sat.addClause([]Lit{b.litTrue})
+	b.initTrue()
 	return b
+}
+
+// reset returns b and its satSolver to the state newBlaster(newSatSolver())
+// produces, keeping only the capacity of their maps and arrays.
+func (b *blaster) reset() {
+	b.sat.reset()
+	clear(b.cache)
+	clear(b.vars)
+	*b = blaster{sat: b.sat, cache: b.cache, vars: b.vars}
+	b.initTrue()
+}
+
+// initTrue allocates litTrue and asserts it.
+func (b *blaster) initTrue() {
+	b.litTrue = mkLit(b.sat.newVar(), false)
+	b.sat.addClause([]Lit{b.litTrue})
 }
 
 func (b *blaster) constLit(v bool) Lit {

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"chef/internal/obs"
 	"chef/internal/symexpr"
 )
 
@@ -84,7 +85,7 @@ func newContext() *Context {
 
 // overLimit reports whether the context hit a growth cap.
 func (c *Context) overLimit() bool {
-	return len(c.sat.learned) > c.maxLearned || c.sat.numVars > c.maxVars
+	return c.sat.numLearned > c.maxLearned || c.sat.numVars > c.maxVars
 }
 
 // lcp returns the length of the longest common prefix of the established
@@ -195,8 +196,9 @@ func (c *Context) stampExpr(e *symexpr.Expr) {
 }
 
 // Solve decides the conjunction of pc, given in path order (root first).
-// On Sat the model covers every variable of pc.
-func (c *Context) Solve(pc []*symexpr.Expr, budget int64) (Result, symexpr.Assignment) {
+// On Sat the model covers every variable of pc. The CDCL search runs under a
+// solver.search span on spans (nil when profiling is off).
+func (c *Context) Solve(pc []*symexpr.Expr, budget int64, spans *obs.SpanProfiler) (Result, symexpr.Assignment) {
 	c.sat.budget = budget
 	// Pop the diverging suffix of the previous query, keeping the shared
 	// prefix's assumption levels (and everything they implied) on the trail.
@@ -209,7 +211,10 @@ func (c *Context) Solve(pc []*symexpr.Expr, budget int64) (Result, symexpr.Assig
 		return Unsat, nil
 	}
 	c.markActive(pc)
+	sp := spans.Start(obs.SpanSolverSearch)
+	props0 := c.sat.propsN
 	res, estab := c.sat.solveUnderAssumptions(assumps)
+	sp.End(c.sat.propsN - props0)
 	switch res {
 	case resSat:
 		model := c.extractModel(pc)
@@ -303,13 +308,13 @@ func (b *incrementalBackend) ensure() bool {
 // bookkeeping counters into cost and the solver stats.
 func (b *incrementalBackend) solveOnce(pc []*symexpr.Expr, budget int64, cost *Cost) (Result, symexpr.Assignment) {
 	c := b.ctx
-	kept := int64(len(c.sat.learned))
+	kept := int64(c.sat.numLearned)
 	cons0 := len(c.assump)
-	props0, confl0, clauses0 := c.sat.propsN, c.sat.conflicts, int64(len(c.sat.clauses))
-	res, model := c.Solve(pc, budget)
+	props0, confl0, clauses0 := c.sat.propsN, c.sat.conflicts, int64(c.sat.numClauses)
+	res, model := c.Solve(pc, budget, b.s.spans)
 	cost.Propagations += c.sat.propsN - props0
 	cost.Conflicts += c.sat.conflicts - confl0
-	cost.ClausesAdded += int64(len(c.sat.clauses)) - clauses0
+	cost.ClausesAdded += int64(c.sat.numClauses) - clauses0
 	fresh := int64(len(c.assump) - cons0)
 	b.s.stats.IncAssumptions += fresh
 	b.s.stats.IncLearnedKept += kept

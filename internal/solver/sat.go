@@ -30,18 +30,41 @@ const (
 	assignF    int8 = -1
 )
 
+// clause is a CNF clause. Problem clauses are carved from the solver's slab
+// with their literals in its arena (see newClause); learned clauses are
+// allocated on their own.
 type clause struct {
 	lits    []Lit
 	learned bool
 }
 
+// Initial capacities of the clause slab and literal arena; each doubles
+// when full.
+const (
+	minSlab  = 256
+	minArena = 1024
+)
+
 // satSolver is a CDCL SAT solver with two-watched-literal propagation,
 // first-UIP clause learning, activity-based branching and Luby restarts.
+//
+// All per-variable and per-literal state lives in dense arrays, and reset
+// empties them without freeing them, so one satSolver can serve a stream of
+// independent queries at the allocation cost of the largest one.
 type satSolver struct {
-	numVars  int32
-	clauses  []*clause
-	learned  []*clause
-	watches  map[Lit][]*clause
+	numVars    int32
+	numClauses int // problem clauses installed (excludes units)
+	numLearned int
+	// slab holds the problem clause headers and arena their literals. When
+	// either is full a fresh one of twice the capacity replaces it, and the
+	// old backing array stays with the clauses already in it, so a live
+	// clause never moves; reset truncates both, keeping the largest.
+	slab  []clause
+	arena []Lit
+	// watches is indexed by literal: watches[l] lists the clauses watching
+	// ¬l, in the order they started watching it, and is visited when l
+	// becomes true. Entries beyond len(watches) are kept empty for reuse.
+	watches  [][]*clause
 	assign   []int8    // 1-indexed by variable
 	level    []int32   // decision level per variable
 	reason   []*clause // antecedent clause per variable
@@ -52,6 +75,11 @@ type satSolver struct {
 	varInc   float64
 	polarity []bool // phase saving
 	phaseFix []bool // phase saving disabled: var always decides false
+	// mark is the one dedup mechanism of the solver: an entry indexed by
+	// literal (a variable marks through its positive literal) is set iff it
+	// equals markGen, which nextMark advances once per marking round.
+	mark    []uint32
+	markGen uint32
 	// Cone-restricted search (incremental contexts): when coneRestrict is
 	// set, pickBranchVar decides only variables whose coneStamp equals
 	// coneSeq — the active query's transitive circuit cone, stamped by the
@@ -70,12 +98,48 @@ type satSolver struct {
 }
 
 func newSatSolver() *satSolver {
-	return &satSolver{watches: map[Lit][]*clause{}, varInc: 1}
+	s := new(satSolver)
+	s.reset()
+	return s
+}
+
+// reset returns s to the state of a fresh solver: no variables, no clauses,
+// zeroed counters and options. Only the capacity of its arrays survives, so
+// whatever a query computes after reset is independent of earlier queries.
+func (s *satSolver) reset() {
+	for i := range s.watches {
+		s.watches[i] = s.watches[i][:0]
+	}
+	*s = satSolver{
+		slab:      s.slab[:0],
+		arena:     s.arena[:0],
+		watches:   s.watches[:0],
+		assign:    s.assign[:0],
+		level:     s.level[:0],
+		reason:    s.reason[:0],
+		trail:     s.trail[:0],
+		trailLim:  s.trailLim[:0],
+		activity:  s.activity[:0],
+		varInc:    1,
+		polarity:  s.polarity[:0],
+		phaseFix:  s.phaseFix[:0],
+		mark:      s.mark[:0],
+		coneStamp: s.coneStamp[:0],
+	}
 }
 
 // newVar allocates a fresh SAT variable and returns its index.
 func (s *satSolver) newVar() int32 {
+	if s.numVars == 0 {
+		s.growVar() // index 0 placeholder so variables can be 1-indexed
+	}
 	s.numVars++
+	s.growVar()
+	return s.numVars
+}
+
+// growVar appends the slots of one variable and of its two literals.
+func (s *satSolver) growVar() {
 	s.assign = append(s.assign, unassigned)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
@@ -83,17 +147,24 @@ func (s *satSolver) newVar() int32 {
 	s.polarity = append(s.polarity, false)
 	s.phaseFix = append(s.phaseFix, false)
 	s.coneStamp = append(s.coneStamp, 0)
-	if s.numVars == 1 {
-		// index 0 placeholder so variables can be 1-indexed
-		s.assign = append(s.assign, unassigned)
-		s.level = append(s.level, 0)
-		s.reason = append(s.reason, nil)
-		s.activity = append(s.activity, 0)
-		s.polarity = append(s.polarity, false)
-		s.phaseFix = append(s.phaseFix, false)
-		s.coneStamp = append(s.coneStamp, 0)
+	s.mark = append(s.mark, 0, 0)
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		s.watches = s.watches[:n+2] // emptied by reset, capacity kept
+	} else {
+		s.watches = append(s.watches, nil, nil)
 	}
-	return s.numVars
+}
+
+// nextMark starts a marking round over s.mark and returns its stamp. When
+// the counter wraps, every entry is zeroed so no stale mark aliases the new
+// round.
+func (s *satSolver) nextMark() uint32 {
+	s.markGen++
+	if s.markGen == 0 {
+		clear(s.mark)
+		s.markGen = 1
+	}
+	return s.markGen
 }
 
 // freezePhase pins v's branching phase to false, exempting it from phase
@@ -141,10 +212,10 @@ func (s *satSolver) value(l Lit) int8 {
 // decision level and re-establishes its assumptions.
 func (s *satSolver) addClause(lits []Lit) bool {
 	// Deduplicate, drop tautologies, and simplify against level-0 facts.
-	seen := map[Lit]bool{}
+	gen := s.nextMark()
 	out := lits[:0]
 	for _, l := range lits {
-		if seen[l.not()] {
+		if s.mark[l.not()] == gen {
 			return true // tautology: always satisfied
 		}
 		if s.level[l.varIdx()] == 0 {
@@ -155,8 +226,8 @@ func (s *satSolver) addClause(lits []Lit) bool {
 				continue // can never contribute
 			}
 		}
-		if !seen[l] {
-			seen[l] = true
+		if s.mark[l] != gen {
+			s.mark[l] = gen
 			out = append(out, l)
 		}
 	}
@@ -195,10 +266,23 @@ func (s *satSolver) addClause(lits []Lit) bool {
 		}
 		s.cancelUntil(deepest - 1)
 	}
-	c := &clause{lits: append([]Lit(nil), lits...)}
-	s.clauses = append(s.clauses, c)
-	s.watch(c)
+	s.watch(s.newClause(lits))
 	return true
+}
+
+// newClause copies a problem clause into the slab and arena.
+func (s *satSolver) newClause(lits []Lit) *clause {
+	if len(s.arena)+len(lits) > cap(s.arena) {
+		s.arena = make([]Lit, 0, 2*cap(s.arena)+len(lits)+minArena)
+	}
+	if len(s.slab) == cap(s.slab) {
+		s.slab = make([]clause, 0, 2*cap(s.slab)+minSlab)
+	}
+	n := len(s.arena)
+	s.arena = append(s.arena, lits...)
+	s.slab = append(s.slab, clause{lits: s.arena[n:len(s.arena):len(s.arena)]})
+	s.numClauses++
+	return &s.slab[len(s.slab)-1]
 }
 
 // reorderWatches moves two literals that are not currently false into the
@@ -299,7 +383,7 @@ func (s *satSolver) bumpVar(v int32) {
 // (asserting literal first) and the backtrack level.
 func (s *satSolver) analyze(confl *clause) ([]Lit, int32) {
 	learnt := []Lit{0} // slot 0 for the asserting literal
-	seen := make(map[int32]bool)
+	gen := s.nextMark()
 	counter := 0
 	var p Lit
 	idx := len(s.trail) - 1
@@ -308,8 +392,8 @@ func (s *satSolver) analyze(confl *clause) ([]Lit, int32) {
 		for i, q := range reasonC.lits {
 			if reasonC == confl || i > 0 { // skip the asserting literal of reasons
 				v := q.varIdx()
-				if !seen[v] && s.level[v] > 0 {
-					seen[v] = true
+				if s.mark[mkLit(v, false)] != gen && s.level[v] > 0 {
+					s.mark[mkLit(v, false)] = gen
 					s.bumpVar(v)
 					if s.level[v] >= s.decisionLevel() {
 						counter++
@@ -320,12 +404,12 @@ func (s *satSolver) analyze(confl *clause) ([]Lit, int32) {
 			}
 		}
 		// Find the next literal to expand on the trail.
-		for !seen[s.trail[idx].varIdx()] {
+		for s.mark[mkLit(s.trail[idx].varIdx(), false)] != gen {
 			idx--
 		}
 		p = s.trail[idx]
 		idx--
-		seen[p.varIdx()] = false
+		s.mark[mkLit(p.varIdx(), false)] = 0
 		counter--
 		if counter == 0 {
 			break
@@ -429,7 +513,7 @@ func (s *satSolver) solve() satResult {
 				s.enqueue(learnt[0], nil)
 			} else {
 				c := &clause{lits: learnt, learned: true}
-				s.learned = append(s.learned, c)
+				s.numLearned++
 				s.watch(c)
 				s.enqueue(learnt[0], c)
 			}
@@ -494,7 +578,7 @@ func (s *satSolver) solveUnderAssumptions(assumps []Lit) (satResult, int) {
 				s.enqueue(learnt[0], nil)
 			} else {
 				c := &clause{lits: learnt, learned: true}
-				s.learned = append(s.learned, c)
+				s.numLearned++
 				s.watch(c)
 				s.enqueue(learnt[0], c)
 			}
@@ -543,13 +627,4 @@ func (s *satSolver) solveUnderAssumptions(assumps []Lit) (satResult, int) {
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))
 		s.enqueue(mkLit(v, !s.polarity[v]), nil)
 	}
-}
-
-// model returns the satisfying assignment after a resSat solve.
-func (s *satSolver) model() []bool {
-	m := make([]bool, s.numVars+1)
-	for v := int32(1); v <= s.numVars; v++ {
-		m[v] = s.assign[v] == assignT
-	}
-	return m
 }

@@ -64,7 +64,8 @@ func ParseCacheMode(s string) (CacheMode, bool) {
 }
 
 // SolverMode selects the decision procedure behind the cache/persist front
-// end: the historical oneshot backend (fresh CNF per query) or the
+// end: the historical oneshot backend (a CNF of its own per query, built in
+// one satSolver and blaster that are reset between queries) or the
 // assumption-scoped incremental backend (one live Context per solver, see
 // incremental.go).
 type SolverMode uint8
@@ -126,7 +127,7 @@ type Options struct {
 	// Mode selects the cache lookup layers (exact only, or exact+subsume).
 	Mode CacheMode
 	// SolverMode selects the decision procedure behind the cache layers:
-	// ModeOneshot (default; fresh CNF per query) or ModeIncremental
+	// ModeOneshot (default; a CNF reset per query) or ModeIncremental
 	// (assumption-scoped Context with trail and learned-clause retention).
 	// Slicing runs in front of both. The incremental backend receives the
 	// sliced sub-conjunction in path order rather than canonical order, so
@@ -311,7 +312,7 @@ func New(opts Options) *Solver {
 	if opts.SolverMode == ModeIncremental {
 		s.backend = &incrementalBackend{s: s}
 	} else {
-		s.backend = oneshotBackend{}
+		s.backend = newOneshotBackend(s)
 	}
 	s.tracer = opts.Tracer
 	s.spans = opts.Spans
@@ -658,46 +659,59 @@ func merge(into, from symexpr.Assignment) symexpr.Assignment {
 	return into
 }
 
-// oneshotBackend is the historical decision procedure: a fresh satSolver and
-// blaster per query, discarded afterwards. Its result and model are a pure
-// function of the (canonical) constraint sequence.
-type oneshotBackend struct{}
+// oneshotBackend is the historical decision procedure: every query is
+// blasted into a CNF of its own and solved from scratch. The backend owns one
+// satSolver and blaster and resets them after each query, so only their
+// capacity carries over; its result, model and cost are a pure function of
+// the (canonical) constraint sequence.
+type oneshotBackend struct {
+	s   *Solver
+	sat *satSolver
+	bl  *blaster
+}
 
-func (oneshotBackend) Solve(constraints []*symexpr.Expr, budget int64) (Result, symexpr.Assignment, Cost) {
+func newOneshotBackend(s *Solver) *oneshotBackend {
 	sat := newSatSolver()
+	return &oneshotBackend{s: s, sat: sat, bl: newBlaster(sat)}
+}
+
+func (b *oneshotBackend) Solve(constraints []*symexpr.Expr, budget int64) (Result, symexpr.Assignment, Cost) {
+	res, model := b.solve(constraints, budget)
+	sat := b.sat
+	cost := Cost{Propagations: sat.propsN, Conflicts: sat.conflicts, ClausesAdded: int64(sat.numClauses)}
+	b.bl.reset()
+	return res, model, cost
+}
+
+func (b *oneshotBackend) solve(constraints []*symexpr.Expr, budget int64) (Result, symexpr.Assignment) {
+	sat := b.sat
 	sat.budget = budget
-	bl := newBlaster(sat)
-	ok := true
 	for _, c := range constraints {
-		if !bl.assertTrue(c) {
-			ok = false
-			break
+		if !b.bl.assertTrue(c) {
+			return Unsat, nil
 		}
 	}
-	cost := func() Cost {
-		return Cost{Propagations: sat.propsN, Conflicts: sat.conflicts, ClausesAdded: int64(len(sat.clauses))}
-	}
-	if !ok {
-		return Unsat, nil, cost()
-	}
-	switch sat.solve() {
+	sp := b.s.spans.Start(obs.SpanSolverSearch)
+	props0 := sat.propsN
+	res := sat.solve()
+	sp.End(sat.propsN - props0)
+	switch res {
 	case resUnsat:
-		return Unsat, nil, cost()
+		return Unsat, nil
 	case resUnknown:
-		return Unknown, nil, cost()
+		return Unknown, nil
 	}
-	m := sat.model()
 	out := symexpr.Assignment{}
-	for v, bits := range bl.vars {
+	for v, bits := range b.bl.vars {
 		var val uint64
 		for i, l := range bits {
-			if m[l.varIdx()] != l.negated() {
+			if (sat.assign[l.varIdx()] == assignT) != l.negated() {
 				val |= 1 << uint(i)
 			}
 		}
 		out[v] = val
 	}
-	return Sat, out, cost()
+	return Sat, out
 }
 
 // Maximize returns the largest value e can take subject to q.PC, found by

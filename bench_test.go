@@ -267,31 +267,6 @@ func BenchmarkParallelGrid(b *testing.B) {
 	})
 }
 
-// BenchmarkSharedSolverCache measures cross-session counterexample-cache
-// reuse: the same grid slice with private per-session caches versus one
-// shared sharded cache, reporting the shared cache's hit rate.
-func BenchmarkSharedSolverCache(b *testing.B) {
-	b.Run("private", func(b *testing.B) {
-		bud := parallelGridBudgets(0)
-		for i := 0; i < b.N; i++ {
-			runParallelGridSlice(bud)
-		}
-	})
-	b.Run("shared", func(b *testing.B) {
-		bud := parallelGridBudgets(0)
-		var hitRate float64
-		for i := 0; i < b.N; i++ {
-			bud.Cache = solver.NewQueryCache(0)
-			runParallelGridSlice(bud)
-			cs := bud.Cache.Stats()
-			if cs.Queries > 0 {
-				hitRate = float64(cs.Hits) / float64(cs.Queries)
-			}
-		}
-		b.ReportMetric(100*hitRate, "shared-hit-%")
-	})
-}
-
 // --- Ablation benches (DESIGN.md) -------------------------------------------
 
 // BenchmarkAblationCUPALevels compares the 2-level path-optimized CUPA
@@ -619,9 +594,9 @@ func benchQueries() [][]*symexpr.Expr {
 	return out
 }
 
-// BenchmarkCheckCached measures one solver query in every cache regime:
-// nocache re-solves each time (the price of a miss), exact and subsume serve
-// repeats from their respective cache layers (the price of a hit). The
+// BenchmarkCheckCached measures one solver query with and without the
+// cache: nocache re-solves each time (the price of a miss), exact serves
+// repeats from the in-memory cache (the price of a hit). The
 // hit/miss ratio here is what the counterexample cache buys the engine on
 // every branch of an exploration.
 func BenchmarkCheckCached(b *testing.B) {
@@ -639,8 +614,7 @@ func BenchmarkCheckCached(b *testing.B) {
 		}
 	}
 	b.Run("nocache", func(b *testing.B) { run(b, solver.Options{DisableCache: true}) })
-	b.Run("exact", func(b *testing.B) { run(b, solver.Options{Mode: solver.CacheExact}) })
-	b.Run("subsume", func(b *testing.B) { run(b, solver.Options{Mode: solver.CacheSubsume}) })
+	b.Run("exact", func(b *testing.B) { run(b, solver.Options{}) })
 }
 
 // BenchmarkInterning measures hash-consed construction of a fixed expression

@@ -36,8 +36,6 @@ func main() {
 		frames   = flag.Int("frames", 4, "max symbolic frames for fig12")
 		parallel = flag.Int("parallel", 0, "worker goroutines for the session grid (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
 		shards   = flag.Int("shards", 0, "sharded exploration per session cell: split the path space across signature-subtree ranges driven by up to N epoch workers (0 = plain sessions; output is identical for every N >= 1)")
-		shared   = flag.Bool("sharedcache", false, "share one counterexample cache across all sessions (throughput knob; models may then depend on scheduling)")
-		cmode    = flag.String("cachemode", "exact", "counterexample cache lookup layers: exact | subsume")
 		smode    = flag.String("solvermode", "oneshot", "decision procedure behind the cache layers: oneshot | incremental")
 		cfile    = flag.String("cachefile", "", "persistent counterexample cache: load solved queries from this file at startup, append new ones")
 		stats    = flag.Bool("stats", false, "print harness statistics (sessions, solver queries, cache hits/misses) after each experiment")
@@ -55,15 +53,6 @@ func main() {
 		Shards:  *shards,
 		Metrics: obsFlags.Registry(), Tracer: obsFlags.Tracer(), Spans: obsFlags.SpansEnabled(),
 	}
-	if *shared {
-		b.Cache = solver.NewQueryCache(0)
-	}
-	mode, ok := solver.ParseCacheMode(*cmode)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "chef-experiments: unknown -cachemode %q (want exact or subsume)\n", *cmode)
-		os.Exit(1)
-	}
-	b.CacheMode = mode
 	solverMode, ok := solver.ParseSolverMode(*smode)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "chef-experiments: unknown -solvermode %q (want oneshot or incremental)\n", *smode)
@@ -98,15 +87,9 @@ func main() {
 			return
 		}
 		hs := experiments.HarnessSnapshot()
-		fmt.Printf("[harness] workers=%d sessions=%d solver-queries=%d cache-hits=%d (exact=%d subsume-sat=%d subsume-unsat=%d persist=%d) cache-misses=%d\n",
+		fmt.Printf("[harness] workers=%d sessions=%d solver-queries=%d cache-hits=%d (exact=%d persist=%d) cache-misses=%d\n",
 			b.Workers(), hs.Sessions, hs.SolverQueries, hs.CacheHits,
-			hs.Solver.CacheHitsExact, hs.Solver.CacheHitsSubsumeSat,
-			hs.Solver.CacheHitsSubsumeUnsat, hs.Solver.CacheHitsPersist, hs.CacheMisses)
-		if b.Cache != nil {
-			cs := b.Cache.Stats()
-			fmt.Printf("[shared-cache] queries=%d hits=%d misses=%d stores=%d evictions=%d entries=%d\n",
-				cs.Queries, cs.Hits, cs.Misses, cs.Stores, cs.Evictions, cs.Entries)
-		}
+			hs.Solver.CacheHitsExact, hs.Solver.CacheHitsPersist, hs.CacheMisses)
 		experiments.ResetHarnessStats()
 	}
 
@@ -133,10 +116,6 @@ func main() {
 	order := []string{"table2", "table3", "table4", "fig8", "fig9", "fig10", "fig11", "fig12", "nicebug", "portfolio", "crosscheck"}
 
 	finishObs := func() {
-		if b.Cache != nil {
-			cs := b.Cache.Stats()
-			obsFlags.SetCacheGauges(cs.Entries, cs.Evictions)
-		}
 		if b.Persist != nil {
 			// Close first so the retry/loss counters are final when copied
 			// into the metrics dump; a close failure means appended entries

@@ -45,7 +45,6 @@ func run() int {
 		tenantLimit  = flag.Int("tenant-limit", 0, "max concurrently running jobs per X-API-Key tenant (0 = unlimited)")
 		retryAfter   = flag.Int("retry-after", 1, "Retry-After seconds hint on 429 responses")
 		cfile        = flag.String("cachefile", "", "persistent counterexample store shared by all jobs")
-		sharedCache  = flag.Bool("sharedcache", false, "share one in-memory query cache across jobs (throughput knob; per-job stats become schedule-dependent)")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "max time to let jobs finish on SIGTERM before cancelling them")
 		fspec        = flag.String("faults", "", "deterministic fault-injection plan, e.g. 'seed=7;worker.stall:session=1;persist.write:err@n=3'")
 		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the service address")
@@ -94,7 +93,6 @@ func run() int {
 		TenantLimit:       *tenantLimit,
 		RetryAfterSeconds: *retryAfter,
 		Persist:           persist,
-		SharedCache:       *sharedCache,
 		Faults:            plan,
 		Metrics:           obsFlags.Registry(),
 		Tracer:            obsFlags.Tracer(),

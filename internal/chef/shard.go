@@ -39,10 +39,9 @@ import (
 //
 // Warmth is shared where sharing is deterministic: the process-global
 // symexpr interner and the persistent cache layer (whose hits replay
-// their recorded virtual cost). The in-memory query cache is private per
-// cell because its hits are free — sharing one across concurrently
-// running cells would make a cell's clock depend on which sibling solved
-// a query first (see the QueryCache determinism note).
+// their recorded virtual cost). The in-memory query cache is private to
+// each cell's solver: its hits are free, so sharing one would make a
+// cell's clock depend on which sibling solved a query first.
 
 const (
 	// ShardSubtreeBits fixes the static partition of the decision-signature
@@ -176,10 +175,6 @@ func NewShardedSession(prog TestProgram, opts Options, workers int) *ShardedSess
 		cellOpts.Seed = opts.Seed + int64(k)*104729
 		cellOpts.SessionIndex = k
 		cellOpts.Name = fmt.Sprintf("%s.s%02d", name, k)
-		// Private in-memory cache per cell: a shared one would let a
-		// cell's virtual clock depend on sibling scheduling (in-memory
-		// hits replay no cost). Persist stays shared — its hits do.
-		cellOpts.SolverOptions.Cache = nil
 		if ss.childRegs != nil {
 			cellOpts.Metrics = ss.childRegs[k]
 		}

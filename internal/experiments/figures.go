@@ -9,7 +9,6 @@ import (
 	"chef/internal/dedicated"
 	"chef/internal/minipy"
 	"chef/internal/packages"
-	"chef/internal/solver"
 	"chef/internal/symexpr"
 )
 
@@ -322,7 +321,7 @@ func Fig12(maxFrames int, b Budgets) []Fig12Point {
 				Strategy:      chef.StrategyCUPAPath,
 				Seed:          b.Seed,
 				StepLimit:     b.StepLimit,
-				SolverOptions: solver.Options{Cache: b.Cache},
+				SolverOptions: solverOptions(b),
 			})
 			tests := s.Run(b.Time)
 			paths := len(tests)

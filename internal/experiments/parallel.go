@@ -40,9 +40,7 @@ func runCells(b Budgets, cells []cell) []RunResult {
 // has run since the last reset: how many sessions executed, plus the full
 // solver counter set summed over all sessions. The headline fields mirror
 // the totals callers printed historically; Solver carries everything else
-// (propagations, conflicts, per-result query counts). When sessions share a
-// cache (Budgets.Cache), CacheStats of that cache adds eviction and entry
-// counts.
+// (propagations, conflicts, per-result query counts).
 type HarnessStats struct {
 	Sessions      int64
 	SolverQueries int64

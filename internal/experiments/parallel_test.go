@@ -6,7 +6,6 @@ import (
 	"chef/internal/chef"
 	"chef/internal/minipy"
 	"chef/internal/packages"
-	"chef/internal/solver"
 )
 
 // quickParallelBudgets trims the grid enough for a unit test while keeping
@@ -123,27 +122,6 @@ func TestHarnessStatsAccumulate(t *testing.T) {
 			hs.CacheHits, hs.CacheMisses, hs.SolverQueries)
 	}
 	ResetHarnessStats()
-}
-
-// TestSharedCacheAcrossSessions runs the same grid point with a shared
-// counterexample cache and checks that cross-session reuse actually happens:
-// later repetitions hit entries stored by earlier ones.
-func TestSharedCacheAcrossSessions(t *testing.T) {
-	p, _ := packages.ByName("simplejson")
-	cfg := FourConfigurations(true)[3]
-	b := quickParallelBudgets(4)
-	b.Cache = solver.NewQueryCache(0)
-	// Same seed for every repetition: identical sessions, so the second one
-	// replays the first one's queries.
-	cells := []cell{{p: p, cfg: cfg, seed: b.Seed}, {p: p, cfg: cfg, seed: b.Seed}}
-	runCells(b, cells)
-	cs := b.Cache.Stats()
-	if cs.Hits == 0 {
-		t.Fatalf("no cross-session cache hits: %+v", cs)
-	}
-	if cs.Hits+cs.Misses != cs.Queries {
-		t.Fatalf("cache counters do not add up: %+v", cs)
-	}
 }
 
 // TestBudgetsWorkers pins the worker-count policy.

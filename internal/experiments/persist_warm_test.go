@@ -60,27 +60,10 @@ func TestGoldenFig8WarmPersist(t *testing.T) {
 	checkGolden(t, "fig8", warm)
 }
 
-// TestTable3SubsumeParallelDeterminism extends the schedule-independence
-// guarantee to the subsuming cache mode: the extra lookup layer reorders
-// nothing, so serial and 8-worker runs must render identical tables.
-func TestTable3SubsumeParallelDeterminism(t *testing.T) {
-	bud := func(workers int) Budgets {
-		b := quickParallelBudgets(workers)
-		b.CacheMode = solver.CacheSubsume
-		return b
-	}
-	serial := RenderTable3(Table3(bud(1)))
-	parallel := RenderTable3(Table3(bud(8)))
-	if serial != parallel {
-		t.Fatalf("Table 3 with subsume cache depends on scheduling:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
-}
-
 // TestWarmParallelMatchesColdSerial crosses the two axes: a cold serial run
-// writes the store, then a warm 8-worker run in subsume mode must reproduce
-// the exact aggregates. This is the strongest reproducibility claim the
-// harness makes — scheduling, cache mode and store temperature all vary, the
-// numbers do not.
+// writes the store, then a warm 8-worker run must reproduce the exact
+// aggregates. This is the strongest reproducibility claim the harness makes —
+// scheduling and store temperature both vary, the numbers do not.
 func TestWarmParallelMatchesColdSerial(t *testing.T) {
 	p, _ := packages.ByName("simplejson")
 	cfg := FourConfigurations(true)[3]
@@ -93,7 +76,6 @@ func TestWarmParallelMatchesColdSerial(t *testing.T) {
 		}
 		ResetHarnessStats()
 		b := quickParallelBudgets(workers)
-		b.CacheMode = solver.CacheSubsume
 		b.Persist = store
 		ts, cs, last := RunRepeated(p, cfg, b)
 		hs := HarnessSnapshot()
@@ -115,5 +97,25 @@ func TestWarmParallelMatchesColdSerial(t *testing.T) {
 	if slast.HLTests != plast.HLTests || slast.LLPaths != plast.LLPaths ||
 		slast.Coverage != plast.Coverage || slast.VirtTime != plast.VirtTime {
 		t.Fatalf("last repetition diverged:\n cold serial   %+v\n warm parallel %+v", slast, plast)
+	}
+}
+
+// TestFig12UsesSolverOptions pins that Figure 12's CHEF sessions take their
+// solver options from the budgets like every other experiment: with a
+// persistent store attached, the sessions must append their solves to it.
+func TestFig12UsesSolverOptions(t *testing.T) {
+	store, err := solver.OpenPersistentStore(filepath.Join(t.TempDir(), "cxc.bin"))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	b := QuickBudgets()
+	b.Time = 100_000
+	b.Persist = store
+	Fig12(1, b)
+	if err := store.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if st := store.Stats(); st.Appended == 0 {
+		t.Fatalf("fig12 sessions appended nothing to the persistent store: %+v", st)
 	}
 }

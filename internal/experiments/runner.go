@@ -49,15 +49,6 @@ type Budgets struct {
 	// single-session path, so 0 (the default) keeps existing goldens
 	// stable.
 	Shards int
-	// Cache, when non-nil, is a counterexample cache shared by every session
-	// of the run (cross-session hit reuse). nil keeps the default private
-	// per-session caches, which additionally guarantees bit-exact
-	// reproducibility across schedules; see solver.QueryCache.
-	Cache *solver.QueryCache
-	// CacheMode selects the cache lookup layers each session's solver uses
-	// (exact only, or exact + subsumption). With private caches either mode is
-	// fully deterministic; see solver.QueryCache for the shared-cache caveat.
-	CacheMode solver.CacheMode
 	// SolverMode selects the decision procedure behind the cache layers
 	// (oneshot or incremental); see solver.Options.SolverMode.
 	SolverMode solver.SolverMode
@@ -94,7 +85,7 @@ type Budgets struct {
 // a nil *solver.PersistentStore in it directly would produce a non-nil
 // interface value (the typed-nil trap).
 func solverOptions(b Budgets) solver.Options {
-	so := solver.Options{Cache: b.Cache, Mode: b.CacheMode, SolverMode: b.SolverMode}
+	so := solver.Options{SolverMode: b.SolverMode}
 	if b.Persist != nil {
 		so.Persist = b.Persist
 	}

@@ -13,13 +13,9 @@
 // session builds its own Engine from its own seed. The package keeps no
 // mutable package-level state (the only package vars are immutable sentinel
 // errors), so any number of engines may run on different goroutines without
-// synchronization.
-//
-// The one deliberately shared component is the solver's counterexample
-// cache: passing a *solver.QueryCache through Options.SolverOptions.Cache
-// lets concurrent engines reuse each other's query results. The cache is
-// internally sharded and mutex-guarded; see solver.QueryCache for the
-// determinism trade-off.
+// synchronization. Each engine's solver owns a private counterexample
+// cache; the only solver state engines share is the optional persistent
+// store, whose reads are fixed before a run starts.
 //
 // Determinism: given a fixed seed, step limit and program, an engine's
 // exploration — fork order, state selection, virtual clock, generated

@@ -60,11 +60,10 @@ const (
 	MSolverQueryVirt    = "solver.query.virt"      // histogram: propagations per query
 	MSolverQueryWall    = "solver.query.wall_ns"   // histogram: wall-clock ns per query
 
-	// Per-class decomposition of solver.cache.hits (see solver.HitClass).
-	MSolverCacheHitsExact        = "solver.cache.hits.exact"
-	MSolverCacheHitsSubsumeSat   = "solver.cache.hits.subsume_sat"
-	MSolverCacheHitsSubsumeUnsat = "solver.cache.hits.subsume_unsat"
-	MSolverCacheHitsPersist      = "solver.cache.hits.persist"
+	// Per-layer decomposition of solver.cache.hits: the in-memory exact
+	// memo and the persistent store.
+	MSolverCacheHitsExact   = "solver.cache.hits.exact"
+	MSolverCacheHitsPersist = "solver.cache.hits.persist"
 
 	// Incremental solving (-solvermode=incremental): the per-solver
 	// assumption-scoped context (see solver.Context).

@@ -14,11 +14,6 @@ import (
 // ExecOptions carries the process-level resources a job runs against. All
 // fields are optional; the zero value runs the job fully isolated.
 type ExecOptions struct {
-	// Cache, when non-nil, is an in-memory counterexample cache shared with
-	// other jobs. Sharing trades per-job reproducibility for throughput (an
-	// in-memory hit replays no propagation cost), so the server only sets it
-	// under its opt-in SharedCache flag; see solver.QueryCache.
-	Cache *solver.QueryCache
 	// Persist, when non-nil, is the job's slice of the persistent store —
 	// typically a PersistentStore.View() snapshot, whose answerable set is
 	// fixed for the job's lifetime (hits replay their recorded cost, so warm
@@ -56,7 +51,7 @@ type JobResult struct {
 	// Stalled reports the session was stalled by an injected worker.stall
 	// fault and never explored (a degraded but terminal outcome).
 	Stalled bool `json:"stalled,omitempty"`
-	// CacheStats is the job's in-memory query-cache traffic.
+	// CacheStats is the occupancy of the job's in-memory query cache.
 	CacheStats solver.CacheStats `json:"-"`
 	// SolverStats is the job's solver traffic, including persistent-store
 	// hits (CacheHitsPersist > 0 on a warm job).
@@ -77,13 +72,12 @@ func Execute(ctx context.Context, spec JobSpec, eo ExecOptions) (JobResult, erro
 		return JobResult{}, err
 	}
 	strat, _ := ParseStrategy(spec.Strategy)
-	mode, _ := solver.ParseCacheMode(spec.CacheMode)
 	smode, _ := solver.ParseSolverMode(spec.SolverMode)
 	opts := chef.Options{
 		Strategy:      strat,
 		Seed:          spec.Seed,
 		StepLimit:     spec.StepLimit,
-		SolverOptions: solver.Options{Cache: eo.Cache, Mode: mode, SolverMode: smode},
+		SolverOptions: solver.Options{SolverMode: smode},
 		Metrics:       eo.Metrics,
 		Tracer:        eo.Tracer,
 		Spans:         eo.Spans,
@@ -105,11 +99,8 @@ func Execute(ctx context.Context, spec JobSpec, eo ExecOptions) (JobResult, erro
 		res   JobResult
 	)
 	if spec.Shards >= 1 {
-		// Sharded path: same spec, same seed, sharded semantics. The shared
-		// in-memory cache is ignored on this path — a ShardedSession gives
-		// every range cell a private cache so cell clocks stay deterministic
-		// (see the chef.ShardedSession package comment); cross-job warmth
-		// still flows through the persist view.
+		// Sharded path: same spec, same seed, sharded semantics. Cross-job
+		// warmth flows through the persist view.
 		ss := chef.NewShardedSession(tgt.prog, opts, spec.Shards)
 		tests = ss.RunContext(ctx, spec.Budget)
 		res = JobResult{

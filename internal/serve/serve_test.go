@@ -269,20 +269,17 @@ func TestIncrementalJobLeavesOneshotOutputUnchanged(t *testing.T) {
 	}
 }
 
-// N concurrent jobs against one store + shared cache under -race: every job
-// succeeds, later jobs can observe warm hits, and the store file stays
-// loadable afterwards.
+// N concurrent jobs against one store under -race: every job succeeds,
+// later jobs can observe warm hits, and the store file stays loadable
+// afterwards.
 func TestConcurrentJobsSharedWarmState(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cxc.bin")
 	store, err := solver.OpenPersistentStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A warm-up job on a first server populates the store. It runs on its
-	// own server so the second server's shared in-memory cache starts cold —
-	// otherwise every would-be persist hit is answered by the shared cache
-	// first (it sits in front of the persist layer) and the store's warmth
-	// would be unobservable.
+	// A warm-up job on a first server populates the store; the jobs on the
+	// second server each take a view of it at start.
 	warmSrv := newTestServer(t, Options{Workers: 1, Persist: store})
 	warm := warmSrv.submit(t, "", quickSpec(3))
 	if st := warmSrv.poll(t, warm); st.State != StateSucceeded {
@@ -294,7 +291,7 @@ func TestConcurrentJobsSharedWarmState(t *testing.T) {
 		t.Fatalf("drain warm-up server: %v", err)
 	}
 
-	s := newTestServer(t, Options{Workers: 4, SharedCache: true, Persist: store})
+	s := newTestServer(t, Options{Workers: 4, Persist: store})
 	const n = 8
 	ids := make([]string, n)
 	for i := range ids {
@@ -507,6 +504,11 @@ func TestInvalidSubmissions(t *testing.T) {
 		"removed bdd solvermode": {
 			spec:    JobSpec{Package: "simplejson", SolverMode: "bdd"},
 			wantErr: `unknown solvermode "bdd" (want oneshot or incremental)`,
+		},
+		// The subsuming cache layer was removed; exact is the only mode.
+		"removed subsume cachemode": {
+			spec:    JobSpec{Package: "simplejson", CacheMode: "subsume"},
+			wantErr: `unknown cachemode "subsume" (want exact)`,
 		},
 	} {
 		if tc.wantErr != "" {

@@ -29,13 +29,6 @@ type Options struct {
 	// View() snapshot at start (deterministic per job) and appends flow back
 	// for later jobs — cross-job warmth without cross-job nondeterminism.
 	Persist *solver.PersistentStore
-	// SharedCache shares one in-memory counterexample cache across all jobs.
-	// Off by default: an in-memory hit replays no propagation cost, so a
-	// shared cache makes a job's stats depend on what ran before it. Opt-in
-	// throughput knob; cross-job warmth flows through Persist regardless.
-	SharedCache bool
-	// CacheCapacity sizes the shared cache when SharedCache is set.
-	CacheCapacity int
 	// Faults is the server-wide fault-injection plan, threaded into every
 	// job. A job's injector is scoped "tenant/jobID", and worker.stall
 	// session= rules match the job's global ordinal.
@@ -94,8 +87,7 @@ type Job struct {
 
 // Server owns the job table, the bounded queue and the worker pool.
 type Server struct {
-	opts  Options
-	cache *solver.QueryCache // non-nil iff SharedCache
+	opts Options
 
 	mu              sync.Mutex
 	cond            *sync.Cond
@@ -137,9 +129,6 @@ func NewServer(opts Options) *Server {
 		opts:            opts,
 		jobs:            map[string]*Job{},
 		runningByTenant: map[string]int{},
-	}
-	if opts.SharedCache {
-		s.cache = solver.NewQueryCache(opts.CacheCapacity)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	reg := opts.Metrics
@@ -442,7 +431,6 @@ func (s *Server) runJob(j *Job) {
 	child.SetVecLabeler(obs.MForksByLLPC, packages.LLPCLabel)
 	tracer := obs.Fanout(j.trace, s.opts.Tracer)
 	eo := ExecOptions{
-		Cache:        s.cache,
 		Metrics:      child,
 		Tracer:       tracer,
 		Spans:        obs.NewSpanProfiler(child, tracer),

@@ -89,8 +89,12 @@ type JobSpec struct {
 	StepLimit  int64  `json:"steplimit,omitempty"` // per-run hang threshold
 	Seed       int64  `json:"seed,omitempty"`
 	Vanilla    bool   `json:"vanilla,omitempty"`    // unoptimized interpreter build
-	CacheMode  string `json:"cachemode,omitempty"`  // exact | subsume
 	SolverMode string `json:"solvermode,omitempty"` // oneshot | incremental
+
+	// CacheMode accepts only "exact" (the default). The counterexample cache
+	// has one configuration; the field stays because submitted specs and
+	// the benchmark harness still name it, and any other value is rejected.
+	CacheMode string `json:"cachemode,omitempty"`
 
 	// Shards selects sharded exploration (chef.ShardedSession): the job's
 	// path space is split into signature-subtree ranges driven by up to
@@ -157,8 +161,8 @@ func (s *JobSpec) Validate() error {
 	if _, ok := ParseStrategy(s.Strategy); !ok {
 		return fmt.Errorf("unknown strategy %q", s.Strategy)
 	}
-	if _, ok := solver.ParseCacheMode(s.CacheMode); !ok {
-		return fmt.Errorf("unknown cachemode %q (want exact or subsume)", s.CacheMode)
+	if s.CacheMode != "exact" {
+		return fmt.Errorf("unknown cachemode %q (want exact)", s.CacheMode)
 	}
 	if _, ok := solver.ParseSolverMode(s.SolverMode); !ok {
 		return fmt.Errorf("unknown solvermode %q (want oneshot or incremental)", s.SolverMode)

@@ -1,93 +1,30 @@
 package solver
 
-import (
-	"sync"
-	"sync/atomic"
+import "chef/internal/symexpr"
 
-	"chef/internal/symexpr"
-)
-
-// HitClass labels how a cache lookup was answered, for the per-class obs
-// counters and the harness stats.
-type HitClass uint8
-
-// Hit classes. Exact is a pointer-identical canonical-query match;
-// SubsumeSat reused a satisfying assignment of a subset query that also
-// satisfies the new query (or of a superset query, which satisfies it by
-// construction); SubsumeUnsat derived unsat from a cached unsat subset
-// (supersets of unsat constraint sets are unsat); Persist replayed a result
-// from the disk-backed store.
-const (
-	HitNone HitClass = iota
-	HitExact
-	HitSubsumeSat
-	HitSubsumeUnsat
-	HitPersist
-)
-
-func (h HitClass) String() string {
-	switch h {
-	case HitExact:
-		return "exact"
-	case HitSubsumeSat:
-		return "subsume-sat"
-	case HitSubsumeUnsat:
-		return "subsume-unsat"
-	case HitPersist:
-		return "persist"
-	default:
-		return "none"
-	}
-}
-
-// QueryCache is the solver's counterexample cache, promoted to an explicit
-// type so it can be shared across solvers (and therefore across sessions
-// running on different goroutines). It memoizes the outcome of CNF-level
-// queries — the canonicalized constraint set that survives constant
-// filtering, independent-constraint slicing and Compare-ordering — keyed by
-// an order-sensitive hash over the canonical sequence. Hash-consing makes
-// entry confirmation a pointer-slice comparison.
+// QueryCache is the solver's in-memory counterexample cache: an exact memo
+// of CNF-level query outcomes. It is keyed by an order-sensitive hash over
+// the canonicalized constraint set — the set that survives constant
+// filtering, independent-constraint slicing and Compare-ordering — and
+// hash-consing makes entry confirmation a pointer-slice comparison.
 //
-// On top of the exact-match layer, the cache maintains a subsumption store
-// (see subsume.go) answering misses KLEE-style: a cached unsat subset proves
-// the new query unsat, and a cached satisfying assignment of a subset (or
-// superset) query is re-validated against the new constraints. Subsumption
-// lookups are opt-in per solver (Options.Mode == CacheSubsume); indexing for
-// them happens on every store, so a shared cache serves solvers in either
-// mode.
-//
-// The cache is sharded: each shard holds its own mutex, map and FIFO eviction
-// queue, so concurrent sessions mostly touch distinct shards. All counters
-// are atomics, safe to read while the cache is in use.
+// Every Solver owns a private QueryCache and, like the Solver, it serves a
+// single goroutine, so it needs no locks. Entries are spread over a fixed
+// number of partitions, each with its own FIFO eviction queue. Cache hits
+// are free on the virtual clock, so which entry an insert evicts is
+// observable output; the partitioning and eviction order are therefore part
+// of the determinism contract, not a tuning knob.
 //
 // Determinism note: queries are solved in canonical constraint order, so the
 // result *and model* of a solved query are a pure function of the constraint
-// set. A Solver that owns a private QueryCache is therefore fully
-// deterministic, and exact-mode hits on a cache *shared* between concurrent
-// sessions return the same bits a private solve would have produced — only
-// the virtual-time cost of a query (solved versus hit for free) still
-// depends on which session got there first, so shared caches remain an
-// opt-in throughput knob (-sharedcache). Subsumption-mode hits additionally
-// depend on which entries exist at lookup time, which is schedule-dependent
-// on a shared cache; with private caches (the default) subsumption is fully
-// deterministic.
+// set, and a Solver with its private cache is fully deterministic.
 type QueryCache struct {
 	shards [cacheShardCount]cacheShard
-	sub    subsumeStore
 
-	// perShardCap bounds the number of entries per shard; inserting beyond
-	// it evicts the shard's oldest entry (FIFO).
+	// perShardCap bounds the number of entries per partition; inserting
+	// beyond it evicts the partition's oldest entry (FIFO).
 	perShardCap int
-
-	queries   atomic.Int64
-	hits      atomic.Int64
-	misses    atomic.Int64
-	stores    atomic.Int64
-	evictions atomic.Int64
-
-	hitExact      atomic.Int64
-	hitSubsumeSat atomic.Int64
-	hitSubsumeUns atomic.Int64
+	evictions   int64
 }
 
 const (
@@ -98,42 +35,30 @@ const (
 )
 
 type cacheShard struct {
-	mu sync.Mutex
-	m  map[uint64][]cachedQuery
+	m map[uint64][]cachedQuery
 	// order records insertion order of bucket keys, one element per stored
 	// entry, for exact FIFO eviction.
 	order []uint64
 }
 
-// CacheStats is a snapshot of the cache counters. By construction
-// Hits + Misses == Queries at any quiescent point. The per-class fields
-// decompose Hits (persist-layer hits are counted by the Solver, not here,
-// because the persistent store is not part of the in-memory cache).
+type cachedQuery struct {
+	key    []*symexpr.Expr
+	result Result
+	model  symexpr.Assignment
+}
+
+// CacheStats is a snapshot of the cache's occupancy. Hit and miss counts
+// live in the owning Solver's Stats.
 type CacheStats struct {
-	Queries   int64
-	Hits      int64
-	Misses    int64
-	Stores    int64
 	Evictions int64
 	Entries   int64
-
-	HitsExact        int64
-	HitsSubsumeSat   int64
-	HitsSubsumeUnsat int64
 }
 
 // Add folds another snapshot into s, field by field — the merge helper for
-// aggregating per-cell snapshots (sharded sessions own one cache per range).
+// aggregating per-cell snapshots (sharded sessions own one cache per cell).
 func (s *CacheStats) Add(o CacheStats) {
-	s.Queries += o.Queries
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Stores += o.Stores
 	s.Evictions += o.Evictions
 	s.Entries += o.Entries
-	s.HitsExact += o.HitsExact
-	s.HitsSubsumeSat += o.HitsSubsumeSat
-	s.HitsSubsumeUnsat += o.HitsSubsumeUnsat
 }
 
 // NewQueryCache builds a cache bounded to roughly capacity entries
@@ -150,13 +75,12 @@ func NewQueryCache(capacity int) *QueryCache {
 	for i := range c.shards {
 		c.shards[i].m = map[uint64][]cachedQuery{}
 	}
-	c.sub.init(capacity)
 	return c
 }
 
 func (c *QueryCache) shard(key uint64) *cacheShard {
-	// The key is already a mixed hash; fold the high bits so shard selection
-	// does not correlate with bucket selection.
+	// The key is already a mixed hash; fold the high bits so partition
+	// selection does not correlate with bucket selection.
 	return &c.shards[(key^key>>32)%cacheShardCount]
 }
 
@@ -179,48 +103,18 @@ func sameCanon(a, b []*symexpr.Expr) bool {
 // present. The returned model is owned by the cache and must not be mutated;
 // callers clone before merging (as Solver.Check does).
 func (c *QueryCache) Lookup(key uint64, canon []*symexpr.Expr) (Result, symexpr.Assignment, bool) {
-	c.queries.Add(1)
-	sh := c.shard(key)
-	sh.mu.Lock()
-	for _, q := range sh.m[key] {
+	for _, q := range c.shard(key).m[key] {
 		if sameCanon(q.key, canon) {
-			r, m := q.result, q.model
-			sh.mu.Unlock()
-			c.hits.Add(1)
-			c.hitExact.Add(1)
-			return r, m, true
+			return q.result, q.model, true
 		}
 	}
-	sh.mu.Unlock()
 	return Unknown, nil, false
 }
 
-// LookupSubsume tries to answer a query that missed the exact layer by
-// subsumption (see subsume.go). On a hit it returns the derived result, a
-// model valid for the query (Sat only) and the hit class. The caller is
-// expected to Store the derived result under the query's own key so later
-// identical queries take the exact path.
-func (c *QueryCache) LookupSubsume(canon []*symexpr.Expr) (Result, symexpr.Assignment, HitClass) {
-	r, m, class := c.sub.lookup(canon)
-	if class != HitNone {
-		c.hits.Add(1)
-		if class == HitSubsumeSat {
-			c.hitSubsumeSat.Add(1)
-		} else {
-			c.hitSubsumeUns.Add(1)
-		}
-	}
-	return r, m, class
-}
-
-// Miss records that a lookup sequence found no answer at any layer of this
-// cache. (Exact and subsume lookups are separate calls; the solver reports
-// the final verdict so Hits + Misses == Queries holds.)
-func (c *QueryCache) Miss() { c.misses.Add(1) }
-
-// Store memoizes a query result under its canonical key and indexes it for
-// subsumption. The constraint slice and model are cloned so later mutation
-// by the caller cannot corrupt the cache.
+// Store memoizes a query result under its canonical key. Callers store a
+// query only after its Lookup missed, so the cache never holds duplicates.
+// The constraint slice and model are cloned so later mutation by the caller
+// cannot corrupt the cache.
 func (c *QueryCache) Store(key uint64, canon []*symexpr.Expr, r Result, m symexpr.Assignment) {
 	cs := append([]*symexpr.Expr(nil), canon...)
 	var mc symexpr.Assignment
@@ -228,19 +122,8 @@ func (c *QueryCache) Store(key uint64, canon []*symexpr.Expr, r Result, m symexp
 		mc = m.Clone()
 	}
 	sh := c.shard(key)
-	sh.mu.Lock()
-	// Double-insert check: another session may have stored the same query
-	// between our miss and this store. Keeping the first entry makes the
-	// cache contents insertion-order independent at the entry level.
-	for _, q := range sh.m[key] {
-		if sameCanon(q.key, canon) {
-			sh.mu.Unlock()
-			return
-		}
-	}
 	sh.m[key] = append(sh.m[key], cachedQuery{cs, r, mc})
 	sh.order = append(sh.order, key)
-	evicted := false
 	if len(sh.order) > c.perShardCap {
 		old := sh.order[0]
 		sh.order = sh.order[1:]
@@ -250,44 +133,21 @@ func (c *QueryCache) Store(key uint64, canon []*symexpr.Expr, r Result, m symexp
 			} else {
 				sh.m[old] = bucket[1:]
 			}
-			evicted = true
+			c.evictions++
 		}
 	}
-	sh.mu.Unlock()
-	c.stores.Add(1)
-	if evicted {
-		c.evictions.Add(1)
-	}
-	// Index for subsumption. The subsume store is bounded independently of
-	// the exact shards: a subsumption entry records a timelessly valid fact
-	// ("this set is unsat" / "this assignment satisfies this set"), so the
-	// two layers never need coherent eviction.
-	c.sub.add(cs, r, mc)
 }
 
-// Len returns the current number of cached entries (exact layer).
+// Len returns the current number of cached entries.
 func (c *QueryCache) Len() int {
 	n := 0
 	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.order)
-		sh.mu.Unlock()
+		n += len(c.shards[i].order)
 	}
 	return n
 }
 
-// Stats snapshots the cache counters.
+// Stats snapshots the cache's occupancy.
 func (c *QueryCache) Stats() CacheStats {
-	return CacheStats{
-		Queries:          c.queries.Load(),
-		Hits:             c.hits.Load(),
-		Misses:           c.misses.Load(),
-		Stores:           c.stores.Load(),
-		Evictions:        c.evictions.Load(),
-		Entries:          int64(c.Len()),
-		HitsExact:        c.hitExact.Load(),
-		HitsSubsumeSat:   c.hitSubsumeSat.Load(),
-		HitsSubsumeUnsat: c.hitSubsumeUns.Load(),
-	}
+	return CacheStats{Evictions: c.evictions, Entries: int64(c.Len())}
 }

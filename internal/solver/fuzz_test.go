@@ -115,11 +115,9 @@ func FuzzSolverCheck(f *testing.F) {
 
 		solvers := map[string]*Solver{
 			"nocache":     New(Options{DisableCache: true}),
-			"exact":       New(Options{Mode: CacheExact}),
-			"subsume":     New(Options{Mode: CacheSubsume}),
+			"exact":       New(Options{}),
 			"inc/nocache": New(Options{DisableCache: true, SolverMode: ModeIncremental}),
-			"inc/exact":   New(Options{Mode: CacheExact, SolverMode: ModeIncremental}),
-			"inc/subsume": New(Options{Mode: CacheSubsume, SolverMode: ModeIncremental}),
+			"inc/exact":   New(Options{SolverMode: ModeIncremental}),
 		}
 		for name, s := range solvers {
 			for round := 0; round < 2; round++ { // round 2 exercises cache hits

@@ -29,50 +29,48 @@ func TestSolverMatchesOracleUnderInjectedUnknowns(t *testing.T) {
 	}
 	queries := genOracleQueries(t, n, 31337)
 
-	for _, mode := range []CacheMode{CacheExact, CacheSubsume} {
-		plan := mustFaultPlan(t, "seed=11;solver.unknown:p=0.3")
-		s := New(Options{Mode: mode, Faults: plan.Injector("oracle/" + mode.String())})
-		unknowns := 0
-		for i, q := range queries {
-			res, model := s.CheckQuery(Query{PC: q.pc, Base: q.base})
-			if res == Unknown {
-				unknowns++
-				continue
-			}
-			if res != q.want {
-				t.Fatalf("[%s] query %d: verdict flipped under injection: solver=%v oracle=%v pc=%v",
-					mode, i, res, q.want, q.pc)
-			}
-			if res == Sat {
-				for _, c := range q.pc {
-					if !sx.EvalBool(c, model) {
-						t.Fatalf("[%s] query %d: model %v violates %v under injection", mode, i, model, c)
-					}
+	plan := mustFaultPlan(t, "seed=11;solver.unknown:p=0.3")
+	s := New(Options{Faults: plan.Injector("oracle/exact")})
+	unknowns := 0
+	for i, q := range queries {
+		res, model := s.CheckQuery(Query{PC: q.pc, Base: q.base})
+		if res == Unknown {
+			unknowns++
+			continue
+		}
+		if res != q.want {
+			t.Fatalf("query %d: verdict flipped under injection: solver=%v oracle=%v pc=%v",
+				i, res, q.want, q.pc)
+		}
+		if res == Sat {
+			for _, c := range q.pc {
+				if !sx.EvalBool(c, model) {
+					t.Fatalf("query %d: model %v violates %v under injection", i, model, c)
 				}
 			}
 		}
-		if unknowns == 0 {
-			t.Fatalf("mode=%s: p=0.3 injected no Unknowns over %d queries", mode, n)
-		}
-		t.Logf("mode=%s: %d/%d verdicts weakened to Unknown", mode, unknowns, len(queries))
+	}
+	if unknowns == 0 {
+		t.Fatalf("p=0.3 injected no Unknowns over %d queries", n)
+	}
+	t.Logf("%d/%d verdicts weakened to Unknown", unknowns, len(queries))
 
-		// Retry loop: queries solved above hit the cache (injection only
-		// intercepts real solves), and forced Unknowns re-solve because they
-		// were never cached, so every query converges to the oracle verdict.
-		for i, q := range queries {
-			res, model := s.CheckQuery(Query{PC: q.pc, Base: q.base})
-			for try := 0; res == Unknown && try < 200; try++ {
-				res, model = s.CheckQuery(Query{PC: q.pc, Base: q.base})
-			}
-			if res != q.want {
-				t.Fatalf("[%s] query %d: did not converge to oracle verdict: got %v, want %v",
-					mode, i, res, q.want)
-			}
-			if res == Sat {
-				for _, c := range q.pc {
-					if !sx.EvalBool(c, model) {
-						t.Fatalf("[%s] query %d: converged model %v violates %v", mode, i, model, c)
-					}
+	// Retry loop: queries solved above hit the cache (injection only
+	// intercepts real solves), and forced Unknowns re-solve because they
+	// were never cached, so every query converges to the oracle verdict.
+	for i, q := range queries {
+		res, model := s.CheckQuery(Query{PC: q.pc, Base: q.base})
+		for try := 0; res == Unknown && try < 200; try++ {
+			res, model = s.CheckQuery(Query{PC: q.pc, Base: q.base})
+		}
+		if res != q.want {
+			t.Fatalf("query %d: did not converge to oracle verdict: got %v, want %v",
+				i, res, q.want)
+		}
+		if res == Sat {
+			for _, c := range q.pc {
+				if !sx.EvalBool(c, model) {
+					t.Fatalf("query %d: converged model %v violates %v", i, model, c)
 				}
 			}
 		}
@@ -89,7 +87,7 @@ func TestSolverOraclePersistentUnderInjectedUnknowns(t *testing.T) {
 	plan := mustFaultPlan(t, "seed=13;solver.unknown:p=0.4")
 
 	cold := mustOpen(t, path)
-	s := New(Options{Mode: CacheExact, Persist: cold, Faults: plan.Injector("cold")})
+	s := New(Options{Persist: cold, Faults: plan.Injector("cold")})
 	solved := 0
 	for i, q := range queries {
 		res, model := s.CheckQuery(Query{PC: q.pc, Base: q.base})
@@ -120,7 +118,7 @@ func TestSolverOraclePersistentUnderInjectedUnknowns(t *testing.T) {
 	if warm.Corruption() != nil {
 		t.Fatalf("faulted pass corrupted the cache file: %v", warm.Corruption())
 	}
-	s2 := New(Options{Mode: CacheExact, Persist: warm, Faults: plan.Injector("warm")})
+	s2 := New(Options{Persist: warm, Faults: plan.Injector("warm")})
 	for i, q := range queries {
 		res, model := s2.CheckQuery(Query{PC: q.pc, Base: q.base})
 		if res != Unknown && res != q.want {

@@ -140,11 +140,10 @@ func checkAgainstOracle(t *testing.T, cfg string, i int, q oracleQuery, s *Solve
 	return res, model
 }
 
-// TestSolverMatchesOracle cross-checks every backend x cache mode x slicing
-// setting, with both fresh private caches and a cache shared between two
-// solvers, on the same generated query set. Together with the warm/cold
-// persistent pass below, the suite compares well over 10k (query,
-// configuration) pairs.
+// TestSolverMatchesOracle cross-checks every backend x slicing setting, with
+// and without the counterexample cache, on the same generated query set.
+// Together with the warm/cold persistent pass below, the suite compares
+// thousands of (query, configuration) pairs.
 func TestSolverMatchesOracle(t *testing.T) {
 	n := 400
 	if !testing.Short() {
@@ -152,7 +151,6 @@ func TestSolverMatchesOracle(t *testing.T) {
 	}
 	queries := genOracleQueries(t, n, 424242)
 
-	modes := []CacheMode{CacheExact, CacheSubsume}
 	for _, sm := range []SolverMode{ModeOneshot, ModeIncremental} {
 		qs := queries
 		if sm == ModeIncremental {
@@ -165,42 +163,29 @@ func TestSolverMatchesOracle(t *testing.T) {
 			// depth by TestIncrementalPrefixPopRepush.
 			qs = queries[:len(queries)/3]
 		}
-		for _, mode := range modes {
-			// Slicing is a no-op under the incremental backend (it always
-			// solves in path order), so the noslice cell only exists for
-			// oneshot — under incremental it would duplicate the default.
-			noSlices := []bool{false, true}
-			if sm == ModeIncremental {
-				noSlices = []bool{false}
+		// Slicing is a no-op under the incremental backend (it always
+		// solves in path order), so the noslice cell only exists for
+		// oneshot — under incremental it would duplicate the default.
+		noSlices := []bool{false, true}
+		if sm == ModeIncremental {
+			noSlices = []bool{false}
+		}
+		for _, noSlice := range noSlices {
+			cfg := "backend=" + sm.String()
+			if noSlice {
+				cfg += "/noslice"
 			}
-			for _, noSlice := range noSlices {
-				cfg := "backend=" + sm.String() + "/mode=" + mode.String()
-				if noSlice {
-					cfg += "/noslice"
-				}
-				s := New(Options{Mode: mode, DisableSlicing: noSlice, SolverMode: sm})
-				for i, q := range qs {
-					checkAgainstOracle(t, cfg, i, q, s)
-				}
-			}
-			// Shared cache between two solvers, queries interleaved: the second
-			// solver sees entries it never stored.
-			cfg := "backend=" + sm.String() + "/mode=" + mode.String() + "/shared"
-			shared := NewQueryCache(0)
-			ss := []*Solver{
-				New(Options{Mode: mode, Cache: shared, SolverMode: sm}),
-				New(Options{Mode: mode, Cache: shared, SolverMode: sm}),
-			}
+			s := New(Options{DisableSlicing: noSlice, SolverMode: sm})
 			for i, q := range qs {
-				checkAgainstOracle(t, cfg, i, q, ss[i%2])
+				checkAgainstOracle(t, cfg, i, q, s)
 			}
-			// No cache at all, as the control. For the incremental backend
-			// this is the hardest configuration: every query reaches the
-			// live context, so every verdict exercises trail pop/re-push.
-			s := New(Options{Mode: mode, DisableCache: true, SolverMode: sm})
-			for i, q := range qs {
-				checkAgainstOracle(t, "backend="+sm.String()+"/mode="+mode.String()+"/nocache", i, q, s)
-			}
+		}
+		// No cache at all, as the control. For the incremental backend
+		// this is the hardest configuration: every query reaches the
+		// live context, so every verdict exercises trail pop/re-push.
+		s := New(Options{DisableCache: true, SolverMode: sm})
+		for i, q := range qs {
+			checkAgainstOracle(t, "backend="+sm.String()+"/nocache", i, q, s)
 		}
 	}
 }
@@ -223,7 +208,7 @@ func TestSolverMatchesOraclePersistent(t *testing.T) {
 		res   Result
 		model sx.Assignment
 	}
-	runPass := func(label string, mode CacheMode, sm SolverMode, qs []oracleQuery) ([]outcome, Stats) {
+	runPass := func(label string, sm SolverMode, qs []oracleQuery) ([]outcome, Stats) {
 		store, err := OpenPersistentStore(path)
 		if err != nil {
 			t.Fatalf("%s: open: %v", label, err)
@@ -236,7 +221,7 @@ func TestSolverMatchesOraclePersistent(t *testing.T) {
 		if cerr := store.Corruption(); cerr != nil {
 			t.Fatalf("%s: unexpected corruption: %v", label, cerr)
 		}
-		s := New(Options{Mode: mode, Persist: store, SolverMode: sm})
+		s := New(Options{Persist: store, SolverMode: sm})
 		outs := make([]outcome, 0, len(qs))
 		for i, q := range qs {
 			res, model := checkAgainstOracle(t, label, i, q, s)
@@ -254,44 +239,42 @@ func TestSolverMatchesOraclePersistent(t *testing.T) {
 			// stream length.
 			qs = queries[:len(queries)/3]
 		}
-		for _, mode := range []CacheMode{CacheExact, CacheSubsume} {
-			cfg := sm.String() + "/" + mode.String()
-			if err := removeIfExists(path); err != nil {
-				t.Fatal(err)
+		cfg := sm.String()
+		if err := removeIfExists(path); err != nil {
+			t.Fatal(err)
+		}
+		cold, coldStats := runPass("cold/"+cfg, sm, qs)
+		if sm == ModeIncremental {
+			// Incremental models depend on the solver's whole query
+			// stream, so an incremental pass appends nothing: a oneshot
+			// pass after it starts from an empty store.
+			_, warmStats := runPass("warm/"+cfg, ModeOneshot, qs)
+			if warmStats.CacheHitsPersist != 0 {
+				t.Fatalf("cfg=%s: oneshot pass hit %d entries written by the incremental pass",
+					cfg, warmStats.CacheHitsPersist)
 			}
-			cold, coldStats := runPass("cold/"+cfg, mode, sm, qs)
-			if sm == ModeIncremental {
-				// Incremental models depend on the solver's whole query
-				// stream, so an incremental pass appends nothing: a oneshot
-				// pass after it starts from an empty store.
-				_, warmStats := runPass("warm/"+cfg, mode, ModeOneshot, qs)
-				if warmStats.CacheHitsPersist != 0 {
-					t.Fatalf("cfg=%s: oneshot pass hit %d entries written by the incremental pass",
-						cfg, warmStats.CacheHitsPersist)
-				}
-				continue
+			continue
+		}
+		// A fully-warm store replays every cold verdict, model and cost
+		// byte-for-byte: the cold pass recorded the whole stream.
+		warm, warmStats := runPass("warm/"+cfg, sm, qs)
+		if warmStats.CacheHitsPersist == 0 {
+			t.Fatalf("cfg=%s: warm pass recorded no persistent hits", cfg)
+		}
+		if coldStats.Propagations != warmStats.Propagations {
+			t.Fatalf("cfg=%s: virtual cost diverged: cold %d, warm %d propagations",
+				cfg, coldStats.Propagations, warmStats.Propagations)
+		}
+		if coldStats.SatQueries != warmStats.SatQueries || coldStats.UnsatQueries != warmStats.UnsatQueries {
+			t.Fatalf("cfg=%s: solve counters diverged: cold %+v warm %+v", cfg, coldStats, warmStats)
+		}
+		for i := range cold {
+			if cold[i].res != warm[i].res {
+				t.Fatalf("cfg=%s query %d: cold %v, warm %v", cfg, i, cold[i].res, warm[i].res)
 			}
-			// A fully-warm store replays every cold verdict, model and cost
-			// byte-for-byte: the cold pass recorded the whole stream.
-			warm, warmStats := runPass("warm/"+cfg, mode, sm, qs)
-			if warmStats.CacheHitsPersist == 0 {
-				t.Fatalf("cfg=%s: warm pass recorded no persistent hits", cfg)
-			}
-			if coldStats.Propagations != warmStats.Propagations {
-				t.Fatalf("cfg=%s: virtual cost diverged: cold %d, warm %d propagations",
-					cfg, coldStats.Propagations, warmStats.Propagations)
-			}
-			if coldStats.SatQueries != warmStats.SatQueries || coldStats.UnsatQueries != warmStats.UnsatQueries {
-				t.Fatalf("cfg=%s: solve counters diverged: cold %+v warm %+v", cfg, coldStats, warmStats)
-			}
-			for i := range cold {
-				if cold[i].res != warm[i].res {
-					t.Fatalf("cfg=%s query %d: cold %v, warm %v", cfg, i, cold[i].res, warm[i].res)
-				}
-				if !sameModel(cold[i].model, warm[i].model) {
-					t.Fatalf("cfg=%s query %d: cold model %v, warm model %v",
-						cfg, i, cold[i].model, warm[i].model)
-				}
+			if !sameModel(cold[i].model, warm[i].model) {
+				t.Fatalf("cfg=%s query %d: cold model %v, warm model %v",
+					cfg, i, cold[i].model, warm[i].model)
 			}
 		}
 	}
@@ -308,50 +291,4 @@ func sameModel(a, b sx.Assignment) bool {
 		}
 	}
 	return true
-}
-
-// TestSubsumptionHitsOccur pins that the subsume layer actually fires on the
-// natural query pattern of symbolic execution: path conditions growing one
-// conjunct at a time.
-func TestSubsumptionHitsOccur(t *testing.T) {
-	s := New(Options{Mode: CacheSubsume})
-	a := sx.NewVar(sx.Var{Buf: "a", W: sx.W8})
-	grow := []*sx.Expr{
-		sx.Ult(a, sx.Const(200, sx.W8)),
-		sx.Ult(sx.Const(10, sx.W8), a),
-		sx.Ne(a, sx.Const(50, sx.W8)),
-	}
-	for i := 1; i <= len(grow); i++ {
-		if res, m := s.CheckQuery(Query{PC: grow[:i]}); res != Sat {
-			t.Fatalf("prefix %d: %v, want Sat", i, res)
-		} else {
-			for _, c := range grow[:i] {
-				if !sx.EvalBool(c, m) {
-					t.Fatalf("prefix %d: model %v violates %v", i, m, c)
-				}
-			}
-		}
-	}
-	st := s.Stats()
-	if st.CacheHitsSubsumeSat == 0 {
-		t.Fatalf("growing path condition produced no subsume-sat hits: %+v", st)
-	}
-
-	// Unsat subsumption: once a core is known unsat, any superset is decided
-	// without touching the SAT solver.
-	s2 := New(Options{Mode: CacheSubsume})
-	contradiction := []*sx.Expr{
-		sx.Ult(a, sx.Const(10, sx.W8)),
-		sx.Ult(sx.Const(20, sx.W8), a),
-	}
-	if res, _ := s2.CheckQuery(Query{PC: contradiction}); res != Unsat {
-		t.Fatalf("contradiction: %v, want Unsat", res)
-	}
-	wider := append(append([]*sx.Expr(nil), contradiction...), sx.Ne(a, sx.Const(3, sx.W8)))
-	if res, _ := s2.CheckQuery(Query{PC: wider}); res != Unsat {
-		t.Fatalf("superset of contradiction: %v, want Unsat", res)
-	}
-	if st := s2.Stats(); st.CacheHitsSubsumeUnsat == 0 {
-		t.Fatalf("superset of known-unsat core produced no subsume-unsat hit: %+v", st)
-	}
 }

@@ -28,9 +28,9 @@ import (
 //     serves those). This is what makes a warm rerun reproduce a cold run
 //     byte-for-byte: the set of answerable persistent lookups is fixed before
 //     the run starts, so it cannot depend on scheduling.
-//   - The *write side* records only queries this run actually solved — never
-//     results derived by subsumption, which could disagree (different model,
-//     same key) with what a cold solve produces.
+//   - The *write side* records only queries this run actually solved with
+//     the oneshot backend, so every entry is what a cold solve of its key
+//     produces.
 //
 // Long-running multi-job processes (chef-serve) use View instead of the store
 // directly: a View snapshots the load-time entries plus everything published
@@ -365,8 +365,8 @@ func (v *PersistView) Append(key uint64, canon []*symexpr.Expr, r Result, m syme
 }
 
 // Append queues a solved query for the background flusher and publishes it
-// for Views created afterwards. Results derived from other cache layers must
-// not be appended (the solver only appends after an actual solveCNF call).
+// for Views created afterwards. Results read from other cache layers must
+// not be appended (the solver only appends after an actual oneshot solve).
 // Appends never become visible to the store's own Lookup or to Views taken
 // before the append — within one run the in-memory QueryCache serves them —
 // so single-store runs behave exactly as before. Nil-receiver safe.

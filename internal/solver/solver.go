@@ -32,36 +32,14 @@ func (r Result) String() string {
 	}
 }
 
-// CacheMode selects which lookup layers of the counterexample cache a solver
-// consults. Indexing for subsumption happens on every Store regardless of
-// mode, so a shared QueryCache can serve solvers in either mode.
+// CacheMode is kept only because the benchmark harness compiles against
+// Options.Mode. The counterexample cache has a single configuration, the
+// exact memo of QueryCache, so CacheExact is the only value and the solver
+// ignores the field.
 type CacheMode uint8
 
-// Cache modes. CacheExact answers only pointer-identical canonical queries;
-// CacheSubsume additionally derives answers from cached subset/superset
-// queries (see subsume.go).
-const (
-	CacheExact CacheMode = iota
-	CacheSubsume
-)
-
-func (m CacheMode) String() string {
-	if m == CacheSubsume {
-		return "subsume"
-	}
-	return "exact"
-}
-
-// ParseCacheMode maps the -cachemode flag spellings to a CacheMode.
-func ParseCacheMode(s string) (CacheMode, bool) {
-	switch s {
-	case "exact", "":
-		return CacheExact, true
-	case "subsume":
-		return CacheSubsume, true
-	}
-	return CacheExact, false
-}
+// CacheExact is the only CacheMode; see CacheMode.
+const CacheExact CacheMode = 0
 
 // SolverMode selects the decision procedure behind the cache/persist front
 // end: the historical oneshot backend (a CNF of its own per query, built in
@@ -105,8 +83,8 @@ type Cost struct {
 }
 
 // Backend is the decision procedure behind the solver front end. The
-// constant filter, slicing, canonicalization and every cache layer (exact,
-// subsume, persistent) compose in front of it unchanged; a Backend only sees
+// constant filter, slicing, canonicalization and both cache layers (exact
+// and persistent) compose in front of it unchanged; a Backend only sees
 // the queries that miss all of them. The oneshot backend receives canonical
 // constraint order; the incremental backend receives path order (root
 // first), which is what its prefix reuse keys off. A Backend is owned by
@@ -124,7 +102,8 @@ type Options struct {
 	DisableSlicing bool
 	// DisableCache turns off the query cache.
 	DisableCache bool
-	// Mode selects the cache lookup layers (exact only, or exact+subsume).
+	// Mode is ignored; it is kept only because the benchmark harness sets
+	// it (see CacheMode).
 	Mode CacheMode
 	// SolverMode selects the decision procedure behind the cache layers:
 	// ModeOneshot (default; a CNF reset per query) or ModeIncremental
@@ -137,11 +116,6 @@ type Options struct {
 	SolverMode SolverMode
 	// PropBudget caps SAT propagations per query; 0 means the default cap.
 	PropBudget int64
-	// Cache, when non-nil, is used as the counterexample cache instead of a
-	// fresh private one, enabling cross-session (and cross-goroutine) hit
-	// reuse. See the QueryCache determinism note before sharing one between
-	// concurrent sessions.
-	Cache *QueryCache
 	// Persist, when non-nil, is the disk-backed layer of solved queries (see
 	// persist.go): a *PersistentStore for single-run CLI use, or a
 	// *PersistView for multi-job servers that share one warm store. It is
@@ -203,10 +177,8 @@ type Stats struct {
 	ClausesAdded int64
 
 	// Per-class decomposition of CacheHits.
-	CacheHitsExact        int64
-	CacheHitsSubsumeSat   int64
-	CacheHitsSubsumeUnsat int64
-	CacheHitsPersist      int64
+	CacheHitsExact   int64
+	CacheHitsPersist int64
 
 	// Incremental-backend counters (zero in oneshot mode).
 	IncContexts    int64 // contexts built (first query + rebuilds)
@@ -228,8 +200,6 @@ func (s *Stats) Add(o Stats) {
 	s.Conflicts += o.Conflicts
 	s.ClausesAdded += o.ClausesAdded
 	s.CacheHitsExact += o.CacheHitsExact
-	s.CacheHitsSubsumeSat += o.CacheHitsSubsumeSat
-	s.CacheHitsSubsumeUnsat += o.CacheHitsSubsumeUnsat
 	s.CacheHitsPersist += o.CacheHitsPersist
 	s.IncContexts += o.IncContexts
 	s.IncAssumptions += o.IncAssumptions
@@ -239,11 +209,11 @@ func (s *Stats) Add(o Stats) {
 
 // Solver decides conjunctions of width-1 bit-vector expressions.
 // A Solver is not safe for concurrent use; concurrency happens one solver per
-// session, optionally sharing a thread-safe QueryCache (Options.Cache).
+// session, each with its own private QueryCache.
 type Solver struct {
 	opts    Options
 	stats   Stats
-	cache   *QueryCache // nil iff DisableCache and no shared cache given
+	cache   *QueryCache // nil iff DisableCache
 	backend Backend
 	slicer  slicer
 	work    []*symexpr.Expr // constant-filtered query, reused across queries
@@ -259,8 +229,6 @@ type Solver struct {
 	mHits           *obs.Counter
 	mMisses         *obs.Counter
 	mHitsExact      *obs.Counter
-	mHitsSubS       *obs.Counter
-	mHitsSubU       *obs.Counter
 	mHitsPers       *obs.Counter
 	mIncContexts    *obs.Counter
 	mIncAssumptions *obs.Counter
@@ -271,22 +239,13 @@ type Solver struct {
 	observing       bool
 }
 
-type cachedQuery struct {
-	key    []*symexpr.Expr
-	result Result
-	model  symexpr.Assignment
-}
-
 // New returns a solver with the given options.
 func New(opts Options) *Solver {
 	if opts.PropBudget == 0 {
 		opts.PropBudget = defaultPropBudget
 	}
 	s := &Solver{opts: opts}
-	switch {
-	case opts.Cache != nil:
-		s.cache = opts.Cache
-	case !opts.DisableCache:
+	if !opts.DisableCache {
 		s.cache = NewQueryCache(0)
 	}
 	if reg := opts.Metrics; reg != nil {
@@ -297,8 +256,6 @@ func New(opts Options) *Solver {
 		s.mHits = reg.Counter(obs.MSolverCacheHits)
 		s.mMisses = reg.Counter(obs.MSolverCacheMisses)
 		s.mHitsExact = reg.Counter(obs.MSolverCacheHitsExact)
-		s.mHitsSubS = reg.Counter(obs.MSolverCacheHitsSubsumeSat)
-		s.mHitsSubU = reg.Counter(obs.MSolverCacheHitsSubsumeUnsat)
 		s.mHitsPers = reg.Counter(obs.MSolverCacheHitsPersist)
 		if opts.SolverMode == ModeIncremental {
 			s.mIncContexts = reg.Counter(obs.MSolverIncContexts)
@@ -362,8 +319,8 @@ func (s *Solver) Attach(in Instruments) {
 // with Stats.Add.
 func (s *Solver) Stats() Stats { return s.stats }
 
-// Cache returns the solver's counterexample cache (nil when caching is
-// disabled). It may be a cache shared with other solvers.
+// Cache returns the solver's private counterexample cache (nil when caching
+// is disabled).
 func (s *Solver) Cache() *QueryCache { return s.cache }
 
 // Query is one satisfiability question over a path condition.
@@ -418,14 +375,9 @@ func (s *Solver) CheckQuery(q Query) (Result, symexpr.Assignment) {
 		}
 		if cacheHit {
 			s.mHits.Inc()
-			switch {
-			case s.stats.CacheHitsExact > before.CacheHitsExact:
+			if s.stats.CacheHitsExact > before.CacheHitsExact {
 				s.mHitsExact.Inc()
-			case s.stats.CacheHitsSubsumeSat > before.CacheHitsSubsumeSat:
-				s.mHitsSubS.Inc()
-			case s.stats.CacheHitsSubsumeUnsat > before.CacheHitsSubsumeUnsat:
-				s.mHitsSubU.Inc()
-			case s.stats.CacheHitsPersist > before.CacheHitsPersist:
+			} else {
 				s.mHitsPers.Inc()
 			}
 		} else if s.stats.CacheMisses > before.CacheMisses {
@@ -480,7 +432,7 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 	// Canonicalize: sort by the process-independent structural order and
 	// dedup. The oneshot backend sees the canonical sequence, so its result
 	// *and model* are a pure function of the constraint set — the property
-	// every cache layer (exact, subsume, persistent) relies on. The
+	// both cache layers (exact and persistent) rely on. The
 	// incremental backend instead keeps path order (its prefix reuse depends
 	// on it) and uses the canonical copy for the cache keys only; its models
 	// are a function of the solver's whole query stream, which per-cell
@@ -523,26 +475,6 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 			}
 			return r, nil
 		}
-		if s.opts.Mode == CacheSubsume {
-			if r, m, class := s.cache.LookupSubsume(canon); class != HitNone {
-				csp.End(0)
-				s.stats.CacheHits++
-				if class == HitSubsumeSat {
-					s.stats.CacheHitsSubsumeSat++
-				} else {
-					s.stats.CacheHitsSubsumeUnsat++
-				}
-				// Promote the derived result to the exact layer so later
-				// identical queries take the cheap path. Derived results are
-				// never persisted (see below), only re-memoized in memory.
-				s.cache.Store(key, canon, r, m)
-				if r == Sat {
-					return Sat, merge(m, kept) // m is freshly allocated
-				}
-				return r, nil
-			}
-		}
-		s.cache.Miss()
 		csp.End(0)
 	}
 
@@ -596,11 +528,10 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 		}
 		if s.opts.Persist != nil && !incremental {
 			// Only oneshot solves enter the persistent store, whose entries
-			// must be a pure function of the canonical key. A subsume-derived
-			// entry could answer differently from the solve a cold run
-			// performs, and an incremental model depends on the solver's
-			// whole query stream; either would make a later oneshot run read
-			// a model its own cold run never produces.
+			// must be a pure function of the canonical key. An incremental
+			// model depends on the solver's whole query stream, so a later
+			// oneshot run would read a model its own cold run never
+			// produces.
 			s.opts.Persist.Append(key, canon, res, model, cost.Propagations)
 		}
 	}

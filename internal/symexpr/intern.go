@@ -13,8 +13,7 @@ import (
 //
 //   - Equal degrades to a pointer comparison (O(1), no DAG walks);
 //   - every node carries a process-unique ID usable as a map key by caches
-//     and indexes (the solver's counterexample cache keys its subsumption
-//     index by it);
+//     and indexes;
 //   - maximal sharing: an interpreter loop that rebuilds the same term on
 //     every iteration allocates it once.
 //

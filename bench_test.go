@@ -426,6 +426,28 @@ for i in range(200):
 	}
 }
 
+// BenchmarkLogPC runs one CUPA-path session over argparse at the
+// parsers-cupa workload's budget and step limit, and reports the session's
+// wall time per log_pc call (ns/logpc, from the chef.logpc counter). The
+// per-opcode hook is paid on every interpreted instruction, so this is the
+// figure a cheaper log_pc moves.
+func BenchmarkLogPC(b *testing.B) {
+	p, _ := packages.ByName("argparse")
+	prog := p.PyTest(minipy.Optimized).Program()
+	var calls int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reg := obs.NewRegistry()
+		s := chef.NewSession(prog, chef.Options{
+			Strategy: chef.StrategyCUPAPath, Seed: 1, StepLimit: 60_000, Metrics: reg,
+		})
+		s.Run(600_000)
+		calls += reg.Counter(obs.MChefLogPC).Value()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(calls), "ns/logpc")
+	b.ReportMetric(float64(calls)/float64(b.N), "logpc/op")
+}
+
 // BenchmarkCUPASelection measures strategy insert/select throughput.
 func BenchmarkCUPASelection(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))

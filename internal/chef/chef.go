@@ -14,7 +14,9 @@ package chef
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"chef/internal/cupa"
@@ -146,11 +148,8 @@ type Session struct {
 	eng  *lowlevel.Engine
 	rng  *rand.Rand
 
-	// High-level execution tree: nodes are (parent, hlpc) pairs.
-	hlNodes map[hlEdge]uint64
-	nextHL  uint64
-
-	cfg *CFG
+	tree []hlNode // high-level execution tree, indexed by node ID
+	cfg  *CFG
 
 	hlPaths map[uint64]bool
 	tests   []TestCase
@@ -176,11 +175,6 @@ type Session struct {
 	mStalled *obs.Counter
 }
 
-type hlEdge struct {
-	parent uint64
-	hlpc   HLPC
-}
-
 // NewSession builds a session for the given symbolic test.
 func NewSession(prog TestProgram, opts Options) *Session {
 	// Derive the session's fault injector before the options are captured:
@@ -200,7 +194,7 @@ func NewSession(prog TestProgram, opts Options) *Session {
 		opts:    opts,
 		prog:    prog,
 		rng:     rand.New(rand.NewSource(opts.Seed ^ 0x5eed)),
-		hlNodes: map[hlEdge]uint64{},
+		tree:    []hlNode{{}}, // node 0 is the root
 		cfg:     NewCFG(),
 		hlPaths: map[uint64]bool{},
 		faults:  inj,
@@ -397,16 +391,48 @@ func (s *Session) Engine() *lowlevel.Engine { return s.eng }
 // CFG exposes the dynamically discovered high-level CFG.
 func (s *Session) CFG() *CFG { return s.cfg }
 
-// hlNode interns the child of parent along hlpc in the high-level execution
-// tree and returns its id (the dynamic HLPC of §3.3).
-func (s *Session) hlNode(parent uint64, pc HLPC) uint64 {
-	e := hlEdge{parent, pc}
-	if id, ok := s.hlNodes[e]; ok {
-		return id
+// hlNode is a node of the high-level execution tree. Node 0 is the root,
+// which has no pc; every other node is one occurrence of an HLPC, reached
+// from its parent by one log_pc. IDs are handed out in discovery order, so
+// they are the dynamic HLPCs of §3.3 that CUPA-path classifies states by.
+type hlNode struct {
+	pc     HLPC
+	cfg    uint32 // dense CFG index of pc (unset on the root)
+	first  uint32 // first child, 0 if none
+	next   uint32 // next sibling, 0 if none
+	cursor uint32 // child taken last, 0 if none
+	edge   bool   // the CFG edge from the parent's pc has been recorded
+}
+
+// hlNode returns the child of parent along pc in the high-level execution
+// tree, appending it on first sight. A re-execution replays its parent
+// run's prefix, so the cursor answers almost every call; only a new node
+// costs a hash lookup (its CFG index).
+func (s *Session) hlNode(parent uint32, pc HLPC) uint32 {
+	t := s.tree
+	p := &t[parent]
+	if c := p.cursor; c != 0 && t[c].pc == pc {
+		return c
 	}
-	s.nextHL++
-	s.hlNodes[e] = s.nextHL
-	return s.nextHL
+	for c := p.first; c != 0; c = t[c].next {
+		if t[c].pc == pc {
+			p.cursor = c
+			return c
+		}
+	}
+	if uint64(len(t)) > math.MaxUint32 {
+		panic("chef: high-level execution tree exceeds 2^32 nodes")
+	}
+	id := uint32(len(t))
+	if len(t) == cap(t) {
+		// Double rather than let append grow by 1.25x: each regrowth copies
+		// the whole tree, which reaches tens of thousands of nodes.
+		t = slices.Grow(t, len(t))
+	}
+	t = append(t, hlNode{pc: pc, cfg: s.cfg.index(pc), next: p.first})
+	t[parent].first, t[parent].cursor = id, id
+	s.tree = t
+	return id
 }
 
 // Ctx is the guest API handed to the instrumented interpreter — the CHEF
@@ -415,7 +441,11 @@ type Ctx struct {
 	M *lowlevel.Machine
 	s *Session
 
-	prevHLPC HLPC
+	// hashOnly makes log_pc observation-only (Session.ReplaySig): it steps
+	// the machine and extends the signature but leaves the session's tree
+	// and CFG alone.
+	hashOnly bool
+	node     uint32 // current node of the high-level execution tree
 	started  bool
 	hlSig    uint64
 	hlLen    int
@@ -427,31 +457,40 @@ type Ctx struct {
 // opcode about to execute.
 func (c *Ctx) LogPC(pc HLPC, opcode uint32) {
 	c.M.Step(1)
-	dyn := c.s.hlNode(c.M.DynHLPC, pc)
-	c.M.DynHLPC = dyn
 	c.M.StaticHLPC = pc
 	c.M.Opcode = opcode
-	if c.started {
+	c.hlSig = c.hlSig*0x100000001b3 ^ pc
+	c.hlLen++
+	if c.hashOnly {
+		return
+	}
+	s := c.s
+	parent := c.node
+	c.node = s.hlNode(parent, pc)
+	c.M.DynHLPC = uint64(c.node)
+	n := &s.tree[c.node]
+	// The root has no pc, but started is false on a run's first log_pc, so
+	// parent is a real node whenever an edge is recorded.
+	if c.started && !n.edge {
+		n.edge = true
+		from := &s.tree[parent]
 		// Trace HLPC transitions at first observation only: the deduplicated
 		// stream is the discovered high-level CFG in discovery order, keeping
 		// traces bounded by CFG size rather than execution length.
-		if c.s.cfg.AddEdge(c.prevHLPC, pc) && c.s.tracer != nil {
-			c.s.tracer.Emit(&obs.Event{
-				T:      c.s.eng.Clock() + c.M.Steps(),
+		if s.cfg.addEdge(from.cfg, n.cfg) && s.tracer != nil {
+			s.tracer.Emit(&obs.Event{
+				T:      s.eng.Clock() + c.M.Steps(),
 				Kind:   obs.KindHLEdge,
-				From:   c.prevHLPC,
+				From:   from.pc,
 				HLPC:   pc,
 				Opcode: opcode,
 			})
 		}
 	}
-	c.s.cfg.SetOpcode(pc, opcode)
-	c.prevHLPC = pc
+	s.cfg.setOpcode(n.cfg, opcode)
 	c.started = true
-	c.hlSig = c.hlSig*0x100000001b3 ^ pc
-	c.hlLen++
-	if c.s.mLogPC != nil {
-		c.s.mLogPC.Inc()
+	if s.mLogPC != nil {
+		s.mLogPC.Inc()
 	}
 }
 
@@ -509,74 +548,95 @@ func (c *Ctx) Result() string { return c.result }
 // CFG is the dynamically discovered high-level control-flow graph plus the
 // derived data the coverage-optimized CUPA strategy needs: inferred
 // branching opcodes and distances to potential branching points.
+//
+// Every HLPC gets a dense index on first sight; the graph itself lives in a
+// slice indexed by it, so the execution tree, which carries the index of
+// each node's pc, updates the CFG without hashing.
 type CFG struct {
-	succs    map[HLPC]map[HLPC]bool
-	preds    map[HLPC]map[HLPC]bool
-	opcodeOf map[HLPC]uint32
+	idx   map[HLPC]uint32
+	nodes []cfgNode
+	// nOps counts the locations with an opcode, nEdges the transitions.
+	nOps, nEdges int
 
 	dirty bool
-	dist  map[HLPC]int
+	dist  []int32 // by dense index; -1 when no potential branch point is reachable
+}
+
+type cfgNode struct {
+	pc           HLPC
+	opcode       uint32
+	hasOp        bool
+	succs, preds []uint32
 }
 
 // NewCFG returns an empty CFG.
 func NewCFG() *CFG {
-	return &CFG{
-		succs:    map[HLPC]map[HLPC]bool{},
-		preds:    map[HLPC]map[HLPC]bool{},
-		opcodeOf: map[HLPC]uint32{},
+	return &CFG{idx: map[HLPC]uint32{}}
+}
+
+// index returns pc's dense index, assigning the next one on first sight.
+func (g *CFG) index(pc HLPC) uint32 {
+	if i, ok := g.idx[pc]; ok {
+		return i
 	}
+	if uint64(len(g.nodes)) > math.MaxUint32 {
+		panic("chef: high-level CFG exceeds 2^32 locations")
+	}
+	i := uint32(len(g.nodes))
+	g.idx[pc] = i
+	g.nodes = append(g.nodes, cfgNode{pc: pc})
+	g.dirty = true // dist must cover every index
+	return i
 }
 
 // AddEdge records an observed transition between high-level locations and
 // reports whether the edge was new (first observation).
 func (g *CFG) AddEdge(from, to HLPC) bool {
-	m := g.succs[from]
-	if m == nil {
-		m = map[HLPC]bool{}
-		g.succs[from] = m
+	return g.addEdge(g.index(from), g.index(to))
+}
+
+func (g *CFG) addEdge(from, to uint32) bool {
+	f := &g.nodes[from]
+	if slices.Contains(f.succs, to) {
+		return false
 	}
-	if !m[to] {
-		m[to] = true
-		p := g.preds[to]
-		if p == nil {
-			p = map[HLPC]bool{}
-			g.preds[to] = p
-		}
-		p[from] = true
-		g.dirty = true
-		return true
-	}
-	return false
+	f.succs = append(f.succs, to)
+	t := &g.nodes[to]
+	t.preds = append(t.preds, from)
+	g.nEdges++
+	g.dirty = true
+	return true
 }
 
 // SetOpcode records the opcode of a high-level location.
-func (g *CFG) SetOpcode(pc HLPC, opcode uint32) {
-	if old, ok := g.opcodeOf[pc]; !ok || old != opcode {
-		g.opcodeOf[pc] = opcode
-		g.dirty = true
+func (g *CFG) SetOpcode(pc HLPC, opcode uint32) { g.setOpcode(g.index(pc), opcode) }
+
+func (g *CFG) setOpcode(i uint32, opcode uint32) {
+	n := &g.nodes[i]
+	if !n.hasOp {
+		n.hasOp = true
+		g.nOps++
+	} else if n.opcode == opcode {
+		return
 	}
+	n.opcode = opcode
+	g.dirty = true
 }
 
 // Nodes returns the number of distinct high-level locations seen.
-func (g *CFG) Nodes() int { return len(g.opcodeOf) }
+func (g *CFG) Nodes() int { return g.nOps }
 
 // Edges returns the number of distinct transitions seen.
-func (g *CFG) Edges() int {
-	n := 0
-	for _, m := range g.succs {
-		n += len(m)
-	}
-	return n
-}
+func (g *CFG) Edges() int { return g.nEdges }
 
 // BranchingOpcodes infers the opcodes that may branch, per §3.4: opcodes of
 // instructions observed with out-degree >= 2, minus the 10% least frequent
 // of them (which correspond to exceptions and other rare control transfers).
 func (g *CFG) BranchingOpcodes() map[uint32]bool {
 	freq := map[uint32]int{}
-	for pc, m := range g.succs {
-		if len(m) >= 2 {
-			freq[g.opcodeOf[pc]]++
+	for i := range g.nodes {
+		if n := &g.nodes[i]; len(n.succs) >= 2 {
+			freq[n.opcode]++
 		}
 	}
 	if len(freq) == 0 {
@@ -608,14 +668,24 @@ func (g *CFG) BranchingOpcodes() map[uint32]bool {
 // but only one observed successor — the frontier where new high-level
 // branches may be discovered.
 func (g *CFG) PotentialBranchPoints() []HLPC {
-	branching := g.BranchingOpcodes()
 	var out []HLPC
-	for pc, op := range g.opcodeOf {
-		if branching[op] && len(g.succs[pc]) == 1 {
-			out = append(out, pc)
-		}
+	for _, i := range g.frontier() {
+		out = append(out, g.nodes[i].pc)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// frontier returns the dense indices of the potential branch points, in
+// index order.
+func (g *CFG) frontier() []uint32 {
+	branching := g.BranchingOpcodes()
+	var out []uint32
+	for i := range g.nodes {
+		if n := &g.nodes[i]; n.hasOp && branching[n.opcode] && len(n.succs) == 1 {
+			out = append(out, uint32(i))
+		}
+	}
 	return out
 }
 
@@ -629,30 +699,30 @@ func (g *CFG) Distance(pc HLPC) int {
 	if g.dirty || g.dist == nil {
 		g.recompute()
 	}
-	if d, ok := g.dist[pc]; ok {
-		return d
+	if i, ok := g.idx[pc]; ok && g.dist[i] >= 0 {
+		return int(g.dist[i])
 	}
 	return unknownDistance
 }
 
 func (g *CFG) recompute() {
 	g.dirty = false
-	g.dist = map[HLPC]int{}
-	frontier := g.PotentialBranchPoints()
-	queue := make([]HLPC, 0, len(frontier))
-	for _, pc := range frontier {
-		g.dist[pc] = 0
-		queue = append(queue, pc)
+	g.dist = make([]int32, len(g.nodes))
+	for i := range g.dist {
+		g.dist[i] = -1
+	}
+	queue := g.frontier()
+	for _, i := range queue {
+		g.dist[i] = 0
 	}
 	// Reverse BFS: distance from a node to the nearest frontier node along
-	// forward edges.
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		d := g.dist[cur]
-		for pred := range g.preds[cur] {
-			if _, ok := g.dist[pred]; !ok {
-				g.dist[pred] = d + 1
+	// forward edges. BFS distances do not depend on the visiting order.
+	for q := 0; q < len(queue); q++ {
+		cur := queue[q]
+		d := g.dist[cur] + 1
+		for _, pred := range g.nodes[cur].preds {
+			if g.dist[pred] < 0 {
+				g.dist[pred] = d
 				queue = append(queue, pred)
 			}
 		}
@@ -749,14 +819,15 @@ func (s *Session) FaultsInjected() int64 { return s.faults.Injected() }
 // input on a non-forking machine and returns the high-level path signature
 // the run produces. It lets external tools map concrete inputs (for example,
 // test cases from another engine) onto this session's high-level paths —
-// the §6.6 reference-implementation workflow.
+// the §6.6 reference-implementation workflow. The replay is observation-only:
+// the session's execution tree and CFG stay as they were.
 func (s *Session) ReplaySig(input symexpr.Assignment) uint64 {
 	limit := s.opts.StepLimit
 	if limit <= 0 {
 		limit = 1 << 20
 	}
 	m := lowlevel.NewConcreteMachine(input.Clone(), limit)
-	ctx := &Ctx{M: m, s: s}
+	ctx := &Ctx{M: m, s: s, hashOnly: true}
 	m.RunConcrete(func(*lowlevel.Machine) { s.prog(ctx) })
 	return ctx.hlSig
 }

@@ -1,6 +1,7 @@
 package chef
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,6 +94,24 @@ func TestTestInputsSatisfyTheirOutcome(t *testing.T) {
 	}
 }
 
+// outDegree returns the number of distinct successors observed after pc.
+func (g *CFG) outDegree(pc HLPC) int {
+	if i, ok := g.idx[pc]; ok {
+		return len(g.nodes[i].succs)
+	}
+	return 0
+}
+
+// hasEdge reports whether the transition from -> to has been observed.
+func (g *CFG) hasEdge(from, to HLPC) bool {
+	i, ok := g.idx[from]
+	j, ok2 := g.idx[to]
+	if !ok || !ok2 {
+		return false
+	}
+	return slices.Contains(g.nodes[i].succs, j)
+}
+
 func TestCFGDiscovery(t *testing.T) {
 	s := NewSession(validateEmailProg(6), Options{Strategy: StrategyRandom, Seed: 3})
 	s.Run(1 << 22)
@@ -101,8 +120,8 @@ func TestCFGDiscovery(t *testing.T) {
 		t.Fatalf("cfg nodes = %d, want >= 3", g.Nodes())
 	}
 	// HLPC 200 must have been observed with two successors (300 and 400).
-	if len(g.succs[200]) != 2 {
-		t.Fatalf("succs(200) = %v, want 2 targets", g.succs[200])
+	if d := g.outDegree(200); d != 2 {
+		t.Fatalf("out-degree(200) = %d, want 2 targets", d)
 	}
 	ops := g.BranchingOpcodes()
 	if !ops[2] { // opBranch
@@ -335,10 +354,54 @@ func TestStartSymbolicScopesTracing(t *testing.T) {
 	s := NewSession(prog, Options{Strategy: StrategyRandom, Seed: 41})
 	s.Run(100_000)
 	// The 1->2 edge must not exist: StartSymbolic broke the chain.
-	if s.CFG().succs[1][2] {
+	if s.CFG().hasEdge(1, 2) {
 		t.Error("StartSymbolic failed to anchor the trace")
 	}
-	if !s.CFG().succs[2][3] {
+	if !s.CFG().hasEdge(2, 3) {
 		t.Error("edges after StartSymbolic missing")
+	}
+}
+
+// TestReplaySigIsObservationOnly replays an input down a branch the session
+// has not explored: the replay must return that path's signature without
+// growing the session's execution tree or CFG.
+func TestReplaySigIsObservationOnly(t *testing.T) {
+	prog := func(ctx *Ctx) {
+		in := ctx.GetString("in", 1, "")
+		ctx.LogPC(1, 1)
+		if ctx.M.Branch(10, lowlevel.EqV(in[0], lowlevel.ConcreteVal('x', symexpr.W8))) {
+			ctx.LogPC(2, 2)
+		} else {
+			ctx.LogPC(3, 2)
+		}
+		ctx.LogPC(4, 3)
+		ctx.SetResult("ok")
+	}
+	s := NewSession(prog, Options{Strategy: StrategyDFS, Seed: 1})
+	if got := len(s.Run(0)); got != 1 { // the initial run only
+		t.Fatalf("initial run produced %d tests, want 1", got)
+	}
+	g := s.CFG()
+	nodes, edges, tree := g.Nodes(), g.Edges(), len(s.tree)
+	x := symexpr.Assignment{{Buf: "in", Idx: 0, W: symexpr.W8}: 'x'}
+	sig := s.ReplaySig(x)
+	if g.Nodes() != nodes || g.Edges() != edges || len(s.tree) != tree {
+		t.Fatalf("replay changed the session: cfg %d/%d nodes/edges, tree %d; want %d/%d, %d",
+			g.Nodes(), g.Edges(), len(s.tree), nodes, edges, tree)
+	}
+
+	full := NewSession(prog, Options{Strategy: StrategyDFS, Seed: 1})
+	var want uint64
+	found := false
+	for _, tc := range full.Run(1 << 22) {
+		if tc.Input[symexpr.Var{Buf: "in", Idx: 0, W: symexpr.W8}] == 'x' {
+			want, found = tc.HLSig, true
+		}
+	}
+	if !found {
+		t.Fatal("exploration never took the 'x' branch")
+	}
+	if sig != want {
+		t.Fatalf("replay signature %016x, want the explored path's %016x", sig, want)
 	}
 }

@@ -17,26 +17,28 @@ func (g *CFG) DOT(name string) string {
 	for _, pc := range g.PotentialBranchPoints() {
 		frontier[pc] = true
 	}
-	pcs := make([]HLPC, 0, len(g.opcodeOf))
-	for pc := range g.opcodeOf {
-		pcs = append(pcs, pc)
+	var locs []*cfgNode
+	for i := range g.nodes {
+		if g.nodes[i].hasOp {
+			locs = append(locs, &g.nodes[i])
+		}
 	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	for _, pc := range pcs {
-		attrs := fmt.Sprintf("label=\"%d:%d\\nop=%d\"", pc>>16, pc&0xffff, g.opcodeOf[pc])
-		if frontier[pc] {
+	sort.Slice(locs, func(i, j int) bool { return locs[i].pc < locs[j].pc })
+	for _, n := range locs {
+		attrs := fmt.Sprintf("label=\"%d:%d\\nop=%d\"", n.pc>>16, n.pc&0xffff, n.opcode)
+		if frontier[n.pc] {
 			attrs += ", peripheries=2, color=red"
 		}
-		fmt.Fprintf(&sb, "  n%d [%s];\n", pc, attrs)
+		fmt.Fprintf(&sb, "  n%d [%s];\n", n.pc, attrs)
 	}
-	for _, from := range pcs {
-		tos := make([]HLPC, 0, len(g.succs[from]))
-		for to := range g.succs[from] {
-			tos = append(tos, to)
+	for _, n := range locs {
+		tos := make([]HLPC, 0, len(n.succs))
+		for _, to := range n.succs {
+			tos = append(tos, g.nodes[to].pc)
 		}
 		sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
 		for _, to := range tos {
-			fmt.Fprintf(&sb, "  n%d -> n%d;\n", from, to)
+			fmt.Fprintf(&sb, "  n%d -> n%d;\n", n.pc, to)
 		}
 	}
 	sb.WriteString("}\n")

@@ -34,6 +34,7 @@ func RunModule(prog *Program, m *lowlevel.Machine, host Host, cfg Config) (*VM, 
 type CoverageHost struct {
 	Prog  *Program
 	Lines map[int]bool
+	seen  []bool // Lines by line number, so each line is inserted once
 }
 
 // NewCoverageHost builds a coverage recorder for prog.
@@ -43,9 +44,15 @@ func NewCoverageHost(prog *Program) *CoverageHost {
 
 // LogPC implements Host.
 func (h *CoverageHost) LogPC(hlpc uint64, opcode uint32) {
-	if line := h.Prog.LineOf(hlpc); line > 0 {
-		h.Lines[line] = true
+	line := h.Prog.LineOf(hlpc)
+	if line <= 0 || line < len(h.seen) && h.seen[line] {
+		return
 	}
+	if line >= len(h.seen) {
+		h.seen = append(h.seen, make([]bool, line+1-len(h.seen))...)
+	}
+	h.seen[line] = true
+	h.Lines[line] = true
 }
 
 // SymbolicString builds a MiniLua string over a named symbolic buffer.

@@ -227,9 +227,10 @@ type Engine struct {
 	visited    map[uint64]bool // explored or queued decision signatures
 	seenValues map[concretizeKey]map[uint64]bool
 
-	clock int64 // virtual time: steps + solver propagation cost
-	stats Stats
-	pcBuf []*symexpr.Expr // path condition of the query being checked
+	clock   int64 // virtual time: steps + solver propagation cost
+	stats   Stats
+	pcBuf   []*symexpr.Expr // path condition of the query being checked
+	pcNodes []*pcNode       // pcNodes[i] is the node that wrote pcBuf[i]
 
 	// Observability (all nil when disabled; observation-only).
 	tracer     obs.Tracer
@@ -557,6 +558,31 @@ func (e *Engine) SelectAndRun() (*RunInfo, bool) {
 	return e.runState(st), true
 }
 
+// fillPC loads n's path condition, root first, into pcBuf and returns it.
+// pcNodes are persistent, so a node already in place at its depth brings
+// its ancestors with it: the walk up from n stops there, and a query costs
+// the constraints below its common prefix with the previous one. Entries
+// past the loaded depth are cleared, or a stale deeper node could match a
+// later walk after its ancestors were overwritten.
+func (e *Engine) fillPC(n *pcNode) []*symexpr.Expr {
+	d := depthOf(n)
+	if d < len(e.pcNodes) {
+		clear(e.pcNodes[d:])
+	}
+	if d > cap(e.pcNodes) {
+		e.pcNodes = append(e.pcNodes, make([]*pcNode, d-len(e.pcNodes))...)
+	}
+	if d > cap(e.pcBuf) {
+		e.pcBuf = append(e.pcBuf, make([]*symexpr.Expr, d-len(e.pcBuf))...)
+	}
+	e.pcNodes, e.pcBuf = e.pcNodes[:d], e.pcBuf[:d]
+	for p := n; p != nil && e.pcNodes[p.depth-1] != p; p = p.parent {
+		e.pcNodes[p.depth-1] = p
+		e.pcBuf[p.depth-1] = p.c
+	}
+	return e.pcBuf
+}
+
 // runState is wrapped in an engine.run span: its virtual duration is the
 // clock delta across the feasibility check plus the concrete run, so the
 // span's self time is exactly the interpreter-step cost (the nested
@@ -575,8 +601,7 @@ func (e *Engine) runStateInner(st *State) *RunInfo {
 	// state's trail signature: the incremental backend keys its
 	// prefix-sharing trail reuse off exactly this shape.
 	// The solver copies whatever it keeps, so one buffer serves every query.
-	e.pcBuf = st.pc.fill(e.pcBuf)
-	res, model := e.solver.CheckQuery(solver.Query{PC: e.pcBuf, Base: st.base, PathSig: st.Sig})
+	res, model := e.solver.CheckQuery(solver.Query{PC: e.fillPC(st.pc), Base: st.base, PathSig: st.Sig})
 	e.chargeSolver(before)
 	switch res {
 	case solver.Unsat:

@@ -459,3 +459,60 @@ func TestVirtualClockMonotonicAndCharged(t *testing.T) {
 		t.Fatal("solver work expected")
 	}
 }
+
+// TestFillPCMatchesSlice loads random nodes of a random pcNode forest
+// through one engine's buffer and checks every result against
+// pcNode.slice: sibling forks, jumps between subtrees, and a shrink to a
+// shallow node of another subtree followed by a regrow to a deep node whose
+// ancestors the shrink overwrote.
+func TestFillPCMatchesSlice(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var nodes []*pcNode
+	grow := func(parent *pcNode, n int) *pcNode {
+		for ; n > 0; n-- {
+			c := symexpr.NewVar(symexpr.Var{Buf: "pc", Idx: len(nodes), W: symexpr.W1})
+			parent = &pcNode{parent: parent, c: c, depth: depthOf(parent) + 1}
+			nodes = append(nodes, parent)
+		}
+		return parent
+	}
+	for len(nodes) < 400 {
+		var from *pcNode
+		if len(nodes) > 0 && r.Intn(8) > 0 {
+			from = nodes[r.Intn(len(nodes))]
+		}
+		grow(from, 1+r.Intn(30))
+	}
+	var e Engine
+	check := func(n *pcNode) {
+		t.Helper()
+		got, want := e.fillPC(n), n.slice()
+		if len(got) != len(want) {
+			t.Fatalf("depth %d: got %d constraints, want %d", depthOf(n), len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("depth %d: constraint %d is %v, want %v", depthOf(n), i, got[i], want[i])
+			}
+		}
+	}
+
+	deep := grow(nil, 40)
+	mid := deep
+	for mid.depth > 25 {
+		mid = mid.parent
+	}
+	check(deep)
+	check(grow(nil, 3)) // shrink: overwrites deep's first three ancestors
+	check(mid)          // regrow within capacity through the stale region
+	check(deep)
+	check(nil)
+	check(deep)
+	for i := 0; i < 3000; i++ {
+		n := nodes[r.Intn(len(nodes))]
+		if r.Intn(4) == 0 && n.parent != nil {
+			n = grow(n.parent, 1) // a sibling fork of n
+		}
+		check(n)
+	}
+}

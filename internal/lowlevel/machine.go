@@ -30,18 +30,13 @@ type pcNode struct {
 	depth  int
 }
 
-func (n *pcNode) slice() []*symexpr.Expr { return n.fill(nil) }
-
-// fill writes the path condition, root first, into dst's storage
-// (growing it as needed) and returns it.
-func (n *pcNode) fill(dst []*symexpr.Expr) []*symexpr.Expr {
+// slice returns the path condition, root first, in a fresh slice (nil when
+// empty).
+func (n *pcNode) slice() []*symexpr.Expr {
 	if n == nil {
-		return dst[:0]
+		return nil
 	}
-	if cap(dst) < n.depth {
-		dst = make([]*symexpr.Expr, n.depth)
-	}
-	dst = dst[:n.depth]
+	dst := make([]*symexpr.Expr, n.depth)
 	for p := n; p != nil; p = p.parent {
 		dst[p.depth-1] = p.c
 	}

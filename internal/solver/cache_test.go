@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"chef/internal/symexpr"
@@ -146,5 +147,40 @@ func TestSolverCacheAccounting(t *testing.T) {
 	}
 	if st.CacheHits == 0 {
 		t.Fatal("repeated identical queries produced no hits")
+	}
+}
+
+// TestExactHitDoesNotMutateCachedModel: a Sat exact hit returns a fresh map
+// (the slicer's kept values with the cached model over them), so a caller
+// writing to it cannot corrupt the cached model that later hits return.
+func TestExactHitDoesNotMutateCachedModel(t *testing.T) {
+	x := symexpr.NewVar(symexpr.Var{Buf: "hit", Idx: 0, W: symexpr.W8})
+	y := symexpr.NewVar(symexpr.Var{Buf: "hit", Idx: 1, W: symexpr.W8})
+	q := Query{
+		PC: []*symexpr.Expr{
+			symexpr.Eq(y, symexpr.Const(5, symexpr.W8)),   // kept at its base value
+			symexpr.Ult(x, symexpr.Const(10, symexpr.W8)), // false under the base: solved
+		},
+		Base: symexpr.Assignment{x.VarRef(): 50, y.VarRef(): 5},
+	}
+	s := New(Options{})
+	res, first := s.CheckQuery(q)
+	if res != Sat || len(first) != 2 || first[y.VarRef()] != 5 || first[x.VarRef()] >= 10 {
+		t.Fatalf("first query: %v %v, want Sat with y=5 and x<10", res, first)
+	}
+	want := first.Clone()
+	res, hit := s.CheckQuery(q)
+	if res != Sat || !reflect.DeepEqual(hit, want) {
+		t.Fatalf("exact hit: %v %v, want Sat %v", res, hit, want)
+	}
+	hit[x.VarRef()] = 200
+	hit[y.VarRef()] = 99
+	hit[symexpr.Var{Buf: "hit", Idx: 2, W: symexpr.W8}] = 1
+	res, again := s.CheckQuery(q)
+	if res != Sat || !reflect.DeepEqual(again, want) {
+		t.Fatalf("after writing to a hit's model: %v %v, want Sat %v", res, again, want)
+	}
+	if st := s.Stats(); st.CacheHitsExact != 2 || st.CacheMisses != 1 {
+		t.Fatalf("stats %+v, want 2 exact hits and 1 miss", st)
 	}
 }

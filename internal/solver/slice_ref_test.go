@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -99,17 +100,38 @@ func refSlice(pc []*symexpr.Expr, base symexpr.Assignment) ([]*symexpr.Expr, sym
 	return unsatisfied, kept
 }
 
-// checkSlice runs one query through sl and through the reference and fails
-// on any difference in (unsatisfied, kept), or between the slicer's canon
-// and canonicalize of the reference's unsatisfied constraints.
-func checkSlice(t testing.TB, sl *slicer, pc []*symexpr.Expr, base symexpr.Assignment) {
+// checkSlice runs one query through sl and through the constant filter and
+// the reference, and fails on any difference in the false-constant status,
+// the path-order list, or kept, or between the slicer's canon and
+// canonicalize of the reference's unsatisfied constraints.
+// With pathOrder unset the slicer must build no path-order list.
+func checkSlice(t testing.TB, sl *slicer, pc []*symexpr.Expr, base symexpr.Assignment, pathOrder bool) {
 	t.Helper()
-	wantU, wantK := refSlice(pc, base)
-	gotU, gotC, gotK := sl.slice(pc, base)
-	if !sameCanon(gotU, wantU) {
+	var work []*symexpr.Expr
+	wantFalse := false
+	for _, c := range pc {
+		switch {
+		case !c.IsConst():
+			work = append(work, c)
+		case c.ConstVal() == 0:
+			wantFalse = true
+		}
+	}
+	gotFalse, gotC, gotU := sl.slice(pc, base, pathOrder)
+	if gotFalse != wantFalse {
+		t.Fatalf("false-constant status %v, want %v on pc %v", gotFalse, wantFalse, pc)
+	}
+	if gotFalse {
+		return
+	}
+	wantU, wantK := refSlice(work, base)
+	if !pathOrder && gotU != nil {
+		t.Fatalf("path-order list built without being asked for: %v", gotU)
+	}
+	if pathOrder && !sameCanon(gotU, wantU) {
 		t.Fatalf("unsatisfied differs on pc %v base %v:\n got %v\nwant %v", pc, base, gotU, wantU)
 	}
-	if !reflect.DeepEqual(gotK, wantK) {
+	if gotK := sl.keep(nil); !reflect.DeepEqual(gotK, wantK) {
 		t.Fatalf("kept differs on pc %v base %v:\n got %v\nwant %v", pc, base, gotK, wantK)
 	}
 	if wantC := canonicalize(append([]*symexpr.Expr(nil), wantU...)); !sameCanon(gotC, wantC) {
@@ -203,14 +225,96 @@ func TestSliceMatchesReference(t *testing.T) {
 		case 2:
 			base = symexpr.Assignment{}
 		}
-		checkSlice(t, &sl, pc, base)
+		checkSlice(t, &sl, pc, base, true)
 	}
 }
 
-// sliceQuery is one recorded (pc, base) pair.
+// varFree returns the node a <u b over two 8-bit constants. The
+// constructors fold such a node to a constant, but the expression decoder
+// (which the persistent store uses) builds it as is: a constraint with no
+// variables that is not a literal constant.
+func varFree(a, b uint64) *symexpr.Expr {
+	x := symexpr.NewVar(symexpr.Var{Buf: "free", W: symexpr.W8})
+	enc := symexpr.AppendExpr(nil, symexpr.Ult(x, symexpr.Const(1, symexpr.W8)))[:4] // node tag, op, width, arity
+	enc = symexpr.AppendExpr(enc, symexpr.Const(a, symexpr.W8))
+	enc = symexpr.AppendExpr(enc, symexpr.Const(b, symexpr.W8))
+	e, _, err := symexpr.DecodeExpr(enc)
+	if err != nil || e.IsConst() || len(e.VarLeaves()) > 0 {
+		panic(fmt.Sprintf("varFree(%d, %d) = %v, %v", a, b, e, err))
+	}
+	return e
+}
+
+// FuzzSlicer decodes bytes into a stream of queries on one slicer — pushes
+// of fresh, duplicate, true-constant, false-constant and variable-free
+// constraints, pops to a shorter path before regrowing, and bases that
+// change or drop one variable — and checks every answer against the
+// constant filter and the reference, with and without the path-order list.
+func FuzzSlicer(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add([]byte{8, 40, 16, 200, 3, 12, 90, 14, 1, 0, 33, 2, 250, 21, 7, 5, 2})
+	f.Add([]byte("slicer: push pop rebase push push dup pop"))
+	var vars []*symexpr.Expr
+	for i := 0; i < 4; i++ {
+		vars = append(vars, symexpr.NewVar(symexpr.Var{Buf: "f", Idx: i, W: symexpr.W8}))
+	}
+	wide := symexpr.NewVar(symexpr.Var{Buf: "g", W: symexpr.W16})
+	all := append(vars[:len(vars):len(vars)], wide)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := &byteDriver{data: data}
+		k8 := func() *symexpr.Expr { return symexpr.Const(uint64(d.next()), symexpr.W8) }
+		v := func() *symexpr.Expr { return vars[int(d.next())%len(vars)] }
+		base := symexpr.Assignment{}
+		for i, x := range vars {
+			base[x.VarRef()] = uint64(i * 37)
+		}
+		var sl slicer
+		var path []*symexpr.Expr
+		for q := 0; q < 64 && d.pos < len(data); q++ {
+			op := d.next()
+			switch op % 8 {
+			case 0:
+				path = append(path, symexpr.Eq(v(), k8()))
+			case 1:
+				path = append(path, symexpr.Ult(v(), k8()))
+			case 2:
+				path = append(path, symexpr.Ult(symexpr.Add(v(), v()), k8()))
+			case 3:
+				path = append(path, symexpr.Ule(symexpr.ZExt(v(), symexpr.W16), wide))
+			case 4:
+				if b := d.next(); b%3 == 0 {
+					path = append(path, varFree(uint64(d.next()), uint64(d.next())))
+				} else {
+					path = append(path, symexpr.Bool(b%3 == 1))
+				}
+			case 5:
+				if len(path) > 0 {
+					path = append(path, path[int(d.next())%len(path)])
+				}
+			case 6:
+				path = path[:int(d.next())%(len(path)+1)]
+			case 7:
+				base = base.Clone()
+				x := all[int(d.next())%len(all)].VarRef()
+				if b := d.next(); b%5 == 0 {
+					delete(base, x)
+				} else {
+					base[x] = uint64(b) << (b % 3)
+				}
+			}
+			if op&8 != 0 && len(path) > 0 {
+				path[len(path)-1] = symexpr.Not(path[len(path)-1])
+			}
+			checkSlice(t, &sl, path, base, op&16 != 0)
+		}
+	})
+}
+
+// sliceQuery is one recorded (pc, base) pair with the solver's answer.
 type sliceQuery struct {
 	pc   []*symexpr.Expr
 	base symexpr.Assignment
+	res  Result
 }
 
 // recordDeepPath records the first n queries of the JSON-DFS-shaped stream
@@ -218,8 +322,8 @@ type sliceQuery struct {
 // constraints over six bytes, as on the engine's deep DFS workload.
 func recordDeepPath(n int) []sliceQuery {
 	var qs []sliceQuery
-	deepPathDFS(New(Options{}), 24, n, func(q Query, _ Result, _ symexpr.Assignment) {
-		qs = append(qs, sliceQuery{append([]*symexpr.Expr(nil), q.PC...), q.Base})
+	deepPathDFS(New(Options{}), 24, n, func(q Query, res Result, _ symexpr.Assignment) {
+		qs = append(qs, sliceQuery{append([]*symexpr.Expr(nil), q.PC...), q.Base, res})
 	})
 	return qs
 }
@@ -234,27 +338,36 @@ func TestSliceDeepPathMatchesReference(t *testing.T) {
 	}
 	var sl slicer
 	for _, q := range qs {
-		checkSlice(t, &sl, q.pc, q.base)
+		checkSlice(t, &sl, q.pc, q.base, true)
 	}
 	r := rand.New(rand.NewSource(3))
 	r.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
 	for _, q := range qs[:200] {
-		checkSlice(t, &sl, q.pc, q.base)
+		checkSlice(t, &sl, q.pc, q.base, true)
 	}
 }
 
 // BenchmarkSliceDeepPath times the slicing front end alone over the
-// recorded deep stream, one slicer per pass as one solver sees it; it is
-// the micro regression check for the front end's per-query cost.
+// recorded deep stream, one slicer per pass as one solver sees it, doing
+// what check does: kept values only for queries that came back Sat, and the
+// path-order list only for the incremental backend. It is the micro
+// regression check for the front end's per-query cost.
 func BenchmarkSliceDeepPath(b *testing.B) {
 	qs := recordDeepPath(2000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sl slicer
-		for _, q := range qs {
-			sl.slice(q.pc, q.base)
-		}
+	for _, mode := range []SolverMode{ModeOneshot, ModeIncremental} {
+		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var sl slicer
+				for _, q := range qs {
+					sl.slice(q.pc, q.base, mode == ModeIncremental)
+					if q.res == Sat {
+						sl.keep(nil)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(qs)), "ns/query")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(qs)), "ns/query")
 }

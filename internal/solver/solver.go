@@ -409,25 +409,6 @@ func (s *Solver) CheckQuery(q Query) (Result, symexpr.Assignment) {
 func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 	s.stats.Queries++
 	incremental := s.opts.SolverMode == ModeIncremental
-	// Constant-filter: drop constraints that are literally true; a literally
-	// false constraint decides the query immediately. work is scratch: the
-	// slicer copies what it keeps, and every other consumer copies too.
-	work := s.work[:0]
-	for _, c := range q.PC {
-		if c.IsConst() {
-			if c.ConstVal() == 0 {
-				s.stats.UnsatQueries++
-				return Unsat, nil
-			}
-			continue
-		}
-		work = append(work, c)
-	}
-	s.work = work
-	if len(work) == 0 {
-		s.stats.SatQueries++
-		return Sat, symexpr.Assignment{}
-	}
 
 	// Canonicalize: sort by the process-independent structural order and
 	// dedup. The oneshot backend sees the canonical sequence, so its result
@@ -437,22 +418,46 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 	// on it) and uses the canonical copy for the cache keys only; its models
 	// are a function of the solver's whole query stream, which per-cell
 	// solver ownership keeps deterministic.
-	toSolve := work
-	var canon []*symexpr.Expr
-	var kept symexpr.Assignment
-	if !s.opts.DisableSlicing && q.Base != nil {
+	var toSolve, canon []*symexpr.Expr
+	sliced := !s.opts.DisableSlicing && q.Base != nil
+	if sliced {
 		// Slicing composes with either backend: it is a pure function of
 		// (pc, base), so the backend sees a deterministic sub-conjunction
 		// stream. For the incremental backend the sliced queries still share
 		// prefixes — a branch flip at depth d keeps the touched group of
 		// nearby flips — and the constraints it drops stay warm in the
 		// context's gated circuitry for the next query that touches them.
-		toSolve, canon, kept = s.slicer.slice(work, q.Base)
-		if len(toSolve) == 0 {
+		// The slicer applies the constant filter itself.
+		var falseConst bool
+		falseConst, canon, toSolve = s.slicer.slice(q.PC, q.Base, incremental)
+		if falseConst {
+			s.stats.UnsatQueries++
+			return Unsat, nil
+		}
+		if len(canon) == 0 {
 			s.stats.SatQueries++
-			return Sat, kept
+			return Sat, s.slicer.keep(nil)
 		}
 	} else {
+		// Constant-filter: drop constraints that are literally true; a
+		// literally false constraint decides the query immediately.
+		work := s.work[:0]
+		for _, c := range q.PC {
+			if c.IsConst() {
+				if c.ConstVal() == 0 {
+					s.stats.UnsatQueries++
+					return Unsat, nil
+				}
+				continue
+			}
+			work = append(work, c)
+		}
+		s.work = work
+		if len(work) == 0 {
+			s.stats.SatQueries++
+			return Sat, symexpr.Assignment{}
+		}
+		toSolve = work
 		canon = canonicalize(append([]*symexpr.Expr(nil), work...))
 	}
 	backendInput := canon
@@ -470,8 +475,7 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 			s.stats.CacheHits++
 			s.stats.CacheHitsExact++
 			if r == Sat {
-				// Clone: merge must never mutate the cached model.
-				return Sat, merge(m.Clone(), kept)
+				return Sat, s.hitModel(m, sliced)
 			}
 			return r, nil
 		}
@@ -494,7 +498,7 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 			}
 			if r == Sat {
 				s.stats.SatQueries++
-				return Sat, merge(m.Clone(), kept)
+				return Sat, s.hitModel(m, sliced)
 			}
 			s.stats.UnsatQueries++
 			return Unsat, nil
@@ -538,7 +542,10 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 	switch res {
 	case Sat:
 		s.stats.SatQueries++
-		return Sat, merge(model, kept)
+		if sliced {
+			model = s.slicer.keep(model)
+		}
+		return Sat, model
 	case Unsat:
 		s.stats.UnsatQueries++
 		return Unsat, nil
@@ -546,6 +553,21 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 		s.stats.Unknowns++
 		return Unknown, nil
 	}
+}
+
+// hitModel is the assignment of a Sat cache or persistent hit: a fresh map
+// of the slicer's kept values with the cached model m copied over it (the
+// key sets are disjoint), or a clone of m for an unsliced query. m is owned
+// by its layer and is never mutated.
+func (s *Solver) hitModel(m symexpr.Assignment, sliced bool) symexpr.Assignment {
+	if !sliced {
+		return m.Clone()
+	}
+	out := s.slicer.keep(nil)
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
 }
 
 // canonicalize sorts the constraint slice by symexpr.Compare — a structural,

@@ -98,7 +98,7 @@ type Tracer interface {
 type JSONL struct {
 	mu        sync.Mutex
 	bw        *bufio.Writer
-	enc       *json.Encoder
+	scratch   []byte // reused encoding buffer, guarded by mu
 	closer    io.Closer
 	start     time.Time
 	stampWall bool
@@ -109,7 +109,7 @@ type JSONL struct {
 // tracer's creation (DisableWallClock turns this off for byte-stable traces).
 func NewJSONL(w io.Writer) *JSONL {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	t := &JSONL{bw: bw, enc: json.NewEncoder(bw), start: time.Now(), stampWall: true}
+	t := &JSONL{bw: bw, start: time.Now(), stampWall: true}
 	if c, ok := w.(io.Closer); ok {
 		t.closer = c
 	}
@@ -126,7 +126,8 @@ func (t *JSONL) Emit(ev *Event) {
 	if t.stampWall {
 		ev.WallNs = time.Since(t.start).Nanoseconds()
 	}
-	_ = t.enc.Encode(ev)
+	t.scratch = append(AppendJSON(t.scratch[:0], ev), '\n')
+	_, _ = t.bw.Write(t.scratch)
 	t.mu.Unlock()
 }
 

@@ -1,6 +1,7 @@
 package symtest
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -52,18 +53,18 @@ func DecodeInput(m map[string]uint64) (symexpr.Assignment, error) {
 
 // MarshalTests renders test cases as newline-delimited JSON.
 func MarshalTests(tests []SerializedTest) ([]byte, error) {
-	var sb strings.Builder
+	var buf bytes.Buffer
 	for _, tc := range tests {
-		// Sort keys for stable output: marshal a sorted copy via a map is
-		// already sorted by encoding/json.
+		// The output is stable without sorting Input here: encoding/json
+		// writes map keys in sorted order.
 		b, err := json.Marshal(tc)
 		if err != nil {
 			return nil, err
 		}
-		sb.Write(b)
-		sb.WriteByte('\n')
+		buf.Write(b)
+		buf.WriteByte('\n')
 	}
-	return []byte(sb.String()), nil
+	return buf.Bytes(), nil
 }
 
 // UnmarshalTests parses newline-delimited JSON test cases.
@@ -83,12 +84,33 @@ func UnmarshalTests(data []byte) ([]SerializedTest, error) {
 	return out, nil
 }
 
-// SortTests orders tests deterministically by result then input rendering.
+// SortTests orders tests deterministically by result then input rendering
+// (fmt.Sprint of Input). Each input is rendered once, before sorting.
 func SortTests(tests []SerializedTest) {
-	sort.Slice(tests, func(i, j int) bool {
-		if tests[i].Result != tests[j].Result {
-			return tests[i].Result < tests[j].Result
-		}
-		return fmt.Sprint(tests[i].Input) < fmt.Sprint(tests[j].Input)
-	})
+	keys := make([]string, len(tests))
+	for i := range tests {
+		keys[i] = fmt.Sprint(tests[i].Input)
+	}
+	sort.Sort(keyedTests{tests, keys})
+}
+
+// keyedTests sorts tests by Result, then by a precomputed input rendering
+// that Swap moves along with its test.
+type keyedTests struct {
+	tests []SerializedTest
+	keys  []string
+}
+
+func (k keyedTests) Len() int { return len(k.tests) }
+
+func (k keyedTests) Less(i, j int) bool {
+	if k.tests[i].Result != k.tests[j].Result {
+		return k.tests[i].Result < k.tests[j].Result
+	}
+	return k.keys[i] < k.keys[j]
+}
+
+func (k keyedTests) Swap(i, j int) {
+	k.tests[i], k.tests[j] = k.tests[j], k.tests[i]
+	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
 }

@@ -1,6 +1,10 @@
 package symtest
 
 import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"chef/internal/symexpr"
@@ -59,5 +63,60 @@ func TestMarshalUnmarshalTests(t *testing.T) {
 	}
 	if _, err := UnmarshalTests([]byte("{bad json")); err == nil {
 		t.Error("expected unmarshal error")
+	}
+}
+
+// sortTestsReference is the comparator SortTests replaced: it renders both
+// inputs with fmt.Sprint on every comparison.
+func sortTestsReference(tests []SerializedTest) {
+	sort.Slice(tests, func(i, j int) bool {
+		if tests[i].Result != tests[j].Result {
+			return tests[i].Result < tests[j].Result
+		}
+		return fmt.Sprint(tests[i].Input) < fmt.Sprint(tests[j].Input)
+	})
+}
+
+// TestSortTestsMatchesComparator: the keyed sort leaves random test sets in
+// exactly the reference order, including ties (equal result and input,
+// different status) that only the sort algorithm itself orders.
+func TestSortTestsMatchesComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	results := []string{"", "ok", "ValueError", "{\"a\": 1}"}
+	statuses := []string{"ok", "exception", "hang", "crash"}
+	inputs := []map[string]uint64{nil, {}, {"in[0]:8": 1}, {"in[0]:8": 2}, {"in[0]:8": 1, "in[1]:8": 0}}
+	for iter := 0; iter < 3000; iter++ {
+		n := rng.Intn(80)
+		var tests []SerializedTest
+		if n > 0 || rng.Intn(2) == 0 {
+			tests = make([]SerializedTest, 0, n)
+		}
+		for i := 0; i < n; i++ {
+			in := inputs[rng.Intn(len(inputs))]
+			if rng.Intn(4) == 0 {
+				in = map[string]uint64{}
+				for k := rng.Intn(4); k > 0; k-- {
+					in[fmt.Sprintf("in[%d]:8", rng.Intn(4))] = uint64(rng.Intn(3))
+				}
+			}
+			tests = append(tests, SerializedTest{
+				Package: "p",
+				Result:  results[rng.Intn(len(results))],
+				Status:  statuses[rng.Intn(len(statuses))],
+				Input:   in,
+			})
+		}
+		want := append([]SerializedTest(nil), tests...)
+		sortTestsReference(want)
+		SortTests(tests)
+		if len(tests) != len(want) {
+			t.Fatalf("set %d: length %d, want %d", iter, len(tests), len(want))
+		}
+		for i := range want {
+			g, w := tests[i], want[i]
+			if g.Package != w.Package || g.Result != w.Result || g.Status != w.Status || !maps.Equal(g.Input, w.Input) {
+				t.Fatalf("set %d: element %d is %+v, want %+v", iter, i, g, w)
+			}
+		}
 	}
 }

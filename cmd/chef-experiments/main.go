@@ -36,7 +36,6 @@ func main() {
 		frames   = flag.Int("frames", 4, "max symbolic frames for fig12")
 		parallel = flag.Int("parallel", 0, "worker goroutines for the session grid (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
 		shards   = flag.Int("shards", 0, "sharded exploration per session cell: split the path space across signature-subtree ranges driven by up to N epoch workers (0 = plain sessions; output is identical for every N >= 1)")
-		smode    = flag.String("solvermode", "oneshot", "decision procedure behind the cache layers: oneshot | incremental")
 		cfile    = flag.String("cachefile", "", "persistent counterexample cache: load solved queries from this file at startup, append new ones")
 		stats    = flag.Bool("stats", false, "print harness statistics (sessions, solver queries, cache hits/misses) after each experiment")
 		fspec    = flag.String("faults", "", "deterministic fault-injection plan, e.g. 'seed=7;solver.unknown:p=0.05;worker.stall:session=2' (see docs/ROBUSTNESS.md)")
@@ -53,12 +52,6 @@ func main() {
 		Shards:  *shards,
 		Metrics: obsFlags.Registry(), Tracer: obsFlags.Tracer(), Spans: obsFlags.SpansEnabled(),
 	}
-	solverMode, ok := solver.ParseSolverMode(*smode)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "chef-experiments: unknown -solvermode %q (want oneshot or incremental)\n", *smode)
-		os.Exit(1)
-	}
-	b.SolverMode = solverMode
 	plan, err := faults.Parse(*fspec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chef-experiments: -faults: %v\n", err)

@@ -44,7 +44,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		vanilla  = flag.Bool("vanilla", false, "use the unoptimized interpreter build")
 		out      = flag.String("out", "", "write generated tests as NDJSON to this file")
-		smode    = flag.String("solvermode", "oneshot", "decision procedure behind the cache layers: oneshot (a CNF per query, reset between queries) | incremental (assumption-scoped context with learned-clause retention)")
 		shards   = flag.Int("shards", 0, "sharded exploration: split the path space across signature-subtree ranges driven by up to N epoch workers (0 = plain session; results are identical for every N >= 1)")
 		cfile    = flag.String("cachefile", "", "persistent counterexample cache: load solved queries from this file at startup, append new ones")
 		fspec    = flag.String("faults", "", "deterministic fault-injection plan, e.g. 'seed=7;solver.unknown:p=0.05;persist.write:err@n=3' (see docs/ROBUSTNESS.md)")
@@ -65,14 +64,13 @@ func main() {
 		os.Exit(1)
 	}
 	spec := serve.JobSpec{
-		Package:    *pkgName,
-		Strategy:   *strategy,
-		Budget:     *budget,
-		StepLimit:  *stepCap,
-		Seed:       *seed,
-		Vanilla:    *vanilla,
-		SolverMode: *smode,
-		Shards:     *shards,
+		Package:   *pkgName,
+		Strategy:  *strategy,
+		Budget:    *budget,
+		StepLimit: *stepCap,
+		Seed:      *seed,
+		Vanilla:   *vanilla,
+		Shards:    *shards,
 	}
 	if err := spec.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "chef: %v\n", err)

@@ -49,9 +49,6 @@ type Budgets struct {
 	// single-session path, so 0 (the default) keeps existing goldens
 	// stable.
 	Shards int
-	// SolverMode selects the decision procedure behind the cache layers
-	// (oneshot or incremental); see solver.Options.SolverMode.
-	SolverMode solver.SolverMode
 	// Persist, when non-nil, is a disk-backed store of solved queries shared
 	// by every session. Its read side is fixed before the run starts, so warm
 	// runs remain byte-identical to cold ones; see solver.PersistentStore.
@@ -85,7 +82,7 @@ type Budgets struct {
 // a nil *solver.PersistentStore in it directly would produce a non-nil
 // interface value (the typed-nil trap).
 func solverOptions(b Budgets) solver.Options {
-	so := solver.Options{SolverMode: b.SolverMode}
+	var so solver.Options
 	if b.Persist != nil {
 		so.Persist = b.Persist
 	}

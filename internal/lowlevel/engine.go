@@ -598,9 +598,10 @@ func (e *Engine) runState(st *State) *RunInfo {
 func (e *Engine) runStateInner(st *State) *RunInfo {
 	before := e.solver.Stats().Propagations
 	// The path condition is passed in path order (root first) with the
-	// state's trail signature: the incremental backend keys its
-	// prefix-sharing trail reuse off exactly this shape.
-	// The solver copies whatever it keeps, so one buffer serves every query.
+	// state's trail signature: the solver's slicer keeps the last query and
+	// compares pointer prefixes, so consecutive queries that share a path
+	// prefix cost only what changed. The solver copies whatever it keeps,
+	// so one buffer serves every query.
 	res, model := e.solver.CheckQuery(solver.Query{PC: e.fillPC(st.pc), Base: st.base, PathSig: st.Sig})
 	e.chargeSolver(before)
 	switch res {

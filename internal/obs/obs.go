@@ -65,13 +65,6 @@ const (
 	MSolverCacheHitsExact   = "solver.cache.hits.exact"
 	MSolverCacheHitsPersist = "solver.cache.hits.persist"
 
-	// Incremental solving (-solvermode=incremental): the per-solver
-	// assumption-scoped context (see solver.Context).
-	MSolverIncContexts    = "solver.inc.contexts"     // counter: contexts built (first query + rebuilds)
-	MSolverIncAssumptions = "solver.inc.assumptions"  // counter: assumption literals allocated (distinct constraints blasted)
-	MSolverIncLearnedKept = "solver.inc.learned_kept" // counter: learned clauses carried into a query, summed over queries
-	MSolverIncRebuilds    = "solver.inc.rebuilds"     // counter: contexts discarded at the clause/variable caps
-
 	// Persistent counterexample cache (the -cachefile store).
 	MSolverPersistLoaded      = "solver.persist.loaded"       // gauge: entries loaded at startup
 	MSolverPersistAppended    = "solver.persist.appended"     // counter: entries appended this run

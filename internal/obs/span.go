@@ -17,14 +17,9 @@ const (
 	SpanEngineRun   = "engine.run"
 	SpanSolverCheck = "solver.check"
 	SpanSolverBlast = "solver.blast"
-	// SpanSolverInc replaces solver.blast on the miss path when the solver
-	// runs in incremental mode: one span per assumption-scoped context solve
-	// (delta blast + solveUnderAssumptions), virtual duration = the solve's
-	// propagation cost.
-	SpanSolverInc = "solver.inc"
-	// SpanSolverSearch is the CDCL search nested in solver.blast or
-	// solver.inc, so the parent's self time is CNF construction plus model
-	// decoding; virtual duration = the search's propagations.
+	// SpanSolverSearch is the CDCL search nested in solver.blast, so the
+	// parent's self time is CNF construction plus model decoding; virtual
+	// duration = the search's propagations.
 	SpanSolverSearch  = "solver.search"
 	SpanCacheLookup   = "solver.cache_lookup"
 	SpanPersistLookup = "solver.persist_lookup"

@@ -72,18 +72,16 @@ func Execute(ctx context.Context, spec JobSpec, eo ExecOptions) (JobResult, erro
 		return JobResult{}, err
 	}
 	strat, _ := ParseStrategy(spec.Strategy)
-	smode, _ := solver.ParseSolverMode(spec.SolverMode)
 	opts := chef.Options{
-		Strategy:      strat,
-		Seed:          spec.Seed,
-		StepLimit:     spec.StepLimit,
-		SolverOptions: solver.Options{SolverMode: smode},
-		Metrics:       eo.Metrics,
-		Tracer:        eo.Tracer,
-		Spans:         eo.Spans,
-		Name:          eo.Name,
-		Faults:        eo.Faults,
-		SessionIndex:  eo.SessionIndex,
+		Strategy:     strat,
+		Seed:         spec.Seed,
+		StepLimit:    spec.StepLimit,
+		Metrics:      eo.Metrics,
+		Tracer:       eo.Tracer,
+		Spans:        eo.Spans,
+		Name:         eo.Name,
+		Faults:       eo.Faults,
+		SessionIndex: eo.SessionIndex,
 	}
 	if eo.Persist != nil {
 		// Conditional on purpose: Persist is an interface, and assigning a

@@ -228,11 +228,10 @@ func TestSecondJobObservesPersistWarmHits(t *testing.T) {
 	}
 }
 
-// An incremental job's models depend on its solver's whole query stream, so
-// they must not enter a store that oneshot jobs read: a oneshot job run after
-// an incremental one on the same store is byte-identical to a cold oneshot
-// job.
-func TestIncrementalJobLeavesOneshotOutputUnchanged(t *testing.T) {
+// A served job that writes a fresh persistent store is byte-identical to a
+// direct run with no store: appending solved queries never changes what the
+// job itself reports.
+func TestServedJobOnFreshStoreMatchesCold(t *testing.T) {
 	spec := quickSpec(42)
 	cold, err := Execute(context.Background(), spec, ExecOptions{})
 	if err != nil {
@@ -249,23 +248,18 @@ func TestIncrementalJobLeavesOneshotOutputUnchanged(t *testing.T) {
 	}
 	s := newTestServer(t, Options{Workers: 1, Persist: store})
 	t.Cleanup(func() { _ = store.Close() })
-	inc := spec
-	inc.SolverMode = "incremental"
-	if st := s.poll(t, s.submit(t, "", inc)); st.State != StateSucceeded {
-		t.Fatalf("incremental job state = %s (error %q)", st.State, st.Error)
-	}
 	id := s.submit(t, "", spec)
 	st := s.poll(t, id)
 	if st.State != StateSucceeded {
-		t.Fatalf("oneshot job state = %s (error %q)", st.State, st.Error)
+		t.Fatalf("job state = %s (error %q)", st.State, st.Error)
 	}
-	_, warmTests := s.do(t, "GET", "/v1/jobs/"+id+"/tests", "", nil)
-	if !bytes.Equal(warmTests, coldTests) {
-		t.Fatalf("oneshot job after an incremental one diverged from cold: %d vs %d bytes",
-			len(warmTests), len(coldTests))
+	_, servedTests := s.do(t, "GET", "/v1/jobs/"+id+"/tests", "", nil)
+	if !bytes.Equal(servedTests, coldTests) {
+		t.Fatalf("served job on a fresh store diverged from cold: %d vs %d bytes",
+			len(servedTests), len(coldTests))
 	}
 	if *st.Summary != cold.Summary {
-		t.Fatalf("oneshot job summary diverged from cold:\ncold: %+v\nwarm: %+v", cold.Summary, *st.Summary)
+		t.Fatalf("served job summary diverged from cold:\ncold:   %+v\nserved: %+v", cold.Summary, *st.Summary)
 	}
 }
 
@@ -500,10 +494,15 @@ func TestInvalidSubmissions(t *testing.T) {
 		"both targets":    {spec: JobSpec{Package: "simplejson", Language: "python", Source: "x"}},
 		"bad input kind": {spec: JobSpec{Language: "python", Source: "def f(x):\n    return x\n", Entry: "f",
 			Inputs: []InputSpec{{Name: "x", Kind: "float"}}}},
-		// The BDD backend was removed; its spelling is now unknown.
+		// The BDD and incremental backends were removed; their spellings
+		// are now unknown.
 		"removed bdd solvermode": {
 			spec:    JobSpec{Package: "simplejson", SolverMode: "bdd"},
-			wantErr: `unknown solvermode "bdd" (want oneshot or incremental)`,
+			wantErr: `unknown solvermode "bdd" (want oneshot)`,
+		},
+		"removed incremental solvermode": {
+			spec:    JobSpec{Package: "simplejson", SolverMode: "incremental"},
+			wantErr: `unknown solvermode "incremental" (want oneshot)`,
 		},
 		// The subsuming cache layer was removed; exact is the only mode.
 		"removed subsume cachemode": {
@@ -520,9 +519,6 @@ func TestInvalidSubmissions(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d (%s), want 400", name, resp.StatusCode, data)
 		}
-	}
-	if _, ok := solver.ParseSolverMode("bdd"); ok {
-		t.Fatal(`ParseSolverMode("bdd") accepted the removed backend`)
 	}
 	req, _ := http.NewRequest("POST", s.ts.URL+"/v1/jobs", strings.NewReader("{not json"))
 	resp, err := http.DefaultClient.Do(req)

@@ -19,7 +19,6 @@ import (
 	"chef/internal/minilua"
 	"chef/internal/minipy"
 	"chef/internal/packages"
-	"chef/internal/solver"
 	"chef/internal/symtest"
 )
 
@@ -84,17 +83,19 @@ type JobSpec struct {
 	Inputs   []InputSpec `json:"inputs,omitempty"`
 
 	// Exploration knobs, defaulted by normalize to the CLI's flag defaults.
-	Strategy   string `json:"strategy,omitempty"`  // random | cupa-path | cupa-coverage | dfs | bfs
-	Budget     int64  `json:"budget,omitempty"`    // virtual-time exploration budget
-	StepLimit  int64  `json:"steplimit,omitempty"` // per-run hang threshold
-	Seed       int64  `json:"seed,omitempty"`
-	Vanilla    bool   `json:"vanilla,omitempty"`    // unoptimized interpreter build
-	SolverMode string `json:"solvermode,omitempty"` // oneshot | incremental
+	Strategy  string `json:"strategy,omitempty"`  // random | cupa-path | cupa-coverage | dfs | bfs
+	Budget    int64  `json:"budget,omitempty"`    // virtual-time exploration budget
+	StepLimit int64  `json:"steplimit,omitempty"` // per-run hang threshold
+	Seed      int64  `json:"seed,omitempty"`
+	Vanilla   bool   `json:"vanilla,omitempty"` // unoptimized interpreter build
 
-	// CacheMode accepts only "exact" (the default). The counterexample cache
-	// has one configuration; the field stays because submitted specs and
-	// the benchmark harness still name it, and any other value is rejected.
-	CacheMode string `json:"cachemode,omitempty"`
+	// CacheMode accepts only "exact" (the default) and SolverMode only
+	// "oneshot" (the default). The counterexample cache and the decision
+	// procedure each have one configuration; the fields stay because
+	// submitted specs and the benchmark harness still name them, and any
+	// other value is rejected.
+	CacheMode  string `json:"cachemode,omitempty"`
+	SolverMode string `json:"solvermode,omitempty"`
 
 	// Shards selects sharded exploration (chef.ShardedSession): the job's
 	// path space is split into signature-subtree ranges driven by up to
@@ -164,8 +165,8 @@ func (s *JobSpec) Validate() error {
 	if s.CacheMode != "exact" {
 		return fmt.Errorf("unknown cachemode %q (want exact)", s.CacheMode)
 	}
-	if _, ok := solver.ParseSolverMode(s.SolverMode); !ok {
-		return fmt.Errorf("unknown solvermode %q (want oneshot or incremental)", s.SolverMode)
+	if s.SolverMode != "oneshot" {
+		return fmt.Errorf("unknown solvermode %q (want oneshot)", s.SolverMode)
 	}
 	if s.Shards < 0 || s.Shards > chef.ShardSubtrees {
 		return fmt.Errorf("shards %d out of range [0, %d]", s.Shards, chef.ShardSubtrees)

@@ -14,42 +14,6 @@ type blaster struct {
 	vars  map[symexpr.Var][]Lit // SAT literals per input-variable bit
 	// litTrue is a literal constrained to be true, used to encode constants.
 	litTrue Lit
-	// gate, when non-zero, is appended to every circuit clause emitted by the
-	// gate encoders. The incremental context arms it (see act): every clause
-	// belongs to the activation scope that was current when it was emitted,
-	// so a scope whose activation literal is off is satisfied wholesale and
-	// can never propagate — dormant circuitry costs nothing in later queries.
-	gate Lit
-	// owner, when non-nil, turns on activation scoping: every clause a
-	// constraint's blast emits is gated with the negation of that
-	// constraint's activation literal (carried in gate), each operator node
-	// records the activation literal of the scope that encoded it, and a
-	// memo hit from a different scope emits one (¬g_current ∨ g_owner)
-	// implication instead of re-encoding. This is what lets the expression
-	// memo stay shared across constraints in an incremental context:
-	// asserting a constraint's assumption propagates its activation literal
-	// and, transitively, the activation of every scope it borrows circuitry
-	// from, while scopes no active constraint needs are satisfied wholesale
-	// by their activation staying off and can never propagate.
-	owner map[*symexpr.Expr]Lit
-	// depSeen dedups the cross-scope implications of the constraint
-	// currently being blasted (one per borrowed scope suffices, however many
-	// nodes are borrowed). The incremental context resets it per constraint.
-	depSeen map[Lit]bool
-	// ranges records, per operator node blasted under activation scoping,
-	// the SAT-variable range [v0, v1) its blast allocated (gate outputs and
-	// non-shared descendants). The incremental context stamps these ranges
-	// to restrict search decisions to the query's cone; see
-	// Context.markActive.
-	ranges map[*symexpr.Expr][2]int32
-}
-
-// add installs one circuit clause, gated when a gating literal is set.
-func (b *blaster) add(lits []Lit) bool {
-	if b.gate != 0 {
-		lits = append(lits, b.gate)
-	}
-	return b.sat.addClause(lits)
 }
 
 func newBlaster(sat *satSolver) *blaster {
@@ -117,9 +81,9 @@ func (b *blaster) andGate(x, y Lit) Lit {
 		return b.litTrue.not()
 	}
 	o := b.fresh()
-	b.add([]Lit{o.not(), x})
-	b.add([]Lit{o.not(), y})
-	b.add([]Lit{o, x.not(), y.not()})
+	b.sat.addClause([]Lit{o.not(), x})
+	b.sat.addClause([]Lit{o.not(), y})
+	b.sat.addClause([]Lit{o, x.not(), y.not()})
 	return o
 }
 
@@ -148,10 +112,10 @@ func (b *blaster) xorGate(x, y Lit) Lit {
 		return b.litTrue
 	}
 	o := b.fresh()
-	b.add([]Lit{o.not(), x, y})
-	b.add([]Lit{o.not(), x.not(), y.not()})
-	b.add([]Lit{o, x.not(), y})
-	b.add([]Lit{o, x, y.not()})
+	b.sat.addClause([]Lit{o.not(), x, y})
+	b.sat.addClause([]Lit{o.not(), x.not(), y.not()})
+	b.sat.addClause([]Lit{o, x.not(), y})
+	b.sat.addClause([]Lit{o, x, y.not()})
 	return o
 }
 
@@ -167,10 +131,10 @@ func (b *blaster) iteGate(c, t, f Lit) Lit {
 		return t
 	}
 	o := b.fresh()
-	b.add([]Lit{c.not(), t.not(), o})
-	b.add([]Lit{c.not(), t, o.not()})
-	b.add([]Lit{c, f.not(), o})
-	b.add([]Lit{c, f, o.not()})
+	b.sat.addClause([]Lit{c.not(), t.not(), o})
+	b.sat.addClause([]Lit{c.not(), t, o.not()})
+	b.sat.addClause([]Lit{c, f.not(), o})
+	b.sat.addClause([]Lit{c, f, o.not()})
 	return o
 }
 
@@ -206,25 +170,9 @@ func (b *blaster) negate(x []Lit) []Lit {
 // blast returns the bit literals (LSB first) of an expression.
 func (b *blaster) blast(e *symexpr.Expr) []Lit {
 	if bits, ok := b.cache[e]; ok {
-		if b.gate != 0 {
-			// Reuse across scopes: one implication activates the owner's
-			// whole circuit instead of re-encoding the borrowed nodes.
-			if g := b.owner[e]; g != 0 && g != b.gate.not() && !b.depSeen[g] {
-				b.depSeen[g] = true
-				b.add([]Lit{g})
-			}
-		}
 		return bits
 	}
-	var bits []Lit
-	if b.owner != nil && b.gate != 0 && !e.IsConst() && !e.IsVar() {
-		v0 := b.sat.numVars + 1
-		bits = b.blastUncached(e)
-		b.ranges[e] = [2]int32{v0, b.sat.numVars + 1}
-		b.owner[e] = b.gate.not()
-	} else {
-		bits = b.blastUncached(e)
-	}
+	bits := b.blastUncached(e)
 	b.cache[e] = bits
 	return bits
 }

@@ -78,14 +78,12 @@ func fuzzBool(d *byteDriver, depth int) *sx.Expr {
 	}
 }
 
-// FuzzSolverCheck feeds byte-derived path conditions through the solver in
-// every cache mode on both backends (oneshot, incremental) and
-// cross-checks: all configurations must return the same verdict as the
-// cache-disabled control and the brute-force oracle, every Sat model must
-// satisfy the query, and a repeated check (served from the cache, or for the
-// incremental nocache control re-solved on the retained assumption prefix)
-// must reproduce the verdict. The variable pool is fixed at 10 total bits, so
-// the oracle is always feasible.
+// FuzzSolverCheck feeds byte-derived path conditions through the solver with
+// and without the cache and cross-checks: both configurations must return the
+// same verdict as the brute-force oracle, every Sat model must satisfy the
+// query, and a repeated check (served from the cache, or re-solved by the
+// reset backend) must reproduce the verdict. The variable pool is fixed at 10
+// total bits, so the oracle is always feasible.
 func FuzzSolverCheck(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -114,10 +112,8 @@ func FuzzSolverCheck(f *testing.F) {
 		}
 
 		solvers := map[string]*Solver{
-			"nocache":     New(Options{DisableCache: true}),
-			"exact":       New(Options{}),
-			"inc/nocache": New(Options{DisableCache: true, SolverMode: ModeIncremental}),
-			"inc/exact":   New(Options{SolverMode: ModeIncremental}),
+			"nocache": New(Options{DisableCache: true}),
+			"exact":   New(Options{}),
 		}
 		for name, s := range solvers {
 			for round := 0; round < 2; round++ { // round 2 exercises cache hits

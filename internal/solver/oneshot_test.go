@@ -20,7 +20,7 @@ import (
 func TestOneshotReuseMatchesFresh(t *testing.T) {
 	opts := Options{DisableCache: true, DisableSlicing: true}
 	reused := New(opts)
-	backend := reused.backend.(*oneshotBackend)
+	backend := reused.backend
 	// Spans attached after construction reach the backend, whose
 	// solver.search count tells whether a query got past blasting.
 	reg := obs.NewRegistry()

@@ -2,23 +2,14 @@ package solver
 
 import (
 	"math/rand"
-	"os"
 	"path/filepath"
 	"testing"
 
 	sx "chef/internal/symexpr"
 )
 
-// removeIfExists deletes path, tolerating its absence.
-func removeIfExists(path string) error {
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
-}
-
-// Differential solver-oracle suite: the production solver — with every cache
-// mode, slicing setting and cache-sharing arrangement — must agree with the
+// Differential solver-oracle suite: the production solver — with and without
+// the cache, slicing and the persistent store — must agree with the
 // brute-force oracle on satisfiability, and every Sat model it returns must
 // actually satisfy the query under the interpreter semantics.
 //
@@ -140,8 +131,8 @@ func checkAgainstOracle(t *testing.T, cfg string, i int, q oracleQuery, s *Solve
 	return res, model
 }
 
-// TestSolverMatchesOracle cross-checks every backend x slicing setting, with
-// and without the counterexample cache, on the same generated query set.
+// TestSolverMatchesOracle cross-checks both slicing settings, with and
+// without the counterexample cache, on the same generated query set.
 // Together with the warm/cold persistent pass below, the suite compares
 // thousands of (query, configuration) pairs.
 func TestSolverMatchesOracle(t *testing.T) {
@@ -151,42 +142,20 @@ func TestSolverMatchesOracle(t *testing.T) {
 	}
 	queries := genOracleQueries(t, n, 424242)
 
-	for _, sm := range []SolverMode{ModeOneshot, ModeIncremental} {
-		qs := queries
-		if sm == ModeIncremental {
-			// The random stream shares no prefixes, so every query pops the
-			// whole trail and re-propagates the accumulated context — the
-			// backend's worst case, with per-query cost growing in stream
-			// position. A third of the stream keeps the verdict cross-check
-			// broad without dominating suite wall time; prefix-shaped
-			// streams (the representative workload) are exercised at full
-			// depth by TestIncrementalPrefixPopRepush.
-			qs = queries[:len(queries)/3]
+	for _, noSlice := range []bool{false, true} {
+		cfg := "default"
+		if noSlice {
+			cfg = "noslice"
 		}
-		// Slicing is a no-op under the incremental backend (it always
-		// solves in path order), so the noslice cell only exists for
-		// oneshot — under incremental it would duplicate the default.
-		noSlices := []bool{false, true}
-		if sm == ModeIncremental {
-			noSlices = []bool{false}
+		s := New(Options{DisableSlicing: noSlice})
+		for i, q := range queries {
+			checkAgainstOracle(t, cfg, i, q, s)
 		}
-		for _, noSlice := range noSlices {
-			cfg := "backend=" + sm.String()
-			if noSlice {
-				cfg += "/noslice"
-			}
-			s := New(Options{DisableSlicing: noSlice, SolverMode: sm})
-			for i, q := range qs {
-				checkAgainstOracle(t, cfg, i, q, s)
-			}
-		}
-		// No cache at all, as the control. For the incremental backend
-		// this is the hardest configuration: every query reaches the
-		// live context, so every verdict exercises trail pop/re-push.
-		s := New(Options{DisableCache: true, SolverMode: sm})
-		for i, q := range qs {
-			checkAgainstOracle(t, "backend="+sm.String()+"/nocache", i, q, s)
-		}
+	}
+	// No cache at all, as the control: every query reaches the backend.
+	s := New(Options{DisableCache: true})
+	for i, q := range queries {
+		checkAgainstOracle(t, "nocache", i, q, s)
 	}
 }
 
@@ -194,8 +163,7 @@ func TestSolverMatchesOracle(t *testing.T) {
 // persistent store, then warm from the written file, checking both passes
 // against the oracle and checking the warm pass returns bit-identical
 // results — verdict, model and accumulated propagation count — to the cold
-// one. For the incremental backend, whose solves are never persisted, the
-// warm pass runs oneshot and must find the store empty.
+// one.
 func TestSolverMatchesOraclePersistent(t *testing.T) {
 	n := 300
 	if !testing.Short() {
@@ -208,7 +176,7 @@ func TestSolverMatchesOraclePersistent(t *testing.T) {
 		res   Result
 		model sx.Assignment
 	}
-	runPass := func(label string, sm SolverMode, qs []oracleQuery) ([]outcome, Stats) {
+	runPass := func(label string) ([]outcome, Stats) {
 		store, err := OpenPersistentStore(path)
 		if err != nil {
 			t.Fatalf("%s: open: %v", label, err)
@@ -221,61 +189,35 @@ func TestSolverMatchesOraclePersistent(t *testing.T) {
 		if cerr := store.Corruption(); cerr != nil {
 			t.Fatalf("%s: unexpected corruption: %v", label, cerr)
 		}
-		s := New(Options{Persist: store, SolverMode: sm})
-		outs := make([]outcome, 0, len(qs))
-		for i, q := range qs {
+		s := New(Options{Persist: store})
+		outs := make([]outcome, 0, len(queries))
+		for i, q := range queries {
 			res, model := checkAgainstOracle(t, label, i, q, s)
 			outs = append(outs, outcome{res, model})
 		}
 		return outs, s.Stats()
 	}
 
-	for _, sm := range []SolverMode{ModeOneshot, ModeIncremental} {
-		qs := queries
-		if sm == ModeIncremental {
-			// Same wall-time consideration as TestSolverMatchesOracle: the
-			// prefix-free random stream is the incremental backend's worst
-			// case, and the cold/warm replay contract is independent of
-			// stream length.
-			qs = queries[:len(queries)/3]
+	cold, coldStats := runPass("cold")
+	// A fully-warm store replays every cold verdict, model and cost
+	// byte-for-byte: the cold pass recorded the whole stream.
+	warm, warmStats := runPass("warm")
+	if warmStats.CacheHitsPersist == 0 {
+		t.Fatal("warm pass recorded no persistent hits")
+	}
+	if coldStats.Propagations != warmStats.Propagations {
+		t.Fatalf("virtual cost diverged: cold %d, warm %d propagations",
+			coldStats.Propagations, warmStats.Propagations)
+	}
+	if coldStats.SatQueries != warmStats.SatQueries || coldStats.UnsatQueries != warmStats.UnsatQueries {
+		t.Fatalf("solve counters diverged: cold %+v warm %+v", coldStats, warmStats)
+	}
+	for i := range cold {
+		if cold[i].res != warm[i].res {
+			t.Fatalf("query %d: cold %v, warm %v", i, cold[i].res, warm[i].res)
 		}
-		cfg := sm.String()
-		if err := removeIfExists(path); err != nil {
-			t.Fatal(err)
-		}
-		cold, coldStats := runPass("cold/"+cfg, sm, qs)
-		if sm == ModeIncremental {
-			// Incremental models depend on the solver's whole query
-			// stream, so an incremental pass appends nothing: a oneshot
-			// pass after it starts from an empty store.
-			_, warmStats := runPass("warm/"+cfg, ModeOneshot, qs)
-			if warmStats.CacheHitsPersist != 0 {
-				t.Fatalf("cfg=%s: oneshot pass hit %d entries written by the incremental pass",
-					cfg, warmStats.CacheHitsPersist)
-			}
-			continue
-		}
-		// A fully-warm store replays every cold verdict, model and cost
-		// byte-for-byte: the cold pass recorded the whole stream.
-		warm, warmStats := runPass("warm/"+cfg, sm, qs)
-		if warmStats.CacheHitsPersist == 0 {
-			t.Fatalf("cfg=%s: warm pass recorded no persistent hits", cfg)
-		}
-		if coldStats.Propagations != warmStats.Propagations {
-			t.Fatalf("cfg=%s: virtual cost diverged: cold %d, warm %d propagations",
-				cfg, coldStats.Propagations, warmStats.Propagations)
-		}
-		if coldStats.SatQueries != warmStats.SatQueries || coldStats.UnsatQueries != warmStats.UnsatQueries {
-			t.Fatalf("cfg=%s: solve counters diverged: cold %+v warm %+v", cfg, coldStats, warmStats)
-		}
-		for i := range cold {
-			if cold[i].res != warm[i].res {
-				t.Fatalf("cfg=%s query %d: cold %v, warm %v", cfg, i, cold[i].res, warm[i].res)
-			}
-			if !sameModel(cold[i].model, warm[i].model) {
-				t.Fatalf("cfg=%s query %d: cold model %v, warm model %v",
-					cfg, i, cold[i].model, warm[i].model)
-			}
+		if !sameModel(cold[i].model, warm[i].model) {
+			t.Fatalf("query %d: cold model %v, warm model %v", i, cold[i].model, warm[i].model)
 		}
 	}
 }

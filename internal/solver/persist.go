@@ -28,9 +28,9 @@ import (
 //     serves those). This is what makes a warm rerun reproduce a cold run
 //     byte-for-byte: the set of answerable persistent lookups is fixed before
 //     the run starts, so it cannot depend on scheduling.
-//   - The *write side* records only queries this run actually solved with
-//     the oneshot backend, so every entry is what a cold solve of its key
-//     produces.
+//   - The *write side* records only queries this run actually solved, and
+//     a solve is a pure function of its canonical key, so every entry is
+//     what a cold solve of its key produces.
 //
 // Long-running multi-job processes (chef-serve) use View instead of the store
 // directly: a View snapshots the load-time entries plus everything published

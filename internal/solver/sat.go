@@ -54,7 +54,6 @@ const (
 type satSolver struct {
 	numVars    int32
 	numClauses int // problem clauses installed (excludes units)
-	numLearned int
 	// slab holds the problem clause headers and arena their literals. When
 	// either is full a fresh one of twice the capacity replaces it, and the
 	// old backing array stays with the clauses already in it, so a live
@@ -74,27 +73,15 @@ type satSolver struct {
 	activity []float64
 	varInc   float64
 	polarity []bool // phase saving
-	phaseFix []bool // phase saving disabled: var always decides false
 	// mark is the one dedup mechanism of the solver: an entry indexed by
 	// literal (a variable marks through its positive literal) is set iff it
 	// equals markGen, which nextMark advances once per marking round.
-	mark    []uint32
-	markGen uint32
-	// Cone-restricted search (incremental contexts): when coneRestrict is
-	// set, pickBranchVar decides only variables whose coneStamp equals
-	// coneSeq — the active query's transitive circuit cone, stamped by the
-	// Context before each solve. Dormant circuitry (popped constraints'
-	// gates and internals) is never decided, so the per-query search cost
-	// tracks the active path's cone instead of the whole accumulated
-	// context. Soundness: see Context.markActive.
-	coneRestrict bool
-	coneSeq      int64
-	coneStamp    []int64
-	conflicts    int64
-	decisions    int64
-	propsN       int64
-	budget       int64 // max propagations; <=0 means unlimited
-	overrun      bool
+	mark      []uint32
+	markGen   uint32
+	conflicts int64
+	decisions int64
+	propsN    int64
+	budget    int64 // max propagations; <=0 means unlimited
 }
 
 func newSatSolver() *satSolver {
@@ -111,20 +98,18 @@ func (s *satSolver) reset() {
 		s.watches[i] = s.watches[i][:0]
 	}
 	*s = satSolver{
-		slab:      s.slab[:0],
-		arena:     s.arena[:0],
-		watches:   s.watches[:0],
-		assign:    s.assign[:0],
-		level:     s.level[:0],
-		reason:    s.reason[:0],
-		trail:     s.trail[:0],
-		trailLim:  s.trailLim[:0],
-		activity:  s.activity[:0],
-		varInc:    1,
-		polarity:  s.polarity[:0],
-		phaseFix:  s.phaseFix[:0],
-		mark:      s.mark[:0],
-		coneStamp: s.coneStamp[:0],
+		slab:     s.slab[:0],
+		arena:    s.arena[:0],
+		watches:  s.watches[:0],
+		assign:   s.assign[:0],
+		level:    s.level[:0],
+		reason:   s.reason[:0],
+		trail:    s.trail[:0],
+		trailLim: s.trailLim[:0],
+		activity: s.activity[:0],
+		varInc:   1,
+		polarity: s.polarity[:0],
+		mark:     s.mark[:0],
 	}
 }
 
@@ -145,8 +130,6 @@ func (s *satSolver) growVar() {
 	s.reason = append(s.reason, nil)
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, false)
-	s.phaseFix = append(s.phaseFix, false)
-	s.coneStamp = append(s.coneStamp, 0)
 	s.mark = append(s.mark, 0, 0)
 	if n := len(s.watches); n+2 <= cap(s.watches) {
 		s.watches = s.watches[:n+2] // emptied by reset, capacity kept
@@ -165,19 +148,6 @@ func (s *satSolver) nextMark() uint32 {
 		s.markGen = 1
 	}
 	return s.markGen
-}
-
-// freezePhase pins v's branching phase to false, exempting it from phase
-// saving. The incremental context applies it to assumption variables: a
-// popped assumption must not be re-activated by a phase-saved decision in a
-// later query, or every stale constraint gate in the context would be
-// re-asserted speculatively and refuted by conflict, one by one — correct,
-// but quadratically expensive across a long query stream. With the phase
-// pinned false, a free assumption variable decides off and the gated
-// constraint stays dormant.
-func (s *satSolver) freezePhase(v int32) {
-	s.phaseFix[v] = true
-	s.polarity[v] = false
 }
 
 func (s *satSolver) value(l Lit) int8 {
@@ -201,15 +171,9 @@ func (s *satSolver) value(l Lit) int8 {
 // encodes to), and the clause would silently never propagate — an
 // under-constrained circuit.
 //
-// Above level 0 (incremental contexts blasting a fresh constraint while a
-// prefix of assumption levels is still on the trail) only level-0 facts may
-// be simplified away — anything assigned higher is removable and must stay in
-// the clause. To keep the two-watched invariant honest the watched positions
-// must hold non-false literals; when fewer than two exist under the current
-// partial assignment (the clause is unit or conflicting right now), the trail
-// is flushed to level 0 first, where every surviving literal is unassigned.
-// The caller (the incremental context) detects the flush through the dropped
-// decision level and re-establishes its assumptions.
+// Clauses are only added at level 0, before the search starts, so every
+// assigned literal is a level-0 fact and the survivors are all unassigned:
+// any two of them can be watched, and a unit survivor can be enqueued.
 func (s *satSolver) addClause(lits []Lit) bool {
 	// Deduplicate, drop tautologies, and simplify against level-0 facts.
 	gen := s.nextMark()
@@ -218,13 +182,11 @@ func (s *satSolver) addClause(lits []Lit) bool {
 		if s.mark[l.not()] == gen {
 			return true // tautology: always satisfied
 		}
-		if s.level[l.varIdx()] == 0 {
-			switch s.value(l) {
-			case assignT:
-				return true // already satisfied forever
-			case assignF:
-				continue // can never contribute
-			}
+		switch s.value(l) {
+		case assignT:
+			return true // already satisfied forever
+		case assignF:
+			continue // can never contribute
 		}
 		if s.mark[l] != gen {
 			s.mark[l] = gen
@@ -236,35 +198,8 @@ func (s *satSolver) addClause(lits []Lit) bool {
 	case 0:
 		return false
 	case 1:
-		// A unit is a permanent fact: it must sit below every removable
-		// decision, so flush any assumption levels before asserting it.
-		s.cancelUntil(0)
-		if s.value(lits[0]) == assignT {
-			return true
-		}
-		if s.value(lits[0]) == assignF {
-			return false
-		}
 		s.enqueue(lits[0], nil)
 		return s.propagate() == nil
-	}
-	for s.decisionLevel() > 0 && !s.reorderWatches(lits) {
-		// Fewer than two non-false literals: currently unit or conflicting.
-		// Retreat just past the deepest level that falsifies one of the
-		// literals — its assignments unassign, making that literal watchable
-		// again — and retry. Each round strictly lowers the decision level,
-		// so the loop terminates (at level 0 every false literal has been
-		// simplified away and reorderWatches must succeed). Retreating only
-		// as far as needed is what keeps mid-trail blasting cheap for
-		// incremental contexts: the shared prefix below the falsifying level
-		// survives, where a flush to level 0 would forfeit all of it.
-		deepest := int32(1)
-		for _, l := range lits {
-			if s.value(l) == assignF && s.level[l.varIdx()] > deepest {
-				deepest = s.level[l.varIdx()]
-			}
-		}
-		s.cancelUntil(deepest - 1)
 	}
 	s.watch(s.newClause(lits))
 	return true
@@ -283,21 +218,6 @@ func (s *satSolver) newClause(lits []Lit) *clause {
 	s.slab = append(s.slab, clause{lits: s.arena[n:len(s.arena):len(s.arena)]})
 	s.numClauses++
 	return &s.slab[len(s.slab)-1]
-}
-
-// reorderWatches moves two literals that are not currently false into the
-// watched positions lits[0] and lits[1], reporting whether it succeeded. A
-// freshly inserted clause watching only non-false literals cannot be missing
-// a propagation, so the two-watched invariant holds from insertion onward.
-func (s *satSolver) reorderWatches(lits []Lit) bool {
-	w := 0
-	for i := 0; i < len(lits) && w < 2; i++ {
-		if s.value(lits[i]) != assignF {
-			lits[w], lits[i] = lits[i], lits[w]
-			w++
-		}
-	}
-	return w == 2
 }
 
 func (s *satSolver) watch(c *clause) {
@@ -438,9 +358,7 @@ func (s *satSolver) cancelUntil(lvl int32) {
 	}
 	for i := len(s.trail) - 1; i >= int(s.trailLim[lvl]); i-- {
 		v := s.trail[i].varIdx()
-		if !s.phaseFix[v] {
-			s.polarity[v] = s.assign[v] == assignT
-		}
+		s.polarity[v] = s.assign[v] == assignT
 		s.assign[v] = unassigned
 		s.reason[v] = nil
 	}
@@ -454,9 +372,6 @@ func (s *satSolver) pickBranchVar() int32 {
 	bestAct := -1.0
 	for v := int32(1); v <= s.numVars; v++ {
 		if s.assign[v] != unassigned {
-			continue
-		}
-		if s.coneRestrict && s.coneStamp[v] != s.coneSeq {
 			continue
 		}
 		if s.activity[v] > bestAct {
@@ -487,7 +402,7 @@ const (
 	resUnsat
 )
 
-// solve runs the CDCL loop. assumptions are asserted at level 0.
+// solve runs the CDCL loop over the installed clauses.
 func (s *satSolver) solve() satResult {
 	if s.propagate() != nil {
 		return resUnsat
@@ -497,7 +412,6 @@ func (s *satSolver) solve() satResult {
 	conflCount := int64(0)
 	for {
 		if s.budget > 0 && s.propsN > s.budget {
-			s.overrun = true
 			return resUnknown
 		}
 		confl := s.propagate()
@@ -513,7 +427,6 @@ func (s *satSolver) solve() satResult {
 				s.enqueue(learnt[0], nil)
 			} else {
 				c := &clause{lits: learnt, learned: true}
-				s.numLearned++
 				s.watch(c)
 				s.enqueue(learnt[0], c)
 			}
@@ -531,97 +444,6 @@ func (s *satSolver) solve() satResult {
 		v := s.pickBranchVar()
 		if v == 0 {
 			return resSat
-		}
-		s.decisions++
-		s.trailLim = append(s.trailLim, int32(len(s.trail)))
-		s.enqueue(mkLit(v, !s.polarity[v]), nil)
-	}
-}
-
-// solveUnderAssumptions runs the CDCL loop with assumps asserted as the
-// first len(assumps) decision levels, MiniSat-style: assumption i is the
-// decision of level i+1 (an empty level when it is already implied), so the
-// trail below level k is exactly what the clause database plus assumptions
-// 0..k-1 imply. Decision levels matching a prefix of assumps that are already
-// on the trail from an earlier call are reused as-is — that is the
-// incremental context's trail retention.
-//
-// Returns the verdict plus the number of assumption levels left established
-// on the trail: len(assumps) on resSat (search levels are the caller's to
-// pop), the index of the failed assumption on resUnsat (-1 when the clause
-// database itself is unsatisfiable), and 0 on resUnknown (the caller resets).
-//
-// Unlike solve, the propagation budget is charged per call (the solver
-// object persists across queries, so the absolute counter cannot be
-// compared against a per-query cap).
-func (s *satSolver) solveUnderAssumptions(assumps []Lit) (satResult, int) {
-	s.overrun = false
-	start := s.propsN
-	restart := int64(1)
-	conflBudget := luby(restart) * 128
-	conflCount := int64(0)
-	for {
-		if s.budget > 0 && s.propsN-start > s.budget {
-			s.overrun = true
-			return resUnknown, 0
-		}
-		confl := s.propagate()
-		if confl != nil {
-			s.conflicts++
-			conflCount++
-			if s.decisionLevel() == 0 {
-				return resUnsat, -1
-			}
-			learnt, bt := s.analyze(confl)
-			s.cancelUntil(bt)
-			if len(learnt) == 1 {
-				s.enqueue(learnt[0], nil)
-			} else {
-				c := &clause{lits: learnt, learned: true}
-				s.numLearned++
-				s.watch(c)
-				s.enqueue(learnt[0], c)
-			}
-			s.varInc *= 1.05
-			continue
-		}
-		dl := int(s.decisionLevel())
-		if dl < len(assumps) {
-			// Re-assert the next assumption as a decision.
-			p := assumps[dl]
-			switch s.value(p) {
-			case assignT:
-				// Already implied: push an empty level so level i+1 keeps
-				// corresponding to assumption i.
-				s.trailLim = append(s.trailLim, int32(len(s.trail)))
-			case assignF:
-				// Falsified by the database plus assumptions 0..dl-1: the
-				// query is unsatisfiable under its assumptions, and the
-				// first dl levels remain valid for the next query.
-				return resUnsat, dl
-			default:
-				s.decisions++
-				s.trailLim = append(s.trailLim, int32(len(s.trail)))
-				s.enqueue(p, nil)
-			}
-			continue
-		}
-		if conflCount >= conflBudget {
-			// Restart: drop search decisions, keep the assumption levels.
-			conflCount = 0
-			restart++
-			conflBudget = luby(restart) * 128
-			s.cancelUntil(int32(len(assumps)))
-			continue
-		}
-		v := s.pickBranchVar()
-		if v == 0 {
-			// No decidable variable left. Under cone restriction this means
-			// the active cone is fully assigned without conflict, which
-			// guarantees a model of the whole database exists (dormant
-			// Tseitin circuitry always extends; see Context.markActive) —
-			// exactly what resSat promises.
-			return resSat, len(assumps)
 		}
 		s.decisions++
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))

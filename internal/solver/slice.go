@@ -29,8 +29,8 @@ import (
 //
 // A query then costs the prefix compare, a base lookup per live variable,
 // a walk over the false groups' rings and first occurrences, and the sort of
-// their distinct constraints. The path-order list (for the incremental
-// backend) and the kept values (for Sat answers) are built only on demand.
+// their distinct constraints. The kept values (for Sat answers) are built
+// only on demand.
 //
 // The result is a pure function of (pc, base): slots memoize only functions
 // of their constraint and the base, grouping and first occurrences depend on
@@ -51,7 +51,7 @@ type slicer struct {
 
 	falseConsts int // literally false constraints on the stack
 	stamp       uint32
-	canon, out  []*symexpr.Expr
+	canon       []*symexpr.Expr
 }
 
 // slot i describes the stack's constraint cs[i].
@@ -87,10 +87,9 @@ func (sl *slicer) find(x int32) int32 {
 // slice loads (pc, base) and reports whether pc holds a literally false
 // constraint. Otherwise it returns the distinct constraints of the groups
 // base does not satisfy in canonical order (exactly canonicalize of them;
-// empty when base satisfies every group) and, when pathOrder is set, all of
-// those groups' constraints in path order. Both are scratch owned by the
-// slicer, valid until the next call; keep reads the same query.
-func (sl *slicer) slice(pc []*symexpr.Expr, base symexpr.Assignment, pathOrder bool) (falseConst bool, canon, unsatisfied []*symexpr.Expr) {
+// empty when base satisfies every group), as scratch owned by the slicer,
+// valid until the next call; keep reads the same query.
+func (sl *slicer) slice(pc []*symexpr.Expr, base symexpr.Assignment) (falseConst bool, canon []*symexpr.Expr) {
 	if sl.num == nil {
 		sl.num = map[*symexpr.Expr]int32{}
 		sl.seen = map[*symexpr.Expr]bool{}
@@ -108,7 +107,7 @@ func (sl *slicer) slice(pc []*symexpr.Expr, base symexpr.Assignment, pathOrder b
 		sl.push(c, base)
 	}
 	if sl.falseConsts > 0 {
-		return true, nil, nil
+		return true, nil
 	}
 
 	// A group is its root's ring; a variable-free constraint is a group of
@@ -139,17 +138,7 @@ func (sl *slicer) slice(pc []*symexpr.Expr, base symexpr.Assignment, pathOrder b
 	}
 	slices.SortFunc(canon, symexpr.Compare)
 	sl.canon = canon
-	if !pathOrder || len(canon) == 0 {
-		return false, canon, nil
-	}
-	sl.out = sl.out[:0]
-	for i := range sl.slots {
-		s := &sl.slots[i]
-		if s.n0 < s.n1 && sl.vars[sl.find(sl.nums[s.n0])].bad == sl.stamp || s.n0 == s.n1 && s.isFalse {
-			sl.out = append(sl.out, sl.cs[i])
-		}
-	}
-	return false, canon, sl.out
+	return false, canon
 }
 
 // keep adds to into (allocated when nil) the base value of every variable

@@ -22,8 +22,8 @@ func exprVars(e *symexpr.Expr) []symexpr.Var {
 
 // refSlice is the slicer's reference: the stateless whole-path
 // implementation the solver used before slicing became prefix-incremental,
-// kept verbatim but for its name and exprVars in place of the removed
-// map-based symexpr.Vars. Every query rebuilds the union-find and
+// kept as it was but for its name, its comments, and exprVars in place of
+// the removed map-based symexpr.Vars. Every query rebuilds the union-find and
 // re-evaluates every group under base.
 // refSlice partitions constraints into groups connected by shared variables and
 // returns (groups that base does not satisfy, values from base for the
@@ -88,10 +88,8 @@ func refSlice(pc []*symexpr.Expr, base symexpr.Assignment) ([]*symexpr.Expr, sym
 			keepIdx = append(keepIdx, idxs...)
 		}
 	}
-	// Surviving constraints keep their original path order: the oneshot
-	// backend canonicalizes anyway, and the incremental backend's prefix
-	// reuse depends on consecutive queries sharing a pointer prefix, which
-	// path order preserves and group order would shuffle.
+	// Surviving constraints keep their original path order; the solver
+	// canonicalizes them anyway.
 	sort.Ints(keepIdx)
 	unsatisfied := make([]*symexpr.Expr, 0, len(keepIdx))
 	for _, i := range keepIdx {
@@ -101,11 +99,10 @@ func refSlice(pc []*symexpr.Expr, base symexpr.Assignment) ([]*symexpr.Expr, sym
 }
 
 // checkSlice runs one query through sl and through the constant filter and
-// the reference, and fails on any difference in the false-constant status,
-// the path-order list, or kept, or between the slicer's canon and
-// canonicalize of the reference's unsatisfied constraints.
-// With pathOrder unset the slicer must build no path-order list.
-func checkSlice(t testing.TB, sl *slicer, pc []*symexpr.Expr, base symexpr.Assignment, pathOrder bool) {
+// the reference, and fails on any difference in the false-constant status or
+// kept, or between the slicer's canon and canonicalize of the reference's
+// unsatisfied constraints.
+func checkSlice(t testing.TB, sl *slicer, pc []*symexpr.Expr, base symexpr.Assignment) {
 	t.Helper()
 	var work []*symexpr.Expr
 	wantFalse := false
@@ -117,7 +114,7 @@ func checkSlice(t testing.TB, sl *slicer, pc []*symexpr.Expr, base symexpr.Assig
 			wantFalse = true
 		}
 	}
-	gotFalse, gotC, gotU := sl.slice(pc, base, pathOrder)
+	gotFalse, gotC := sl.slice(pc, base)
 	if gotFalse != wantFalse {
 		t.Fatalf("false-constant status %v, want %v on pc %v", gotFalse, wantFalse, pc)
 	}
@@ -125,12 +122,6 @@ func checkSlice(t testing.TB, sl *slicer, pc []*symexpr.Expr, base symexpr.Assig
 		return
 	}
 	wantU, wantK := refSlice(work, base)
-	if !pathOrder && gotU != nil {
-		t.Fatalf("path-order list built without being asked for: %v", gotU)
-	}
-	if pathOrder && !sameCanon(gotU, wantU) {
-		t.Fatalf("unsatisfied differs on pc %v base %v:\n got %v\nwant %v", pc, base, gotU, wantU)
-	}
 	if gotK := sl.keep(nil); !reflect.DeepEqual(gotK, wantK) {
 		t.Fatalf("kept differs on pc %v base %v:\n got %v\nwant %v", pc, base, gotK, wantK)
 	}
@@ -225,7 +216,7 @@ func TestSliceMatchesReference(t *testing.T) {
 		case 2:
 			base = symexpr.Assignment{}
 		}
-		checkSlice(t, &sl, pc, base, true)
+		checkSlice(t, &sl, pc, base)
 	}
 }
 
@@ -249,7 +240,7 @@ func varFree(a, b uint64) *symexpr.Expr {
 // of fresh, duplicate, true-constant, false-constant and variable-free
 // constraints, pops to a shorter path before regrowing, and bases that
 // change or drop one variable — and checks every answer against the
-// constant filter and the reference, with and without the path-order list.
+// constant filter and the reference.
 func FuzzSlicer(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{8, 40, 16, 200, 3, 12, 90, 14, 1, 0, 33, 2, 250, 21, 7, 5, 2})
@@ -305,7 +296,7 @@ func FuzzSlicer(f *testing.F) {
 			if op&8 != 0 && len(path) > 0 {
 				path[len(path)-1] = symexpr.Not(path[len(path)-1])
 			}
-			checkSlice(t, &sl, path, base, op&16 != 0)
+			checkSlice(t, &sl, path, base)
 		}
 	})
 }
@@ -338,36 +329,31 @@ func TestSliceDeepPathMatchesReference(t *testing.T) {
 	}
 	var sl slicer
 	for _, q := range qs {
-		checkSlice(t, &sl, q.pc, q.base, true)
+		checkSlice(t, &sl, q.pc, q.base)
 	}
 	r := rand.New(rand.NewSource(3))
 	r.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
 	for _, q := range qs[:200] {
-		checkSlice(t, &sl, q.pc, q.base, true)
+		checkSlice(t, &sl, q.pc, q.base)
 	}
 }
 
 // BenchmarkSliceDeepPath times the slicing front end alone over the
 // recorded deep stream, one slicer per pass as one solver sees it, doing
-// what check does: kept values only for queries that came back Sat, and the
-// path-order list only for the incremental backend. It is the micro
-// regression check for the front end's per-query cost.
+// what check does: kept values only for queries that came back Sat. It is
+// the micro regression check for the front end's per-query cost.
 func BenchmarkSliceDeepPath(b *testing.B) {
 	qs := recordDeepPath(2000)
-	for _, mode := range []SolverMode{ModeOneshot, ModeIncremental} {
-		b.Run(mode.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var sl slicer
-				for _, q := range qs {
-					sl.slice(q.pc, q.base, mode == ModeIncremental)
-					if q.res == Sat {
-						sl.keep(nil)
-					}
-				}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var sl slicer
+		for _, q := range qs {
+			sl.slice(q.pc, q.base)
+			if q.res == Sat {
+				sl.keep(nil)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(qs)), "ns/query")
-		})
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(qs)), "ns/query")
 }

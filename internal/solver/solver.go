@@ -41,58 +41,12 @@ type CacheMode uint8
 // CacheExact is the only CacheMode; see CacheMode.
 const CacheExact CacheMode = 0
 
-// SolverMode selects the decision procedure behind the cache/persist front
-// end: the historical oneshot backend (a CNF of its own per query, built in
-// one satSolver and blaster that are reset between queries) or the
-// assumption-scoped incremental backend (one live Context per solver, see
-// incremental.go).
-type SolverMode uint8
-
-// Solver modes. ModeOneshot is the default and preserves the historical
-// byte-exact behavior; ModeIncremental retains blasted CNF, trail prefixes
-// and learned clauses across the queries of one solver.
-const (
-	ModeOneshot SolverMode = iota
-	ModeIncremental
-)
-
-func (m SolverMode) String() string {
-	if m == ModeIncremental {
-		return "incremental"
-	}
-	return "oneshot"
-}
-
-// ParseSolverMode maps the -solvermode flag spellings to a SolverMode.
-func ParseSolverMode(s string) (SolverMode, bool) {
-	switch s {
-	case "oneshot", "":
-		return ModeOneshot, true
-	case "incremental":
-		return ModeIncremental, true
-	}
-	return ModeOneshot, false
-}
-
-// Cost is the virtual work a backend performed for one Solve call, in the
+// Cost is the virtual work the backend performed for one Solve call, in the
 // units Stats accumulates (and the engine converts to virtual time).
 type Cost struct {
 	Propagations int64
 	Conflicts    int64
 	ClausesAdded int64
-}
-
-// Backend is the decision procedure behind the solver front end. The
-// constant filter, slicing, canonicalization and both cache layers (exact
-// and persistent) compose in front of it unchanged; a Backend only sees
-// the queries that miss all of them. The oneshot backend receives canonical
-// constraint order; the incremental backend receives path order (root
-// first), which is what its prefix reuse keys off. A Backend is owned by
-// one Solver and shares its single-goroutine discipline.
-type Backend interface {
-	// Solve decides the conjunction of pc under the given propagation
-	// budget. On Sat the model must cover every variable of pc.
-	Solve(pc []*symexpr.Expr, budget int64) (Result, symexpr.Assignment, Cost)
 }
 
 // Options configure the solver front end. The zero value enables every
@@ -105,26 +59,17 @@ type Options struct {
 	// Mode is ignored; it is kept only because the benchmark harness sets
 	// it (see CacheMode).
 	Mode CacheMode
-	// SolverMode selects the decision procedure behind the cache layers:
-	// ModeOneshot (default; a CNF reset per query) or ModeIncremental
-	// (assumption-scoped Context with trail and learned-clause retention).
-	// Slicing runs in front of both. The incremental backend receives the
-	// sliced sub-conjunction in path order rather than canonical order, so
-	// its models and propagation costs are a deterministic function of the
-	// solver's whole query stream rather than of each query alone (see
-	// Context). For that reason only oneshot solves are appended to Persist.
-	SolverMode SolverMode
 	// PropBudget caps SAT propagations per query; 0 means the default cap.
 	PropBudget int64
 	// Persist, when non-nil, is the disk-backed layer of solved queries (see
 	// persist.go): a *PersistentStore for single-run CLI use, or a
 	// *PersistView for multi-job servers that share one warm store. It is
-	// consulted after the in-memory layers miss (by either backend), and
-	// every result freshly *solved* (never derived) by the oneshot backend
-	// is appended to it. A persistent hit replays the recorded propagation
-	// cost into the solver's stats, so a warm rerun spends the same virtual
-	// time a cold run would — the store accelerates wall clock without
-	// perturbing deterministic output.
+	// consulted after the in-memory layers miss, and every result freshly
+	// *solved* (never derived) by the backend is appended to it. A
+	// persistent hit replays the recorded propagation cost into the solver's
+	// stats, so a warm rerun spends the same virtual time a cold run would —
+	// the store accelerates wall clock without perturbing deterministic
+	// output.
 	//
 	// Callers must not assign a typed-nil pointer here (wrap the assignment
 	// in a nil check); the solver treats any non-nil interface as enabled.
@@ -179,12 +124,6 @@ type Stats struct {
 	// Per-class decomposition of CacheHits.
 	CacheHitsExact   int64
 	CacheHitsPersist int64
-
-	// Incremental-backend counters (zero in oneshot mode).
-	IncContexts    int64 // contexts built (first query + rebuilds)
-	IncAssumptions int64 // assumption literals allocated
-	IncLearnedKept int64 // learned clauses carried into a query, summed over queries
-	IncRebuilds    int64 // contexts discarded at the growth caps
 }
 
 // Add folds another snapshot into s, field by field. It is the merge helper
@@ -201,10 +140,6 @@ func (s *Stats) Add(o Stats) {
 	s.ClausesAdded += o.ClausesAdded
 	s.CacheHitsExact += o.CacheHitsExact
 	s.CacheHitsPersist += o.CacheHitsPersist
-	s.IncContexts += o.IncContexts
-	s.IncAssumptions += o.IncAssumptions
-	s.IncLearnedKept += o.IncLearnedKept
-	s.IncRebuilds += o.IncRebuilds
 }
 
 // Solver decides conjunctions of width-1 bit-vector expressions.
@@ -214,29 +149,25 @@ type Solver struct {
 	opts    Options
 	stats   Stats
 	cache   *QueryCache // nil iff DisableCache
-	backend Backend
+	backend *oneshotBackend
 	slicer  slicer
 	work    []*symexpr.Expr // constant-filtered query, reused across queries
 
 	// Observability (all nil when disabled).
-	tracer          obs.Tracer
-	spans           *obs.SpanProfiler
-	now             func() int64 // virtual clock source for trace events
-	mQueries        *obs.Counter
-	mSat            *obs.Counter
-	mUnsat          *obs.Counter
-	mUnknown        *obs.Counter
-	mHits           *obs.Counter
-	mMisses         *obs.Counter
-	mHitsExact      *obs.Counter
-	mHitsPers       *obs.Counter
-	mIncContexts    *obs.Counter
-	mIncAssumptions *obs.Counter
-	mIncLearnedKept *obs.Counter
-	mIncRebuilds    *obs.Counter
-	hVirt           *obs.Histogram
-	hWall           *obs.Histogram
-	observing       bool
+	tracer     obs.Tracer
+	spans      *obs.SpanProfiler
+	now        func() int64 // virtual clock source for trace events
+	mQueries   *obs.Counter
+	mSat       *obs.Counter
+	mUnsat     *obs.Counter
+	mUnknown   *obs.Counter
+	mHits      *obs.Counter
+	mMisses    *obs.Counter
+	mHitsExact *obs.Counter
+	mHitsPers  *obs.Counter
+	hVirt      *obs.Histogram
+	hWall      *obs.Histogram
+	observing  bool
 }
 
 // New returns a solver with the given options.
@@ -257,20 +188,10 @@ func New(opts Options) *Solver {
 		s.mMisses = reg.Counter(obs.MSolverCacheMisses)
 		s.mHitsExact = reg.Counter(obs.MSolverCacheHitsExact)
 		s.mHitsPers = reg.Counter(obs.MSolverCacheHitsPersist)
-		if opts.SolverMode == ModeIncremental {
-			s.mIncContexts = reg.Counter(obs.MSolverIncContexts)
-			s.mIncAssumptions = reg.Counter(obs.MSolverIncAssumptions)
-			s.mIncLearnedKept = reg.Counter(obs.MSolverIncLearnedKept)
-			s.mIncRebuilds = reg.Counter(obs.MSolverIncRebuilds)
-		}
 		s.hVirt = reg.Histogram(obs.MSolverQueryVirt)
 		s.hWall = reg.Histogram(obs.MSolverQueryWall)
 	}
-	if opts.SolverMode == ModeIncremental {
-		s.backend = &incrementalBackend{s: s}
-	} else {
-		s.backend = newOneshotBackend(s)
-	}
+	s.backend = newOneshotBackend(s)
 	s.tracer = opts.Tracer
 	s.spans = opts.Spans
 	s.observing = opts.Metrics != nil || opts.Tracer != nil || opts.Spans != nil
@@ -326,14 +247,15 @@ func (s *Solver) Cache() *QueryCache { return s.cache }
 // Query is one satisfiability question over a path condition.
 type Query struct {
 	// PC is the conjunction to decide, in path order: root-most constraint
-	// first, exactly as the engine's pcNode chain unrolls. The incremental
-	// backend keys its prefix reuse off this order; the front end
-	// canonicalizes a copy for the cache layers, so callers need not sort.
+	// first, exactly as the engine's pcNode chain unrolls. The slicer keys
+	// its prefix reuse off this order (consecutive queries share a pointer
+	// prefix); the front end canonicalizes a copy for the cache layers and
+	// the backend, so callers need not sort.
 	PC []*symexpr.Expr
 	// Base, when non-nil, supplies concrete values for input variables from
 	// the parent path; slicing uses it to keep already-satisfied independent
 	// constraint groups at their known values, so only the group touched by
-	// the freshly negated constraint is re-solved (either backend).
+	// the freshly negated constraint is re-solved.
 	Base symexpr.Assignment
 	// PathSig, when non-zero, identifies the exploration path the query
 	// belongs to (the engine's trail signature). Purely observational: it
@@ -342,7 +264,7 @@ type Query struct {
 }
 
 // CheckQuery decides whether the conjunction q.PC is satisfiable. On Sat the
-// returned assignment covers every variable in q.PC (in oneshot mode, values
+// returned assignment covers every variable in q.PC (with slicing on, values
 // from q.Base are reused where valid).
 //
 // When observability is enabled (Options.Metrics/Tracer), CheckQuery
@@ -408,28 +330,19 @@ func (s *Solver) CheckQuery(q Query) (Result, symexpr.Assignment) {
 // check is the uninstrumented core of CheckQuery.
 func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 	s.stats.Queries++
-	incremental := s.opts.SolverMode == ModeIncremental
 
 	// Canonicalize: sort by the process-independent structural order and
-	// dedup. The oneshot backend sees the canonical sequence, so its result
-	// *and model* are a pure function of the constraint set — the property
-	// both cache layers (exact and persistent) rely on. The
-	// incremental backend instead keeps path order (its prefix reuse depends
-	// on it) and uses the canonical copy for the cache keys only; its models
-	// are a function of the solver's whole query stream, which per-cell
-	// solver ownership keeps deterministic.
-	var toSolve, canon []*symexpr.Expr
+	// dedup. The backend sees the canonical sequence, so its result *and
+	// model* are a pure function of the constraint set — the property both
+	// cache layers (exact and persistent) rely on.
+	var canon []*symexpr.Expr
 	sliced := !s.opts.DisableSlicing && q.Base != nil
 	if sliced {
-		// Slicing composes with either backend: it is a pure function of
-		// (pc, base), so the backend sees a deterministic sub-conjunction
-		// stream. For the incremental backend the sliced queries still share
-		// prefixes — a branch flip at depth d keeps the touched group of
-		// nearby flips — and the constraints it drops stay warm in the
-		// context's gated circuitry for the next query that touches them.
-		// The slicer applies the constant filter itself.
+		// Slicing is a pure function of (pc, base), so the backend still
+		// sees a pure function of the query. The slicer applies the
+		// constant filter itself.
 		var falseConst bool
-		falseConst, canon, toSolve = s.slicer.slice(q.PC, q.Base, incremental)
+		falseConst, canon = s.slicer.slice(q.PC, q.Base)
 		if falseConst {
 			s.stats.UnsatQueries++
 			return Unsat, nil
@@ -457,12 +370,7 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 			s.stats.SatQueries++
 			return Sat, symexpr.Assignment{}
 		}
-		toSolve = work
 		canon = canonicalize(append([]*symexpr.Expr(nil), work...))
-	}
-	backendInput := canon
-	if incremental {
-		backendInput = toSolve
 	}
 	key := canonKey(canon)
 
@@ -509,18 +417,14 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 		s.stats.CacheMisses++
 	}
 
-	spanLayer := obs.SpanSolverBlast
-	if incremental {
-		spanLayer = obs.SpanSolverInc
-	}
-	bsp := s.spans.Start(spanLayer)
+	bsp := s.spans.Start(obs.SpanSolverBlast)
 	var res Result
 	var model symexpr.Assignment
 	var cost Cost
 	if s.opts.Faults.Fire(faults.SolverUnknown) {
 		res = Unknown
 	} else {
-		res, model, cost = s.backend.Solve(backendInput, s.opts.PropBudget)
+		res, model, cost = s.backend.Solve(canon, s.opts.PropBudget)
 		s.stats.Propagations += cost.Propagations
 		s.stats.Conflicts += cost.Conflicts
 		s.stats.ClausesAdded += cost.ClausesAdded
@@ -530,12 +434,7 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 		if s.cache != nil {
 			s.cache.Store(key, canon, res, model)
 		}
-		if s.opts.Persist != nil && !incremental {
-			// Only oneshot solves enter the persistent store, whose entries
-			// must be a pure function of the canonical key. An incremental
-			// model depends on the solver's whole query stream, so a later
-			// oneshot run would read a model its own cold run never
-			// produces.
+		if s.opts.Persist != nil {
 			s.opts.Persist.Append(key, canon, res, model, cost.Propagations)
 		}
 	}
@@ -612,8 +511,10 @@ func merge(into, from symexpr.Assignment) symexpr.Assignment {
 	return into
 }
 
-// oneshotBackend is the historical decision procedure: every query is
-// blasted into a CNF of its own and solved from scratch. The backend owns one
+// oneshotBackend is the decision procedure behind the cache layers: every
+// query is blasted into a CNF of its own and solved from scratch, STP-style.
+// It only sees the queries that miss the constant filter, slicing and both
+// caches, and it shares its Solver's single-goroutine discipline. It owns one
 // satSolver and blaster and resets them after each query, so only their
 // capacity carries over; its result, model and cost are a pure function of
 // the (canonical) constraint sequence.
@@ -670,10 +571,7 @@ func (b *oneshotBackend) solve(constraints []*symexpr.Expr, budget int64) (Resul
 // Maximize returns the largest value e can take subject to q.PC, found by
 // binary search over satisfiability queries. It implements the upper_bound
 // API call from Table 1 of the paper. The boolean result is false when even
-// the base query is unsatisfiable or the budget ran out. Each probe appends
-// its bound constraint after the unchanged path condition, so in incremental
-// mode the whole search reuses the path prefix and only the bound is pushed
-// and popped per probe.
+// the base query is unsatisfiable or the budget ran out.
 func (s *Solver) Maximize(e *symexpr.Expr, q Query) (uint64, bool) {
 	if e.IsConst() {
 		return e.ConstVal(), true

@@ -37,7 +37,6 @@ func main() {
 		parallel = flag.Int("parallel", 0, "worker goroutines for the session grid (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
 		shards   = flag.Int("shards", 0, "sharded exploration per session cell: split the path space across signature-subtree ranges driven by up to N epoch workers (0 = plain sessions; output is identical for every N >= 1)")
 		cfile    = flag.String("cachefile", "", "persistent counterexample cache: load solved queries from this file at startup, append new ones")
-		stats    = flag.Bool("stats", false, "print harness statistics (sessions, solver queries, cache hits/misses) after each experiment")
 		fspec    = flag.String("faults", "", "deterministic fault-injection plan, e.g. 'seed=7;solver.unknown:p=0.05;worker.stall:session=2' (see docs/ROBUSTNESS.md)")
 	)
 	var obsFlags obscli.Flags
@@ -74,16 +73,6 @@ func main() {
 			pin.Instrument(obsFlags.Registry())
 			persist.SetFaults(pin)
 		}
-	}
-	printStats := func() {
-		if !*stats {
-			return
-		}
-		hs := experiments.HarnessSnapshot()
-		fmt.Printf("[harness] workers=%d sessions=%d solver-queries=%d cache-hits=%d (exact=%d persist=%d) cache-misses=%d\n",
-			b.Workers(), hs.Sessions, hs.SolverQueries, hs.CacheHits,
-			hs.Solver.CacheHitsExact, hs.Solver.CacheHitsPersist, hs.CacheMisses)
-		experiments.ResetHarnessStats()
 	}
 
 	run := map[string]func(){
@@ -132,7 +121,6 @@ func main() {
 		for _, k := range order {
 			fmt.Printf("==== %s ====\n", k)
 			run[k]()
-			printStats()
 		}
 		finishObs()
 		return
@@ -143,7 +131,6 @@ func main() {
 		os.Exit(1)
 	}
 	f()
-	printStats()
 	finishObs()
 }
 
@@ -188,14 +175,10 @@ def f(x):
 // budget, with high-level paths merged across builds.
 func portfolio(b experiments.Budgets) {
 	p, _ := packages.ByName("xlrd")
-	var members []chefPortfolioMember
+	var ms []chefPkg.PortfolioMember
 	names := minipy.OptLevelNames()
 	for i, lvl := range minipy.OptLevels() {
-		members = append(members, chefPortfolioMember{names[i], p.PyTest(lvl).Program()})
-	}
-	var ms []chefPkg.PortfolioMember
-	for _, m := range members {
-		ms = append(ms, chefPkg.PortfolioMember{Name: m.name, Prog: m.prog})
+		ms = append(ms, chefPkg.PortfolioMember{Name: names[i], Prog: p.PyTest(lvl).Program()})
 	}
 	opts := chefPkg.Options{
 		Strategy: chefPkg.StrategyCUPAPath, Seed: b.Seed, StepLimit: b.StepLimit, Parallel: b.Parallel,
@@ -212,9 +195,4 @@ func portfolio(b experiments.Budgets) {
 		fmt.Printf("  %-30s %5d paths, %4d new to the portfolio\n", m.Name, res.PerBuild[i], res.NewPerBuild[i])
 	}
 	fmt.Printf("  merged distinct high-level paths: %d\n", len(res.Tests))
-}
-
-type chefPortfolioMember struct {
-	name string
-	prog chefPkg.TestProgram
 }

@@ -164,15 +164,14 @@ type Session struct {
 	// cancelled records that RunContext stopped early because its context
 	// was done; the tests generated so far remain valid.
 	cancelled bool
+	// ran makes RunContext run, and publish its counts, once.
+	ran bool
 
 	// Observability (nil when disabled).
-	tracer   obs.Tracer
-	spans    *obs.SpanProfiler
-	metrics  *obs.Registry
-	mLogPC   *obs.Counter
-	mTests   *obs.Counter
-	mHLPaths *obs.Counter
-	mStalled *obs.Counter
+	tracer  obs.Tracer
+	spans   *obs.SpanProfiler
+	metrics *obs.Registry
+	mLogPC  *obs.Counter
 }
 
 // NewSession builds a session for the given symbolic test.
@@ -204,9 +203,6 @@ func NewSession(prog TestProgram, opts Options) *Session {
 	}
 	if s.metrics != nil {
 		s.mLogPC = s.metrics.Counter(obs.MChefLogPC)
-		s.mTests = s.metrics.Counter(obs.MChefTests)
-		s.mHLPaths = s.metrics.Counter(obs.MChefHLPaths)
-		s.mStalled = s.metrics.Counter(obs.MSessionsStalled)
 	}
 	var strat lowlevel.Strategy
 	if opts.StrategyFactory != nil {
@@ -261,11 +257,16 @@ func (s *Session) Run(budget int64) []TestCase {
 // cancelled exploration stops promptly — after at most one more run — and
 // returns the test cases generated so far. Cancellation is observation-safe:
 // it never alters the tests produced before the cancellation point, and a
-// run with an uncancelled context is byte-identical to Run.
+// run with an uncancelled context is byte-identical to Run. A session runs
+// once; later calls return the tests of the first.
 func (s *Session) RunContext(ctx context.Context, budget int64) []TestCase {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if s.ran {
+		return s.tests
+	}
+	s.ran = true
 	// The whole exploration is one chef.session span; its virtual duration
 	// is the engine clock, which only advances inside nested engine.run
 	// spans, so the session's self time is zero by construction.
@@ -283,49 +284,76 @@ func (s *Session) RunContext(ctx context.Context, budget int64) []TestCase {
 	// members instead of wedging or miscounting.
 	if s.faults.FireStall(s.opts.SessionIndex) {
 		s.stalled = true
-		if s.mStalled != nil {
-			s.mStalled.Inc()
-		}
 		if s.tracer != nil {
 			s.tracer.Emit(&obs.Event{Kind: obs.KindFault, Site: string(faults.WorkerStall)})
-			s.tracer.Emit(&obs.Event{Kind: obs.KindSessionEnd, Status: "stalled"})
 		}
+		s.finish(false)
 		return s.tests
 	}
-	if ctx.Err() != nil {
-		s.cancelled = true
-	} else {
-		info := s.eng.RunInitial()
-		s.finishRun(info)
-		for s.eng.Clock() < budget {
-			if ctx.Err() != nil {
-				s.cancelled = true
-				break
-			}
-			info, more := s.eng.SelectAndRun()
-			if !more {
-				break
-			}
-			if info != nil {
-				s.finishRun(info)
-			}
+	s.cancelled = s.explore(ctx, budget, true)
+	s.finish(s.cancelled)
+	return s.tests
+}
+
+// explore advances the engine until its clock reaches until, its queue
+// drains or ctx is done, making the initial run first when initial is set.
+// It reports whether ctx stopped it. A plain session explores once; a shard
+// cell explores once per epoch.
+func (s *Session) explore(ctx context.Context, until int64, initial bool) (cancelled bool) {
+	if initial {
+		if ctx.Err() != nil {
+			return true
 		}
+		s.finishRun(s.eng.RunInitial())
+	}
+	for s.eng.Clock() < until {
+		if ctx.Err() != nil {
+			return true
+		}
+		info, more := s.eng.SelectAndRun()
+		if !more {
+			break
+		}
+		if info != nil {
+			s.finishRun(info)
+		}
+	}
+	return false
+}
+
+// finish ends the session: it emits the session-end event, with status
+// "stalled" or "cancelled" when the session ended that way, then publishes
+// the session's counts and the engine's to the registry. The counts are
+// published once, here, from the session's own state; nothing increments
+// them while the session runs.
+func (s *Session) finish(cancelled bool) {
+	var status string
+	switch {
+	case s.stalled:
+		status = "stalled"
+	case cancelled:
+		status = "cancelled"
 	}
 	if s.tracer != nil {
-		st := s.eng.Stats()
-		ev := &obs.Event{
+		s.tracer.Emit(&obs.Event{
 			T:       s.eng.Clock(),
 			Kind:    obs.KindSessionEnd,
+			Status:  status,
 			Tests:   len(s.tests),
 			HLPaths: len(s.hlPaths),
-			LLPaths: st.LLPaths,
-		}
-		if s.cancelled {
-			ev.Status = "cancelled"
-		}
-		s.tracer.Emit(ev)
+			LLPaths: s.eng.Stats().LLPaths,
+		})
 	}
-	return s.tests
+	if reg := s.metrics; reg != nil {
+		var stalled int64
+		if s.stalled {
+			stalled = 1
+		}
+		reg.Counter(obs.MChefTests).Add(int64(len(s.tests)))
+		reg.Counter(obs.MChefHLPaths).Add(int64(len(s.hlPaths)))
+		reg.Counter(obs.MSessionsStalled).Add(stalled)
+	}
+	s.eng.Publish()
 }
 
 // Cancelled reports whether RunContext stopped early because its context was
@@ -349,10 +377,6 @@ func (s *Session) finishRun(info *lowlevel.RunInfo) {
 			Result:   ctx.result,
 			VirtTime: s.eng.Clock(),
 		})
-		if s.mTests != nil {
-			s.mTests.Inc()
-			s.mHLPaths.Inc()
-		}
 		if s.tracer != nil {
 			s.tracer.Emit(&obs.Event{
 				T:      s.eng.Clock(),

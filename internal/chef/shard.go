@@ -104,16 +104,14 @@ type ShardedSession struct {
 	childRegs []*obs.Registry
 
 	// Coordinator observability (nil when disabled).
-	tracer   obs.Tracer
-	spans    *obs.SpanProfiler
-	mEpochs  *obs.Counter
-	mLive    *obs.Gauge
-	mStates  *obs.Counter
-	mNotes   *obs.Counter
-	mDups    *obs.Counter
-	mDepth   *obs.Histogram
-	mStalled *obs.Counter
-	mMerged  *obs.Counter
+	tracer  obs.Tracer
+	spans   *obs.SpanProfiler
+	mEpochs *obs.Counter
+	mLive   *obs.Gauge
+	mStates *obs.Counter
+	mNotes  *obs.Counter
+	mDups   *obs.Counter
+	mDepth  *obs.Histogram
 
 	stallInj *faults.Injector
 
@@ -160,8 +158,6 @@ func NewShardedSession(prog TestProgram, opts Options, workers int) *ShardedSess
 		ss.mNotes = reg.Counter(obs.MShardVisitedNotes)
 		ss.mDups = reg.Counter(obs.MShardHandoffDups)
 		ss.mDepth = reg.Histogram(obs.MShardHandoffDepth)
-		ss.mStalled = reg.Counter(obs.MShardStalled)
-		ss.mMerged = reg.Counter(obs.MChefTestsMerged)
 		ss.childRegs = make([]*obs.Registry, ShardSubtrees)
 		for i := range ss.childRegs {
 			ss.childRegs[i] = obs.NewRegistry()
@@ -219,6 +215,7 @@ func (ss *ShardedSession) RunContext(ctx context.Context, budget int64) []TestCa
 		return ss.tests
 	}
 	ss.ran = true
+	defer ss.publish()
 	for _, c := range ss.cells {
 		if c.sess.tracer != nil {
 			c.sess.tracer.Emit(&obs.Event{
@@ -235,9 +232,6 @@ func (ss *ShardedSession) RunContext(ctx context.Context, budget int64) []TestCa
 	for w := 0; w < ss.workers; w++ {
 		if ss.stallInj.FireStall(w) {
 			ss.stalledWorkers++
-			if ss.mStalled != nil {
-				ss.mStalled.Inc()
-			}
 			if ss.tracer != nil {
 				ss.tracer.Emit(&obs.Event{Kind: obs.KindFault, Site: string(faults.WorkerStall)})
 			}
@@ -319,23 +313,7 @@ func (ss *ShardedSession) runCellEpoch(ctx context.Context, c *shardCell, slice 
 	s := c.sess
 	sp := s.spans.Start(obs.SpanChefSession)
 	start := s.eng.Clock()
-	end := start + slice
-	if initial {
-		info := s.eng.RunInitial()
-		s.finishRun(info)
-	}
-	for s.eng.Clock() < end {
-		if ctx.Err() != nil {
-			break
-		}
-		info, more := s.eng.SelectAndRun()
-		if !more {
-			break
-		}
-		if info != nil {
-			s.finishRun(info)
-		}
-	}
+	s.explore(ctx, start+slice, initial)
 	sp.End(s.eng.Clock() - start)
 }
 
@@ -380,7 +358,8 @@ func (ss *ShardedSession) deliver() {
 
 // merge gathers per-cell results in canonical range order: tests dedup by
 // high-level signature (first range wins, mirroring RunPortfolio), series
-// concatenate, child registries fold into the caller's registry.
+// concatenate, every cell finishes like a plain session, and child
+// registries fold into the caller's registry.
 func (ss *ShardedSession) merge() {
 	seen := map[uint64]bool{}
 	for _, c := range ss.cells {
@@ -392,29 +371,22 @@ func (ss *ShardedSession) merge() {
 		}
 		ss.series = append(ss.series, c.sess.series...)
 	}
-	if ss.mMerged != nil {
-		ss.mMerged.Add(int64(len(ss.tests)))
-	}
 	for _, c := range ss.cells {
-		if c.sess.tracer != nil {
-			st := c.sess.eng.Stats()
-			ev := &obs.Event{
-				T:       c.sess.eng.Clock(),
-				Kind:    obs.KindSessionEnd,
-				Tests:   len(c.sess.tests),
-				HLPaths: len(c.sess.hlPaths),
-				LLPaths: st.LLPaths,
-			}
-			if ss.cancelled {
-				ev.Status = "cancelled"
-			}
-			c.sess.tracer.Emit(ev)
-		}
+		c.sess.finish(ss.cancelled)
 	}
 	if ss.opts.Metrics != nil {
 		for _, child := range ss.childRegs {
 			ss.opts.Metrics.Merge(child)
 		}
+	}
+}
+
+// publish adds the coordinator's end-of-run counts to the registry: the
+// stalled workers and the merged test count (zero after a total stall).
+func (ss *ShardedSession) publish() {
+	if reg := ss.opts.Metrics; reg != nil {
+		reg.Counter(obs.MShardStalled).Add(int64(ss.stalledWorkers))
+		reg.Counter(obs.MChefTestsMerged).Add(int64(len(ss.tests)))
 	}
 }
 

@@ -11,11 +11,8 @@
 package experiments
 
 import (
-	"sync"
-
 	"chef/internal/chef"
 	"chef/internal/packages"
-	"chef/internal/solver"
 )
 
 // cell is one unit of grid work: one session of one package under one
@@ -34,55 +31,4 @@ func runCells(b Budgets, cells []cell) []RunResult {
 		out[i] = runPackageCell(cells[i].p, cells[i].cfg, b, cells[i].seed, i)
 	})
 	return out
-}
-
-// HarnessStats aggregates solver-side work across every session the harness
-// has run since the last reset: how many sessions executed, plus the full
-// solver counter set summed over all sessions. The headline fields mirror
-// the totals callers printed historically; Solver carries everything else
-// (propagations, conflicts, per-result query counts).
-type HarnessStats struct {
-	Sessions      int64
-	SolverQueries int64
-	CacheHits     int64
-	CacheMisses   int64
-	Solver        solver.Stats
-}
-
-var harness struct {
-	mu       sync.Mutex
-	sessions int64
-	solver   solver.Stats
-}
-
-// recordSession folds one finished session's solver snapshot into the
-// harness totals via solver.Stats.Add (the canonical merge helper — not
-// ad-hoc field sums). Called from worker goroutines under a short mutex.
-func recordSession(st solver.Stats) {
-	harness.mu.Lock()
-	harness.sessions++
-	harness.solver.Add(st)
-	harness.mu.Unlock()
-}
-
-// HarnessSnapshot returns the accumulated harness counters.
-func HarnessSnapshot() HarnessStats {
-	harness.mu.Lock()
-	defer harness.mu.Unlock()
-	return HarnessStats{
-		Sessions:      harness.sessions,
-		SolverQueries: harness.solver.Queries,
-		CacheHits:     harness.solver.CacheHits,
-		CacheMisses:   harness.solver.CacheMisses,
-		Solver:        harness.solver,
-	}
-}
-
-// ResetHarnessStats zeroes the harness counters (tests and the CLI call it
-// between experiments).
-func ResetHarnessStats() {
-	harness.mu.Lock()
-	harness.sessions = 0
-	harness.solver = solver.Stats{}
-	harness.mu.Unlock()
 }

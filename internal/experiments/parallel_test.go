@@ -5,7 +5,9 @@ import (
 
 	"chef/internal/chef"
 	"chef/internal/minipy"
+	"chef/internal/obs"
 	"chef/internal/packages"
+	"chef/internal/solver"
 )
 
 // quickParallelBudgets trims the grid enough for a unit test while keeping
@@ -102,26 +104,38 @@ func TestRunPortfolioParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestHarnessStatsAccumulate checks that the harness counters see every
-// session and that solver-level cache accounting is consistent
-// (hits + misses == cacheable queries).
-func TestHarnessStatsAccumulate(t *testing.T) {
-	ResetHarnessStats()
+// TestHarnessMetricsAccumulate checks that the harness's registry sees
+// every session: its solver counters equal the sum of the per-session
+// snapshots, and the cache accounting is consistent (hits + misses ==
+// cacheable queries).
+func TestHarnessMetricsAccumulate(t *testing.T) {
 	p, _ := packages.ByName("cliargs")
 	b := quickParallelBudgets(4)
-	RunRepeated(p, FourConfigurations(true)[0], b)
-	hs := HarnessSnapshot()
-	if hs.Sessions != int64(b.Reps) {
-		t.Fatalf("harness saw %d sessions, want %d", hs.Sessions, b.Reps)
+	b.Metrics = obs.NewRegistry()
+	results := runCells(b, repCells(p, FourConfigurations(true)[0], b))
+	if len(results) != b.Reps {
+		t.Fatalf("harness ran %d sessions, want %d", len(results), b.Reps)
 	}
-	if hs.SolverQueries <= 0 {
+	var sum solver.Stats
+	for _, r := range results {
+		sum.Add(r.Solver)
+	}
+	if sum.Queries <= 0 {
 		t.Fatal("harness recorded no solver queries")
 	}
-	if hs.CacheHits+hs.CacheMisses <= 0 || hs.CacheHits+hs.CacheMisses > hs.SolverQueries {
-		t.Fatalf("cache accounting inconsistent: hits=%d misses=%d queries=%d",
-			hs.CacheHits, hs.CacheMisses, hs.SolverQueries)
+	for name, want := range map[string]int64{
+		obs.MSolverQueries:     sum.Queries,
+		obs.MSolverCacheHits:   sum.CacheHits,
+		obs.MSolverCacheMisses: sum.CacheMisses,
+	} {
+		if got := b.Metrics.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, sessions sum to %d", name, got, want)
+		}
 	}
-	ResetHarnessStats()
+	if sum.CacheHits+sum.CacheMisses <= 0 || sum.CacheHits+sum.CacheMisses > sum.Queries {
+		t.Fatalf("cache accounting inconsistent: hits=%d misses=%d queries=%d",
+			sum.CacheHits, sum.CacheMisses, sum.Queries)
+	}
 }
 
 // TestBudgetsWorkers pins the worker-count policy.

@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"chef/internal/obs"
 	"chef/internal/packages"
 	"chef/internal/solver"
 )
@@ -15,8 +16,8 @@ import (
 // tables and figures — cannot depend on whether the store was warm.
 
 // runFig8WithStore renders Figure 8 with a persistent store at path, and
-// returns the rendered bytes plus the aggregated solver stats of the pass.
-func runFig8WithStore(t *testing.T, path string) (string, solver.Stats) {
+// returns the rendered bytes plus the persistent-cache hits of the pass.
+func runFig8WithStore(t *testing.T, path string) (string, int64) {
 	t.Helper()
 	store, err := solver.OpenPersistentStore(path)
 	if err != nil {
@@ -25,16 +26,14 @@ func runFig8WithStore(t *testing.T, path string) (string, solver.Stats) {
 	if cerr := store.Corruption(); cerr != nil {
 		t.Fatalf("store corrupt: %v", cerr)
 	}
-	ResetHarnessStats()
 	b := goldenBudgets()
 	b.Persist = store
+	b.Metrics = obs.NewRegistry()
 	out := RenderFig8(Fig8(b))
-	hs := HarnessSnapshot()
-	ResetHarnessStats()
 	if err := store.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	return out, hs.Solver
+	return out, b.Metrics.Counter(obs.MSolverCacheHitsPersist).Value()
 }
 
 // TestGoldenFig8WarmPersist runs Figure 8 cold (writing a fresh cache file),
@@ -46,13 +45,13 @@ func TestGoldenFig8WarmPersist(t *testing.T) {
 		t.Skip("full grid in -short mode")
 	}
 	path := filepath.Join(t.TempDir(), "cxc.bin")
-	cold, coldStats := runFig8WithStore(t, path)
-	warm, warmStats := runFig8WithStore(t, path)
-	if coldStats.CacheHitsPersist != 0 {
-		t.Fatalf("cold pass hit the empty persistent store: %+v", coldStats)
+	cold, coldHits := runFig8WithStore(t, path)
+	warm, warmHits := runFig8WithStore(t, path)
+	if coldHits != 0 {
+		t.Fatalf("cold pass hit the empty persistent store %d times", coldHits)
 	}
-	if warmStats.CacheHitsPersist == 0 {
-		t.Fatalf("warm pass recorded no persistent hits: %+v", warmStats)
+	if warmHits == 0 {
+		t.Fatal("warm pass recorded no persistent hits")
 	}
 	if cold != warm {
 		t.Fatalf("warm rerun diverged from cold run:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
@@ -69,27 +68,25 @@ func TestWarmParallelMatchesColdSerial(t *testing.T) {
 	cfg := FourConfigurations(true)[3]
 	path := filepath.Join(t.TempDir(), "cxc.bin")
 
-	run := func(workers int) (Aggregated, Aggregated, RunResult, solver.Stats) {
+	run := func(workers int) (Aggregated, Aggregated, RunResult, int64) {
 		store, err := solver.OpenPersistentStore(path)
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		ResetHarnessStats()
 		b := quickParallelBudgets(workers)
 		b.Persist = store
+		b.Metrics = obs.NewRegistry()
 		ts, cs, last := RunRepeated(p, cfg, b)
-		hs := HarnessSnapshot()
-		ResetHarnessStats()
 		if err := store.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		return ts, cs, last, hs.Solver
+		return ts, cs, last, b.Metrics.Counter(obs.MSolverCacheHitsPersist).Value()
 	}
 
 	st, sc, slast, _ := run(1)
-	pt, pc, plast, warmStats := run(8)
-	if warmStats.CacheHitsPersist == 0 {
-		t.Fatalf("warm parallel pass recorded no persistent hits: %+v", warmStats)
+	pt, pc, plast, warmHits := run(8)
+	if warmHits == 0 {
+		t.Fatal("warm parallel pass recorded no persistent hits")
 	}
 	if st != pt || sc != pc {
 		t.Fatalf("aggregates diverged:\n cold serial   tests=%+v cov=%+v\n warm parallel tests=%+v cov=%+v", st, sc, pt, pc)

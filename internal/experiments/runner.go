@@ -225,7 +225,6 @@ func runPackageCell(p *packages.Package, cfg Configuration, b Budgets, seed int6
 	}
 	res.HLTests = len(tests)
 	res.Coverage = float64(len(covered)) / float64(coverable)
-	recordSession(res.Solver)
 	if child != nil {
 		b.Metrics.Merge(child)
 	}

@@ -106,9 +106,9 @@ type Options struct {
 	// abandoned. 0 means the default (3); negative disables re-queueing, so
 	// the first Unknown abandons the state immediately.
 	UnknownRetries int
-	// Metrics, when non-nil, receives engine counters/gauges (fork counts
-	// per LLPC, states alive, run outcomes). Observation-only: it never
-	// affects exploration.
+	// Metrics, when non-nil, receives the per-LLPC fork counts as they
+	// happen and, from Publish, the engine counters and the pending-states
+	// gauge. Observation-only: it never affects exploration.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, receives structured exploration events (forks,
 	// run ends). Disabled tracing costs one nil-check per site.
@@ -232,23 +232,13 @@ type Engine struct {
 	pcBuf   []*symexpr.Expr // path condition of the query being checked
 	pcNodes []*pcNode       // pcNodes[i] is the node that wrote pcBuf[i]
 
-	// Observability (all nil when disabled; observation-only).
-	tracer     obs.Tracer
-	spans      *obs.SpanProfiler
-	metrics    *obs.Registry
-	mForks     *obs.Counter
-	mDup       *obs.Counter
-	mRuns      *obs.Counter
-	mHangs     *obs.Counter
-	mLLPaths   *obs.Counter
-	mUnsat     *obs.Counter
-	mUnknown   *obs.Counter
-	mRequeued  *obs.Counter
-	mAbandoned *obs.Counter
-	mDiverge   *obs.Counter
-	mCompleted *obs.Counter
-	mPending   *obs.Gauge
-	mForkLLPC  *obs.CounterVec
+	// Observability (all nil when disabled; observation-only). The event
+	// counts live in stats and reach the registry through Publish; only
+	// the per-LLPC fork counts, which no snapshot holds, are written live.
+	tracer    obs.Tracer
+	spans     *obs.SpanProfiler
+	metrics   *obs.Registry
+	mForkLLPC *obs.CounterVec
 
 	// Per-run fork-weight grouping.
 	group     []*State
@@ -289,18 +279,6 @@ func NewEngine(prog Program, strategy Strategy, opts Options) *Engine {
 		metrics:    opts.Metrics,
 	}
 	if reg := opts.Metrics; reg != nil {
-		e.mForks = reg.Counter(obs.MForks)
-		e.mDup = reg.Counter(obs.MDupStates)
-		e.mRuns = reg.Counter(obs.MRuns)
-		e.mHangs = reg.Counter(obs.MHangs)
-		e.mLLPaths = reg.Counter(obs.MLLPaths)
-		e.mUnsat = reg.Counter(obs.MUnsatStates)
-		e.mUnknown = reg.Counter(obs.MUnknownStates)
-		e.mRequeued = reg.Counter(obs.MStatesRequeued)
-		e.mAbandoned = reg.Counter(obs.MStatesAbandoned)
-		e.mDiverge = reg.Counter(obs.MDivergences)
-		e.mCompleted = reg.Counter(obs.MStatesCompleted)
-		e.mPending = reg.Gauge(obs.MStatesPending)
 		e.mForkLLPC = reg.CounterVec(obs.MForksByLLPC)
 	}
 	if so.Tracer != nil {
@@ -330,6 +308,29 @@ func (e *Engine) Stats() Stats { return e.stats }
 // Pending returns the number of queued states.
 func (e *Engine) Pending() int { return e.strategy.Len() }
 
+// Publish adds the engine counters to the engine's metrics registry, sets
+// the pending-states gauge to the queue length, and publishes the solver's
+// counters to the solver's registry. The owner calls it once, when
+// exploration ends; each count has its Stats field as its only owner.
+func (e *Engine) Publish() {
+	if reg := e.metrics; reg != nil {
+		st := e.stats
+		reg.Counter(obs.MRuns).Add(st.Runs)
+		reg.Counter(obs.MStatesCompleted).Add(st.Runs)
+		reg.Counter(obs.MHangs).Add(st.Hangs)
+		reg.Counter(obs.MLLPaths).Add(st.LLPaths)
+		reg.Counter(obs.MForks).Add(st.Forks)
+		reg.Counter(obs.MDupStates).Add(st.DupStates)
+		reg.Counter(obs.MUnsatStates).Add(st.UnsatStates)
+		reg.Counter(obs.MUnknownStates).Add(st.UnknownStates)
+		reg.Counter(obs.MStatesRequeued).Add(st.RequeuedStates)
+		reg.Counter(obs.MStatesAbandoned).Add(st.AbandonedStates)
+		reg.Counter(obs.MDivergences).Add(st.Divergences)
+		reg.Gauge(obs.MStatesPending).Set(int64(e.strategy.Len()))
+	}
+	e.solver.Publish()
+}
+
 func (e *Engine) markVisited(sig uint64) {
 	if e.router != nil && !e.router.Owns(sig) {
 		e.router.NoteVisited(sig)
@@ -351,16 +352,10 @@ func (e *Engine) InjectVisited(sig uint64) { e.visited[sig] = true }
 func (e *Engine) InjectState(st *State) bool {
 	if e.visited[st.Sig] {
 		e.stats.DupStates++
-		if e.metrics != nil {
-			e.mDup.Inc()
-		}
 		return false
 	}
 	e.visited[st.Sig] = true
 	e.strategy.Add(st)
-	if e.metrics != nil {
-		e.mPending.Set(int64(e.strategy.Len()))
-	}
 	return true
 }
 
@@ -370,8 +365,7 @@ func (e *Engine) chargeSolver(propsBefore int64) {
 
 func (e *Engine) registerAlternate(m *Machine, llpc LLPC, alt *symexpr.Expr, altSig uint64, flipTaken, oriented bool) {
 	e.stats.Forks++
-	if e.metrics != nil {
-		e.mForks.Inc()
+	if e.mForkLLPC != nil {
 		e.mForkLLPC.At(uint64(llpc)).Inc()
 	}
 	if e.tracer != nil {
@@ -398,9 +392,6 @@ func (e *Engine) registerAlternate(m *Machine, llpc LLPC, alt *symexpr.Expr, alt
 	if !routed {
 		if e.visited[altSig] {
 			e.stats.DupStates++
-			if e.metrics != nil {
-				e.mDup.Inc()
-			}
 			return
 		}
 		e.visited[altSig] = true
@@ -441,9 +432,6 @@ func (e *Engine) registerAlternate(m *Machine, llpc LLPC, alt *symexpr.Expr, alt
 		return
 	}
 	e.strategy.Add(st)
-	if e.metrics != nil {
-		e.mPending.Set(int64(e.strategy.Len()))
-	}
 }
 
 // finalizeGroup assigns fork weights p^(n-1-i) to the current group.
@@ -505,24 +493,10 @@ func (e *Engine) runWith(input symexpr.Assignment, flip *State) *RunInfo {
 		if m.diverged || m.nDecisions <= flip.flipIdx {
 			info.Diverged = true
 			e.stats.Divergences++
-			if e.metrics != nil {
-				e.mDiverge.Inc()
-			}
 		}
 	}
 	if info.Status != RunAssumeFailed {
 		e.stats.LLPaths++
-	}
-	if e.metrics != nil {
-		e.mRuns.Inc()
-		e.mCompleted.Inc()
-		if info.Status == RunHang {
-			e.mHangs.Inc()
-		}
-		if info.Status != RunAssumeFailed {
-			e.mLLPaths.Inc()
-		}
-		e.mPending.Set(int64(e.strategy.Len()))
 	}
 	if e.tracer != nil {
 		e.tracer.Emit(&obs.Event{
@@ -607,10 +581,6 @@ func (e *Engine) runStateInner(st *State) *RunInfo {
 	switch res {
 	case solver.Unsat:
 		e.stats.UnsatStates++
-		if e.metrics != nil {
-			e.mUnsat.Inc()
-			e.mPending.Set(int64(e.strategy.Len()))
-		}
 		return nil
 	case solver.Unknown:
 		// A budget miss is transient: re-queue the state for a bounded
@@ -618,17 +588,10 @@ func (e *Engine) runStateInner(st *State) *RunInfo {
 		// results are never cached, so a retry reaches the SAT core again
 		// and succeeds once the budget recovers.
 		e.stats.UnknownStates++
-		if e.metrics != nil {
-			e.mUnknown.Inc()
-		}
 		if st.retries < e.opts.UnknownRetries {
 			st.retries++
 			e.stats.RequeuedStates++
 			e.strategy.Add(st)
-			if e.metrics != nil {
-				e.mRequeued.Inc()
-				e.mPending.Set(int64(e.strategy.Len()))
-			}
 			if e.tracer != nil {
 				e.tracer.Emit(&obs.Event{
 					T:       e.clock,
@@ -645,10 +608,6 @@ func (e *Engine) runStateInner(st *State) *RunInfo {
 		// under-reported until that happens — never silently lost forever.
 		delete(e.visited, st.Sig)
 		e.stats.AbandonedStates++
-		if e.metrics != nil {
-			e.mAbandoned.Inc()
-			e.mPending.Set(int64(e.strategy.Len()))
-		}
 		if e.tracer != nil {
 			e.tracer.Emit(&obs.Event{
 				T:       e.clock,

@@ -3,13 +3,15 @@
 //
 // The paper's core performance claims (§2, §6) are about *where* exploration
 // time goes — fork hot spots inside interpreter internals, solver cost per
-// high-level path, CUPA's de-biasing effect. The terse end-of-run Stats
-// structs cannot show any of that on a live run, so this package provides:
+// high-level path, CUPA's de-biasing effect. The end-of-run Stats structs
+// hold only totals, so this package provides:
 //
 //   - Registry: named counters, gauges and duration histograms (virtual-clock
 //     and wall-clock), plus CounterVec for per-site counters keyed by LLPC or
 //     CUPA class. All cells are atomics, safe to read and merge while the
-//     engine runs.
+//     engine runs. Counters that mirror a Stats field are published from
+//     that field when the session ends, so the registry and the snapshots
+//     agree.
 //   - Tracer: structured JSONL exploration events (forks, solver queries,
 //     HLPC transitions, CUPA picks, test-case emissions) with a nil default,
 //     so the hot path pays exactly one nil-check when tracing is disabled.
@@ -44,7 +46,7 @@ const (
 	MUnsatStates     = "engine.unsat_states"
 	MUnknownStates   = "engine.unknown_states"
 	MDivergences     = "engine.divergences"
-	MStatesPending   = "engine.states.pending"   // gauge: alive (queued) states
+	MStatesPending   = "engine.states.pending"   // gauge: states still queued when the session ended
 	MStatesCompleted = "engine.states.completed" // counter: finished runs
 	MForksByLLPC     = "engine.forks.by_llpc"    // counter vec keyed by LLPC
 
@@ -368,7 +370,7 @@ func vecLabel(f func(uint64) string, k uint64) string {
 
 // Merge folds every metric of src into r: counters and histograms add,
 // gauges add (a merged gauge is the sum over children — for MStatesPending
-// that is the total alive states across sessions). src should be quiescent;
+// that is the total of states still queued when the sessions ended). src should be quiescent;
 // r may be concurrently read. The parallel experiment harness uses Merge to
 // aggregate per-session child registries.
 func (r *Registry) Merge(src *Registry) {

@@ -74,10 +74,10 @@ type Options struct {
 	// Callers must not assign a typed-nil pointer here (wrap the assignment
 	// in a nil check); the solver treats any non-nil interface as enabled.
 	Persist PersistLayer
-	// Metrics, when non-nil, receives per-query counters and latency
-	// histograms (virtual propagations and wall-clock ns). Wall clock is read
-	// only when observability is enabled and never enters solver results, so
-	// instrumented runs stay deterministic.
+	// Metrics, when non-nil, receives per-query latency histograms (virtual
+	// propagations and wall-clock ns) and, from Publish, the query and cache
+	// counters. Wall clock is read only when observability is enabled and
+	// never enters solver results, so instrumented runs stay deterministic.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, receives one structured event per Check call.
 	Tracer obs.Tracer
@@ -109,7 +109,8 @@ type PersistLayer interface {
 // Stats accumulates solver work, expressed in units the engine converts to
 // virtual time. Solver.Stats returns it by value — a point-in-time snapshot
 // that does not track later queries; aggregators combine snapshots with Add
-// rather than summing individual fields by hand.
+// rather than summing individual fields by hand. Every query counts one
+// verdict, so Queries == SatQueries + UnsatQueries + Unknowns.
 type Stats struct {
 	Queries      int64
 	SatQueries   int64
@@ -127,7 +128,7 @@ type Stats struct {
 }
 
 // Add folds another snapshot into s, field by field. It is the merge helper
-// used by the portfolio/harness aggregators.
+// for aggregating per-session snapshots (shard cells, benchmark passes).
 func (s *Stats) Add(o Stats) {
 	s.Queries += o.Queries
 	s.SatQueries += o.SatQueries
@@ -154,20 +155,12 @@ type Solver struct {
 	work    []*symexpr.Expr // constant-filtered query, reused across queries
 
 	// Observability (all nil when disabled).
-	tracer     obs.Tracer
-	spans      *obs.SpanProfiler
-	now        func() int64 // virtual clock source for trace events
-	mQueries   *obs.Counter
-	mSat       *obs.Counter
-	mUnsat     *obs.Counter
-	mUnknown   *obs.Counter
-	mHits      *obs.Counter
-	mMisses    *obs.Counter
-	mHitsExact *obs.Counter
-	mHitsPers  *obs.Counter
-	hVirt      *obs.Histogram
-	hWall      *obs.Histogram
-	observing  bool
+	tracer    obs.Tracer
+	spans     *obs.SpanProfiler
+	now       func() int64 // virtual clock source for trace events
+	hVirt     *obs.Histogram
+	hWall     *obs.Histogram
+	observing bool
 }
 
 // New returns a solver with the given options.
@@ -180,14 +173,6 @@ func New(opts Options) *Solver {
 		s.cache = NewQueryCache(0)
 	}
 	if reg := opts.Metrics; reg != nil {
-		s.mQueries = reg.Counter(obs.MSolverQueries)
-		s.mSat = reg.Counter(obs.MSolverSat)
-		s.mUnsat = reg.Counter(obs.MSolverUnsat)
-		s.mUnknown = reg.Counter(obs.MSolverUnknown)
-		s.mHits = reg.Counter(obs.MSolverCacheHits)
-		s.mMisses = reg.Counter(obs.MSolverCacheMisses)
-		s.mHitsExact = reg.Counter(obs.MSolverCacheHitsExact)
-		s.mHitsPers = reg.Counter(obs.MSolverCacheHitsPersist)
 		s.hVirt = reg.Histogram(obs.MSolverQueryVirt)
 		s.hWall = reg.Histogram(obs.MSolverQueryWall)
 	}
@@ -199,10 +184,9 @@ func New(opts Options) *Solver {
 }
 
 // Instruments bundles the run-time attachments a Solver (or PersistentStore)
-// owner may install after construction. It replaces the old SetNow /
-// SetPropBudget / SetSpans setter sprawl with one call; zero-valued fields
-// leave the corresponding attachment unchanged, so owners can attach just
-// the pieces they have.
+// owner may install after construction. Zero-valued fields leave the
+// corresponding attachment unchanged, so owners can attach just the pieces
+// they have.
 type Instruments struct {
 	// Now, when non-nil, is the virtual-clock source used to timestamp trace
 	// events (the engine points it at its own clock). Purely observational.
@@ -239,6 +223,26 @@ func (s *Solver) Attach(in Instruments) {
 // intended semantics); re-snapshot for fresh numbers and combine snapshots
 // with Stats.Add.
 func (s *Solver) Stats() Stats { return s.stats }
+
+// Publish adds the accumulated counters to the solver's metrics registry
+// (Options.Metrics), if it has one. The owner calls it once, when the
+// solver's session ends: the Stats fields are the only count of each event,
+// and the registry's counters are published from them.
+func (s *Solver) Publish() {
+	reg := s.opts.Metrics
+	if reg == nil {
+		return
+	}
+	st := s.stats
+	reg.Counter(obs.MSolverQueries).Add(st.Queries)
+	reg.Counter(obs.MSolverSat).Add(st.SatQueries)
+	reg.Counter(obs.MSolverUnsat).Add(st.UnsatQueries)
+	reg.Counter(obs.MSolverUnknown).Add(st.Unknowns)
+	reg.Counter(obs.MSolverCacheHits).Add(st.CacheHits)
+	reg.Counter(obs.MSolverCacheMisses).Add(st.CacheMisses)
+	reg.Counter(obs.MSolverCacheHitsExact).Add(st.CacheHitsExact)
+	reg.Counter(obs.MSolverCacheHitsPersist).Add(st.CacheHitsPersist)
+}
 
 // Cache returns the solver's private counterexample cache (nil when caching
 // is disabled).
@@ -277,34 +281,15 @@ func (s *Solver) CheckQuery(q Query) (Result, symexpr.Assignment) {
 		return s.check(q)
 	}
 	propsBefore := s.stats.Propagations
-	before := s.stats
+	hitsBefore := s.stats.CacheHits
 	sp := s.spans.Start(obs.SpanSolverCheck)
 	start := time.Now()
 	res, model := s.check(q)
 	virt := s.stats.Propagations - propsBefore
 	sp.End(virt)
 	wall := time.Since(start).Nanoseconds()
-	cacheHit := s.stats.CacheHits > before.CacheHits
-	if s.mQueries != nil {
-		s.mQueries.Inc()
-		switch res {
-		case Sat:
-			s.mSat.Inc()
-		case Unsat:
-			s.mUnsat.Inc()
-		default:
-			s.mUnknown.Inc()
-		}
-		if cacheHit {
-			s.mHits.Inc()
-			if s.stats.CacheHitsExact > before.CacheHitsExact {
-				s.mHitsExact.Inc()
-			} else {
-				s.mHitsPers.Inc()
-			}
-		} else if s.stats.CacheMisses > before.CacheMisses {
-			s.mMisses.Inc()
-		}
+	cacheHit := s.stats.CacheHits > hitsBefore
+	if s.hVirt != nil {
 		s.hVirt.Observe(virt)
 		s.hWall.Observe(wall)
 	}
@@ -383,9 +368,11 @@ func (s *Solver) check(q Query) (Result, symexpr.Assignment) {
 			s.stats.CacheHits++
 			s.stats.CacheHitsExact++
 			if r == Sat {
+				s.stats.SatQueries++
 				return Sat, s.hitModel(m, sliced)
 			}
-			return r, nil
+			s.stats.UnsatQueries++
+			return Unsat, nil
 		}
 		csp.End(0)
 	}

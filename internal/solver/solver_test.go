@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"chef/internal/obs"
 	sx "chef/internal/symexpr"
 )
 
@@ -285,14 +286,36 @@ func TestRandomUnsatSystemsProperty(t *testing.T) {
 	}
 }
 
+// TestStatsAccumulate checks the per-query counters, including on exact
+// cache hits: the second pass repeats both queries, and every query still
+// counts its verdict. Publish hands the registry the same numbers.
 func TestStatsAccumulate(t *testing.T) {
-	s := New(Options{})
+	reg := obs.NewRegistry()
+	s := New(Options{Metrics: reg})
 	x := v8("x", 0)
-	s.CheckQuery(Query{PC: pc(sx.Eq(x, c8(1)))})
-	s.CheckQuery(Query{PC: pc(sx.Eq(x, c8(1)), sx.Eq(x, c8(2)))})
+	for pass := 1; pass <= 2; pass++ {
+		s.CheckQuery(Query{PC: pc(sx.Eq(x, c8(1)))})
+		s.CheckQuery(Query{PC: pc(sx.Eq(x, c8(1)), sx.Eq(x, c8(2)))})
+		st := s.Stats()
+		if st.Queries != int64(2*pass) || st.SatQueries != int64(pass) || st.UnsatQueries != int64(pass) ||
+			st.CacheHitsExact != int64(2*pass-2) {
+			t.Fatalf("pass %d stats: %+v", pass, st)
+		}
+	}
 	st := s.Stats()
-	if st.Queries != 2 || st.SatQueries != 1 || st.UnsatQueries != 1 {
-		t.Fatalf("stats: %+v", st)
+	s.Publish()
+	for name, want := range map[string]int64{
+		obs.MSolverQueries:        st.Queries,
+		obs.MSolverSat:            st.SatQueries,
+		obs.MSolverUnsat:          st.UnsatQueries,
+		obs.MSolverUnknown:        st.Unknowns,
+		obs.MSolverCacheHits:      st.CacheHits,
+		obs.MSolverCacheHitsExact: st.CacheHitsExact,
+		obs.MSolverCacheMisses:    st.CacheMisses,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

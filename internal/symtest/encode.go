@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,7 +30,9 @@ func EncodeInput(in symexpr.Assignment) map[string]uint64 {
 	return out
 }
 
-// DecodeInput parses the EncodeInput representation.
+// DecodeInput parses the EncodeInput representation. Each key must be
+// exactly buf[idx]:w, with idx a non-negative decimal and w a width of
+// symexpr (1, 8, 16, 32 or 64).
 func DecodeInput(m map[string]uint64) (symexpr.Assignment, error) {
 	out := symexpr.Assignment{}
 	for k, val := range m {
@@ -38,18 +41,23 @@ func DecodeInput(m map[string]uint64) (symexpr.Assignment, error) {
 		if lb < 0 || colon < lb {
 			return nil, fmt.Errorf("symtest: bad input key %q", k)
 		}
-		var idx int
-		var w int
-		if _, err := fmt.Sscanf(k[lb:colon], "[%d]", &idx); err != nil {
+		// Sscanf ignores trailing bytes and takes signs; the digit checks
+		// make the key exactly buf[idx]:w.
+		var idx, w int
+		if _, err := fmt.Sscanf(k[lb:colon], "[%d]", &idx); err != nil || !isDecimal(k[lb+1:colon-1]) {
 			return nil, fmt.Errorf("symtest: bad index in key %q", k)
 		}
-		if _, err := fmt.Sscanf(k[colon:], ":%d", &w); err != nil {
+		if _, err := fmt.Sscanf(k[colon:], ":%d", &w); err != nil || !isDecimal(k[colon+1:]) ||
+			!slices.Contains([]int{1, 8, 16, 32, 64}, w) {
 			return nil, fmt.Errorf("symtest: bad width in key %q", k)
 		}
 		out[symexpr.Var{Buf: k[:lb], Idx: idx, W: symexpr.Width(w)}] = val
 	}
 	return out, nil
 }
+
+// isDecimal reports whether s is a non-empty run of ASCII digits.
+func isDecimal(s string) bool { return s != "" && strings.Trim(s, "0123456789") == "" }
 
 // MarshalTests renders test cases as newline-delimited JSON.
 func MarshalTests(tests []SerializedTest) ([]byte, error) {

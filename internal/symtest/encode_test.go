@@ -37,6 +37,13 @@ func TestDecodeInputErrors(t *testing.T) {
 		{"noindex:8": 1},
 		{"name[zz]:8": 1},
 		{"name[0]": 1},
+		{"buf[3]x:8": 1},
+		{"buf[3]:8abc": 1},
+		{"buf[-1]:8": 1},
+		{"buf[0]:0": 1},
+		{"buf[0]:13": 1},
+		{"buf[0]:4096": 1},
+		{"buf[0]:257": 1},
 	} {
 		if _, err := DecodeInput(bad); err == nil {
 			t.Errorf("expected error for %v", bad)

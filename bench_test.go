@@ -24,6 +24,7 @@ import (
 	"chef/internal/cupa"
 	"chef/internal/dedicated"
 	"chef/internal/experiments"
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
 	"chef/internal/minipy"
 	"chef/internal/obs"
@@ -282,7 +283,7 @@ func BenchmarkAblationCUPALevels(b *testing.B) {
 		}, nil)
 	}
 	run := func(factory func(*rand.Rand, *chef.CFG) lowlevel.Strategy, kind chef.StrategyKind) int {
-		pt := p.PyTest(minipy.Vanilla)
+		pt := p.Test(interp.Vanilla)
 		s := chef.NewSession(pt.Program(), chef.Options{
 			Strategy:        kind,
 			StrategyFactory: factory,
@@ -309,7 +310,7 @@ func BenchmarkAblationForkWeight(b *testing.B) {
 		b.Run(fmt.Sprintf("p=%.2f", decay), func(b *testing.B) {
 			var tests int
 			for i := 0; i < b.N; i++ {
-				pt := p.PyTest(minipy.Optimized)
+				pt := p.Test(interp.Optimized)
 				s := chef.NewSession(pt.Program(), chef.Options{
 					Strategy:        chef.StrategyCUPACoverage,
 					Seed:            1,
@@ -344,7 +345,7 @@ func BenchmarkAblationSolver(b *testing.B) {
 			var tests int
 			var props int64
 			for i := 0; i < b.N; i++ {
-				pt := p.PyTest(minipy.Optimized)
+				pt := p.Test(interp.Optimized)
 				s := chef.NewSession(pt.Program(), chef.Options{
 					Strategy:      chef.StrategyCUPAPath,
 					Seed:          1,
@@ -369,7 +370,7 @@ func BenchmarkAblationStrategies(b *testing.B) {
 		b.Run(k.String(), func(b *testing.B) {
 			var tests int
 			for i := 0; i < b.N; i++ {
-				pt := p.PyTest(minipy.Optimized)
+				pt := p.Test(interp.Optimized)
 				s := chef.NewSession(pt.Program(), chef.Options{Strategy: k, Seed: 1, StepLimit: bud.StepLimit})
 				tests = len(s.Run(bud.Time))
 			}
@@ -422,7 +423,7 @@ for i in range(200):
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := lowlevel.NewConcreteMachine(nil, 1<<22)
-		m.RunConcrete(func(m *lowlevel.Machine) { minipy.RunModule(prog, m, nil, minipy.Optimized) })
+		m.RunConcrete(func(m *lowlevel.Machine) { minipy.RunModule(prog, m, nil, interp.Optimized) })
 	}
 }
 
@@ -433,7 +434,7 @@ for i in range(200):
 // figure a cheaper log_pc moves.
 func BenchmarkLogPC(b *testing.B) {
 	p, _ := packages.ByName("argparse")
-	prog := p.PyTest(minipy.Optimized).Program()
+	prog := p.Test(interp.Optimized).Program()
 	var calls int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -495,14 +496,14 @@ func BenchmarkAblationPortfolio(b *testing.B) {
 	total := bud.Time * 4
 	var single, portfolio int
 	for i := 0; i < b.N; i++ {
-		s := chef.NewSession(p.PyTest(minipy.Optimized).Program(),
+		s := chef.NewSession(p.Test(interp.Optimized).Program(),
 			chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 5, StepLimit: bud.StepLimit})
 		single = len(s.Run(total))
 
 		var members []chef.PortfolioMember
-		names := minipy.OptLevelNames()
-		for li, lvl := range minipy.OptLevels() {
-			members = append(members, chef.PortfolioMember{Name: names[li], Prog: p.PyTest(lvl).Program()})
+		names := interp.OptLevelNames()
+		for li, lvl := range interp.OptLevels() {
+			members = append(members, chef.PortfolioMember{Name: names[li], Prog: p.Test(lvl).Program()})
 		}
 		res := chef.RunPortfolio(members,
 			chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 5, StepLimit: bud.StepLimit}, total)
@@ -519,7 +520,7 @@ func BenchmarkAblationPortfolio(b *testing.B) {
 // are directly comparable.
 func benchExplore(b *testing.B, reg *obs.Registry, tr obs.Tracer) {
 	p, _ := packages.ByName("simplejson")
-	prog := p.PyTest(minipy.Optimized).Program()
+	prog := p.Test(interp.Optimized).Program()
 	bud := benchBudgets()
 	b.ResetTimer()
 	var tests int
@@ -561,7 +562,7 @@ func BenchmarkTracingOverhead(b *testing.B) {
 // one per session; profilers are single-goroutine and hold a span stack).
 func benchExploreSpans(b *testing.B, mkReg func() *obs.Registry, mkTracer func() obs.Tracer) {
 	p, _ := packages.ByName("simplejson")
-	prog := p.PyTest(minipy.Optimized).Program()
+	prog := p.Test(interp.Optimized).Program()
 	bud := benchBudgets()
 	b.ResetTimer()
 	var tests int

@@ -18,6 +18,7 @@ import (
 	"chef/internal/dedicated"
 	"chef/internal/experiments"
 	"chef/internal/faults"
+	"chef/internal/interp"
 	"chef/internal/minipy"
 	"chef/internal/obs"
 	"chef/internal/obscli"
@@ -176,9 +177,9 @@ def f(x):
 func portfolio(b experiments.Budgets) {
 	p, _ := packages.ByName("xlrd")
 	var ms []chefPkg.PortfolioMember
-	names := minipy.OptLevelNames()
-	for i, lvl := range minipy.OptLevels() {
-		ms = append(ms, chefPkg.PortfolioMember{Name: names[i], Prog: p.PyTest(lvl).Program()})
+	names := interp.OptLevelNames()
+	for i, lvl := range interp.OptLevels() {
+		ms = append(ms, chefPkg.PortfolioMember{Name: names[i], Prog: p.Test(lvl).Program()})
 	}
 	opts := chefPkg.Options{
 		Strategy: chefPkg.StrategyCUPAPath, Seed: b.Seed, StepLimit: b.StepLimit, Parallel: b.Parallel,

@@ -15,8 +15,7 @@ import (
 	"io"
 	"os"
 
-	"chef/internal/minilua"
-	"chef/internal/minipy"
+	"chef/internal/interp"
 	"chef/internal/packages"
 	"chef/internal/symtest"
 )
@@ -102,12 +101,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "chef-replay: %v\n", err)
 			os.Exit(1)
 		}
-		var rep symtest.ReplayResult
-		if p.Lang == packages.Python {
-			rep = p.PyTest(minipy.Vanilla).Replay(input, *stepCap)
-		} else {
-			rep = p.LuaTest(minilua.Vanilla).Replay(input, *stepCap)
-		}
+		rep := p.Test(interp.Vanilla).Replay(input, *stepCap)
 		for l := range rep.Lines {
 			covered[l] = true
 		}

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"chef/internal/minipy"
+	"chef/internal/interp"
 	"chef/internal/packages"
 	"chef/internal/symexpr"
 	"chef/internal/symtest"
@@ -73,7 +73,7 @@ func TestReplayProfileCounters(t *testing.T) {
 	if !ok {
 		t.Fatal("simplejson package missing")
 	}
-	rep := p.PyTest(minipy.Vanilla).Replay(symexpr.Assignment{}, 60_000)
+	rep := p.Test(interp.Vanilla).Replay(symexpr.Assignment{}, 60_000)
 	if rep.HLLen <= 0 {
 		t.Errorf("HLLen = %d, want > 0", rep.HLLen)
 	}

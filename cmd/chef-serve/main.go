@@ -98,6 +98,12 @@ func run() int {
 		Tracer:            obsFlags.Tracer(),
 	})
 
+	// Catch SIGTERM before announcing the address: a client may signal as
+	// soon as it reads the listening line, and the default action would
+	// kill the process without draining.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chef-serve: %v\n", err)
@@ -118,8 +124,6 @@ func run() int {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
-	defer stop()
 	select {
 	case err := <-errc:
 		fmt.Fprintf(os.Stderr, "chef-serve: %v\n", err)

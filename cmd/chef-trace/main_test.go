@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"chef/internal/chef"
-	"chef/internal/minipy"
+	"chef/internal/interp"
 	"chef/internal/obs"
 	"chef/internal/packages"
 )
@@ -82,7 +82,7 @@ func TestEndToEndTrace(t *testing.T) {
 	var buf bytes.Buffer
 	tr := obs.NewJSONL(&buf)
 	tr.DisableWallClock()
-	s := chef.NewSession(p.PyTest(minipy.Optimized).Program(), chef.Options{
+	s := chef.NewSession(p.Test(interp.Optimized).Program(), chef.Options{
 		Strategy: chef.StrategyCUPAPath, Seed: 1, StepLimit: 30_000,
 		Tracer: tr, Name: "simplejson/e2e/1",
 	})

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"os"
 
-	"chef/internal/chef"
 	"chef/internal/faults"
 	"chef/internal/obs"
 	"chef/internal/obscli"
@@ -174,12 +173,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "chef: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// parseStrategy maps the flag value onto chef.StrategyKind (delegating to
-// the shared parser in internal/serve).
-func parseStrategy(s string) (chef.StrategyKind, bool) {
-	return serve.ParseStrategy(s)
 }
 
 func renderInput(p *packages.Package, tc symtest.SerializedTest) string {

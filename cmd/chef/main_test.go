@@ -3,29 +3,9 @@ package main
 import (
 	"testing"
 
-	"chef/internal/chef"
 	"chef/internal/packages"
 	"chef/internal/symtest"
 )
-
-func TestParseStrategy(t *testing.T) {
-	cases := map[string]chef.StrategyKind{
-		"random":        chef.StrategyRandom,
-		"cupa-path":     chef.StrategyCUPAPath,
-		"cupa-coverage": chef.StrategyCUPACoverage,
-		"dfs":           chef.StrategyDFS,
-		"bfs":           chef.StrategyBFS,
-	}
-	for name, want := range cases {
-		got, ok := parseStrategy(name)
-		if !ok || got != want {
-			t.Errorf("parseStrategy(%q) = %v, %v", name, got, ok)
-		}
-	}
-	if _, ok := parseStrategy("nonsense"); ok {
-		t.Error("unknown strategy accepted")
-	}
-}
 
 func TestRenderInput(t *testing.T) {
 	p, _ := packages.ByName("unicodecsv")

@@ -10,13 +10,13 @@ import (
 	"sort"
 
 	"chef/internal/chef"
-	"chef/internal/minipy"
+	"chef/internal/interp"
 	"chef/internal/packages"
 )
 
 func main() {
 	pkg, _ := packages.ByName("argparse")
-	test := pkg.PyTest(minipy.Optimized)
+	test := pkg.Test(interp.Optimized)
 
 	session := chef.NewSession(test.Program(), chef.Options{
 		Strategy: chef.StrategyCUPACoverage,

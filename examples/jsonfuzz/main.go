@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"chef/internal/chef"
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
 	"chef/internal/minilua"
 	"chef/internal/packages"
@@ -15,7 +16,7 @@ import (
 
 func main() {
 	pkg, _ := packages.ByName("JSON")
-	test := pkg.LuaTest(minilua.Optimized)
+	test := pkg.Test(interp.Optimized)
 
 	session := chef.NewSession(test.Program(), chef.Options{
 		Strategy:  chef.StrategyCUPAPath,

@@ -10,6 +10,7 @@ import (
 
 	"chef/internal/chef"
 	"chef/internal/dedicated"
+	"chef/internal/interp"
 	"chef/internal/minipy"
 	"chef/internal/packages"
 	"chef/internal/symexpr"
@@ -35,7 +36,7 @@ func main() {
 		dedPaths, dedTime, dedTime/int64(max(1, dedPaths)))
 
 	// CHEF-derived engine on the same workload.
-	pt := packages.MacLearningFlatTest(frames, macLen, minipy.Optimized)
+	pt := packages.MacLearningFlatTest(frames, macLen, interp.Optimized)
 	session := chef.NewSession(pt.Program(), chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 1})
 	tests := session.Run(6_000_000)
 	chefTime := session.Engine().Clock()

@@ -8,19 +8,19 @@ import (
 	"fmt"
 
 	"chef/internal/chef"
-	"chef/internal/minipy"
+	"chef/internal/interp"
 	"chef/internal/packages"
 )
 
 func main() {
 	pkg, _ := packages.ByName("xlrd")
-	names := minipy.OptLevelNames()
+	names := interp.OptLevelNames()
 
 	var members []chef.PortfolioMember
-	for i, lvl := range minipy.OptLevels() {
+	for i, lvl := range interp.OptLevels() {
 		members = append(members, chef.PortfolioMember{
 			Name: names[i],
-			Prog: pkg.PyTest(lvl).Program(),
+			Prog: pkg.Test(lvl).Program(),
 		})
 	}
 	const totalBudget = 2_000_000
@@ -36,7 +36,7 @@ func main() {
 	fmt.Printf("\nmerged distinct high-level paths: %d\n\n", len(res.Tests))
 
 	// Compare with spending the whole budget on the single best build.
-	single := chef.NewSession(pkg.PyTest(minipy.Optimized).Program(), opts)
+	single := chef.NewSession(pkg.Test(interp.Optimized).Program(), opts)
 	fmt.Printf("single fully-optimized build at the same total budget: %d paths\n",
 		len(single.Run(totalBudget)))
 	fmt.Println("\nEach build steers the search into different target behaviors (the")

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"chef/internal/chef"
+	"chef/internal/interp"
 	"chef/internal/minipy"
 	"chef/internal/symtest"
 )
@@ -27,7 +28,7 @@ func main() {
 		Source: validator,
 		Entry:  "validateEmail",
 		Inputs: []symtest.Input{symtest.Str("email", 6, "")},
-		Config: minipy.Optimized,
+		Config: interp.Optimized,
 	}
 
 	session := chef.NewSession(test.Program(), chef.Options{

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"chef/internal/chef"
+	"chef/internal/interp"
 	"chef/internal/minipy"
 	"chef/internal/packages"
 	"chef/internal/symexpr"
@@ -173,7 +174,7 @@ func chefOutcomes(t *testing.T, src string) int {
 	t.Helper()
 	prog := minipy.MustCompile(src)
 	tp := func(ctx *chef.Ctx) {
-		vm, out := minipy.RunModule(prog, ctx.M, ctx, minipy.Optimized)
+		vm, out := minipy.RunModule(prog, ctx.M, ctx, interp.Optimized)
 		if out.Exception != "" {
 			ctx.SetResult("moduleerror")
 			return

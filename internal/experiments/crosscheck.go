@@ -6,6 +6,7 @@ import (
 
 	"chef/internal/chef"
 	"chef/internal/dedicated"
+	"chef/internal/interp"
 	"chef/internal/minipy"
 	"chef/internal/packages"
 	"chef/internal/symexpr"
@@ -31,7 +32,7 @@ func CrossCheck(nFrames, macLen int, bugCompat bool, b Budgets) (CrossCheckResul
 	var out CrossCheckResult
 
 	// CHEF side: ground-truth high-level paths.
-	pt := packages.MacLearningFlatTest(nFrames, macLen, minipy.Optimized)
+	pt := packages.MacLearningFlatTest(nFrames, macLen, interp.Optimized)
 	session := chef.NewSession(pt.Program(), chef.Options{
 		Strategy: chef.StrategyCUPAPath, Seed: b.Seed, StepLimit: b.StepLimit,
 	})

@@ -13,7 +13,7 @@ func TestFourConfigurations(t *testing.T) {
 		if len(cfgs) != 4 {
 			t.Fatalf("want 4 configurations, got %d", len(cfgs))
 		}
-		if cfgs[0].PyCfg.HashNeutralization || cfgs[3].PyCfg != (FourConfigurations(true)[3].PyCfg) {
+		if cfgs[0].Interp.HashNeutralization || cfgs[3].Interp != (FourConfigurations(true)[3].Interp) {
 			t.Error("config grid wrong")
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"chef/internal/chef"
 	"chef/internal/dedicated"
+	"chef/internal/interp"
 	"chef/internal/minipy"
 	"chef/internal/packages"
 	"chef/internal/symexpr"
@@ -149,9 +150,9 @@ func Fig10(b Budgets) []Fig10Series {
 	// Flatten the (language, configuration, package) grid into cells, run
 	// them on the pool, and walk the results in the same nesting order.
 	var cells []cell
-	for _, langPkgs := range [][]*packages.Package{packages.PythonPackages(), packages.LuaPackages()} {
+	for _, l := range packages.Langs {
 		for _, cfg := range configs {
-			for _, p := range langPkgs {
+			for _, p := range packages.ByLang(l) {
 				cells = append(cells, cell{p: p, cfg: cfg, seed: b.Seed})
 			}
 		}
@@ -159,11 +160,9 @@ func Fig10(b Budgets) []Fig10Series {
 	results := runCells(b, cells)
 	var out []Fig10Series
 	idx := 0
-	for _, langPkgs := range [][]*packages.Package{packages.PythonPackages(), packages.LuaPackages()} {
-		if len(langPkgs) == 0 {
-			continue
-		}
-		lang := langPkgs[0].Lang.String()
+	for _, l := range packages.Langs {
+		langPkgs := packages.ByLang(l)
+		lang := l.String()
 		for _, cfg := range configs {
 			deciles := make([]float64, 10)
 			counts := make([]int, 10)
@@ -227,12 +226,12 @@ type Fig11Row struct {
 // Fig11 reproduces Figure 11: the contribution of the interpreter
 // optimizations, one cumulative level at a time, with path-optimized CUPA.
 func Fig11(b Budgets) []Fig11Row {
-	levels := minipy.OptLevels()
-	pkgs := packages.PythonPackages()
+	levels := interp.OptLevels()
+	pkgs := packages.ByLang(packages.Python)
 	var cells []cell
 	for _, p := range pkgs {
 		for li, lvl := range levels {
-			cfg := Configuration{Name: minipy.OptLevelNames()[li], Strategy: chef.StrategyCUPAPath, PyCfg: lvl}
+			cfg := Configuration{Name: interp.OptLevelNames()[li], Strategy: chef.StrategyCUPAPath, Interp: lvl}
 			cells = append(cells, repCells(p, cfg, b)...)
 		}
 	}
@@ -263,7 +262,7 @@ func RenderFig11(rows []Fig11Row) string {
 	var sb strings.Builder
 	sb.WriteString("Figure 11: High-level paths per interpreter optimization level (FullOpt = 100%)\n")
 	fmt.Fprintf(&sb, "%-14s", "Package")
-	for _, n := range minipy.OptLevelNames() {
+	for _, n := range interp.OptLevelNames() {
 		fmt.Fprintf(&sb, " %30s", n)
 	}
 	sb.WriteString("\n")
@@ -290,8 +289,8 @@ type Fig12Point struct {
 // controller, for 1..maxFrames symbolic frames and each optimization build.
 func Fig12(maxFrames int, b Budgets) []Fig12Point {
 	const macLen = 2
-	levels := minipy.OptLevels()
-	names := minipy.OptLevelNames()
+	levels := interp.OptLevels()
+	names := interp.OptLevelNames()
 	// Each frame count is an independent (dedicated engine + CHEF builds)
 	// measurement; fan the frame counts out over the pool and concatenate in
 	// frame order.

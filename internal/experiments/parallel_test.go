@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"chef/internal/chef"
-	"chef/internal/minipy"
+	"chef/internal/interp"
 	"chef/internal/obs"
 	"chef/internal/packages"
 	"chef/internal/solver"
@@ -74,9 +74,9 @@ func TestFig8ParallelDeterminism(t *testing.T) {
 func TestRunPortfolioParallelDeterminism(t *testing.T) {
 	p, _ := packages.ByName("simplejson")
 	var members []chef.PortfolioMember
-	names := minipy.OptLevelNames()
-	for li, lvl := range minipy.OptLevels() {
-		members = append(members, chef.PortfolioMember{Name: names[li], Prog: p.PyTest(lvl).Program()})
+	names := interp.OptLevelNames()
+	for li, lvl := range interp.OptLevels() {
+		members = append(members, chef.PortfolioMember{Name: names[li], Prog: p.Test(lvl).Program()})
 	}
 	run := func(workers int) chef.PortfolioResult {
 		return chef.RunPortfolio(members, chef.Options{

@@ -17,13 +17,11 @@ import (
 
 	"chef/internal/chef"
 	"chef/internal/faults"
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
-	"chef/internal/minilua"
-	"chef/internal/minipy"
 	"chef/internal/obs"
 	"chef/internal/packages"
 	"chef/internal/solver"
-	"chef/internal/symexpr"
 )
 
 // Budgets collects the virtual-time knobs of a run, standing in for the
@@ -112,8 +110,7 @@ func QuickBudgets() Budgets {
 type Configuration struct {
 	Name     string
 	Strategy chef.StrategyKind
-	PyCfg    minipy.Config
-	LuaCfg   minilua.Config
+	Interp   interp.Config // the guest interpreter's §4.2 build
 }
 
 // FourConfigurations returns the §6.3 grid: baseline, CUPA only,
@@ -127,8 +124,8 @@ func FourConfigurations(pathOpt bool) []Configuration {
 	return []Configuration{
 		{Name: "Baseline", Strategy: chef.StrategyRandom},
 		{Name: "CUPA Only", Strategy: strat},
-		{Name: "Optimizations Only", Strategy: chef.StrategyRandom, PyCfg: minipy.Optimized, LuaCfg: minilua.Optimized},
-		{Name: "CUPA + Optimizations", Strategy: strat, PyCfg: minipy.Optimized, LuaCfg: minilua.Optimized},
+		{Name: "Optimizations Only", Strategy: chef.StrategyRandom, Interp: interp.Optimized},
+		{Name: "CUPA + Optimizations", Strategy: strat, Interp: interp.Optimized},
 	}
 }
 
@@ -175,35 +172,8 @@ func runPackageCell(p *packages.Package, cfg Configuration, b Budgets, seed int6
 		opts.Spans = obs.NewSpanProfiler(child, obs.WithSession(b.Tracer, opts.Name))
 	}
 	res := RunResult{Package: p.Name, Config: cfg.Name, Exceptions: map[string]bool{}}
-	covered := map[int]bool{}
-	coverable := 1
-	var prog chef.TestProgram
-	var replay func(input symexpr.Assignment)
-
-	switch p.Lang {
-	case packages.Python:
-		pt := p.PyTest(cfg.PyCfg)
-		prog = pt.Program()
-		coverable = len(pt.Prog().CoverableLines())
-		replay = func(input symexpr.Assignment) {
-			rep := pt.Replay(input, b.StepLimit)
-			for l := range rep.Lines {
-				covered[l] = true
-			}
-			classify(&res, rep.Result, rep.Status)
-		}
-	default:
-		lt := p.LuaTest(cfg.LuaCfg)
-		prog = lt.Program()
-		coverable = len(lt.Prog().CoverableLines())
-		replay = func(input symexpr.Assignment) {
-			rep := lt.Replay(input, b.StepLimit)
-			for l := range rep.Lines {
-				covered[l] = true
-			}
-			classify(&res, rep.Result, rep.Status)
-		}
-	}
+	test := p.Test(cfg.Interp)
+	prog := test.Program()
 	var tests []chef.TestCase
 	if b.Shards >= 1 {
 		ss := chef.NewShardedSession(prog, opts, b.Shards)
@@ -220,11 +190,16 @@ func runPackageCell(p *packages.Package, cfg Configuration, b Budgets, seed int6
 		res.VirtTime = session.Engine().Clock()
 		res.Solver = session.Engine().Solver().Stats()
 	}
+	covered := map[int]bool{}
 	for _, tc := range tests {
-		replay(tc.Input)
+		rep := test.Replay(tc.Input, b.StepLimit)
+		for l := range rep.Lines {
+			covered[l] = true
+		}
+		classify(&res, rep.Result, rep.Status)
 	}
 	res.HLTests = len(tests)
-	res.Coverage = float64(len(covered)) / float64(coverable)
+	res.Coverage = float64(len(covered)) / float64(len(test.CoverableLines()))
 	if child != nil {
 		b.Metrics.Merge(child)
 	}

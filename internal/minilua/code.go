@@ -1,23 +1,16 @@
 package minilua
 
 import (
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
 )
 
-// Config mirrors minipy.Config for the Lua interpreter: the same three §4.2
-// optimization groups apply (the paper's Lua case study eliminated string
-// interning and used integer numbers).
-type Config struct {
-	HashNeutralization    bool
-	AvoidSymbolicPointers bool
-	FastPathElimination   bool
-}
-
-// Vanilla is the unmodified interpreter build.
-var Vanilla = Config{}
-
-// Optimized is the fully optimized build.
-var Optimized = Config{true, true, true}
+// Vanilla and Optimized are interp.Vanilla and interp.Optimized under the
+// names the benchmark harness (perfbench) still uses.
+var (
+	Vanilla   = interp.Vanilla
+	Optimized = interp.Optimized
+)
 
 // Low-level program counters of the MiniLua interpreter (disjoint from
 // MiniPy's so a process exploring both keeps sites distinct).

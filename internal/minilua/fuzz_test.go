@@ -14,7 +14,7 @@ import (
 //
 // Run with: go test ./internal/minilua/ -fuzz FuzzCompile -fuzztime 5s
 func FuzzCompile(f *testing.F) {
-	for _, p := range packages.LuaPackages() {
+	for _, p := range packages.ByLang(packages.Lua) {
 		f.Add(p.Source)
 	}
 	seeds := []string{

@@ -1,6 +1,7 @@
 package minilua
 
 import (
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
 	"chef/internal/symexpr"
 )
@@ -20,7 +21,7 @@ func (o Outcome) Result() string {
 }
 
 // RunModule executes the compiled chunk's main body.
-func RunModule(prog *Program, m *lowlevel.Machine, host Host, cfg Config) (*VM, Outcome) {
+func RunModule(prog *Program, m *lowlevel.Machine, host Host, cfg interp.Config) (*VM, Outcome) {
 	vm := NewVM(prog, m, host, cfg)
 	_, err := vm.Run()
 	out := Outcome{Printed: vm.Printed()}

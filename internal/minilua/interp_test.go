@@ -3,6 +3,7 @@ package minilua
 import (
 	"testing"
 
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
 )
 
@@ -15,7 +16,7 @@ func runLua(t *testing.T, src string) ([]string, Outcome) {
 	m := lowlevel.NewConcreteMachine(nil, 1<<22)
 	var out Outcome
 	status := m.RunConcrete(func(m *lowlevel.Machine) {
-		_, out = RunModule(prog, m, nil, Optimized)
+		_, out = RunModule(prog, m, nil, interp.Optimized)
 	})
 	if status != lowlevel.RunCompleted {
 		t.Fatalf("run status %v", status)
@@ -271,7 +272,7 @@ func TestLuaCoverage(t *testing.T) {
 	}
 	m := lowlevel.NewConcreteMachine(nil, 1<<20)
 	h := NewCoverageHost(prog)
-	m.RunConcrete(func(m *lowlevel.Machine) { RunModule(prog, m, h, Vanilla) })
+	m.RunConcrete(func(m *lowlevel.Machine) { RunModule(prog, m, h, interp.Vanilla) })
 	if !h.Lines[3] {
 		t.Errorf("line 3 must be covered: %v", h.Lines)
 	}
@@ -295,7 +296,7 @@ print(s:find("World"))
 print(table.concat({1, 2, 3}, ","))
 `
 	var results [][]string
-	for _, cfg := range []Config{Vanilla, {AvoidSymbolicPointers: true}, {AvoidSymbolicPointers: true, HashNeutralization: true}, Optimized} {
+	for _, cfg := range []interp.Config{interp.Vanilla, {AvoidSymbolicPointers: true}, {AvoidSymbolicPointers: true, HashNeutralization: true}, interp.Optimized} {
 		prog := MustCompile(src)
 		m := lowlevel.NewConcreteMachine(nil, 1<<22)
 		var out Outcome
@@ -320,7 +321,7 @@ print(table.concat({1, 2, 3}, ","))
 func TestLuaHang(t *testing.T) {
 	prog := MustCompile("while true do end")
 	m := lowlevel.NewConcreteMachine(nil, 2000)
-	status := m.RunConcrete(func(m *lowlevel.Machine) { RunModule(prog, m, nil, Vanilla) })
+	status := m.RunConcrete(func(m *lowlevel.Machine) { RunModule(prog, m, nil, interp.Vanilla) })
 	if status != lowlevel.RunHang {
 		t.Fatalf("status = %v, want hang", status)
 	}

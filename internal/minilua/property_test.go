@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
 )
 
@@ -147,7 +148,7 @@ func TestLuaStringDifferential(t *testing.T) {
 // TestLuaTableModelBased drives a table with random ops against a Go model,
 // across all optimization configurations.
 func TestLuaTableModelBased(t *testing.T) {
-	for _, cfg := range []Config{Vanilla, Optimized} {
+	for _, cfg := range []interp.Config{interp.Vanilla, interp.Optimized} {
 		prog := MustCompile(`
 t = {}
 function tset(k, v)
@@ -227,7 +228,7 @@ end
 `)
 	m := lowlevel.NewConcreteMachine(nil, 1<<24)
 	var vm *VM
-	m.RunConcrete(func(mm *lowlevel.Machine) { vm, _ = RunModule(prog, mm, nil, Optimized) })
+	m.RunConcrete(func(mm *lowlevel.Machine) { vm, _ = RunModule(prog, mm, nil, interp.Optimized) })
 	var model []int64
 	r := rand.New(rand.NewSource(22))
 	call := func(name string, args ...Value) Value {

@@ -1,6 +1,7 @@
 package minilua
 
 import (
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
 	"chef/internal/symexpr"
 )
@@ -20,14 +21,14 @@ type VM struct {
 	prog    *Program
 	m       *lowlevel.Machine
 	host    Host
-	cfg     Config
+	cfg     interp.Config
 	globals map[string]Value
 	printed []string
 	depth   int
 }
 
 // NewVM builds a VM.
-func NewVM(prog *Program, m *lowlevel.Machine, host Host, cfg Config) *VM {
+func NewVM(prog *Program, m *lowlevel.Machine, host Host, cfg interp.Config) *VM {
 	if host == nil {
 		host = nopHost{}
 	}

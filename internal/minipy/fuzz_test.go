@@ -14,7 +14,7 @@ import (
 //
 // Run with: go test ./internal/minipy/ -fuzz FuzzCompile -fuzztime 5s
 func FuzzCompile(f *testing.F) {
-	for _, p := range packages.PythonPackages() {
+	for _, p := range packages.ByLang(packages.Python) {
 		f.Add(p.Source)
 	}
 	seeds := []string{

@@ -1,6 +1,7 @@
 package minipy
 
 import (
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
 	"chef/internal/symexpr"
 )
@@ -25,7 +26,7 @@ func (o Outcome) Result() string {
 // RunModule executes a compiled program's module body on the given machine
 // with the given host and configuration, returning its outcome and the VM
 // (whose globals hold module state for further driver calls).
-func RunModule(prog *Program, m *lowlevel.Machine, host Host, cfg Config) (*VM, Outcome) {
+func RunModule(prog *Program, m *lowlevel.Machine, host Host, cfg interp.Config) (*VM, Outcome) {
 	vm := NewVM(prog, m, host, cfg)
 	_, exc := vm.Run()
 	out := Outcome{Printed: vm.Printed()}

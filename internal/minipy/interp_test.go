@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
 )
 
@@ -19,7 +20,7 @@ func runSrc(t *testing.T, src string) ([]string, Outcome) {
 	var vm *VM
 	var out Outcome
 	status := m.RunConcrete(func(m *lowlevel.Machine) {
-		vm, out = RunModule(prog, m, nil, Optimized)
+		vm, out = RunModule(prog, m, nil, interp.Optimized)
 	})
 	if status != lowlevel.RunCompleted {
 		t.Fatalf("run status %v", status)
@@ -404,7 +405,7 @@ func TestCoverageHost(t *testing.T) {
 	}
 	m := lowlevel.NewConcreteMachine(nil, 1<<20)
 	h := NewCoverageHost(prog)
-	m.RunConcrete(func(m *lowlevel.Machine) { RunModule(prog, m, h, Vanilla) })
+	m.RunConcrete(func(m *lowlevel.Machine) { RunModule(prog, m, h, interp.Vanilla) })
 	if !h.Lines[3] {
 		t.Errorf("then-branch line must be covered: %v", h.Lines)
 	}
@@ -419,7 +420,7 @@ func TestHangDetectedAsStepLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := lowlevel.NewConcreteMachine(nil, 2000)
-	status := m.RunConcrete(func(m *lowlevel.Machine) { RunModule(prog, m, nil, Vanilla) })
+	status := m.RunConcrete(func(m *lowlevel.Machine) { RunModule(prog, m, nil, interp.Vanilla) })
 	if status != lowlevel.RunHang {
 		t.Fatalf("status = %v, want hang", status)
 	}
@@ -442,7 +443,7 @@ out.append(str(2000000000 + 2000000000))
 print("|".join(out))
 `
 	var results []string
-	for _, cfg := range OptLevels() {
+	for _, cfg := range interp.OptLevels() {
 		prog := MustCompile(src)
 		m := lowlevel.NewConcreteMachine(nil, 1<<22)
 		var out Outcome
@@ -568,13 +569,13 @@ print(isinstance(e, ValueError), isinstance(e, Exception), isinstance(e, KeyErro
 }
 
 func TestOptLevelNamesAligned(t *testing.T) {
-	if len(OptLevels()) != len(OptLevelNames()) {
+	if len(interp.OptLevels()) != len(interp.OptLevelNames()) {
 		t.Fatal("OptLevels and OptLevelNames misaligned")
 	}
-	if OptLevelNames()[0] != "No Optimizations" {
+	if interp.OptLevelNames()[0] != "No Optimizations" {
 		t.Fatal("unexpected first level name")
 	}
-	if OptLevels()[3] != Optimized {
+	if interp.OptLevels()[3] != interp.Optimized {
 		t.Fatal("last level must equal Optimized")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
 )
 
@@ -252,7 +253,7 @@ func TestSplitJoinRoundtrip(t *testing.T) {
 // operation sequence and compares observable behavior, across all
 // optimization levels (hash neutralization etc. must not change semantics).
 func TestDictModelBased(t *testing.T) {
-	for _, cfg := range OptLevels() {
+	for _, cfg := range interp.OptLevels() {
 		r := rand.New(rand.NewSource(31))
 		prog := MustCompile(`
 d = {}

@@ -1,6 +1,7 @@
 package minipy
 
 import (
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
 )
 
@@ -24,7 +25,7 @@ type VM struct {
 	prog    *Program
 	m       *lowlevel.Machine
 	host    Host
-	cfg     Config
+	cfg     interp.Config
 	globals map[string]Value
 	printed []string
 	depth   int
@@ -32,7 +33,7 @@ type VM struct {
 
 // NewVM builds a VM for prog running on machine m with the given
 // optimization configuration. host may be nil.
-func NewVM(prog *Program, m *lowlevel.Machine, host Host, cfg Config) *VM {
+func NewVM(prog *Program, m *lowlevel.Machine, host Host, cfg interp.Config) *VM {
 	if host == nil {
 		host = nopHost{}
 	}

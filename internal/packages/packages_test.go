@@ -3,9 +3,8 @@ package packages
 import (
 	"testing"
 
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
-	"chef/internal/minilua"
-	"chef/internal/minipy"
 	"chef/internal/symexpr"
 	"chef/internal/symtest"
 )
@@ -14,15 +13,8 @@ func TestAllPackagesCompile(t *testing.T) {
 	for _, p := range All() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
-			switch p.Lang {
-			case Python:
-				if _, err := minipy.Compile(p.Source); err != nil {
-					t.Fatalf("compile: %v", err)
-				}
-			case Lua:
-				if _, err := minilua.Compile(p.Source); err != nil {
-					t.Fatalf("compile: %v", err)
-				}
+			if err := p.Test(interp.Vanilla).Compile(); err != nil {
+				t.Fatalf("compile: %v", err)
 			}
 			if p.LOC() < 20 {
 				t.Errorf("package suspiciously small: %d LOC", p.LOC())
@@ -50,12 +42,7 @@ func replayWith(t *testing.T, p *Package, vals ...string) string {
 			in[symexpr.Var{Buf: decl.Name, Idx: j, W: symexpr.W8}] = uint64(b)
 		}
 	}
-	switch p.Lang {
-	case Python:
-		return p.PyTest(minipy.Optimized).Replay(in, 1<<21).Result
-	default:
-		return p.LuaTest(minilua.Optimized).Replay(in, 1<<21).Result
-	}
+	return p.Test(interp.Optimized).Replay(in, 1<<21).Result
 }
 
 func mustPkg(t *testing.T, name string) *Package {
@@ -182,7 +169,7 @@ func TestHamlBehaviors(t *testing.T) {
 func TestSbJSONCommentHang(t *testing.T) {
 	// The paper's bug: a leading unterminated comment hangs the parser.
 	p := mustPkg(t, "JSON")
-	lt := p.LuaTest(minilua.Optimized)
+	lt := p.Test(interp.Optimized)
 	in := symexpr.Assignment{}
 	for j, b := range []byte("/*x\x00\x00") {
 		in[symexpr.Var{Buf: "s", Idx: j, W: symexpr.W8}] = uint64(b)
@@ -237,7 +224,7 @@ func TestMoonscriptBehaviors(t *testing.T) {
 }
 
 func TestMacLearningWorkload(t *testing.T) {
-	pt := MacLearningTest(2, 2, minipy.Optimized)
+	pt := MacLearningTest(2, 2, interp.Optimized)
 	in := symexpr.Assignment{}
 	set := func(name, val string) {
 		for j := 0; j < 2; j++ {
@@ -263,8 +250,8 @@ func TestRegistryShape(t *testing.T) {
 	if len(all) != 11 {
 		t.Fatalf("registered %d packages, want 11", len(all))
 	}
-	if len(PythonPackages()) != 6 || len(LuaPackages()) != 5 {
-		t.Fatalf("language split wrong: %d py, %d lua", len(PythonPackages()), len(LuaPackages()))
+	if len(ByLang(Python)) != 6 || len(ByLang(Lua)) != 5 {
+		t.Fatalf("language split wrong: %d py, %d lua", len(ByLang(Python)), len(ByLang(Lua)))
 	}
 	if _, ok := ByName("nope"); ok {
 		t.Error("ByName should miss unknown packages")

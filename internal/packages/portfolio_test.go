@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"chef/internal/chef"
-	"chef/internal/minipy"
+	"chef/internal/interp"
 )
 
 // TestPortfolioMergesAcrossBuilds exercises the §6.5 extension: a portfolio
@@ -13,11 +13,11 @@ import (
 func TestPortfolioMergesAcrossBuilds(t *testing.T) {
 	p, _ := ByName("xlrd")
 	var members []chef.PortfolioMember
-	names := minipy.OptLevelNames()
-	for i, lvl := range minipy.OptLevels() {
+	names := interp.OptLevelNames()
+	for i, lvl := range interp.OptLevels() {
 		members = append(members, chef.PortfolioMember{
 			Name: names[i],
-			Prog: p.PyTest(lvl).Program(),
+			Prog: p.Test(lvl).Program(),
 		})
 	}
 	opts := chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 5, StepLimit: 30000}

@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"chef/internal/minilua"
-	"chef/internal/minipy"
+	"chef/internal/chef"
+	"chef/internal/interp"
+	"chef/internal/symexpr"
 	"chef/internal/symtest"
 )
 
@@ -18,11 +19,20 @@ const (
 	Lua
 )
 
-func (l Lang) String() string {
-	if l == Python {
-		return "Python"
+// Langs lists the target languages.
+var Langs = []Lang{Python, Lua}
+
+func (l Lang) String() string { return [...]string{Python: "Python", Lua: "Lua"}[l] }
+
+// ParseLang maps a wire language name, a Lang's String in lower case
+// ("python" or "lua"), to its Lang.
+func ParseLang(name string) (Lang, bool) {
+	for _, l := range Langs {
+		if strings.ToLower(l.String()) == name {
+			return l, true
+		}
 	}
-	return "Lua"
+	return 0, false
 }
 
 // Package describes one evaluation target of §6.1: its source, its symbolic
@@ -79,37 +89,34 @@ func (p *Package) LOC() int {
 // "coverable LOC" column). Compilation goes through the interned
 // process-wide cache, so concurrent table builders share one compile.
 func (p *Package) CoverableLOC() int {
-	switch p.Lang {
-	case Python:
-		prog, err := symtest.InternedPyProgram(p.Source)
-		if err != nil {
-			panic(err)
-		}
-		return len(prog.CoverableLines())
-	default:
-		prog, err := symtest.InternedLuaProgram(p.Source)
-		if err != nil {
-			panic(err)
-		}
-		return len(prog.CoverableLines())
-	}
+	return len(p.Test(interp.Vanilla).CoverableLines())
 }
 
-// PyTest builds the package's symbolic test at an optimization level.
-func (p *Package) PyTest(cfg minipy.Config) *symtest.PyTest {
-	if p.Lang != Python {
-		panic("PyTest on non-Python package " + p.Name)
-	}
-	return &symtest.PyTest{Source: p.Source, Entry: p.Entry, Inputs: p.Inputs, Config: cfg}
+// Test is a package's symbolic test in either guest language, a
+// *symtest.PyTest or a *symtest.LuaTest: the session program that explores
+// it and the vanilla replay that confirms its test cases.
+type Test interface {
+	Compile() error
+	Program() chef.TestProgram
+	Replay(input symexpr.Assignment, stepLimit int64) symtest.ReplayResult
+	CoverableLines() map[int]bool
 }
 
-// LuaTest builds the package's symbolic test at an optimization level.
-func (p *Package) LuaTest(cfg minilua.Config) *symtest.LuaTest {
-	if p.Lang != Lua {
-		panic("LuaTest on non-Lua package " + p.Name)
+// Test builds the package's symbolic test at an optimization level. It is
+// the one place outside symtest that maps a guest language to its test
+// library.
+func (p *Package) Test(cfg interp.Config) Test {
+	if p.Lang == Python {
+		return &symtest.PyTest{Source: p.Source, Entry: p.Entry, Inputs: p.Inputs, Config: cfg}
 	}
 	return &symtest.LuaTest{Source: p.Source, Entry: p.Entry, Inputs: p.Inputs, Config: cfg}
 }
+
+// PyTest is Test for a Python package; it panics on a Lua one.
+func (p *Package) PyTest(cfg interp.Config) *symtest.PyTest { return p.Test(cfg).(*symtest.PyTest) }
+
+// LuaTest is Test for a Lua package; it panics on a Python one.
+func (p *Package) LuaTest(cfg interp.Config) *symtest.LuaTest { return p.Test(cfg).(*symtest.LuaTest) }
 
 // All returns the eleven evaluation packages in Table 3's order.
 func All() []*Package {
@@ -214,22 +221,11 @@ func ByName(name string) (*Package, bool) {
 	return nil, false
 }
 
-// PythonPackages returns the Python-language targets.
-func PythonPackages() []*Package {
+// ByLang returns the Table 3 targets written in l.
+func ByLang(l Lang) []*Package {
 	var out []*Package
 	for _, p := range All() {
-		if p.Lang == Python {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// LuaPackages returns the Lua-language targets.
-func LuaPackages() []*Package {
-	var out []*Package
-	for _, p := range All() {
-		if p.Lang == Lua {
+		if p.Lang == l {
 			out = append(out, p)
 		}
 	}
@@ -239,7 +235,7 @@ func LuaPackages() []*Package {
 // MacLearningTest builds the §6.6 NICE-comparison workload: a MiniPy
 // MAC-learning controller fed nFrames symbolic Ethernet frames (each frame
 // contributes a src and dst MAC of macLen symbolic bytes).
-func MacLearningTest(nFrames, macLen int, cfg minipy.Config) *symtest.PyTest {
+func MacLearningTest(nFrames, macLen int, cfg interp.Config) *symtest.PyTest {
 	var sb strings.Builder
 	sb.WriteString(MacLearningSrc)
 	sb.WriteString("\ndef drive_frames(")
@@ -283,7 +279,7 @@ func MacLearningFlatSource(nFrames int) string {
 
 // MacLearningFlatTest wraps the flat controller as a symbolic test for the
 // CHEF side of the comparison.
-func MacLearningFlatTest(nFrames, macLen int, cfg minipy.Config) *symtest.PyTest {
+func MacLearningFlatTest(nFrames, macLen int, cfg interp.Config) *symtest.PyTest {
 	var inputs []symtest.Input
 	for i := 0; i < nFrames; i++ {
 		inputs = append(inputs,

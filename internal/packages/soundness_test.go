@@ -4,57 +4,53 @@ import (
 	"testing"
 
 	"chef/internal/chef"
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
-	"chef/internal/minilua"
-	"chef/internal/minipy"
 )
 
-// TestSoundnessPythonPackages asserts the paper's soundness property: every
-// generated test case, replayed concretely on the vanilla interpreter,
-// reproduces exactly the outcome recorded during symbolic exploration — no
-// infeasible paths are ever reported.
-func TestSoundnessPythonPackages(t *testing.T) {
-	for _, name := range []string{"simplejson", "unicodecsv", "ConfigParser"} {
-		p, _ := ByName(name)
-		for _, cfg := range []minipy.Config{minipy.Optimized, minipy.Vanilla} {
-			pt := p.PyTest(cfg)
-			s := chef.NewSession(pt.Program(), chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 3, StepLimit: 60000})
-			tests := s.Run(250_000)
-			if len(tests) == 0 {
-				t.Fatalf("%s: no tests generated", name)
-			}
-			for _, tc := range tests {
-				if tc.Status == lowlevel.RunHang {
-					continue // hang outcomes are confirmed by status, not result
-				}
-				rep := pt.Replay(tc.Input, 1<<21)
-				if rep.Result != tc.Result {
-					t.Errorf("%s cfg=%+v: recorded %q, replay %q (input %v)",
-						name, cfg, tc.Result, rep.Result, tc.Input)
-				}
-			}
-		}
-	}
-}
+// TestSoundnessPythonPackages asserts the paper's soundness property over
+// every Python package of Table 3; see checkSoundness.
+func TestSoundnessPythonPackages(t *testing.T) { checkSoundness(t, Python) }
 
 // TestSoundnessLuaPackages is the Lua counterpart.
-func TestSoundnessLuaPackages(t *testing.T) {
-	for _, name := range []string{"haml", "markdown", "cliargs"} {
-		p, _ := ByName(name)
-		lt := p.LuaTest(minilua.Optimized)
-		s := chef.NewSession(lt.Program(), chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 4, StepLimit: 60000})
-		tests := s.Run(250_000)
-		if len(tests) == 0 {
-			t.Fatalf("%s: no tests generated", name)
-		}
-		for _, tc := range tests {
-			if tc.Status == lowlevel.RunHang {
-				continue
-			}
-			rep := lt.Replay(tc.Input, 1<<21)
-			if rep.Result != tc.Result {
-				t.Errorf("%s: recorded %q, replay %q (input %v)", name, tc.Result, rep.Result, tc.Input)
-			}
+func TestSoundnessLuaPackages(t *testing.T) { checkSoundness(t, Lua) }
+
+// checkSoundness explores every package of one language under the vanilla
+// and the optimized build and replays each generated test case concretely
+// on the vanilla interpreter at the session's step limit: it must reproduce
+// the recorded result and run status — no infeasible paths are ever
+// reported. A recorded hang must replay as a hang. This is the acceptance
+// rule of perfbench's replay check.
+func checkSoundness(t *testing.T, lang Lang) {
+	const stepLimit = 60_000
+	for _, p := range ByLang(lang) {
+		for _, build := range []struct {
+			name string
+			cfg  interp.Config
+		}{{"vanilla", interp.Vanilla}, {"optimized", interp.Optimized}} {
+			t.Run(p.Name+"/"+build.name, func(t *testing.T) {
+				t.Parallel()
+				s := chef.NewSession(p.Test(build.cfg).Program(),
+					chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 3, StepLimit: stepLimit})
+				tests := s.Run(250_000)
+				if len(tests) == 0 {
+					t.Fatal("no tests generated")
+				}
+				replay := p.Test(interp.Vanilla)
+				for _, tc := range tests {
+					rep := replay.Replay(tc.Input, stepLimit)
+					if tc.Status == lowlevel.RunHang {
+						if rep.Status != lowlevel.RunHang || rep.Result != "hang" {
+							t.Errorf("recorded hang replayed as %q (%v), input %v", rep.Result, rep.Status, tc.Input)
+						}
+						continue
+					}
+					if rep.Result != tc.Result || rep.Status != tc.Status {
+						t.Errorf("recorded %q (%v), replayed %q (%v), input %v",
+							tc.Result, tc.Status, rep.Result, rep.Status, tc.Input)
+					}
+				}
+			})
 		}
 	}
 }

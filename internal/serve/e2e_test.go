@@ -211,8 +211,24 @@ func TestE2ESigtermDrainsMidJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	// While draining, new submissions bounce (until the listener closes,
-	// after which connection errors are equally acceptable).
-	time.Sleep(50 * time.Millisecond)
+	// after which connection errors are equally acceptable). Wait for
+	// /healthz to report the drain rather than for a fixed time: a loaded
+	// host may take longer than any sleep to deliver the signal.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		r, err := http.Get(base + "/healthz")
+		if err != nil {
+			break
+		}
+		r.Body.Close()
+		if r.StatusCode == http.StatusServiceUnavailable {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/healthz still %d 30s after SIGTERM", r.StatusCode)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	if r, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body)); err == nil {
 		if r.StatusCode == http.StatusAccepted {
 			t.Fatal("submission accepted during drain")

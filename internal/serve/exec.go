@@ -67,7 +67,7 @@ func Execute(ctx context.Context, spec JobSpec, eo ExecOptions) (JobResult, erro
 	if err := spec.Validate(); err != nil {
 		return JobResult{}, fmt.Errorf("invalid job spec: %w", err)
 	}
-	tgt, err := spec.build()
+	name, prog, err := spec.build()
 	if err != nil {
 		return JobResult{}, err
 	}
@@ -89,7 +89,7 @@ func Execute(ctx context.Context, spec JobSpec, eo ExecOptions) (JobResult, erro
 		opts.SolverOptions.Persist = eo.Persist
 	}
 	if opts.Name == "" {
-		opts.Name = fmt.Sprintf("%s/%s/%d", tgt.name, spec.Strategy, spec.Seed)
+		opts.Name = fmt.Sprintf("%s/%s/%d", name, spec.Strategy, spec.Seed)
 	}
 
 	var (
@@ -99,7 +99,7 @@ func Execute(ctx context.Context, spec JobSpec, eo ExecOptions) (JobResult, erro
 	if spec.Shards >= 1 {
 		// Sharded path: same spec, same seed, sharded semantics. Cross-job
 		// warmth flows through the persist view.
-		ss := chef.NewShardedSession(tgt.prog, opts, spec.Shards)
+		ss := chef.NewShardedSession(prog, opts, spec.Shards)
 		tests = ss.RunContext(ctx, spec.Budget)
 		res = JobResult{
 			Summary:     ss.Summary(),
@@ -109,7 +109,7 @@ func Execute(ctx context.Context, spec JobSpec, eo ExecOptions) (JobResult, erro
 			SolverStats: ss.SolverStats(),
 		}
 	} else {
-		session := chef.NewSession(tgt.prog, opts)
+		session := chef.NewSession(prog, opts)
 		tests = session.RunContext(ctx, spec.Budget)
 		res = JobResult{
 			Summary:     session.Summary(),
@@ -122,7 +122,7 @@ func Execute(ctx context.Context, spec JobSpec, eo ExecOptions) (JobResult, erro
 	res.Tests = make([]symtest.SerializedTest, 0, len(tests))
 	for _, tc := range tests {
 		res.Tests = append(res.Tests, symtest.SerializedTest{
-			Package: tgt.name,
+			Package: name,
 			Result:  tc.Result,
 			Status:  tc.Status.String(),
 			Input:   symtest.EncodeInput(tc.Input),
@@ -130,18 +130,4 @@ func Execute(ctx context.Context, spec JobSpec, eo ExecOptions) (JobResult, erro
 	}
 	symtest.SortTests(res.Tests)
 	return res, nil
-}
-
-// RenderInput renders one serialized test case's input buffer using the
-// spec's input declarations (diagnostic output parity with the chef CLI).
-func (s *JobSpec) RenderInput(tc symtest.SerializedTest) string {
-	tgt, err := s.build()
-	if err != nil {
-		return "?"
-	}
-	in, err := symtest.DecodeInput(tc.Input)
-	if err != nil {
-		return "?"
-	}
-	return symtest.InputString(in, tgt.inputs)
 }

@@ -494,6 +494,11 @@ func TestInvalidSubmissions(t *testing.T) {
 		"both targets":    {spec: JobSpec{Package: "simplejson", Language: "python", Source: "x"}},
 		"bad input kind": {spec: JobSpec{Language: "python", Source: "def f(x):\n    return x\n", Entry: "f",
 			Inputs: []InputSpec{{Name: "x", Kind: "float"}}}},
+		"inverted range": {
+			spec: JobSpec{Language: "lua", Source: "function f(x)\n    return x\nend\n", Entry: "f",
+				Inputs: []InputSpec{{Name: "x", Kind: "int", DefInt: 1, Ranged: true, Min: 10, Max: 0}}},
+			wantErr: `input "x": empty range, min 10 > max 0`,
+		},
 		// The BDD and incremental backends were removed; their spellings
 		// are now unknown.
 		"removed bdd solvermode": {
@@ -535,6 +540,34 @@ func TestInvalidSubmissions(t *testing.T) {
 	resp, _ = s.do(t, "GET", "/v1/jobs/job-999", "", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// A ranged int confines an inline Lua job's inputs to [min, max], as it does
+// a Python one.
+func TestInlineLuaRangedInput(t *testing.T) {
+	spec := JobSpec{
+		Language: "lua",
+		Source:   "function f(x)\n    if x < 5 then\n        return 1\n    end\n    return 2\nend\n",
+		Entry:    "f",
+		Inputs:   []InputSpec{{Name: "x", Kind: "int", DefInt: 1, Ranged: true, Min: 0, Max: 10}},
+		Budget:   200_000,
+	}
+	s := newTestServer(t, Options{Workers: 1})
+	id := s.submit(t, "", spec)
+	if st := s.poll(t, id); st.State != StateSucceeded || st.Tests < 2 {
+		t.Fatalf("ranged lua job: %s with %d tests (error %q), want both branches", st.State, st.Tests, st.Error)
+	}
+	_, data := s.do(t, "GET", "/v1/jobs/"+id+"/tests", "", nil)
+	tests, err := symtest.UnmarshalTests(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range tests {
+		v, ok := tc.Input["x[0]:32"]
+		if x := int32(v); !ok || x < 0 || x > 10 {
+			t.Errorf("input x=%d (present %v) outside [0, 10] (result %q)", x, ok, tc.Result)
+		}
 	}
 }
 

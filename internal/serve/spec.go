@@ -16,8 +16,7 @@ import (
 	"fmt"
 
 	"chef/internal/chef"
-	"chef/internal/minilua"
-	"chef/internal/minipy"
+	"chef/internal/interp"
 	"chef/internal/packages"
 	"chef/internal/symtest"
 )
@@ -58,6 +57,9 @@ func (in InputSpec) toInput() (symtest.Input, error) {
 		}
 		return symtest.Str(in.Name, in.Len, in.Default), nil
 	case "int":
+		if in.Ranged && in.Min > in.Max {
+			return symtest.Input{}, fmt.Errorf("input %q: empty range, min %d > max %d", in.Name, in.Min, in.Max)
+		}
 		if in.Ranged {
 			return symtest.IntRange(in.Name, in.DefInt, in.Min, in.Max), nil
 		}
@@ -144,7 +146,7 @@ func (s *JobSpec) Validate() error {
 		if s.Source == "" {
 			return fmt.Errorf("need either package or source")
 		}
-		if s.Language != "python" && s.Language != "lua" {
+		if _, ok := packages.ParseLang(s.Language); !ok {
 			return fmt.Errorf("unknown language %q (want python or lua)", s.Language)
 		}
 		if s.Entry == "" {
@@ -174,61 +176,40 @@ func (s *JobSpec) Validate() error {
 	return nil
 }
 
-// target is the compiled form of a spec: the session program plus the input
-// declarations used to render test cases.
-type target struct {
-	name   string
-	prog   chef.TestProgram
-	inputs []symtest.Input
+// build compiles the spec's target program and names it, returning errors
+// instead of panicking (the symtest Program() helpers panic on compile
+// errors, which is fine for the CLI's vetted built-ins but not for service
+// input).
+func (s *JobSpec) build() (string, chef.TestProgram, error) {
+	cfg := interp.Optimized
+	if s.Vanilla {
+		cfg = interp.Vanilla
+	}
+	p, ok := packages.ByName(s.Package)
+	what := s.Package
+	if s.Package == "" {
+		p, ok, what = s.inline(), true, "source"
+	}
+	if !ok {
+		return "", nil, fmt.Errorf("unknown package %q", s.Package)
+	}
+	test := p.Test(cfg)
+	if err := test.Compile(); err != nil {
+		return "", nil, fmt.Errorf("compile %s: %w", what, err)
+	}
+	return p.Name, test.Program(), nil
 }
 
-// build compiles the spec's target program, returning errors instead of
-// panicking (the symtest Program() helpers panic on compile errors, which is
-// fine for the CLI's vetted built-ins but not for service input).
-func (s *JobSpec) build() (target, error) {
-	pyCfg, luaCfg := minipy.Optimized, minilua.Optimized
-	if s.Vanilla {
-		pyCfg, luaCfg = minipy.Vanilla, minilua.Vanilla
+// inline is the spec's inline source as a package. Validate has checked its
+// language and inputs.
+func (s *JobSpec) inline() *packages.Package {
+	lang, _ := packages.ParseLang(s.Language)
+	p := &packages.Package{Name: "inline-" + s.Language, Lang: lang, Source: s.Source, Entry: s.Entry}
+	for _, in := range s.Inputs {
+		decl, _ := in.toInput()
+		p.Inputs = append(p.Inputs, decl)
 	}
-	if s.Package != "" {
-		p, ok := packages.ByName(s.Package)
-		if !ok {
-			return target{}, fmt.Errorf("unknown package %q", s.Package)
-		}
-		if p.Lang == packages.Python {
-			pt := p.PyTest(pyCfg)
-			if err := pt.Compile(); err != nil {
-				return target{}, fmt.Errorf("compile %s: %w", s.Package, err)
-			}
-			return target{name: p.Name, prog: pt.Program(), inputs: p.Inputs}, nil
-		}
-		lt := p.LuaTest(luaCfg)
-		if err := lt.Compile(); err != nil {
-			return target{}, fmt.Errorf("compile %s: %w", s.Package, err)
-		}
-		return target{name: p.Name, prog: lt.Program(), inputs: p.Inputs}, nil
-	}
-	inputs := make([]symtest.Input, len(s.Inputs))
-	for i, in := range s.Inputs {
-		decl, err := in.toInput()
-		if err != nil {
-			return target{}, err
-		}
-		inputs[i] = decl
-	}
-	name := "inline-" + s.Language
-	if s.Language == "python" {
-		pt := &symtest.PyTest{Source: s.Source, Entry: s.Entry, Inputs: inputs, Config: pyCfg}
-		if err := pt.Compile(); err != nil {
-			return target{}, fmt.Errorf("compile source: %w", err)
-		}
-		return target{name: name, prog: pt.Program(), inputs: inputs}, nil
-	}
-	lt := &symtest.LuaTest{Source: s.Source, Entry: s.Entry, Inputs: inputs, Config: luaCfg}
-	if err := lt.Compile(); err != nil {
-		return target{}, fmt.Errorf("compile source: %w", err)
-	}
-	return target{name: name, prog: lt.Program(), inputs: inputs}, nil
+	return p
 }
 
 // ParseStrategy maps the wire/flag strategy names onto chef.StrategyKind.

@@ -131,7 +131,6 @@ type Expr struct {
 	kids []*Expr
 	hash uint64
 	id   uint64   // process-unique interning ID (see Expr.ID)
-	size int32    // number of nodes in the DAG view (upper bound; shared nodes recounted)
 	vars *[]*Expr // distinct variable leaves (see VarLeaves); nil iff none
 }
 
@@ -166,9 +165,6 @@ func (e *Expr) VarRef() Var {
 // Child returns the i-th operand.
 func (e *Expr) Child(i int) *Expr { return e.kids[i] }
 
-// NumChildren returns the operand count.
-func (e *Expr) NumChildren() int { return len(e.kids) }
-
 // HasSymbols reports whether any variable occurs in the expression.
 func (e *Expr) HasSymbols() bool { return e.vars != nil }
 
@@ -187,9 +183,6 @@ func (e *Expr) VarLeaves() []*Expr {
 // Hash returns the structural hash of the expression.
 func (e *Expr) Hash() uint64 { return e.hash }
 
-// Size returns an upper bound on the number of nodes in the expression.
-func (e *Expr) Size() int { return int(e.size) }
-
 const (
 	hashSeed  = 0x9e3779b97f4a7c15
 	hashMix   = 0xff51afd7ed558ccd
@@ -207,7 +200,7 @@ func mix(h, v uint64) uint64 {
 
 func newConst(v uint64, w Width) *Expr {
 	v &= w.Mask()
-	return intern(&Expr{w: w, val: v, hash: mix(hashSeed^uint64(w), v), size: 1})
+	return intern(&Expr{w: w, val: v, hash: mix(hashSeed^uint64(w), v)})
 }
 
 // Const builds a constant of width w; the value is masked to the width.
@@ -236,20 +229,15 @@ func NewVar(v Var) *Expr {
 	h = mix(h, uint64(v.Idx))
 	h = mix(h, uint64(v.W))
 	vv := v
-	return intern(&Expr{w: v.W, varr: &vv, hash: h, size: 1})
+	return intern(&Expr{w: v.W, varr: &vv, hash: h})
 }
 
 func newNode(op Op, w Width, kids ...*Expr) *Expr {
 	h := mix(hashSeed^uint64(op)<<8, uint64(w))
-	sz := int32(1)
 	for _, k := range kids {
 		h = mix(h, k.hash)
-		sz += k.size
 	}
-	if sz > 1<<28 {
-		sz = 1 << 28
-	}
-	return intern(&Expr{op: op, w: w, kids: kids, hash: h, size: sz})
+	return intern(&Expr{op: op, w: w, kids: kids, hash: h})
 }
 
 // Equal reports structural equality. Hash-consing makes structural equality

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"chef/internal/chef"
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
 	"chef/internal/minipy"
 	"chef/internal/symexpr"
@@ -58,7 +59,7 @@ def f(s):
 				Source: p.src,
 				Entry:  "f",
 				Inputs: []Input{Str("s", 1, "")},
-				Config: minipy.Optimized,
+				Config: interp.Optimized,
 			}
 			// Brute force ground truth.
 			want := map[string]bool{}
@@ -102,11 +103,11 @@ func replayOutcome(t *testing.T, pt *PyTest, in symexpr.Assignment, rep ReplayRe
 
 // renderRet re-runs the entry and stringifies its return value.
 func renderRet(pt *PyTest, in symexpr.Assignment) string {
-	prog := pt.Prog()
+	prog := minipy.MustCompile(pt.Source)
 	m := lowlevel.NewConcreteMachine(in.Clone(), 1<<20)
 	var out string
 	m.RunConcrete(func(mm *lowlevel.Machine) {
-		vm, o := minipy.RunModule(prog, mm, nil, minipy.Vanilla)
+		vm, o := minipy.RunModule(prog, mm, nil, interp.Vanilla)
 		if o.Exception != "" {
 			out = "moduleerror"
 			return

@@ -3,12 +3,18 @@
 // set of symbolic inputs into a chef.TestProgram, and provides the replay
 // runner that re-executes generated test cases on the vanilla interpreter to
 // confirm results and measure line coverage.
+//
+// This file holds what every guest language shares: the input declarations,
+// the session program and the replay. guests.go holds one adapter per
+// language (PyTest, LuaTest). Outside this package, only the package
+// registry's Package.Test maps a language to its adapter.
 package symtest
 
 import (
 	"fmt"
 
 	"chef/internal/chef"
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
 	"chef/internal/minipy"
 	"chef/internal/symexpr"
@@ -49,88 +55,69 @@ func Int(name string, def int32) Input {
 }
 
 // IntRange declares a symbolic integer input constrained to [min, max] via
-// the assume() guest API call.
+// the assume() guest API call; min must not exceed max.
 func IntRange(name string, def, min, max int32) Input {
 	return Input{Name: name, Kind: IntInput, DefInt: def, HasRange: true, Min: min, Max: max}
 }
 
-// PyTest is a symbolic test for a MiniPy target: run the module, then call
-// Entry with the declared symbolic inputs.
-type PyTest struct {
-	Source string
-	Entry  string
-	Inputs []Input
-	Config minipy.Config
-
-	prog *minipy.Program
+// guest is a language adapter: the part of a symbolic test that differs
+// between guest languages. V is the guest interpreter's value type.
+type guest[V any] interface {
+	Compile() error
+	// start runs the compiled module on m and returns the call of the
+	// test's entry, rendering its outcome, or the module's error.
+	start(m *lowlevel.Machine, host hlHost, cfg interp.Config) (entry func(args []V) string, moduleErr string)
+	symString(m *lowlevel.Machine, in Input) V
+	// symInt returns the guest integer and its width-64 value.
+	symInt(m *lowlevel.Machine, in Input) (V, lowlevel.SVal)
+	// coverage returns a host recording the lines the trace visits.
+	coverage() (hlHost, map[int]bool)
 }
 
-// Compile parses and compiles the target source once per process: compiled
-// programs are interned by source text and shared read-only across sessions
-// (see intern.go).
-func (t *PyTest) Compile() error {
-	if t.prog != nil {
-		return nil
-	}
-	p, err := InternedPyProgram(t.Source)
-	if err != nil {
-		return err
-	}
-	t.prog = p
-	return nil
-}
-
-// Prog exposes the compiled program (for coverage denominators).
-func (t *PyTest) Prog() *minipy.Program {
+func mustCompile(t interface{ Compile() error }) {
 	if err := t.Compile(); err != nil {
 		panic(err)
 	}
-	return t.prog
 }
 
-// Program packages the test for a CHEF session.
-func (t *PyTest) Program() chef.TestProgram {
-	if err := t.Compile(); err != nil {
-		panic(err)
+// run is one test run on m: the module, then the entry called with one
+// symbolic argument per input. With assume set, ranged integer inputs are
+// confined through the assume() API call.
+func run[V any](g guest[V], m *lowlevel.Machine, host hlHost, cfg interp.Config, inputs []Input, assume bool) string {
+	entry, moduleErr := g.start(m, host, cfg)
+	if moduleErr != "" {
+		return "moduleerror:" + moduleErr
 	}
-	return func(ctx *chef.Ctx) {
-		vm, out := minipy.RunModule(t.prog, ctx.M, ctx, t.Config)
-		if out.Exception != "" {
-			ctx.SetResult("moduleerror:" + out.Exception)
-			return
+	args := make([]V, len(inputs))
+	for i, in := range inputs {
+		if in.Kind == StringInput {
+			args[i] = g.symString(m, in)
+			continue
 		}
-		args := make([]minipy.Value, len(t.Inputs))
-		for i, in := range t.Inputs {
-			switch in.Kind {
-			case StringInput:
-				args[i] = minipy.SymbolicString(ctx.M, in.Name, in.Len, in.Default)
-			case IntInput:
-				iv := minipy.SymbolicInt(ctx.M, in.Name, in.DefInt)
-				if in.HasRange {
-					assumeRange(ctx, iv.V, in.Min, in.Max)
-				}
-				args[i] = iv
-			}
+		v, wide := g.symInt(m, in)
+		if assume && in.HasRange {
+			assumeRange(m, wide, in.Min, in.Max)
 		}
-		res := runEntry(vm, t.Entry, args)
-		ctx.SetResult(res)
+		args[i] = v
 	}
+	return entry(args)
 }
 
 // assumeRange constrains a symbolic width-64 value to [min, max] via the
 // assume API call (Table 1 of the paper).
-func assumeRange(ctx *chef.Ctx, v lowlevel.SVal, min, max int32) {
+func assumeRange(m *lowlevel.Machine, v lowlevel.SVal, min, max int32) {
 	lo := lowlevel.ConcreteVal(uint64(int64(min)), symexpr.W64)
 	hi := lowlevel.ConcreteVal(uint64(int64(max)), symexpr.W64)
-	ctx.Assume(0x9001, lowlevel.BoolAndV(lowlevel.SleV(lo, v), lowlevel.SleV(v, hi)))
+	m.Assume(0x9001, lowlevel.BoolAndV(lowlevel.SleV(lo, v), lowlevel.SleV(v, hi)))
 }
 
-func runEntry(vm *minipy.VM, entry string, args []minipy.Value) string {
-	_, exc := vm.CallFunction(entry, args)
-	if exc != nil {
-		return "exception:" + exc.Type
+// program is the session program of every guest: the CHEF context is the
+// high-level host, and the run's outcome is the test's result.
+func program[V any](g guest[V], cfg interp.Config, inputs []Input) chef.TestProgram {
+	mustCompile(g)
+	return func(ctx *chef.Ctx) {
+		ctx.SetResult(run(g, ctx.M, ctx, cfg, inputs, true))
 	}
-	return "ok"
 }
 
 // ReplayResult is the outcome of replaying one test case concretely.
@@ -166,32 +153,18 @@ func (h *countingHost) LogPC(hlpc uint64, opcode uint32) {
 	h.inner.LogPC(hlpc, opcode)
 }
 
-// Replay re-executes a generated test case on the vanilla interpreter (no
-// symbolic machinery), confirming the outcome and measuring line coverage.
-func (t *PyTest) Replay(input symexpr.Assignment, stepLimit int64) ReplayResult {
-	if err := t.Compile(); err != nil {
-		panic(err)
-	}
+// replay is the Replay of every guest: a concrete machine over the test's
+// input, the vanilla build, and a counting coverage host. The input is run as
+// given, without the range assumptions, which every generated test already
+// meets. A run cut off by the step limit reports "hang".
+func replay[V any](g guest[V], inputs []Input, input symexpr.Assignment, stepLimit int64) ReplayResult {
+	mustCompile(g)
 	m := lowlevel.NewConcreteMachine(input.Clone(), stepLimit)
-	cov := minipy.NewCoverageHost(t.prog)
+	cov, lines := g.coverage()
 	host := &countingHost{inner: cov}
-	res := ReplayResult{Lines: cov.Lines}
+	res := ReplayResult{Lines: lines}
 	res.Status = m.RunConcrete(func(m *lowlevel.Machine) {
-		vm, out := minipy.RunModule(t.prog, m, host, minipy.Vanilla)
-		if out.Exception != "" {
-			res.Result = "moduleerror:" + out.Exception
-			return
-		}
-		args := make([]minipy.Value, len(t.Inputs))
-		for i, in := range t.Inputs {
-			switch in.Kind {
-			case StringInput:
-				args[i] = minipy.SymbolicString(m, in.Name, in.Len, in.Default)
-			case IntInput:
-				args[i] = minipy.SymbolicInt(m, in.Name, in.DefInt)
-			}
-		}
-		res.Result = runEntry(vm, t.Entry, args)
+		res.Result = run(g, m, host, interp.Vanilla, inputs, false)
 	})
 	if res.Status == lowlevel.RunHang && res.Result == "" {
 		res.Result = "hang"

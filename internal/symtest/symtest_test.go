@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"chef/internal/chef"
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
-	"chef/internal/minilua"
 	"chef/internal/minipy"
 	"chef/internal/symexpr"
 )
@@ -21,7 +21,7 @@ def validateEmail(email):
     return "valid"
 `
 
-func emailTest(cfg minipy.Config) *PyTest {
+func emailTest(cfg interp.Config) *PyTest {
 	return &PyTest{
 		Source: emailSrc,
 		Entry:  "validateEmail",
@@ -31,7 +31,7 @@ func emailTest(cfg minipy.Config) *PyTest {
 }
 
 func TestEmailValidatorSymbolic(t *testing.T) {
-	pt := emailTest(minipy.Optimized)
+	pt := emailTest(interp.Optimized)
 	s := chef.NewSession(pt.Program(), chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 1})
 	tests := s.Run(3_000_000)
 	if len(tests) < 2 {
@@ -55,7 +55,7 @@ func TestEmailValidatorSymbolic(t *testing.T) {
 
 func TestEmailValidatorFindsValidInput(t *testing.T) {
 	// The solver must synthesize an email with '@' at position >= 3.
-	pt := emailTest(minipy.Optimized)
+	pt := emailTest(interp.Optimized)
 	s := chef.NewSession(pt.Program(), chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 2})
 	tests := s.Run(3_000_000)
 	foundValid := false
@@ -84,7 +84,7 @@ func TestVanillaGeneratesFewerHLTestsPerLLPath(t *testing.T) {
 	// The vanilla interpreter forks massively more low-level states for the
 	// same high-level behavior; with a fixed budget its HL/LL efficiency is
 	// lower than the optimized build's (Fig. 10's phenomenon).
-	eff := func(cfg minipy.Config) (float64, int) {
+	eff := func(cfg interp.Config) (float64, int) {
 		pt := emailTest(cfg)
 		s := chef.NewSession(pt.Program(), chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 3})
 		tests := s.Run(2_000_000)
@@ -94,8 +94,8 @@ func TestVanillaGeneratesFewerHLTestsPerLLPath(t *testing.T) {
 		}
 		return float64(s.HLPathCount()) / float64(ll), len(tests)
 	}
-	vanillaEff, _ := eff(minipy.Vanilla)
-	optEff, _ := eff(minipy.Optimized)
+	vanillaEff, _ := eff(interp.Vanilla)
+	optEff, _ := eff(interp.Optimized)
 	if optEff < vanillaEff {
 		t.Errorf("optimized efficiency %.3f < vanilla %.3f; optimizations should help", optEff, vanillaEff)
 	}
@@ -115,7 +115,7 @@ def classify(n):
 `,
 		Entry:  "classify",
 		Inputs: []Input{Int("n", 0)},
-		Config: minipy.Optimized,
+		Config: interp.Optimized,
 	}
 	s := chef.NewSession(pt.Program(), chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 4})
 	tests := s.Run(3_000_000)
@@ -138,7 +138,7 @@ def learn(key):
 `,
 		Entry:  "learn",
 		Inputs: []Input{Str("key", 2, "")},
-		Config: minipy.Optimized,
+		Config: interp.Optimized,
 	}
 	s := chef.NewSession(pt.Program(), chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 5})
 	tests := s.Run(4_000_000)
@@ -164,7 +164,7 @@ def learn(key):
 }
 
 func TestReplayCoverageGrowsWithTests(t *testing.T) {
-	pt := emailTest(minipy.Optimized)
+	pt := emailTest(interp.Optimized)
 	s := chef.NewSession(pt.Program(), chef.Options{Strategy: chef.StrategyCUPACoverage, Seed: 6})
 	tests := s.Run(3_000_000)
 	covered := map[int]bool{}
@@ -174,7 +174,7 @@ func TestReplayCoverageGrowsWithTests(t *testing.T) {
 			covered[l] = true
 		}
 	}
-	coverable := pt.Prog().CoverableLines()
+	coverable := pt.CoverableLines()
 	if len(covered) == 0 || len(covered) > len(coverable) {
 		t.Fatalf("covered %d of %d lines", len(covered), len(coverable))
 	}
@@ -200,7 +200,7 @@ def parse(s):
 `,
 		Entry:  "parse",
 		Inputs: []Input{Str("s", 2, "")},
-		Config: minipy.Optimized,
+		Config: interp.Optimized,
 	}
 	s := chef.NewSession(pt.Program(), chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 7, StepLimit: 20000})
 	tests := s.Run(2_000_000)
@@ -220,11 +220,13 @@ func symexprVar32(name string) symexpr.Var {
 }
 
 func TestIntRangeAssumption(t *testing.T) {
-	// The assume() precondition must confine exploration: no generated test
-	// may carry an out-of-range input, and the in-range behaviors must all
-	// be found.
-	pt := &PyTest{
-		Source: `
+	// The assume() precondition must confine exploration in every guest
+	// language: no generated test may carry an out-of-range input, and the
+	// in-range behaviors must all be found.
+	inputs := []Input{IntRange("n", 5, 0, 9)}
+	for name, prog := range map[string]chef.TestProgram{
+		"python": (&PyTest{
+			Source: `
 def bucket(n):
     if n < 3:
         return "low"
@@ -232,19 +234,33 @@ def bucket(n):
         return "mid"
     return "high"
 `,
-		Entry:  "bucket",
-		Inputs: []Input{IntRange("n", 5, 0, 9)},
-		Config: minipy.Optimized,
-	}
-	s := chef.NewSession(pt.Program(), chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 12})
-	tests := s.Run(2_000_000)
-	if len(tests) < 3 {
-		t.Fatalf("tests = %d, want >= 3 buckets", len(tests))
-	}
-	for _, tc := range tests {
-		v := int32(tc.Input[symexprVar32("n")])
-		if v < 0 || v > 9 {
-			t.Errorf("out-of-range input %d escaped the assumption", v)
+			Entry: "bucket", Inputs: inputs, Config: interp.Optimized,
+		}).Program(),
+		"lua": (&LuaTest{
+			Source: `
+function bucket(n)
+    if n < 3 then
+        return "low"
+    end
+    if n < 7 then
+        return "mid"
+    end
+    return "high"
+end
+`,
+			Entry: "bucket", Inputs: inputs, Config: interp.Optimized,
+		}).Program(),
+	} {
+		s := chef.NewSession(prog, chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 12})
+		tests := s.Run(2_000_000)
+		if len(tests) < 3 {
+			t.Fatalf("%s: tests = %d, want >= 3 buckets", name, len(tests))
+		}
+		for _, tc := range tests {
+			v := int32(tc.Input[symexprVar32("n")])
+			if v < 0 || v > 9 {
+				t.Errorf("%s: out-of-range input %d escaped the assumption", name, v)
+			}
 		}
 	}
 }
@@ -264,7 +280,7 @@ end
 `,
 		Entry:  "classify",
 		Inputs: []Input{Str("s", 3, "")},
-		Config: minilua.Optimized,
+		Config: interp.Optimized,
 	}
 	s := chef.NewSession(lt.Program(), chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 9})
 	tests := s.Run(1_500_000)
@@ -301,7 +317,7 @@ func TestLuaTestModuleError(t *testing.T) {
 	lt := &LuaTest{
 		Source: `error("boom at load")`,
 		Entry:  "f",
-		Config: minilua.Optimized,
+		Config: interp.Optimized,
 	}
 	s := chef.NewSession(lt.Program(), chef.Options{Strategy: chef.StrategyRandom, Seed: 10})
 	tests := s.Run(100_000)
@@ -330,7 +346,7 @@ func TestPyTestModuleError(t *testing.T) {
 	pt := &PyTest{
 		Source: `raise RuntimeError("at import")`,
 		Entry:  "f",
-		Config: minipy.Optimized,
+		Config: interp.Optimized,
 	}
 	s := chef.NewSession(pt.Program(), chef.Options{Strategy: chef.StrategyRandom, Seed: 11})
 	tests := s.Run(100_000)
@@ -354,7 +370,7 @@ end
 `,
 		Entry:  "sign",
 		Inputs: []Input{Int("n", 1)},
-		Config: minilua.Optimized,
+		Config: interp.Optimized,
 	}
 	s := chef.NewSession(lt.Program(), chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 13})
 	tests := s.Run(1_000_000)

@@ -642,8 +642,9 @@ func BenchmarkCheckCached(b *testing.B) {
 
 // BenchmarkInterning measures hash-consed construction of a fixed expression
 // tree. After the first build every constructor call is an interner hit, so
-// this is the steady-state cost the engine pays per emitted expression node —
-// and the pointer-equality dividend is visible in the "equal" sub-bench,
+// this is the steady-state cost the engine pays per emitted expression node
+// (a hit allocates nothing, so allocs/op tends to 0 as b.N grows) — and the
+// pointer-equality dividend is visible in the "equal" sub-bench,
 // which compares two structurally equal trees in O(1).
 func BenchmarkInterning(b *testing.B) {
 	build := func(salt uint64) *symexpr.Expr {
@@ -655,6 +656,7 @@ func BenchmarkInterning(b *testing.B) {
 		return symexpr.Ult(x, symexpr.Const(200, symexpr.W8))
 	}
 	b.Run("construct", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if build(7) == nil {
 				b.Fatal("nil expr")

@@ -88,20 +88,34 @@ func main() {
 	var pkgName string
 	var coverable int
 	var hlLen, llBranches, steps int64
+	// Package lookup, test construction and the coverable-line count are
+	// resolved once per distinct package name, not once per test.
+	type resolved struct {
+		p         *packages.Package
+		test      packages.Test
+		coverable int
+	}
+	byName := map[string]*resolved{}
 	for _, tc := range tests {
-		p, ok := packages.ByName(tc.Package)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "chef-replay: unknown package %q\n", tc.Package)
-			os.Exit(1)
+		r := byName[tc.Package]
+		if r == nil {
+			p, ok := packages.ByName(tc.Package)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "chef-replay: unknown package %q\n", tc.Package)
+				os.Exit(1)
+			}
+			test := p.Test(interp.Vanilla)
+			r = &resolved{p: p, test: test, coverable: len(test.CoverableLines())}
+			byName[tc.Package] = r
 		}
-		pkgName = p.Name
-		coverable = p.CoverableLOC()
+		pkgName = tc.Package
+		coverable = r.coverable
 		input, err := symtest.DecodeInput(tc.Input)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "chef-replay: %v\n", err)
 			os.Exit(1)
 		}
-		rep := p.Test(interp.Vanilla).Replay(input, *stepCap)
+		rep := r.test.Replay(input, *stepCap)
 		for l := range rep.Lines {
 			covered[l] = true
 		}
@@ -119,7 +133,7 @@ func main() {
 				w = os.Stderr
 			}
 			fmt.Fprintf(w, "MISMATCH: recorded %q, replayed %q (%s)\n", tc.Result, rep.Result,
-				symtest.InputString(input, p.Inputs))
+				symtest.InputString(input, r.p.Inputs))
 		}
 	}
 	if *summ {

@@ -13,9 +13,17 @@ import (
 // has not been explored yet. The high-level classification fields are filled
 // from the machine at fork time and consumed by the CUPA strategies.
 type State struct {
-	pc   *pcNode
-	base symexpr.Assignment // concrete inputs of the forking run
-	Sig  uint64
+	pc  *pcNode
+	Sig uint64
+
+	// base holds the concrete inputs of the forking run at the fork. It is
+	// the forking machine's own assignment, shared rather than copied: all
+	// forks of a run whose inputs are declared before its first branch
+	// share one map. A map some state uses as its base is never written:
+	// the machine copies its assignment before declaring another input
+	// (Machine.setInput), the solver only reads Query.Base, and
+	// runStateInner merges the model into a clone.
+	base symexpr.Assignment
 
 	// Classification data.
 	LLPC       LLPC
@@ -398,7 +406,7 @@ func (e *Engine) registerAlternate(m *Machine, llpc LLPC, alt *symexpr.Expr, alt
 	}
 	st := &State{
 		pc:           &pcNode{parent: m.pc, c: alt, depth: depthOf(m.pc) + 1},
-		base:         m.assign.Clone(),
+		base:         m.assign,
 		Sig:          altSig,
 		LLPC:         llpc,
 		DynHLPC:      m.DynHLPC,
@@ -411,6 +419,7 @@ func (e *Engine) registerAlternate(m *Machine, llpc LLPC, alt *symexpr.Expr, alt
 		flipTaken:    flipTaken,
 		flipOriented: oriented,
 	}
+	m.shared = true
 	// Fork-weight grouping: consecutive forks at the same LLPC within a run
 	// form a group whose members get weights p^(n-1) ... p^0.
 	if llpc == e.groupLLPC && len(e.group) > 0 {

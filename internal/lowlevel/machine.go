@@ -53,6 +53,7 @@ type Machine struct {
 	concrete   bool    // replay mode: inputs are plain values, nothing forks
 	stepLimit  int64
 	assign     symexpr.Assignment // concrete values for input variables
+	shared     bool               // assign is some state's base: clone before writing
 	pc         *pcNode
 	sig        uint64 // rolling low-level path signature
 	steps      int64
@@ -155,7 +156,7 @@ func (m *Machine) InputByte(buf string, idx int, def byte) SVal {
 	c, ok := m.assign[v]
 	if !ok {
 		c = uint64(def)
-		m.assign[v] = c
+		m.setInput(v, c)
 	}
 	if m.concrete {
 		return ConcreteVal(c, symexpr.W8)
@@ -169,12 +170,23 @@ func (m *Machine) InputInt32(name string, def int32) SVal {
 	c, ok := m.assign[v]
 	if !ok {
 		c = uint64(uint32(def))
-		m.assign[v] = c
+		m.setInput(v, c)
 	}
 	if m.concrete {
 		return ConcreteVal(c, symexpr.W32)
 	}
 	return SVal{C: c & 0xffffffff, E: symexpr.NewVar(v), W: symexpr.W32}
+}
+
+// setInput records the value of a newly declared input. While assign is
+// shared as a forked state's base it is copied first, so a base is never
+// written (see State.base).
+func (m *Machine) setInput(v symexpr.Var, c uint64) {
+	if m.shared {
+		m.assign = m.assign.Clone()
+		m.shared = false
+	}
+	m.assign[v] = c
 }
 
 // Branch records a conditional branch at site llpc and returns the concrete

@@ -200,8 +200,10 @@ func mix(h, v uint64) uint64 {
 
 func newConst(v uint64, w Width) *Expr {
 	v &= w.Mask()
-	return intern(&Expr{w: w, val: v, hash: mix(hashSeed^uint64(w), v)})
+	return internConst(v, w, constHash(v, w))
 }
+
+func constHash(v uint64, w Width) uint64 { return mix(hashSeed^uint64(w), v) }
 
 // Const builds a constant of width w; the value is masked to the width.
 func Const(v uint64, w Width) *Expr { return newConst(v, w) }
@@ -221,23 +223,29 @@ var (
 )
 
 // NewVar builds a variable leaf.
-func NewVar(v Var) *Expr {
+func NewVar(v Var) *Expr { return internVar(v, varHash(v)) }
+
+func varHash(v Var) uint64 {
 	h := mix(hashSeed^0xabcd, uint64(len(v.Buf)))
 	for i := 0; i < len(v.Buf); i++ {
 		h = mix(h, uint64(v.Buf[i]))
 	}
 	h = mix(h, uint64(v.Idx))
-	h = mix(h, uint64(v.W))
-	vv := v
-	return intern(&Expr{w: v.W, varr: &vv, hash: h})
+	return mix(h, uint64(v.W))
 }
 
+// newNode builds an interior node. kids is only read: the interner copies
+// it when the node is new, so callers' argument arrays stay on the stack.
 func newNode(op Op, w Width, kids ...*Expr) *Expr {
+	return internNode(op, w, kids, nodeHash(op, w, kids))
+}
+
+func nodeHash(op Op, w Width, kids []*Expr) uint64 {
 	h := mix(hashSeed^uint64(op)<<8, uint64(w))
 	for _, k := range kids {
 		h = mix(h, k.hash)
 	}
-	return intern(&Expr{op: op, w: w, kids: kids, hash: h})
+	return h
 }
 
 // Equal reports structural equality. Hash-consing makes structural equality

@@ -17,11 +17,17 @@ import (
 //   - maximal sharing: an interpreter loop that rebuilds the same term on
 //     every iteration allocates it once.
 //
+// Construction probes first and allocates only on a miss. A constructor
+// computes the structural hash from the node's fields (op, width, children,
+// leaf data), locks the shard that hash selects, and compares those fields
+// against the bucket directly. Children are already interned, so an interior
+// node matches a candidate iff op and width match and the child pointers are
+// identical. Only when nothing matches does it allocate the Expr (and, for a
+// variable, the Var copy; for an interior node, a copy of the children), so a
+// hit allocates nothing and the constructors' variadic children never escape.
+//
 // The interner is sharded by structural hash, so concurrent sessions of the
-// parallel experiment harness mostly touch distinct shards. Buckets confirm
-// candidates with a shallow comparison only: children are already interned,
-// so an interior node is equal to a candidate iff the op/width/leaf data
-// match and the child pointers are identical.
+// parallel experiment harness mostly touch distinct shards.
 //
 // The table is append-only for the life of the process (like the symtest
 // compile interner): expressions are immutable and timelessly valid, so
@@ -50,46 +56,19 @@ var (
 	internSize   atomic.Int64
 )
 
-// shallowEqual reports structural equality of two nodes whose children are
-// already interned: leaf data must match and child pointers must be
-// identical.
-func shallowEqual(a, b *Expr) bool {
-	if a.op != b.op || a.w != b.w {
-		return false
-	}
-	if a.op == OpInvalid {
-		if (a.varr != nil) != (b.varr != nil) {
-			return false
-		}
-		if a.varr != nil {
-			return *a.varr == *b.varr
-		}
-		return a.val == b.val
-	}
-	if len(a.kids) != len(b.kids) {
-		return false
-	}
-	for i := range a.kids {
-		if a.kids[i] != b.kids[i] {
-			return false
-		}
-	}
-	return true
+// lockShard locks and returns the shard that owns hash h.
+func lockShard(h uint64) *internShard {
+	sh := &internShards[(h^h>>32)%internShardCount]
+	sh.mu.Lock()
+	return sh
 }
 
-// intern returns the canonical pointer for e, registering e if it is new.
-// e's children must already be interned.
-func intern(e *Expr) *Expr {
-	sh := &internShards[(e.hash^e.hash>>32)%internShardCount]
-	sh.mu.Lock()
+// insert registers e, a node the caller has just failed to find in its hash
+// bucket while holding sh's lock, releases the lock and returns e. e's
+// children must already be interned.
+func (sh *internShard) insert(e *Expr) *Expr {
 	if sh.m == nil {
 		sh.m = map[uint64][]*Expr{}
-	}
-	for _, c := range sh.m[e.hash] {
-		if shallowEqual(c, e) {
-			sh.mu.Unlock()
-			return c
-		}
 	}
 	e.id = internNextID.Add(1)
 	e.vars = varsOf(e)
@@ -97,6 +76,54 @@ func intern(e *Expr) *Expr {
 	sh.mu.Unlock()
 	internSize.Add(1)
 	return e
+}
+
+// internConst returns the canonical constant v (already masked) of width w,
+// whose structural hash is h.
+func internConst(v uint64, w Width, h uint64) *Expr {
+	sh := lockShard(h)
+	for _, c := range sh.m[h] {
+		if c.IsConst() && c.w == w && c.val == v {
+			sh.mu.Unlock()
+			return c
+		}
+	}
+	return sh.insert(&Expr{w: w, val: v, hash: h})
+}
+
+// internVar returns the canonical leaf of variable v, whose structural hash
+// is h.
+func internVar(v Var, h uint64) *Expr {
+	sh := lockShard(h)
+	for _, c := range sh.m[h] {
+		if c.IsVar() && *c.varr == v {
+			sh.mu.Unlock()
+			return c
+		}
+	}
+	vv := v
+	return sh.insert(&Expr{w: v.W, varr: &vv, hash: h})
+}
+
+// internNode returns the canonical interior node (op, w, kids), whose
+// structural hash is h. kids is copied when the node is new and never
+// retained otherwise.
+func internNode(op Op, w Width, kids []*Expr, h uint64) *Expr {
+	sh := lockShard(h)
+probe:
+	for _, c := range sh.m[h] {
+		if c.op != op || c.w != w || len(c.kids) != len(kids) {
+			continue
+		}
+		for i, k := range kids {
+			if c.kids[i] != k {
+				continue probe
+			}
+		}
+		sh.mu.Unlock()
+		return c
+	}
+	return sh.insert(&Expr{op: op, w: w, kids: append([]*Expr(nil), kids...), hash: h})
 }
 
 // varsOf computes the variable set of a node being registered, so a

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"chef/internal/symexpr"
@@ -31,24 +32,25 @@ func EncodeInput(in symexpr.Assignment) map[string]uint64 {
 }
 
 // DecodeInput parses the EncodeInput representation. Each key must be
-// exactly buf[idx]:w, with idx a non-negative decimal and w a width of
-// symexpr (1, 8, 16, 32 or 64).
+// exactly buf[idx]:w, with idx a non-negative decimal that fits an int and w
+// a width of symexpr (1, 8, 16, 32 or 64).
 func DecodeInput(m map[string]uint64) (symexpr.Assignment, error) {
-	out := symexpr.Assignment{}
+	out := make(symexpr.Assignment, len(m))
 	for k, val := range m {
 		lb := strings.LastIndexByte(k, '[')
 		colon := strings.LastIndexByte(k, ':')
 		if lb < 0 || colon < lb {
 			return nil, fmt.Errorf("symtest: bad input key %q", k)
 		}
-		// Sscanf ignores trailing bytes and takes signs; the digit checks
-		// make the key exactly buf[idx]:w.
-		var idx, w int
-		if _, err := fmt.Sscanf(k[lb:colon], "[%d]", &idx); err != nil || !isDecimal(k[lb+1:colon-1]) {
+		idx, ok := 0, false
+		if rb := colon - 1; rb > lb && k[rb] == ']' {
+			idx, ok = decimal(k[lb+1 : rb])
+		}
+		if !ok {
 			return nil, fmt.Errorf("symtest: bad index in key %q", k)
 		}
-		if _, err := fmt.Sscanf(k[colon:], ":%d", &w); err != nil || !isDecimal(k[colon+1:]) ||
-			!slices.Contains([]int{1, 8, 16, 32, 64}, w) {
+		w, ok := decimal(k[colon+1:])
+		if !ok || !slices.Contains([]int{1, 8, 16, 32, 64}, w) {
 			return nil, fmt.Errorf("symtest: bad width in key %q", k)
 		}
 		out[symexpr.Var{Buf: k[:lb], Idx: idx, W: symexpr.Width(w)}] = val
@@ -56,8 +58,14 @@ func DecodeInput(m map[string]uint64) (symexpr.Assignment, error) {
 	return out, nil
 }
 
-// isDecimal reports whether s is a non-empty run of ASCII digits.
-func isDecimal(s string) bool { return s != "" && strings.Trim(s, "0123456789") == "" }
+// decimal parses s, a non-empty run of ASCII digits, as an int.
+func decimal(s string) (int, bool) {
+	if s == "" || strings.Trim(s, "0123456789") != "" {
+		return 0, false
+	}
+	n, err := strconv.Atoi(s)
+	return n, err == nil
+}
 
 // MarshalTests renders test cases as newline-delimited JSON.
 func MarshalTests(tests []SerializedTest) ([]byte, error) {

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"chef/internal/symexpr"
@@ -44,11 +46,72 @@ func TestDecodeInputErrors(t *testing.T) {
 		{"buf[0]:13": 1},
 		{"buf[0]:4096": 1},
 		{"buf[0]:257": 1},
+		{"buf[99999999999999999999]:8": 1},
 	} {
 		if _, err := DecodeInput(bad); err == nil {
 			t.Errorf("expected error for %v", bad)
 		}
+		checkDecodeMatchesReference(t, bad)
 	}
+}
+
+// decodeInputReference is the fmt.Sscanf decoder DecodeInput replaced, with
+// the digit checks that make each key exactly buf[idx]:w.
+func decodeInputReference(m map[string]uint64) (symexpr.Assignment, error) {
+	out := symexpr.Assignment{}
+	for k, val := range m {
+		lb := strings.LastIndexByte(k, '[')
+		colon := strings.LastIndexByte(k, ':')
+		if lb < 0 || colon < lb {
+			return nil, fmt.Errorf("symtest: bad input key %q", k)
+		}
+		// Sscanf ignores trailing bytes and takes signs; the digit checks
+		// make the key exactly buf[idx]:w.
+		var idx, w int
+		if _, err := fmt.Sscanf(k[lb:colon], "[%d]", &idx); err != nil || !isDecimalRef(k[lb+1:colon-1]) {
+			return nil, fmt.Errorf("symtest: bad index in key %q", k)
+		}
+		if _, err := fmt.Sscanf(k[colon:], ":%d", &w); err != nil || !isDecimalRef(k[colon+1:]) ||
+			!slices.Contains([]int{1, 8, 16, 32, 64}, w) {
+			return nil, fmt.Errorf("symtest: bad width in key %q", k)
+		}
+		out[symexpr.Var{Buf: k[:lb], Idx: idx, W: symexpr.Width(w)}] = val
+	}
+	return out, nil
+}
+
+// isDecimalRef reports whether s is a non-empty run of ASCII digits.
+func isDecimalRef(s string) bool { return s != "" && strings.Trim(s, "0123456789") == "" }
+
+// checkDecodeMatchesReference requires DecodeInput and the reference to
+// decode m to the same assignment, or to fail with the same error text.
+func checkDecodeMatchesReference(t *testing.T, m map[string]uint64) {
+	t.Helper()
+	got, gerr := DecodeInput(m)
+	want, werr := decodeInputReference(m)
+	if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+		t.Fatalf("%v: error %v, reference error %v", m, gerr, werr)
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("%v: decoded %v, reference %v", m, got, want)
+	}
+}
+
+// FuzzDecodeInput pins the hand-written key parser to the Sscanf reference
+// on arbitrary keys.
+func FuzzDecodeInput(f *testing.F) {
+	for _, k := range []string{
+		"email[0]:8", "odd[name][2]:8", "x[0]:32", "b[007]:08", "noindex:8",
+		"name[zz]:8", "name[0]", "buf[3]x:8", "buf[3]:8abc", "buf[-1]:8",
+		"buf[+1]:8", "buf[ 1]:8", "buf[]:8", "buf[:8", "buf[1]:", "buf[0]:0",
+		"buf[0]:4096", "buf[99999999999999999999]:8", "buf[9223372036854775807]:64",
+		"a:b[1]:1", "buf[1]:99999999999999999999",
+	} {
+		f.Add(k, uint64(7))
+	}
+	f.Fuzz(func(t *testing.T, key string, val uint64) {
+		checkDecodeMatchesReference(t, map[string]uint64{key: val})
+	})
 }
 
 func TestMarshalUnmarshalTests(t *testing.T) {

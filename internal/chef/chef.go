@@ -148,7 +148,7 @@ type Session struct {
 	eng  *lowlevel.Engine
 	rng  *rand.Rand
 
-	tree []hlNode // high-level execution tree, indexed by node ID
+	tree hlTree // high-level execution tree, indexed by node ID
 	cfg  *CFG
 
 	hlPaths map[uint64]bool
@@ -193,7 +193,7 @@ func NewSession(prog TestProgram, opts Options) *Session {
 		opts:    opts,
 		prog:    prog,
 		rng:     rand.New(rand.NewSource(opts.Seed ^ 0x5eed)),
-		tree:    []hlNode{{}}, // node 0 is the root
+		tree:    newHLTree(),
 		cfg:     NewCFG(),
 		hlPaths: map[uint64]bool{},
 		faults:  inj,
@@ -273,7 +273,7 @@ func (s *Session) RunContext(ctx context.Context, budget int64) []TestCase {
 	sp := s.spans.Start(obs.SpanChefSession)
 	defer func() { sp.End(s.eng.Clock()) }()
 	if s.tracer != nil {
-		s.tracer.Emit(&obs.Event{
+		s.tracer.Emit(obs.Event{
 			Kind:     obs.KindSessionStart,
 			Seed:     s.opts.Seed,
 			Strategy: s.opts.Strategy.String(),
@@ -285,7 +285,7 @@ func (s *Session) RunContext(ctx context.Context, budget int64) []TestCase {
 	if s.faults.FireStall(s.opts.SessionIndex) {
 		s.stalled = true
 		if s.tracer != nil {
-			s.tracer.Emit(&obs.Event{Kind: obs.KindFault, Site: string(faults.WorkerStall)})
+			s.tracer.Emit(obs.Event{Kind: obs.KindFault, Site: string(faults.WorkerStall)})
 		}
 		s.finish(false)
 		return s.tests
@@ -335,7 +335,7 @@ func (s *Session) finish(cancelled bool) {
 		status = "cancelled"
 	}
 	if s.tracer != nil {
-		s.tracer.Emit(&obs.Event{
+		s.tracer.Emit(obs.Event{
 			T:       s.eng.Clock(),
 			Kind:    obs.KindSessionEnd,
 			Status:  status,
@@ -378,7 +378,7 @@ func (s *Session) finishRun(info *lowlevel.RunInfo) {
 			VirtTime: s.eng.Clock(),
 		})
 		if s.tracer != nil {
-			s.tracer.Emit(&obs.Event{
+			s.tracer.Emit(obs.Event{
 				T:      s.eng.Clock(),
 				Kind:   obs.KindTestCase,
 				HLLen:  ctx.hlLen,
@@ -428,34 +428,67 @@ type hlNode struct {
 	edge   bool   // the CFG edge from the parent's pc has been recorded
 }
 
+// hlPageBits sets the size of an hlTree page: 256 nodes, 8 KiB.
+const hlPageBits = 8
+
+// hlTree is the high-level execution tree, stored in fixed pages of
+// 1<<hlPageBits nodes. Growth allocates one page and copies nothing, so a
+// node never moves; a session wastes at most one partly filled page. A
+// sharded session keeps one tree per range cell, mostly of a few thousand
+// nodes, while a plain one reaches tens of thousands. All pages but the
+// last are full.
+type hlTree struct{ pages [][]hlNode }
+
+// newHLTree returns a tree holding only the root, node 0.
+func newHLTree() hlTree {
+	root := make([]hlNode, 1, 1<<hlPageBits)
+	return hlTree{pages: [][]hlNode{root}}
+}
+
+// node returns the node with the given ID.
+func (t *hlTree) node(id uint32) *hlNode {
+	return &t.pages[id>>hlPageBits][id&(1<<hlPageBits-1)]
+}
+
+// len returns the number of nodes, the root included.
+func (t *hlTree) len() int {
+	last := len(t.pages) - 1
+	return last<<hlPageBits + len(t.pages[last])
+}
+
+// add appends n and returns its ID.
+func (t *hlTree) add(n hlNode) uint32 {
+	id := uint32(t.len())
+	last := len(t.pages) - 1
+	if len(t.pages[last]) == 1<<hlPageBits {
+		t.pages = append(t.pages, make([]hlNode, 0, 1<<hlPageBits))
+		last++
+	}
+	t.pages[last] = append(t.pages[last], n)
+	return id
+}
+
 // hlNode returns the child of parent along pc in the high-level execution
 // tree, appending it on first sight. A re-execution replays its parent
 // run's prefix, so the cursor answers almost every call; only a new node
 // costs a hash lookup (its CFG index).
 func (s *Session) hlNode(parent uint32, pc HLPC) uint32 {
-	t := s.tree
-	p := &t[parent]
-	if c := p.cursor; c != 0 && t[c].pc == pc {
+	t := &s.tree
+	p := t.node(parent)
+	if c := p.cursor; c != 0 && t.node(c).pc == pc {
 		return c
 	}
-	for c := p.first; c != 0; c = t[c].next {
-		if t[c].pc == pc {
+	for c := p.first; c != 0; c = t.node(c).next {
+		if t.node(c).pc == pc {
 			p.cursor = c
 			return c
 		}
 	}
-	if uint64(len(t)) > math.MaxUint32 {
+	if uint64(t.len()) > math.MaxUint32 {
 		panic("chef: high-level execution tree exceeds 2^32 nodes")
 	}
-	id := uint32(len(t))
-	if len(t) == cap(t) {
-		// Double rather than let append grow by 1.25x: each regrowth copies
-		// the whole tree, which reaches tens of thousands of nodes.
-		t = slices.Grow(t, len(t))
-	}
-	t = append(t, hlNode{pc: pc, cfg: s.cfg.index(pc), next: p.first})
-	t[parent].first, t[parent].cursor = id, id
-	s.tree = t
+	id := t.add(hlNode{pc: pc, cfg: s.cfg.index(pc), next: p.first})
+	p.first, p.cursor = id, id
 	return id
 }
 
@@ -492,17 +525,17 @@ func (c *Ctx) LogPC(pc HLPC, opcode uint32) {
 	parent := c.node
 	c.node = s.hlNode(parent, pc)
 	c.M.DynHLPC = uint64(c.node)
-	n := &s.tree[c.node]
+	n := s.tree.node(c.node)
 	// The root has no pc, but started is false on a run's first log_pc, so
 	// parent is a real node whenever an edge is recorded.
 	if c.started && !n.edge {
 		n.edge = true
-		from := &s.tree[parent]
+		from := s.tree.node(parent)
 		// Trace HLPC transitions at first observation only: the deduplicated
 		// stream is the discovered high-level CFG in discovery order, keeping
 		// traces bounded by CFG size rather than execution length.
 		if s.cfg.addEdge(from.cfg, n.cfg) && s.tracer != nil {
-			s.tracer.Emit(&obs.Event{
+			s.tracer.Emit(obs.Event{
 				T:      s.eng.Clock() + c.M.Steps(),
 				Kind:   obs.KindHLEdge,
 				From:   from.pc,

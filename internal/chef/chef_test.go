@@ -382,12 +382,12 @@ func TestReplaySigIsObservationOnly(t *testing.T) {
 		t.Fatalf("initial run produced %d tests, want 1", got)
 	}
 	g := s.CFG()
-	nodes, edges, tree := g.Nodes(), g.Edges(), len(s.tree)
+	nodes, edges, tree := g.Nodes(), g.Edges(), s.tree.len()
 	x := symexpr.Assignment{{Buf: "in", Idx: 0, W: symexpr.W8}: 'x'}
 	sig := s.ReplaySig(x)
-	if g.Nodes() != nodes || g.Edges() != edges || len(s.tree) != tree {
+	if g.Nodes() != nodes || g.Edges() != edges || s.tree.len() != tree {
 		t.Fatalf("replay changed the session: cfg %d/%d nodes/edges, tree %d; want %d/%d, %d",
-			g.Nodes(), g.Edges(), len(s.tree), nodes, edges, tree)
+			g.Nodes(), g.Edges(), s.tree.len(), nodes, edges, tree)
 	}
 
 	full := NewSession(prog, Options{Strategy: StrategyDFS, Seed: 1})

@@ -223,9 +223,9 @@ type hlStep struct {
 
 type edgeRecorder struct{ events []obs.Event }
 
-func (r *edgeRecorder) Emit(ev *obs.Event) {
+func (r *edgeRecorder) Emit(ev obs.Event) {
 	if ev.Kind == obs.KindHLEdge {
-		r.events = append(r.events, *ev)
+		r.events = append(r.events, ev)
 	}
 }
 
@@ -281,8 +281,8 @@ func checkHLTreeMatchesRef(t *testing.T, runs [][]hlStep) {
 	if got, want := g.DOT("g"), ref.cfg.DOT("g"); got != want {
 		t.Fatalf("DOT differs:\n%s\nreference:\n%s", got, want)
 	}
-	if uint64(len(s.tree)-1) != ref.nextHL {
-		t.Fatalf("tree has %d nodes, reference %d", len(s.tree)-1, ref.nextHL)
+	if uint64(s.tree.len()-1) != ref.nextHL {
+		t.Fatalf("tree has %d nodes, reference %d", s.tree.len()-1, ref.nextHL)
 	}
 	if !reflect.DeepEqual(rec.events, ref.edges) {
 		t.Fatalf("hlpc-edge events differ:\n%+v\nreference:\n%+v", rec.events, ref.edges)

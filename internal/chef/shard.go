@@ -218,7 +218,7 @@ func (ss *ShardedSession) RunContext(ctx context.Context, budget int64) []TestCa
 	defer ss.publish()
 	for _, c := range ss.cells {
 		if c.sess.tracer != nil {
-			c.sess.tracer.Emit(&obs.Event{
+			c.sess.tracer.Emit(obs.Event{
 				Kind:     obs.KindSessionStart,
 				Seed:     c.sess.opts.Seed,
 				Strategy: c.sess.opts.Strategy.String(),
@@ -233,7 +233,7 @@ func (ss *ShardedSession) RunContext(ctx context.Context, budget int64) []TestCa
 		if ss.stallInj.FireStall(w) {
 			ss.stalledWorkers++
 			if ss.tracer != nil {
-				ss.tracer.Emit(&obs.Event{Kind: obs.KindFault, Site: string(faults.WorkerStall)})
+				ss.tracer.Emit(obs.Event{Kind: obs.KindFault, Site: string(faults.WorkerStall)})
 			}
 			continue
 		}
@@ -241,7 +241,7 @@ func (ss *ShardedSession) RunContext(ctx context.Context, budget int64) []TestCa
 	}
 	if pool == 0 {
 		if ss.tracer != nil {
-			ss.tracer.Emit(&obs.Event{Kind: obs.KindSessionEnd, Status: "stalled"})
+			ss.tracer.Emit(obs.Event{Kind: obs.KindSessionEnd, Status: "stalled"})
 		}
 		return ss.tests
 	}

@@ -145,7 +145,7 @@ func (c *Strategy) Select() *lowlevel.State {
 		if len(keys) > 0 {
 			class = keys[0]
 		}
-		c.tracer.Emit(&obs.Event{
+		c.tracer.Emit(obs.Event{
 			T:       t,
 			Kind:    obs.KindCUPAPick,
 			Class:   class,

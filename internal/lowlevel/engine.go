@@ -385,7 +385,7 @@ func (e *Engine) registerAlternate(m *Machine, llpc LLPC, alt *symexpr.Expr, alt
 				decision = "flip-untaken"
 			}
 		}
-		e.tracer.Emit(&obs.Event{
+		e.tracer.Emit(obs.Event{
 			T:        e.clock + m.steps,
 			Kind:     obs.KindLLFork,
 			LLPC:     uint64(llpc),
@@ -508,7 +508,7 @@ func (e *Engine) runWith(input symexpr.Assignment, flip *State) *RunInfo {
 		e.stats.LLPaths++
 	}
 	if e.tracer != nil {
-		e.tracer.Emit(&obs.Event{
+		e.tracer.Emit(obs.Event{
 			T:        e.clock,
 			Kind:     obs.KindRunEnd,
 			Status:   info.Status.String(),
@@ -602,7 +602,7 @@ func (e *Engine) runStateInner(st *State) *RunInfo {
 			e.stats.RequeuedStates++
 			e.strategy.Add(st)
 			if e.tracer != nil {
-				e.tracer.Emit(&obs.Event{
+				e.tracer.Emit(obs.Event{
 					T:       e.clock,
 					Kind:    obs.KindStateRequeue,
 					LLPC:    uint64(st.LLPC),
@@ -618,7 +618,7 @@ func (e *Engine) runStateInner(st *State) *RunInfo {
 		delete(e.visited, st.Sig)
 		e.stats.AbandonedStates++
 		if e.tracer != nil {
-			e.tracer.Emit(&obs.Event{
+			e.tracer.Emit(obs.Event{
 				T:       e.clock,
 				Kind:    obs.KindStateAbandon,
 				LLPC:    uint64(st.LLPC),

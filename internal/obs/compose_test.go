@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 )
@@ -11,7 +12,7 @@ type orderTracer struct {
 	out *[]string
 }
 
-func (o orderTracer) Emit(ev *Event) { *o.out = append(*o.out, o.tag) }
+func (o orderTracer) Emit(Event) { *o.out = append(*o.out, o.tag) }
 
 func TestFanoutNilMembers(t *testing.T) {
 	if Fanout() != nil {
@@ -29,8 +30,8 @@ func TestFanoutNilMembers(t *testing.T) {
 func TestFanoutForwardsToAllInOrder(t *testing.T) {
 	var order []string
 	f := Fanout(orderTracer{"a", &order}, nil, orderTracer{"b", &order})
-	f.Emit(&Event{Kind: KindRunEnd})
-	f.Emit(&Event{Kind: KindRunEnd})
+	f.Emit(Event{Kind: KindRunEnd})
+	f.Emit(Event{Kind: KindRunEnd})
 	want := []string{"a", "b", "a", "b"}
 	if len(order) != len(want) {
 		t.Fatalf("fanout delivered %d events, want %d", len(order), len(want))
@@ -45,8 +46,8 @@ func TestFanoutForwardsToAllInOrder(t *testing.T) {
 func TestWithSessionNestingOutermostWins(t *testing.T) {
 	var c Collect
 	tr := WithSession(WithSession(&c, "inner"), "outer")
-	tr.Emit(&Event{Kind: KindRunEnd})
-	tr.Emit(&Event{Kind: KindRunEnd, Session: "explicit"})
+	tr.Emit(Event{Kind: KindRunEnd})
+	tr.Emit(Event{Kind: KindRunEnd, Session: "explicit"})
 	evs := c.Events()
 	if evs[0].Session != "outer" {
 		t.Errorf("nested WithSession label = %q, want outer (outermost wrapper sets first)", evs[0].Session)
@@ -59,7 +60,7 @@ func TestWithSessionNestingOutermostWins(t *testing.T) {
 func TestWithSessionAroundFanoutLabelsAllMembers(t *testing.T) {
 	var a, b Collect
 	tr := WithSession(Fanout(&a, &b), "s1")
-	tr.Emit(&Event{Kind: KindSpan, Layer: SpanChefSession})
+	tr.Emit(Event{Kind: KindSpan, Layer: SpanChefSession})
 	for name, c := range map[string]*Collect{"a": &a, "b": &b} {
 		evs := c.Events()
 		if len(evs) != 1 || evs[0].Session != "s1" {
@@ -85,12 +86,24 @@ func TestCollectConcurrentEmit(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				c.Emit(&Event{Kind: KindRunEnd, T: int64(i)})
+				c.Emit(Event{Kind: KindRunEnd, T: int64(i)})
 			}
 		}()
 	}
 	wg.Wait()
 	if got := c.CountKind(KindRunEnd); got != workers*perWorker {
 		t.Errorf("collected %d events, want %d", got, workers*perWorker)
+	}
+}
+
+// TestFanoutMembersGetOwnCopy: an edit one member makes to its event (the
+// JSONL tracer's wall-clock stamp) is not seen by the members after it.
+func TestFanoutMembersGetOwnCopy(t *testing.T) {
+	var c Collect
+	var sink bytes.Buffer
+	f := Fanout(NewJSONL(&sink), &c)
+	f.Emit(Event{Kind: KindRunEnd})
+	if evs := c.Events(); len(evs) != 1 || evs[0].WallNs != 0 {
+		t.Fatalf("Collect after a stamping JSONL saw %+v, want one unstamped event", evs)
 	}
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"strconv"
 )
@@ -100,4 +101,261 @@ func appendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	dst = append(dst, s...)
 	return append(dst, '"')
+}
+
+// StringTable numbers the distinct strings of one record stream. Records
+// store the string fields that repeat from event to event (kind, session,
+// decision, result, status, layer, parent) as their number here. A table is
+// not safe for concurrent use; Strings returns a prefix that later interning
+// only extends, so a reader may decode with it while a writer goes on.
+type StringTable struct {
+	ids  map[string]uint64
+	strs []string
+}
+
+func (t *StringTable) intern(s string) uint64 {
+	id, ok := t.ids[s]
+	if !ok {
+		if t.ids == nil {
+			t.ids = map[string]uint64{}
+		}
+		id = uint64(len(t.strs))
+		t.ids[s] = id
+		t.strs = append(t.strs, s)
+	}
+	return id
+}
+
+// Strings returns the interned strings, indexed by number.
+func (t *StringTable) Strings() []string { return t.strs }
+
+// AppendRecord appends the compact record of ev to dst and returns the
+// extended slice: each nonzero field in Event order as a one-byte tag (its
+// position, from 1) and a varint (zigzag for signed values), repeated strings
+// as their number in strs, other strings as a length and their bytes, and a 0
+// byte to close the record. DecodeRecord reverses it; FuzzTraceRecord pins
+// the pair to each other and to AppendJSON.
+func AppendRecord(dst []byte, ev *Event, strs *StringTable) []byte {
+	c := recordCodec{buf: dst, enc: strs}
+	c.event(ev)
+	return append(c.buf, 0)
+}
+
+// DecodeRecord decodes the record at the front of src, whose repeated
+// strings index strs, and returns the event and the bytes after the record.
+// It panics on bytes AppendRecord did not write.
+func DecodeRecord(src []byte, strs []string) (ev Event, rest []byte) {
+	c := recordCodec{buf: src, dec: strs}
+	c.value() // reads the first tag
+	c.event(&ev)
+	if c.next != 0 {
+		panic(errCorruptRecord)
+	}
+	return ev, c.buf
+}
+
+const errCorruptRecord = "obs: corrupt trace record"
+
+// recordCodec walks Event's fields in struct order and either encodes the
+// nonzero ones (enc set) or decodes the stored ones (enc nil), so the two
+// directions share one field list and cannot disagree on a tag. Encoding
+// only reads the event.
+type recordCodec struct {
+	buf  []byte       // encoding: the output; decoding: the unread input
+	enc  *StringTable // encoding: interns repeated strings; nil when decoding
+	dec  []string     // decoding: the strings records index
+	tag  byte         // tag of the field being visited
+	next byte         // decoding: tag of the next stored field, 0 at the end
+}
+
+// event visits every field of ev in struct order. A field added to Event must
+// be added here too.
+func (c *recordCodec) event(ev *Event) {
+	c.i64(&ev.T)
+	c.i64(&ev.WallNs)
+	c.sym(&ev.Kind)
+	c.sym(&ev.Session)
+
+	c.u64(&ev.LLPC)
+	c.u64(&ev.From)
+	c.u64(&ev.HLPC)
+	c.u64(&ev.DynHLPC)
+	c.u32(&ev.Opcode)
+
+	c.sym(&ev.Decision)
+
+	c.sym(&ev.Result)
+	c.i64(&ev.VirtCost)
+	c.i64(&ev.WallCost)
+	c.flag(&ev.CacheHit)
+	c.int(&ev.Constraints)
+	c.u64(&ev.PathSig)
+
+	c.sym(&ev.Status)
+	c.i64(&ev.Steps)
+	c.int(&ev.Depth)
+	c.flag(&ev.Diverged)
+	c.int(&ev.HLLen)
+	c.str(&ev.Sig)
+
+	c.u64(&ev.Class)
+
+	c.sym(&ev.Layer)
+	c.sym(&ev.Parent)
+	c.i64(&ev.SelfVirt)
+	c.i64(&ev.SelfWall)
+
+	c.str(&ev.Site)
+	c.int(&ev.Retries)
+
+	c.i64(&ev.Seed)
+	c.str(&ev.Strategy)
+	c.int(&ev.Tests)
+	c.int(&ev.HLPaths)
+	c.i64(&ev.LLPaths)
+}
+
+// stored advances to the next field and reports whether the record holds
+// it. Encoding, next stays 0, which no tag equals, so that is whether the
+// field is nonzero; decoding, the event starts zero, so it is whether the
+// next stored tag is this field's. It and the per-kind methods below inline,
+// so a zero field costs no call.
+func (c *recordCodec) stored(nonzero bool) bool {
+	c.tag++
+	return nonzero || c.next == c.tag
+}
+
+func (c *recordCodec) u64(p *uint64) {
+	if c.stored(*p != 0) {
+		c.uvarint(p)
+	}
+}
+
+func (c *recordCodec) u32(p *uint32) {
+	if c.stored(*p != 0) {
+		v := uint64(*p)
+		c.uvarint(&v)
+		if c.enc == nil {
+			*p = uint32(v)
+		}
+	}
+}
+
+func (c *recordCodec) i64(p *int64) {
+	if c.stored(*p != 0) {
+		c.varint(p)
+	}
+}
+
+func (c *recordCodec) int(p *int) {
+	if c.stored(*p != 0) {
+		v := int64(*p)
+		c.varint(&v)
+		if c.enc == nil {
+			*p = int(v)
+		}
+	}
+}
+
+// flag stores a true bool as its tag alone.
+func (c *recordCodec) flag(p *bool) {
+	if c.stored(*p) {
+		c.value()
+		if c.enc == nil {
+			*p = true
+		}
+	}
+}
+
+// sym stores a repeated string as its number in the string table.
+func (c *recordCodec) sym(p *string) {
+	if c.stored(*p != "") {
+		c.symbol(p)
+	}
+}
+
+// str stores a string inline, as its length and bytes.
+func (c *recordCodec) str(p *string) {
+	if c.stored(*p != "") {
+		c.inline(p)
+	}
+}
+
+// value brackets a stored field's value: encoding appends the field's tag
+// before the value; decoding, which has read that tag already, reads the
+// next one after it.
+func (c *recordCodec) value() {
+	if c.enc != nil {
+		c.buf = append(c.buf, c.tag)
+	} else {
+		c.next = c.byte()
+	}
+}
+
+// The methods below write or read one stored field's value.
+
+func (c *recordCodec) uvarint(p *uint64) {
+	if c.enc != nil {
+		c.value()
+		c.buf = binary.AppendUvarint(c.buf, *p)
+		return
+	}
+	*p = c.readUvarint()
+	c.value()
+}
+
+func (c *recordCodec) varint(p *int64) {
+	if c.enc != nil {
+		c.value()
+		c.buf = binary.AppendVarint(c.buf, *p)
+		return
+	}
+	v, n := binary.Varint(c.buf)
+	if n <= 0 {
+		panic(errCorruptRecord)
+	}
+	*p, c.buf = v, c.buf[n:]
+	c.value()
+}
+
+func (c *recordCodec) symbol(p *string) {
+	if c.enc != nil {
+		c.value()
+		c.buf = binary.AppendUvarint(c.buf, c.enc.intern(*p))
+		return
+	}
+	*p = c.dec[c.readUvarint()]
+	c.value()
+}
+
+func (c *recordCodec) inline(p *string) {
+	if c.enc != nil {
+		c.value()
+		c.buf = append(binary.AppendUvarint(c.buf, uint64(len(*p))), *p...)
+		return
+	}
+	n := c.readUvarint()
+	if n > uint64(len(c.buf)) {
+		panic(errCorruptRecord)
+	}
+	*p, c.buf = string(c.buf[:n]), c.buf[n:]
+	c.value()
+}
+
+func (c *recordCodec) readUvarint() uint64 {
+	v, n := binary.Uvarint(c.buf)
+	if n <= 0 {
+		panic(errCorruptRecord)
+	}
+	c.buf = c.buf[n:]
+	return v
+}
+
+func (c *recordCodec) byte() byte {
+	if len(c.buf) == 0 {
+		panic(errCorruptRecord)
+	}
+	b := c.buf[0]
+	c.buf = c.buf[1:]
+	return b
 }

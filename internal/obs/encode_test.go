@@ -145,8 +145,7 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 	tr.DisableWallClock()
 	enc := json.NewEncoder(&want)
 	for i := range events {
-		ev := events[i]
-		tr.Emit(&ev)
+		tr.Emit(events[i])
 		if err := enc.Encode(&events[i]); err != nil {
 			t.Fatal(err)
 		}
@@ -169,5 +168,41 @@ func FuzzAppendJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ev := eventFromBytes(t, data)
 		checkAppendJSON(t, &ev)
+	})
+}
+
+// checkRecord encodes ev after a prefix, decodes it back and checks that the
+// decoded event equals ev and renders to the same JSON.
+func checkRecord(t *testing.T, ev *Event, strs *StringTable) {
+	t.Helper()
+	prefix := []byte("prefix")
+	rec := AppendRecord(prefix, ev, strs)
+	if !bytes.Equal(rec[:len(prefix)], prefix) {
+		t.Fatalf("AppendRecord clobbered its prefix: %q", rec)
+	}
+	got, rest := DecodeRecord(rec[len(prefix):], strs.Strings())
+	if len(rest) != 0 {
+		t.Fatalf("DecodeRecord left %d of %d bytes", len(rest), len(rec)-len(prefix))
+	}
+	if !reflect.DeepEqual(got, *ev) {
+		t.Fatalf("record round trip mismatch\n got %+v\nwant %+v", got, *ev)
+	}
+	if g, w := AppendJSON(nil, &got), AppendJSON(nil, ev); !bytes.Equal(g, w) {
+		t.Fatalf("decoded event renders differently\n got %s\nwant %s", g, w)
+	}
+}
+
+func FuzzTraceRecord(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 300))
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0x80, 0, 3, 18, 2})
+	for i := range trickyStrings {
+		f.Add(bytes.Repeat([]byte{0x07, byte(i), 1}, 100))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ev := eventFromBytes(t, data)
+		var strs StringTable
+		checkRecord(t, &ev, &strs)
+		checkRecord(t, &ev, &strs) // again, with its strings already interned
 	})
 }

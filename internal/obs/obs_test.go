@@ -192,9 +192,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 		{T: 5, Kind: KindSolverQuery, Result: "sat", VirtCost: 12, CacheHit: true},
 		{T: 9, Kind: KindTestCase, HLLen: 3, Sig: "00000000000000ab"},
 	}
-	for i := range events {
-		ev := events[i]
-		tr.Emit(&ev)
+	for _, ev := range events {
+		tr.Emit(ev)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
@@ -219,7 +218,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 func TestJSONLWallStamping(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewJSONL(&buf)
-	tr.Emit(&Event{T: 1, Kind: KindRunEnd})
+	tr.Emit(Event{T: 1, Kind: KindRunEnd})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +240,8 @@ func TestWithSession(t *testing.T) {
 		t.Error("WithSession with empty name should return tracer unchanged")
 	}
 	tr := WithSession(&c, "alpha")
-	tr.Emit(&Event{Kind: KindRunEnd})
-	tr.Emit(&Event{Kind: KindRunEnd, Session: "explicit"})
+	tr.Emit(Event{Kind: KindRunEnd})
+	tr.Emit(Event{Kind: KindRunEnd, Session: "explicit"})
 	evs := c.Events()
 	if evs[0].Session != "alpha" {
 		t.Errorf("session label = %q, want alpha", evs[0].Session)

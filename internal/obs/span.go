@@ -144,7 +144,7 @@ func (sp *Span) End(virt int64) {
 		c.wallSelf.Add(selfWall)
 	}
 	if p.tracer != nil {
-		p.tracer.Emit(&Event{
+		p.tracer.Emit(Event{
 			Kind:     KindSpan,
 			Layer:    sp.layer,
 			Parent:   parentLayer,

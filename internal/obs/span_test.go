@@ -126,3 +126,21 @@ func TestSpanTracerOnlyProfiler(t *testing.T) {
 		t.Errorf("tracer-only span event = %+v", evs)
 	}
 }
+
+// nopTracer drops every event.
+type nopTracer struct{}
+
+func (nopTracer) Emit(Event) {}
+
+// TestSpanEndWithTracerDoesNotAllocate: closing a span hands its event to
+// the tracer by value, so a traced span allocates nothing.
+func TestSpanEndWithTracerDoesNotAllocate(t *testing.T) {
+	p := NewSpanProfiler(nil, nopTracer{})
+	outer := p.Start(SpanChefSession)
+	if n := testing.AllocsPerRun(100, func() {
+		p.Start(SpanEngineRun).End(1)
+	}); n != 0 {
+		t.Fatalf("a traced Start/End pair allocated %.1f times, want 0", n)
+	}
+	outer.End(1)
+}

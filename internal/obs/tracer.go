@@ -84,14 +84,15 @@ type Event struct {
 }
 
 // Tracer receives exploration events. Implementations must be safe for
-// concurrent use (parallel harness sessions share one tracer). Emit may fill
-// Event.WallNs; callers pass a freshly built event and must not retain it.
+// concurrent use (parallel harness sessions share one tracer). Events pass by
+// value, so an emission site builds its event on the stack and a tracer that
+// fills a field (WallNs, Session) edits only its own copy.
 //
 // The disabled case is a nil Tracer value held by the instrumented component:
 // every site guards with a single nil-check, so the hot path cost of disabled
 // tracing is one predictable branch.
 type Tracer interface {
-	Emit(ev *Event)
+	Emit(ev Event)
 }
 
 // JSONL writes events as newline-delimited JSON. Safe for concurrent use.
@@ -121,12 +122,12 @@ func NewJSONL(w io.Writer) *JSONL {
 func (t *JSONL) DisableWallClock() { t.stampWall = false }
 
 // Emit implements Tracer.
-func (t *JSONL) Emit(ev *Event) {
+func (t *JSONL) Emit(ev Event) {
 	t.mu.Lock()
 	if t.stampWall {
 		ev.WallNs = time.Since(t.start).Nanoseconds()
 	}
-	t.scratch = append(AppendJSON(t.scratch[:0], ev), '\n')
+	t.scratch = append(AppendJSON(t.scratch[:0], &ev), '\n')
 	_, _ = t.bw.Write(t.scratch)
 	t.mu.Unlock()
 }
@@ -152,9 +153,9 @@ type Collect struct {
 }
 
 // Emit implements Tracer.
-func (c *Collect) Emit(ev *Event) {
+func (c *Collect) Emit(ev Event) {
 	c.mu.Lock()
-	c.events = append(c.events, *ev)
+	c.events = append(c.events, ev)
 	c.mu.Unlock()
 }
 
@@ -186,7 +187,7 @@ type sessionTracer struct {
 }
 
 // Emit implements Tracer.
-func (t sessionTracer) Emit(ev *Event) {
+func (t sessionTracer) Emit(ev Event) {
 	if ev.Session == "" {
 		ev.Session = t.name
 	}
@@ -206,7 +207,7 @@ func WithSession(t Tracer, name string) Tracer {
 type fanoutTracer struct{ members []Tracer }
 
 // Emit implements Tracer.
-func (t fanoutTracer) Emit(ev *Event) {
+func (t fanoutTracer) Emit(ev Event) {
 	for _, m := range t.members {
 		m.Emit(ev)
 	}

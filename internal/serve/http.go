@@ -147,12 +147,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	offset := 0
+	var cur traceCursor
 	ticker := time.NewTicker(10 * time.Millisecond)
 	defer ticker.Stop()
 	for {
-		data, next, done := j.trace.readFrom(offset)
-		offset = next
+		data, next, done := j.trace.readFrom(cur)
+		cur = next
 		if len(data) > 0 {
 			if _, err := w.Write(data); err != nil {
 				return

@@ -9,42 +9,42 @@ import (
 // traceChunk is the size of one traceBuffer chunk.
 const traceChunk = 64 << 10
 
-// traceBuffer is the per-job JSONL event sink behind GET /v1/jobs/{id}/events.
+// traceBuffer is the per-job event sink behind GET /v1/jobs/{id}/events.
 // Unlike obs.NewJSONL it is unbuffered, so events become readable as they are
-// emitted, and it supports offset reads for incremental streaming. Events are
-// not wall-clock stamped: a job's trace depends only on its spec and seed.
+// emitted, and readers follow it with a cursor. Events are not wall-clock
+// stamped: a job's trace depends only on its spec and seed.
 //
-// The JSONL is stored in fixed traceChunk-sized chunks, every one full but
-// the last, so appending never copies what is already stored; an event may
-// span two chunks. Emit encodes with obs.AppendJSON into a reused scratch
-// slice, so it does not allocate per event.
+// Events are stored as obs.AppendRecord records, about a sixth of their
+// JSONL size, and rendered to JSONL when read. Records fill fixed-size
+// chunks; a record that does not fit in the last chunk's room starts a new
+// chunk, so appending never copies what is already stored and every record
+// lies within one chunk. Emit encodes into a reused scratch slice, so it
+// allocates only for a new chunk or a string it has not seen.
 type traceBuffer struct {
 	mu      sync.Mutex
+	chunk   int // chunk size; traceChunk but in tests
 	chunks  [][]byte
-	size    int
+	strs    obs.StringTable
 	scratch []byte
 	done    bool
 }
 
-func newTraceBuffer() *traceBuffer { return &traceBuffer{} }
+// traceCursor is a reader's position in a traceBuffer: a chunk index and a
+// byte offset within that chunk. The zero cursor is the start of the trace.
+type traceCursor struct{ chunk, off int }
+
+func newTraceBuffer() *traceBuffer { return &traceBuffer{chunk: traceChunk} }
 
 // Emit implements obs.Tracer.
-func (t *traceBuffer) Emit(ev *obs.Event) {
+func (t *traceBuffer) Emit(ev obs.Event) {
 	t.mu.Lock()
-	t.scratch = append(obs.AppendJSON(t.scratch[:0], ev), '\n')
-	p := t.scratch
-	t.size += len(p)
-	for len(p) > 0 {
-		last := len(t.chunks) - 1
-		if last < 0 || len(t.chunks[last]) == traceChunk {
-			t.chunks = append(t.chunks, make([]byte, 0, traceChunk))
-			last++
-		}
-		c := t.chunks[last]
-		n := min(len(p), traceChunk-len(c))
-		t.chunks[last] = append(c, p[:n]...)
-		p = p[n:]
+	t.scratch = obs.AppendRecord(t.scratch[:0], &ev, &t.strs)
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last])+len(t.scratch) > cap(t.chunks[last]) {
+		t.chunks = append(t.chunks, make([]byte, 0, max(t.chunk, len(t.scratch))))
+		last++
 	}
+	t.chunks[last] = append(t.chunks[last], t.scratch...)
 	t.mu.Unlock()
 }
 
@@ -55,19 +55,38 @@ func (t *traceBuffer) finish() {
 	t.mu.Unlock()
 }
 
-// readFrom copies the bytes at and after offset, reporting the new offset
-// and whether the trace is complete.
-func (t *traceBuffer) readFrom(offset int) (data []byte, next int, done bool) {
+// readFrom renders the events at and after cur as JSONL, reporting the
+// cursor after them and whether the trace is complete.
+//
+// Only the snapshot is taken under the lock; decoding runs outside it. That
+// is safe because Emit only appends: the headers of all chunks but the last
+// are never written again, the last chunk's header is copied, and bytes and
+// strings past the snapshot's lengths are not read.
+func (t *traceBuffer) readFrom(cur traceCursor) (data []byte, next traceCursor, done bool) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if offset >= t.size {
-		return nil, t.size, t.done
+	chunks := t.chunks
+	var last []byte
+	if n := len(chunks); n > 0 {
+		last = chunks[n-1]
+		chunks = chunks[:n-1]
 	}
-	data = make([]byte, 0, t.size-offset)
-	first := offset / traceChunk
-	data = append(data, t.chunks[first][offset%traceChunk:]...)
-	for _, c := range t.chunks[first+1:] {
-		data = append(data, c...)
+	strs := t.strs.Strings()
+	done = t.done
+	t.mu.Unlock()
+
+	for i := cur.chunk; i <= len(chunks); i++ {
+		c := last
+		if i < len(chunks) {
+			c = chunks[i]
+		}
+		if i == cur.chunk {
+			c = c[cur.off:]
+		}
+		for len(c) > 0 {
+			var ev obs.Event
+			ev, c = obs.DecodeRecord(c, strs)
+			data = append(obs.AppendJSON(data, &ev), '\n')
+		}
 	}
-	return data, t.size, t.done
+	return data, traceCursor{len(chunks), len(last)}, done
 }

@@ -298,7 +298,7 @@ func (s *Solver) CheckQuery(q Query) (Result, symexpr.Assignment) {
 		if s.now != nil {
 			t = s.now()
 		}
-		s.tracer.Emit(&obs.Event{
+		s.tracer.Emit(obs.Event{
 			T:           t,
 			Kind:        obs.KindSolverQuery,
 			Result:      res.String(),

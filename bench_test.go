@@ -26,6 +26,7 @@ import (
 	"chef/internal/experiments"
 	"chef/internal/interp"
 	"chef/internal/lowlevel"
+	"chef/internal/minilua"
 	"chef/internal/minipy"
 	"chef/internal/obs"
 	"chef/internal/packages"
@@ -447,6 +448,50 @@ func BenchmarkLogPC(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(calls), "ns/logpc")
 	b.ReportMetric(float64(calls)/float64(b.N), "logpc/op")
+}
+
+// BenchmarkGuestCall measures one entry call of a package on a VM whose
+// module has run: argparse's on MiniPy and JSON's on MiniLua, with the
+// packages' default inputs. Every engine run and every replay makes such a
+// call, so ns/op and allocs/op are the per-call costs the interpreters pay
+// about ten thousand times in a parsers-cupa pass.
+func BenchmarkGuestCall(b *testing.B) {
+	entry := func(name string) (*packages.Package, *lowlevel.Machine) {
+		p, _ := packages.ByName(name)
+		return p, lowlevel.NewConcreteMachine(nil, math.MaxInt64)
+	}
+	b.Run("minipy", func(b *testing.B) {
+		p, m := entry("argparse")
+		vm, out := minipy.RunModule(minipy.MustCompile(p.Source), m, nil, interp.Optimized)
+		if out.Exception != "" {
+			b.Fatal(out.Exception)
+		}
+		var args []minipy.Value
+		for _, in := range p.Inputs {
+			args = append(args, minipy.SymbolicString(m, in.Name, in.Len, in.Default))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			vm.CallFunction(p.Entry, args)
+		}
+	})
+	b.Run("minilua", func(b *testing.B) {
+		p, m := entry("JSON")
+		vm, out := minilua.RunModule(minilua.MustCompile(p.Source), m, nil, interp.Optimized)
+		if out.Error != "" {
+			b.Fatal(out.Error)
+		}
+		var args []minilua.Value
+		for _, in := range p.Inputs {
+			args = append(args, minilua.SymbolicString(m, in.Name, in.Len, in.Default))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			vm.CallFunction(p.Entry, args)
+		}
+	})
 }
 
 // BenchmarkCUPASelection measures strategy insert/select throughput.

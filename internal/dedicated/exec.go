@@ -141,7 +141,7 @@ func (e *Engine) exec(st *state, f *frame, in minipy.Instr, globals map[string]V
 	case minipy.OpStoreName:
 		name := f.code.Names[in.Arg]
 		v := pop(f)
-		if f.code.IsModule || f.code.Globals[name] {
+		if f.code.Global[in.Arg] {
 			globals[name] = v
 		} else {
 			f.locals[name] = v

@@ -114,6 +114,16 @@ func (m *Machine) Step(n int64) {
 	}
 }
 
+// StepsLeft returns how many more steps the run may take before Step
+// aborts it as a hang.
+func (m *Machine) StepsLeft() int64 { return m.stepLimit - m.steps }
+
+// CountConcreteBranches counts n branch sites with concrete conditions
+// whose steps the caller charges with Step. It is what n calls of Branch on
+// concrete conditions count besides their steps; interpreters use it to
+// charge work recorded once, such as building a stdlib template.
+func (m *Machine) CountConcreteBranches(n int64) { m.nBranches += n }
+
 // NewConcreteMachine builds a machine for replaying a test case on the
 // vanilla (uninstrumented-in-spirit) interpreter: inputs are purely concrete
 // and branch sites never fork. The step limit still applies, so replay can

@@ -107,6 +107,9 @@ type Proto struct {
 	Instrs    []Instr
 	Consts    []Value
 	Names     []string
+	// FieldKeys[i] is Names[i] as a string value where Names[i] is the
+	// field of an OpGetField or OpSelfField, and empty elsewhere.
+	FieldKeys []StrVal
 }
 
 // HLPCAt returns the HLPC of instruction offset i: function address and
@@ -121,9 +124,10 @@ func (*ProtoVal) TypeName() string { return "proto" }
 
 // Program is a compiled MiniLua chunk.
 type Program struct {
-	Main   *Proto
-	Protos []*Proto
-	Source string
+	Main    *Proto
+	Protos  []*Proto
+	Source  string
+	MaxLine int // the highest source line carrying an instruction
 }
 
 // ProtoByID returns the prototype with the given block id.

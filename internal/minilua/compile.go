@@ -5,9 +5,10 @@ package minilua
 // with jump targets patched after emission.
 
 type parser struct {
-	toks []Token
-	pos  int
-	prog *Program
+	toks      []Token
+	pos       int
+	prog      *Program
+	fieldKeys map[string]StrVal // one key per field name, shared by the protos
 }
 
 type funcState struct {
@@ -23,7 +24,7 @@ func Compile(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, prog: &Program{Source: src}}
+	p := &parser{toks: toks, prog: &Program{Source: src}, fieldKeys: map[string]StrVal{}}
 	fs := p.newFunc("<main>", nil)
 	if err := fs.block(func() bool { return p.atEOF() }); err != nil {
 		return nil, err
@@ -31,6 +32,11 @@ func Compile(src string) (*Program, error) {
 	fs.emit(OpLoadNil, 0, 0, p.cur().Line)
 	fs.emit(OpReturn, 1, 0, p.cur().Line)
 	p.prog.Main = fs.proto
+	for _, pr := range p.prog.Protos {
+		for _, in := range pr.Instrs {
+			p.prog.MaxLine = max(p.prog.MaxLine, in.Line)
+		}
+	}
 	return p.prog, nil
 }
 
@@ -137,6 +143,22 @@ func (fs *funcState) nameIdx(name string) int32 {
 	}
 	fs.proto.Names = append(fs.proto.Names, name)
 	return int32(len(fs.proto.Names) - 1)
+}
+
+// fieldIdx is nameIdx for a field name of OpGetField or OpSelfField, and
+// records the string key those index tables with.
+func (fs *funcState) fieldIdx(name string) int32 {
+	i := fs.nameIdx(name)
+	key, ok := fs.p.fieldKeys[name]
+	if !ok {
+		key = MkStr(name)
+		fs.p.fieldKeys[name] = key
+	}
+	for len(fs.proto.FieldKeys) <= int(i) {
+		fs.proto.FieldKeys = append(fs.proto.FieldKeys, StrVal{})
+	}
+	fs.proto.FieldKeys[i] = key
+	return i
 }
 
 func luaConstEqual(a, b Value) bool {
@@ -846,7 +868,7 @@ func (fs *funcState) suffixedExpr(stmtCtx bool) (exprKind, string, error) {
 				fs.emit(OpLoadK, fs.constIdx(MkStr(name.Text)), 0, line)
 				return exprIndexPending, "", nil
 			}
-			fs.emit(OpGetField, fs.nameIdx(name.Text), 0, line)
+			fs.emit(OpGetField, fs.fieldIdx(name.Text), 0, line)
 			kind = exprValue
 		case p.isOp("["):
 			line := p.advance().Line
@@ -882,7 +904,7 @@ func (fs *funcState) suffixedExpr(stmtCtx bool) (exprKind, string, error) {
 			if err != nil {
 				return 0, "", err
 			}
-			fs.emit(OpSelfField, fs.nameIdx(name.Text), 0, line)
+			fs.emit(OpSelfField, fs.fieldIdx(name.Text), 0, line)
 			if err := p.expectOp("("); err != nil {
 				return 0, "", err
 			}

@@ -40,17 +40,14 @@ type CoverageHost struct {
 
 // NewCoverageHost builds a coverage recorder for prog.
 func NewCoverageHost(prog *Program) *CoverageHost {
-	return &CoverageHost{Prog: prog, Lines: map[int]bool{}}
+	return &CoverageHost{Prog: prog, Lines: map[int]bool{}, seen: make([]bool, prog.MaxLine+1)}
 }
 
 // LogPC implements Host.
 func (h *CoverageHost) LogPC(hlpc uint64, opcode uint32) {
 	line := h.Prog.LineOf(hlpc)
-	if line <= 0 || line < len(h.seen) && h.seen[line] {
+	if line <= 0 || h.seen[line] {
 		return
-	}
-	if line >= len(h.seen) {
-		h.seen = append(h.seen, make([]bool, line+1-len(h.seen))...)
 	}
 	h.seen[line] = true
 	h.Lines[line] = true

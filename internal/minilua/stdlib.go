@@ -1,8 +1,12 @@
 package minilua
 
 import (
+	"maps"
+	"math"
 	"sort"
+	"sync"
 
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
 	"chef/internal/symexpr"
 )
@@ -22,41 +26,103 @@ func sortedNames(m map[string]func(vm *VM, args []Value) (Value, *LuaError)) []s
 	return names
 }
 
-// installStdlib populates the global namespace with MiniLua's standard
-// library: the base functions and the string/table libraries the evaluation
-// packages rely on.
-func (vm *VM) installStdlib() {
-	g := vm.globals
-	g["print"] = &BuiltinVal{Name: "print", Fn: biPrint}
-	g["error"] = &BuiltinVal{Name: "error", Fn: biError}
-	g["pcall"] = &BuiltinVal{Name: "pcall", Fn: biPcall}
-	g["tostring"] = &BuiltinVal{Name: "tostring", Fn: biToString}
-	g["tonumber"] = &BuiltinVal{Name: "tonumber", Fn: biToNumber}
-	g["type"] = &BuiltinVal{Name: "type", Fn: biType}
-	g["pairs"] = &BuiltinVal{Name: "pairs", Fn: biPairs}
-	g["ipairs"] = &BuiltinVal{Name: "ipairs", Fn: biIpairs}
-	g["assert"] = &BuiltinVal{Name: "assert", Fn: biAssert}
+// stringMethods resolves s:name(...) against the string library. Every VM
+// shares these BuiltinVals, as it shares those of the base library and the
+// stdlib tables: the guest never compares or hashes a function value
+// (valuesEqual, hashKey), so sharing one is not observable.
+var stringMethods = map[string]*BuiltinVal{}
 
-	strTbl := NewTable()
-	for _, name := range sortedNames(stringLib) {
-		_ = vm.indexSet(strTbl, MkStr(name), &BuiltinVal{Name: "string." + name, Fn: stringLib[name]})
+func init() {
+	for name, fn := range stringLib {
+		stringMethods[name] = &BuiltinVal{Name: "string." + name, Fn: fn}
 	}
-	g["string"] = strTbl
-
-	tblTbl := NewTable()
-	for _, name := range sortedNames(tableLib) {
-		_ = vm.indexSet(tblTbl, MkStr(name), &BuiltinVal{Name: "table." + name, Fn: tableLib[name]})
-	}
-	g["table"] = tblTbl
 }
 
-// stringMethod resolves s:name(...) against the string library.
-func (vm *VM) stringMethod(name string) (Value, bool) {
-	fn, ok := stringLib[name]
-	if !ok {
-		return nil, false
+// baseLib holds the base functions, each under its global name.
+var baseLib = map[string]*BuiltinVal{
+	"print":    {Name: "print", Fn: biPrint},
+	"error":    {Name: "error", Fn: biError},
+	"pcall":    {Name: "pcall", Fn: biPcall},
+	"tostring": {Name: "tostring", Fn: biToString},
+	"tonumber": {Name: "tonumber", Fn: biToNumber},
+	"type":     {Name: "type", Fn: biType},
+	"pairs":    {Name: "pairs", Fn: biPairs},
+	"ipairs":   {Name: "ipairs", Fn: biIpairs},
+	"assert":   {Name: "assert", Fn: biAssert},
+}
+
+// libTables builds the string and table libraries by inserting each
+// function under its name, in sorted order, through indexSet: the steps and
+// concrete branches this charges depend on the interpreter build.
+func (vm *VM) libTables() (str, tbl *TableVal) {
+	str = NewTable()
+	for _, name := range sortedNames(stringLib) {
+		_ = vm.indexSet(str, MkStr(name), stringMethods[name])
 	}
-	return &BuiltinVal{Name: "string." + name, Fn: fn}, true
+	tbl = NewTable()
+	for _, name := range sortedNames(tableLib) {
+		_ = vm.indexSet(tbl, MkStr(name), &BuiltinVal{Name: "table." + name, Fn: tableLib[name]})
+	}
+	return str, tbl
+}
+
+// stdlibTemplate is the stdlib as libTables leaves it under one
+// interp.Config, built once on a throwaway concrete machine, with the steps
+// and concrete branches that build charged.
+type stdlibTemplate struct {
+	// globals holds the base functions, and the template tables under the
+	// names that each VM's clones replace them at.
+	globals         map[string]Value
+	str, tbl        tableTemplate
+	steps, branches int64
+}
+
+var stdlibTemplates struct {
+	sync.Mutex
+	byConfig map[interp.Config]*stdlibTemplate
+}
+
+func stdlibFor(cfg interp.Config) *stdlibTemplate {
+	stdlibTemplates.Lock()
+	defer stdlibTemplates.Unlock()
+	t := stdlibTemplates.byConfig[cfg]
+	if t == nil {
+		vm := &VM{m: lowlevel.NewConcreteMachine(nil, math.MaxInt64), cfg: cfg}
+		str, tbl := vm.libTables()
+		t = &stdlibTemplate{
+			globals:  map[string]Value{"string": str, "table": tbl},
+			str:      newTableTemplate(str),
+			tbl:      newTableTemplate(tbl),
+			steps:    vm.m.Steps(),
+			branches: vm.m.Branches(),
+		}
+		for name, b := range baseLib {
+			t.globals[name] = b
+		}
+		if stdlibTemplates.byConfig == nil {
+			stdlibTemplates.byConfig = map[interp.Config]*stdlibTemplate{}
+		}
+		stdlibTemplates.byConfig[cfg] = t
+	}
+	return t
+}
+
+// installStdlib populates the global namespace with MiniLua's standard
+// library: the base functions and the string/table libraries the evaluation
+// packages rely on. The tables are clones of the config's template, and the
+// machine is charged what building them charges: a concrete Branch is only
+// a step and a counted branch. An install that would reach the step limit
+// runs libTables itself, so the run hangs where it would have.
+func (vm *VM) installStdlib() {
+	t := stdlibFor(vm.cfg)
+	vm.globals = maps.Clone(t.globals)
+	if t.steps > vm.m.StepsLeft() {
+		vm.globals["string"], vm.globals["table"] = vm.libTables()
+		return
+	}
+	vm.globals["string"], vm.globals["table"] = t.str.clone(), t.tbl.clone()
+	vm.m.Step(t.steps)
+	vm.m.CountConcreteBranches(t.branches)
 }
 
 func biPrint(vm *VM, args []Value) (Value, *LuaError) {

@@ -1,9 +1,59 @@
 package minilua
 
 import (
+	"slices"
+
 	"chef/internal/lowlevel"
 	"chef/internal/symexpr"
 )
+
+// tableTemplate is a table to clone: each bucket chain is kept as
+// positions in order.
+type tableTemplate struct {
+	t      *TableVal
+	chains [nBuckets][]int
+}
+
+func newTableTemplate(t *TableVal) tableTemplate {
+	tt := tableTemplate{t: t}
+	pos := make(map[*tableEntry]int, len(t.order))
+	for i, e := range t.order {
+		pos[e] = i
+	}
+	for b, chain := range t.buckets {
+		for _, e := range chain {
+			tt.chains[b] = append(tt.chains[b], pos[e])
+		}
+	}
+	return tt
+}
+
+// clone returns a table equal to the template's: fresh entries, bucket
+// chains and order, sharing the keys and values, which no guest operation
+// mutates in place.
+func (tt *tableTemplate) clone() *TableVal {
+	n := len(tt.t.order)
+	entries := make([]tableEntry, n)
+	ptrs := make([]*tableEntry, 2*n) // order, then the bucket chains
+	c := &TableVal{arr: slices.Clone(tt.t.arr), order: ptrs[:n:n], hsize: tt.t.hsize}
+	for i, e := range tt.t.order {
+		entries[i] = *e
+		c.order[i] = &entries[i]
+	}
+	rest := ptrs[n:]
+	for b, chain := range tt.chains {
+		if len(chain) == 0 {
+			continue
+		}
+		bucket := rest[:len(chain):len(chain)]
+		rest = rest[len(chain):]
+		for j, i := range chain {
+			bucket[j] = &entries[i]
+		}
+		c.buckets[b] = bucket
+	}
+	return c
+}
 
 // arrayLen returns the border of the array part (Lua's #).
 func (t *TableVal) arrayLen() int {

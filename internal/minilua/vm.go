@@ -1,6 +1,8 @@
 package minilua
 
 import (
+	"slices"
+
 	"chef/internal/interp"
 	"chef/internal/lowlevel"
 	"chef/internal/symexpr"
@@ -25,6 +27,10 @@ type VM struct {
 	globals map[string]Value
 	printed []string
 	depth   int
+	// stack holds every active call's register window, innermost on top:
+	// its slots, then its operand stack. A call takes its window from the
+	// top and gives it back when it returns.
+	stack []Value
 }
 
 // NewVM builds a VM.
@@ -32,16 +38,10 @@ func NewVM(prog *Program, m *lowlevel.Machine, host Host, cfg interp.Config) *VM
 	if host == nil {
 		host = nopHost{}
 	}
-	vm := &VM{prog: prog, m: m, host: host, cfg: cfg, globals: map[string]Value{}}
+	vm := &VM{prog: prog, m: m, host: host, cfg: cfg}
 	vm.installStdlib()
 	return vm
 }
-
-// Machine exposes the low-level machine.
-func (vm *VM) Machine() *lowlevel.Machine { return vm.m }
-
-// Globals exposes the global table namespace.
-func (vm *VM) Globals() map[string]Value { return vm.globals }
 
 // Printed returns print output.
 func (vm *VM) Printed() []string { return vm.printed }
@@ -73,25 +73,36 @@ func (vm *VM) call(fn Value, args []Value) (Value, *LuaError) {
 	return nil, luaErrf("attempt to call a %s value", fn.TypeName())
 }
 
+func (vm *VM) push(v Value) { vm.stack = append(vm.stack, v) }
+
+func (vm *VM) pop() Value {
+	n := len(vm.stack) - 1
+	v := vm.stack[n]
+	vm.stack = vm.stack[:n]
+	return v
+}
+
+func (vm *VM) top() Value { return vm.stack[len(vm.stack)-1] }
+
 func (vm *VM) callProto(p *Proto, args []Value) (Value, *LuaError) {
 	vm.depth++
-	defer func() { vm.depth-- }()
+	base := len(vm.stack)
+	defer func() {
+		vm.depth--
+		vm.stack = vm.stack[:base]
+	}()
 	if vm.depth > maxCallDepth {
 		return nil, luaErrf("stack overflow")
 	}
-	slots := make([]Value, p.NumSlots)
+	// slots stays valid when the stack grows and moves: only this call
+	// reads it, since MiniLua functions have no upvalues.
+	vm.stack = slices.Grow(vm.stack, p.NumSlots)[:base+p.NumSlots]
+	slots := vm.stack[base : base+p.NumSlots : base+p.NumSlots]
 	for i := range slots {
 		slots[i] = Nil
 	}
 	for i := 0; i < p.NumParams && i < len(args); i++ {
 		slots[i] = args[i]
-	}
-	var stack []Value
-	push := func(v Value) { stack = append(stack, v) }
-	pop := func() Value {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		return v
 	}
 	ip := 0
 	for {
@@ -105,81 +116,81 @@ func (vm *VM) callProto(p *Proto, args []Value) (Value, *LuaError) {
 		switch in.Op {
 		case OpNop:
 		case OpLoadK:
-			push(p.Consts[in.Arg])
+			vm.push(p.Consts[in.Arg])
 		case OpLoadNil:
-			push(Nil)
+			vm.push(Nil)
 		case OpLoadBool:
-			push(MkBool(in.Arg != 0))
+			vm.push(MkBool(in.Arg != 0))
 		case OpGetLocal:
-			push(slots[in.Arg])
+			vm.push(slots[in.Arg])
 		case OpSetLocal:
-			slots[in.Arg] = pop()
+			slots[in.Arg] = vm.pop()
 		case OpGetGlobal:
 			name := p.Names[in.Arg]
 			if v, ok := vm.globals[name]; ok {
-				push(v)
+				vm.push(v)
 			} else {
-				push(Nil)
+				vm.push(Nil)
 			}
 		case OpSetGlobal:
-			vm.globals[p.Names[in.Arg]] = pop()
+			vm.globals[p.Names[in.Arg]] = vm.pop()
 		case OpNewTable:
-			push(NewTable())
+			vm.push(NewTable())
 		case OpGetIndex:
-			key := pop()
-			tbl := pop()
+			key := vm.pop()
+			tbl := vm.pop()
 			v, err := vm.indexGet(tbl, key)
 			if err != nil {
 				return nil, err
 			}
-			push(v)
+			vm.push(v)
 		case OpSetIndex: // stack: value, table, key
-			key := pop()
-			tbl := pop()
-			val := pop()
+			key := vm.pop()
+			tbl := vm.pop()
+			val := vm.pop()
 			if err := vm.indexSet(tbl, key, val); err != nil {
 				return nil, err
 			}
 		case OpSetIndex2: // stack: table, key, value
-			val := pop()
-			key := pop()
-			tbl := pop()
+			val := vm.pop()
+			key := vm.pop()
+			tbl := vm.pop()
 			if err := vm.indexSet(tbl, key, val); err != nil {
 				return nil, err
 			}
 		case OpSetIndexKeep: // stack: table, key, value; table stays
-			val := pop()
-			key := pop()
-			tbl := stack[len(stack)-1]
+			val := vm.pop()
+			key := vm.pop()
+			tbl := vm.top()
 			if err := vm.indexSet(tbl, key, val); err != nil {
 				return nil, err
 			}
 		case OpAppend: // stack: table, value; table stays
-			val := pop()
-			tbl, ok := stack[len(stack)-1].(*TableVal)
+			val := vm.pop()
+			tbl, ok := vm.top().(*TableVal)
 			if !ok {
 				return nil, luaErrf("internal: append to non-table")
 			}
 			tbl.arr = append(tbl.arr, val)
 		case OpGetField:
-			tbl := pop()
-			v, err := vm.indexGet(tbl, MkStr(p.Names[in.Arg]))
+			tbl := vm.pop()
+			v, err := vm.indexGet(tbl, p.FieldKeys[in.Arg])
 			if err != nil {
 				return nil, err
 			}
-			push(v)
+			vm.push(v)
 		case OpSelfField:
-			obj := pop()
+			obj := vm.pop()
 			var method Value
 			switch o := obj.(type) {
 			case *TableVal:
-				mv, err := vm.indexGet(o, MkStr(p.Names[in.Arg]))
+				mv, err := vm.indexGet(o, p.FieldKeys[in.Arg])
 				if err != nil {
 					return nil, err
 				}
 				method = mv
 			case StrVal:
-				mv, ok := vm.stringMethod(p.Names[in.Arg])
+				mv, ok := stringMethods[p.Names[in.Arg]]
 				if !ok {
 					return nil, luaErrf("attempt to call method '%s' on a string", p.Names[in.Arg])
 				}
@@ -187,67 +198,66 @@ func (vm *VM) callProto(p *Proto, args []Value) (Value, *LuaError) {
 			default:
 				return nil, luaErrf("attempt to index a %s value", obj.TypeName())
 			}
-			push(method)
-			push(obj)
+			vm.push(method)
+			vm.push(obj)
 		case OpCall:
+			// The function and its arguments stay on the stack, below the
+			// callee's window, until the call returns.
 			n := int(in.Arg)
-			args := make([]Value, n)
-			for i := n - 1; i >= 0; i-- {
-				args[i] = pop()
-			}
-			fn := pop()
-			v, err := vm.call(fn, args)
+			top := len(vm.stack)
+			v, err := vm.call(vm.stack[top-n-1], vm.stack[top-n:top:top])
 			if err != nil {
 				return nil, err
 			}
-			push(v)
+			vm.stack = vm.stack[:top-n-1]
+			vm.push(v)
 		case OpReturn:
-			return pop(), nil
+			return vm.pop(), nil
 		case OpJump:
 			ip = int(in.Arg)
 		case OpJumpIfNot:
-			if !vm.m.Branch(llpcJumpCond, vm.truth(pop())) {
+			if !vm.m.Branch(llpcJumpCond, vm.truth(vm.pop())) {
 				ip = int(in.Arg)
 			}
 		case OpJumpIfNotKeep:
-			if !vm.m.Branch(llpcJumpCond, vm.truth(stack[len(stack)-1])) {
+			if !vm.m.Branch(llpcJumpCond, vm.truth(vm.top())) {
 				ip = int(in.Arg)
 			}
 		case OpJumpIfKeep:
-			if vm.m.Branch(llpcJumpCond, vm.truth(stack[len(stack)-1])) {
+			if vm.m.Branch(llpcJumpCond, vm.truth(vm.top())) {
 				ip = int(in.Arg)
 			}
 		case OpPop:
-			pop()
+			vm.pop()
 		case OpBin:
-			r := pop()
-			l := pop()
+			r := vm.pop()
+			l := vm.pop()
 			v, err := vm.binop(int(in.Arg), l, r)
 			if err != nil {
 				return nil, err
 			}
-			push(v)
+			vm.push(v)
 		case OpUnm:
-			v, ok := pop().(IntVal)
+			v, ok := vm.pop().(IntVal)
 			if !ok {
 				return nil, luaErrf("attempt to perform arithmetic on a non-number")
 			}
-			push(IntVal{lowlevel.NegV(v.V)})
+			vm.push(IntVal{lowlevel.NegV(v.V)})
 		case OpNot:
-			push(BoolVal{lowlevel.NotV(vm.truth(pop()))})
+			vm.push(BoolVal{lowlevel.NotV(vm.truth(vm.pop()))})
 		case OpLen:
-			v := pop()
+			v := vm.pop()
 			switch x := v.(type) {
 			case StrVal:
-				push(MkInt(int64(x.Len())))
+				vm.push(MkInt(int64(x.Len())))
 			case *TableVal:
-				push(MkInt(int64(x.arrayLen())))
+				vm.push(MkInt(int64(x.arrayLen())))
 			default:
 				return nil, luaErrf("attempt to get length of a %s value", v.TypeName())
 			}
 		case OpConcat:
-			r := pop()
-			l := pop()
+			r := vm.pop()
+			l := vm.pop()
 			ls, err := vm.coerceStr(l)
 			if err != nil {
 				return nil, err
@@ -259,11 +269,11 @@ func (vm *VM) callProto(p *Proto, args []Value) (Value, *LuaError) {
 			out := make([]lowlevel.SVal, 0, len(ls.B)+len(rs.B))
 			out = append(out, ls.B...)
 			out = append(out, rs.B...)
-			push(StrVal{B: out})
+			vm.push(StrVal{B: out})
 		case OpForPrep:
-			step := pop()
-			limit := pop()
-			init := pop()
+			step := vm.pop()
+			limit := vm.pop()
+			init := vm.pop()
 			si, ok := step.(IntVal)
 			if !ok || si.V.IsSymbolic() {
 				return nil, luaErrf("'for' step must be a concrete number")
@@ -305,11 +315,11 @@ func (vm *VM) callProto(p *Proto, args []Value) (Value, *LuaError) {
 				ip = int(in.Arg)
 				continue
 			}
-			push(k)
-			push(v)
+			vm.push(k)
+			vm.push(v)
 		case OpClosure:
 			pv := p.Consts[in.Arg].(*ProtoVal)
-			push(&FuncVal{Proto: pv.Proto})
+			vm.push(&FuncVal{Proto: pv.Proto})
 		default:
 			return nil, luaErrf("bad opcode %d", in.Op)
 		}

@@ -5,34 +5,14 @@ import (
 	"chef/internal/symexpr"
 )
 
-// builtin resolves a built-in name: functions, exception constructors, and
-// the print statement's function form.
-func (vm *VM) builtin(name string) (Value, bool) {
-	if builtinExceptionTypes[name] {
-		typ := name
-		return &BuiltinVal{Name: typ, Fn: func(vm *VM, args []Value) (Value, *Exc) {
-			msg := StrVal{}
-			if len(args) > 0 {
-				s, e := vm.str(args[0])
-				if e != nil {
-					return nil, e
-				}
-				msg = s
-			}
-			return &ExcInstanceVal{Type: typ, Msg: msg}, nil
-		}}, true
-	}
-	fn, ok := builtinTable[name]
-	if !ok {
-		return nil, false
-	}
-	return &BuiltinVal{Name: name, Fn: fn}, true
-}
-
-var builtinTable map[string]func(vm *VM, args []Value) (Value, *Exc)
+// builtinVals holds the built-in names: functions, exception constructors,
+// and the print statement's function form. Every VM shares one BuiltinVal
+// per name; the guest never compares or hashes builtins (shallowEqual,
+// hashValue).
+var builtinVals = map[string]*BuiltinVal{}
 
 func init() {
-	builtinTable = map[string]func(vm *VM, args []Value) (Value, *Exc){
+	fns := map[string]func(vm *VM, args []Value) (Value, *Exc){
 		"len":        builtinLen,
 		"ord":        builtinOrd,
 		"chr":        builtinChr,
@@ -53,6 +33,22 @@ func init() {
 		"sorted":     builtinSorted,
 		"sum":        builtinSum,
 		"enumerate":  builtinEnumerate,
+	}
+	for name, fn := range fns {
+		builtinVals[name] = &BuiltinVal{Name: name, Fn: fn}
+	}
+	for typ := range builtinExceptionTypes {
+		builtinVals[typ] = &BuiltinVal{Name: typ, Fn: func(vm *VM, args []Value) (Value, *Exc) {
+			msg := StrVal{}
+			if len(args) > 0 {
+				s, e := vm.str(args[0])
+				if e != nil {
+					return nil, e
+				}
+				msg = s
+			}
+			return &ExcInstanceVal{Type: typ, Msg: msg}, nil
+		}}
 	}
 }
 

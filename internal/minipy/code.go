@@ -108,16 +108,33 @@ type Instr struct {
 // offset, matching the paper's Python HLPC construction ("the concatenation
 // of the unique block address of the top frame and the current instruction
 // offset").
+//
+// A function's locals live in slots indexed like Names, so a name is its
+// own slot and resolving it hashes nothing: the compiler deduplicates Names
+// per block, and a nil slot is an unbound local.
 type Code struct {
-	Name     string
-	BlockID  uint32
-	Params   []string
-	Defaults []Value // aligned to the tail of Params; immutable literal values
-	Globals  map[string]bool
+	Name       string
+	BlockID    uint32
+	Params     []string
+	ParamSlots []int32 // the local slot of each of Params
+	Defaults   []Value // aligned to the tail of Params; immutable literal values
+	// Global[i] reports that Names[i] resolves in the module namespace:
+	// every name of the module body, and the names a function declares
+	// global anywhere in its body.
+	Global   []bool
 	Instrs   []Instr
 	Consts   []Value
 	Names    []string
 	IsModule bool
+}
+
+// numLocals is the number of local slots a frame of c needs: one per name
+// for a function body, none for the module body, whose names are global.
+func (c *Code) numLocals() int {
+	if c.IsModule {
+		return 0
+	}
+	return len(c.Names)
 }
 
 // HLPCAt returns the high-level program counter of instruction offset i.
@@ -145,9 +162,10 @@ func (*ClassSpecVal) TypeName() string { return "classspec" }
 
 // Program is a fully compiled MiniPy module.
 type Program struct {
-	Main   *Code
-	Blocks []*Code // all blocks, indexed by BlockID
-	Source string
+	Main    *Code
+	Blocks  []*Code // all blocks, indexed by BlockID
+	Source  string
+	MaxLine int // the highest source line carrying an instruction
 }
 
 // BlockByID returns the code block with the given id, or nil.

@@ -19,6 +19,7 @@ type blockCompiler struct {
 	// POP_BLOCK-on-break semantics).
 	excDepth   int
 	loopDepths []int
+	globals    map[string]bool // names the block declares global
 }
 
 // Compile parses and compiles a MiniPy source file into a Program.
@@ -33,6 +34,11 @@ func Compile(src string) (*Program, error) {
 		return nil, err
 	}
 	c.prog.Main = main
+	for _, blk := range c.prog.Blocks {
+		for _, in := range blk.Instrs {
+			c.prog.MaxLine = max(c.prog.MaxLine, in.Line)
+		}
+	}
 	return c.prog, nil
 }
 
@@ -52,7 +58,6 @@ func (c *compiler) newCode(name string, params []string, defaults []Value, isMod
 		BlockID:  uint32(len(c.prog.Blocks)),
 		Params:   params,
 		Defaults: defaults,
-		Globals:  map[string]bool{},
 		IsModule: isModule,
 	}
 	c.prog.Blocks = append(c.prog.Blocks, code)
@@ -72,6 +77,16 @@ func (c *compiler) compileBlock(name string, params []string, defaults []Value, 
 	}
 	bc.emit(OpLoadConst, bc.constIdx(None), last)
 	bc.emit(OpReturn, 0, last)
+	// A parameter's slot is its name index; names the body never uses are
+	// appended, so no instruction's operand changes.
+	code.ParamSlots = make([]int32, len(params))
+	for i, p := range params {
+		code.ParamSlots[i] = bc.nameIdx(p)
+	}
+	code.Global = make([]bool, len(code.Names))
+	for i, n := range code.Names {
+		code.Global[i] = isModule || bc.globals[n]
+	}
 	return code, nil
 }
 
@@ -195,8 +210,11 @@ func (b *blockCompiler) stmt(n Node) error {
 	case *TryStmt:
 		return b.tryStmt(st)
 	case *GlobalStmt:
+		if b.globals == nil {
+			b.globals = map[string]bool{}
+		}
 		for _, name := range st.Names {
-			b.code.Globals[name] = true
+			b.globals[name] = true
 		}
 		b.emit(OpNop, 0, st.Line)
 	case *AssertStmt:

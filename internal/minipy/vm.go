@@ -1,6 +1,8 @@
 package minipy
 
 import (
+	"slices"
+
 	"chef/internal/interp"
 	"chef/internal/lowlevel"
 )
@@ -29,6 +31,12 @@ type VM struct {
 	globals map[string]Value
 	printed []string
 	depth   int
+	// vals holds the locals and then the operand stack of every active
+	// frame, innermost on top; frames holds the frame records, reused by
+	// call depth. A call takes its storage from both and gives it back when
+	// it returns, so once they have grown a call allocates no frame.
+	vals   []Value
+	frames []*frame
 }
 
 // NewVM builds a VM for prog running on machine m with the given
@@ -40,19 +48,13 @@ func NewVM(prog *Program, m *lowlevel.Machine, host Host, cfg interp.Config) *VM
 	return &VM{prog: prog, m: m, host: host, cfg: cfg, globals: map[string]Value{}}
 }
 
-// Machine exposes the underlying low-level machine.
-func (vm *VM) Machine() *lowlevel.Machine { return vm.m }
-
-// Globals exposes the module namespace (to inject symbolic inputs).
-func (vm *VM) Globals() map[string]Value { return vm.globals }
-
 // Printed returns the output captured from print calls.
 func (vm *VM) Printed() []string { return vm.printed }
 
 // Run executes the module body. The returned Exc is the uncaught exception,
 // if any.
 func (vm *VM) Run() (Value, *Exc) {
-	return vm.runCode(vm.prog.Main, map[string]Value{})
+	return vm.runCode(vm.prog.Main, nil, nil)
 }
 
 // CallFunction invokes a module-level function by name with the given
@@ -70,34 +72,67 @@ const maxCallDepth = 64
 type blockEntry struct {
 	isFinally bool
 	handler   int
-	sp        int
+	sp        int // height of vm.vals when the block was set up
 }
 
+// frame is one active code block. No frame outlives its call: MiniPy has no
+// closures over locals (docs/LANGUAGES.md), so nothing else reads locals.
 type frame struct {
 	code   *Code
-	locals map[string]Value
-	stack  []Value
+	locals []Value // the frame's slots in vm.vals, indexed like code.Names
 	blocks []blockEntry
 	ip     int
 }
 
-func (f *frame) push(v Value) { f.stack = append(f.stack, v) }
+func (vm *VM) push(v Value) { vm.vals = append(vm.vals, v) }
 
-func (f *frame) pop() Value {
-	v := f.stack[len(f.stack)-1]
-	f.stack = f.stack[:len(f.stack)-1]
+func (vm *VM) pop() Value {
+	n := len(vm.vals) - 1
+	v := vm.vals[n]
+	vm.vals = vm.vals[:n]
 	return v
 }
 
-func (f *frame) peek() Value { return f.stack[len(f.stack)-1] }
+func (vm *VM) peek() Value { return vm.vals[len(vm.vals)-1] }
 
-func (vm *VM) runCode(code *Code, locals map[string]Value) (Value, *Exc) {
+// runCode runs code in a new frame. fn, when not nil, is the function
+// being called, and its parameters are bound from args (which callFunc has
+// checked) and its defaults.
+func (vm *VM) runCode(code *Code, fn *FuncVal, args []Value) (Value, *Exc) {
 	vm.depth++
-	defer func() { vm.depth-- }()
+	base := len(vm.vals)
+	defer func() {
+		vm.depth--
+		vm.vals = vm.vals[:base]
+	}()
 	if vm.depth > maxCallDepth {
 		return nil, excf("RuntimeError", "maximum recursion depth exceeded")
 	}
-	f := &frame{code: code, locals: locals}
+	n := code.numLocals()
+	vm.vals = slices.Grow(vm.vals, n)[:base+n]
+	locals := vm.vals[base : base+n : base+n]
+	clear(locals)
+	if fn != nil {
+		slots := code.ParamSlots
+		i := 0
+		if fn.Self != nil {
+			locals[slots[0]] = fn.Self
+			i = 1
+		}
+		for _, a := range args {
+			locals[slots[i]] = a
+			i++
+		}
+		required := len(slots) - len(fn.Defaults)
+		for ; i < len(slots); i++ {
+			locals[slots[i]] = fn.Defaults[i-required]
+		}
+	}
+	for len(vm.frames) < vm.depth {
+		vm.frames = append(vm.frames, &frame{})
+	}
+	f := vm.frames[vm.depth-1]
+	f.code, f.locals, f.blocks, f.ip = code, locals, f.blocks[:0], 0
 	for {
 		if f.ip >= len(code.Instrs) {
 			return None, nil
@@ -125,8 +160,8 @@ func (vm *VM) unwind(f *frame, exc *Exc) bool {
 	for len(f.blocks) > 0 {
 		blk := f.blocks[len(f.blocks)-1]
 		f.blocks = f.blocks[:len(f.blocks)-1]
-		f.stack = f.stack[:blk.sp]
-		f.push(&ExcInstanceVal{Type: exc.Type, Msg: MkStr(exc.Msg)})
+		vm.vals = vm.vals[:blk.sp]
+		vm.push(&ExcInstanceVal{Type: exc.Type, Msg: MkStr(exc.Msg)})
 		f.ip = blk.handler
 		return true
 	}
@@ -139,75 +174,68 @@ func (vm *VM) exec(f *frame, in Instr) (ret Value, exc *Exc, done bool) {
 	switch in.Op {
 	case OpNop:
 	case OpLoadConst:
-		f.push(code.Consts[in.Arg])
+		vm.push(code.Consts[in.Arg])
 	case OpLoadName:
-		name := code.Names[in.Arg]
-		if !code.IsModule && !code.Globals[name] {
-			if v, ok := f.locals[name]; ok {
-				f.push(v)
+		if !code.Global[in.Arg] {
+			if v := f.locals[in.Arg]; v != nil {
+				vm.push(v)
 				return
 			}
 		}
+		name := code.Names[in.Arg]
 		if v, ok := vm.globals[name]; ok {
-			f.push(v)
+			vm.push(v)
 			return
 		}
-		if v, ok := vm.builtin(name); ok {
-			f.push(v)
+		if v, ok := builtinVals[name]; ok {
+			vm.push(v)
 			return
 		}
 		return nil, excf("NameError", "name '%s' is not defined", name), false
 	case OpStoreName:
-		name := code.Names[in.Arg]
-		v := f.pop()
-		if code.IsModule || code.Globals[name] {
-			vm.globals[name] = v
-		} else {
-			f.locals[name] = v
-		}
+		vm.storeName(f, in.Arg, vm.pop())
 	case OpDelName:
-		name := code.Names[in.Arg]
-		if code.IsModule || code.Globals[name] {
-			delete(vm.globals, name)
+		if code.Global[in.Arg] {
+			delete(vm.globals, code.Names[in.Arg])
 		} else {
-			delete(f.locals, name)
+			f.locals[in.Arg] = nil
 		}
 	case OpPop:
-		f.pop()
+		vm.pop()
 	case OpDup:
-		f.push(f.peek())
+		vm.push(vm.peek())
 	case OpBinary:
-		r := f.pop()
-		l := f.pop()
+		r := vm.pop()
+		l := vm.pop()
 		v, e := vm.binary(int(in.Arg), l, r)
 		if e != nil {
 			return nil, e, false
 		}
-		f.push(v)
+		vm.push(v)
 	case OpCompare:
-		r := f.pop()
-		l := f.pop()
+		r := vm.pop()
+		l := vm.pop()
 		v, e := vm.compare(int(in.Arg), l, r)
 		if e != nil {
 			return nil, e, false
 		}
-		f.push(v)
+		vm.push(v)
 	case OpUnaryNeg:
-		v, e := vm.negate(f.pop())
+		v, e := vm.negate(vm.pop())
 		if e != nil {
 			return nil, e, false
 		}
-		f.push(v)
+		vm.push(v)
 	case OpUnaryNot:
-		t, e := vm.truth(f.pop())
+		t, e := vm.truth(vm.pop())
 		if e != nil {
 			return nil, e, false
 		}
-		f.push(BoolVal{lowlevel.NotV(t)})
+		vm.push(BoolVal{lowlevel.NotV(t)})
 	case OpJump:
 		f.ip = int(in.Arg)
 	case OpJumpIfFalse:
-		t, e := vm.truth(f.pop())
+		t, e := vm.truth(vm.pop())
 		if e != nil {
 			return nil, e, false
 		}
@@ -215,7 +243,7 @@ func (vm *VM) exec(f *frame, in Instr) (ret Value, exc *Exc, done bool) {
 			f.ip = int(in.Arg)
 		}
 	case OpJumpIfTrue:
-		t, e := vm.truth(f.pop())
+		t, e := vm.truth(vm.pop())
 		if e != nil {
 			return nil, e, false
 		}
@@ -223,7 +251,7 @@ func (vm *VM) exec(f *frame, in Instr) (ret Value, exc *Exc, done bool) {
 			f.ip = int(in.Arg)
 		}
 	case OpJumpIfFalseKeep:
-		t, e := vm.truth(f.peek())
+		t, e := vm.truth(vm.peek())
 		if e != nil {
 			return nil, e, false
 		}
@@ -231,7 +259,7 @@ func (vm *VM) exec(f *frame, in Instr) (ret Value, exc *Exc, done bool) {
 			f.ip = int(in.Arg)
 		}
 	case OpJumpIfTrueKeep:
-		t, e := vm.truth(f.peek())
+		t, e := vm.truth(vm.peek())
 		if e != nil {
 			return nil, e, false
 		}
@@ -239,97 +267,96 @@ func (vm *VM) exec(f *frame, in Instr) (ret Value, exc *Exc, done bool) {
 			f.ip = int(in.Arg)
 		}
 	case OpCall:
+		// The function and its arguments stay on the stack, below the
+		// callee's frame, until the call returns.
 		n := int(in.Arg)
-		args := make([]Value, n)
-		for i := n - 1; i >= 0; i-- {
-			args[i] = f.pop()
-		}
-		fn := f.pop()
-		v, e := vm.call(fn, args)
+		top := len(vm.vals)
+		v, e := vm.call(vm.vals[top-n-1], vm.vals[top-n:top:top])
+		vm.vals = vm.vals[:top-n-1]
 		if e != nil {
 			return nil, e, false
 		}
-		f.push(v)
+		vm.push(v)
 	case OpReturn:
-		return f.pop(), nil, true
+		return vm.pop(), nil, true
 	case OpBuildList:
 		n := int(in.Arg)
 		items := make([]Value, n)
 		for i := n - 1; i >= 0; i-- {
-			items[i] = f.pop()
+			items[i] = vm.pop()
 		}
-		f.push(&ListVal{Items: items})
+		vm.push(&ListVal{Items: items})
 	case OpBuildDict:
 		n := int(in.Arg)
 		d := NewDict()
 		pairs := make([]Value, 2*n)
 		for i := 2*n - 1; i >= 0; i-- {
-			pairs[i] = f.pop()
+			pairs[i] = vm.pop()
 		}
 		for i := 0; i < n; i++ {
 			if e := vm.dictSet(d, pairs[2*i], pairs[2*i+1]); e != nil {
 				return nil, e, false
 			}
 		}
-		f.push(d)
+		vm.push(d)
 	case OpIndex:
-		idx := f.pop()
-		obj := f.pop()
+		idx := vm.pop()
+		obj := vm.pop()
 		v, e := vm.index(obj, idx)
 		if e != nil {
 			return nil, e, false
 		}
-		f.push(v)
+		vm.push(v)
 	case OpStoreIndex:
-		idx := f.pop()
-		obj := f.pop()
-		val := f.pop()
+		idx := vm.pop()
+		obj := vm.pop()
+		val := vm.pop()
 		if e := vm.storeIndex(obj, idx, val); e != nil {
 			return nil, e, false
 		}
 	case OpDelIndex:
-		idx := f.pop()
-		obj := f.pop()
+		idx := vm.pop()
+		obj := vm.pop()
 		if e := vm.delIndex(obj, idx); e != nil {
 			return nil, e, false
 		}
 	case OpSlice:
 		var lo, hi Value
 		if in.Arg&2 != 0 {
-			hi = f.pop()
+			hi = vm.pop()
 		}
 		if in.Arg&1 != 0 {
-			lo = f.pop()
+			lo = vm.pop()
 		}
-		obj := f.pop()
+		obj := vm.pop()
 		v, e := vm.slice(obj, lo, hi)
 		if e != nil {
 			return nil, e, false
 		}
-		f.push(v)
+		vm.push(v)
 	case OpAttr:
-		obj := f.pop()
+		obj := vm.pop()
 		v, e := vm.getattr(obj, code.Names[in.Arg])
 		if e != nil {
 			return nil, e, false
 		}
-		f.push(v)
+		vm.push(v)
 	case OpStoreAttr:
-		obj := f.pop()
-		val := f.pop()
+		obj := vm.pop()
+		val := vm.pop()
 		inst, ok := obj.(*InstanceVal)
 		if !ok {
 			return nil, excf("AttributeError", "cannot set attributes on %s", obj.TypeName()), false
 		}
 		inst.Attrs[code.Names[in.Arg]] = val
 	case OpGetIter:
-		it, e := vm.getIter(f.pop())
+		it, e := vm.getIter(vm.pop())
 		if e != nil {
 			return nil, e, false
 		}
-		f.push(it)
+		vm.push(it)
 	case OpForIter:
-		it := f.peek().(iterator)
+		it := vm.peek().(iterator)
 		v, ok, e := it.next(vm)
 		if e != nil {
 			return nil, e, false
@@ -338,51 +365,46 @@ func (vm *VM) exec(f *frame, in Instr) (ret Value, exc *Exc, done bool) {
 			f.ip = int(in.Arg)
 			return
 		}
-		f.push(v)
+		vm.push(v)
 	case OpUnpack2:
-		v := f.pop()
+		v := vm.pop()
 		lst, ok := v.(*ListVal)
 		if !ok || len(lst.Items) != 2 {
 			return nil, excf("ValueError", "need exactly 2 values to unpack"), false
 		}
-		f.push(lst.Items[0])
-		f.push(lst.Items[1])
+		vm.push(lst.Items[0])
+		vm.push(lst.Items[1])
 	case OpSetupExcept:
-		f.blocks = append(f.blocks, blockEntry{handler: int(in.Arg), sp: len(f.stack)})
+		f.blocks = append(f.blocks, blockEntry{handler: int(in.Arg), sp: len(vm.vals)})
 	case OpSetupFinally:
-		f.blocks = append(f.blocks, blockEntry{isFinally: true, handler: int(in.Arg), sp: len(f.stack)})
+		f.blocks = append(f.blocks, blockEntry{isFinally: true, handler: int(in.Arg), sp: len(vm.vals)})
 	case OpPopBlock:
 		f.blocks = f.blocks[:len(f.blocks)-1]
 	case OpEndFinally:
 		// The exception object is on the stack (pushed by unwind).
-		ev := f.pop().(*ExcInstanceVal)
+		ev := vm.pop().(*ExcInstanceVal)
 		return nil, &Exc{Type: ev.Type, Msg: ev.Msg.Concrete()}, false
 	case OpRaise:
 		switch in.Arg {
 		case 0:
 			return nil, excf("RuntimeError", "no active exception to re-raise"), false
 		default: // 1: raise value; 2: re-raise unmatched handler exception
-			v := f.pop()
+			v := vm.pop()
 			return nil, vm.toException(v), false
 		}
 	case OpExcMatch:
-		ev := f.peek().(*ExcInstanceVal)
+		ev := vm.peek().(*ExcInstanceVal)
 		want := code.Names[in.Arg]
-		f.push(MkBool(excMatches(ev.Type, want)))
+		vm.push(MkBool(excMatches(ev.Type, want)))
 		vm.m.Step(1)
 	case OpBindExc:
-		ev := f.pop()
+		ev := vm.pop()
 		if in.Arg >= 0 {
-			name := code.Names[in.Arg]
-			if code.IsModule || code.Globals[name] {
-				vm.globals[name] = ev
-			} else {
-				f.locals[name] = ev
-			}
+			vm.storeName(f, in.Arg, ev)
 		}
 	case OpMakeFunc:
 		cv := code.Consts[in.Arg].(*CodeVal)
-		f.push(&FuncVal{Code: cv.Code, Defaults: cv.Code.Defaults})
+		vm.push(&FuncVal{Code: cv.Code, Defaults: cv.Code.Defaults})
 	case OpMakeClass:
 		spec := code.Consts[in.Arg].(*ClassSpecVal).Spec
 		cls := &ClassVal{Name: spec.Name, Methods: map[string]*FuncVal{}, Consts: map[string]Value{}}
@@ -399,12 +421,12 @@ func (vm *VM) exec(f *frame, in Instr) (ret Value, exc *Exc, done bool) {
 		for k, v := range spec.Consts {
 			cls.Consts[k] = v
 		}
-		f.push(cls)
+		vm.push(cls)
 	case OpPrint:
 		n := int(in.Arg)
 		parts := make([]Value, n)
 		for i := n - 1; i >= 0; i-- {
-			parts[i] = f.pop()
+			parts[i] = vm.pop()
 		}
 		line := ""
 		for i, p := range parts {
@@ -464,22 +486,24 @@ func (vm *VM) call(fn Value, args []Value) (Value, *Exc) {
 
 func (vm *VM) callFunc(fv *FuncVal, args []Value) (Value, *Exc) {
 	params := fv.Code.Params
-	locals := make(map[string]Value, len(params))
+	n := len(args)
 	if fv.Self != nil {
-		args = append([]Value{fv.Self}, args...)
+		n++
 	}
 	required := len(params) - len(fv.Defaults)
-	if len(args) < required || len(args) > len(params) {
-		return nil, excf("TypeError", "%s() takes %d arguments (%d given)", fv.Code.Name, len(params), len(args))
+	if n < required || n > len(params) {
+		return nil, excf("TypeError", "%s() takes %d arguments (%d given)", fv.Code.Name, len(params), n)
 	}
-	for i, p := range params {
-		if i < len(args) {
-			locals[p] = args[i]
-		} else {
-			locals[p] = fv.Defaults[i-required]
-		}
+	return vm.runCode(fv.Code, fv, args)
+}
+
+// storeName binds Names[idx] in the frame's scope to v.
+func (vm *VM) storeName(f *frame, idx int32, v Value) {
+	if f.code.Global[idx] {
+		vm.globals[f.code.Names[idx]] = v
+	} else {
+		f.locals[idx] = v
 	}
-	return vm.runCode(fv.Code, locals)
 }
 
 // truth computes the (possibly symbolic) truth value of v.

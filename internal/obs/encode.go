@@ -111,9 +111,30 @@ func appendString(dst []byte, s string) []byte {
 type StringTable struct {
 	ids  map[string]uint64
 	strs []string
+	// recent holds, per symbol field in Event order, the two strings that
+	// field interned last and their numbers, the latest first. Consecutive
+	// events mostly repeat a field's value or alternate between two (an
+	// ll-fork between hlpc-edges), and comparing is cheaper than hashing.
+	recent [symFields][2]struct {
+		s  string
+		id uint64
+	}
 }
 
-func (t *StringTable) intern(s string) uint64 {
+// symFields is the number of Event fields stored as symbols: the sym calls
+// of recordCodec.event.
+const symFields = 7
+
+// intern numbers s, the nonempty value of the field-th symbol field.
+func (t *StringTable) intern(field int, s string) uint64 {
+	r := &t.recent[field]
+	if r[0].s == s { // an unused entry holds "", which s is not
+		return r[0].id
+	}
+	if r[1].s == s {
+		r[0], r[1] = r[1], r[0]
+		return r[0].id
+	}
 	id, ok := t.ids[s]
 	if !ok {
 		if t.ids == nil {
@@ -123,6 +144,8 @@ func (t *StringTable) intern(s string) uint64 {
 		t.ids[s] = id
 		t.strs = append(t.strs, s)
 	}
+	r[1] = r[0]
+	r[0].s, r[0].id = s, id
 	return id
 }
 
@@ -165,6 +188,7 @@ type recordCodec struct {
 	enc  *StringTable // encoding: interns repeated strings; nil when decoding
 	dec  []string     // decoding: the strings records index
 	tag  byte         // tag of the field being visited
+	nsym int          // number of symbol fields visited before this one
 	next byte         // decoding: tag of the next stored field, 0 at the end
 }
 
@@ -272,6 +296,7 @@ func (c *recordCodec) sym(p *string) {
 	if c.stored(*p != "") {
 		c.symbol(p)
 	}
+	c.nsym++
 }
 
 // str stores a string inline, as its length and bytes.
@@ -321,7 +346,7 @@ func (c *recordCodec) varint(p *int64) {
 func (c *recordCodec) symbol(p *string) {
 	if c.enc != nil {
 		c.value()
-		c.buf = binary.AppendUvarint(c.buf, c.enc.intern(*p))
+		c.buf = binary.AppendUvarint(c.buf, c.enc.intern(c.nsym, *p))
 		return
 	}
 	*p = c.dec[c.readUvarint()]

@@ -77,10 +77,10 @@ type stdlibTemplate struct {
 	steps, branches int64
 }
 
-var stdlibTemplates struct {
+var stdlibTemplates = struct {
 	sync.Mutex
 	byConfig map[interp.Config]*stdlibTemplate
-}
+}{byConfig: map[interp.Config]*stdlibTemplate{}}
 
 func stdlibFor(cfg interp.Config) *stdlibTemplate {
 	stdlibTemplates.Lock()
@@ -98,9 +98,6 @@ func stdlibFor(cfg interp.Config) *stdlibTemplate {
 		}
 		for name, b := range baseLib {
 			t.globals[name] = b
-		}
-		if stdlibTemplates.byConfig == nil {
-			stdlibTemplates.byConfig = map[interp.Config]*stdlibTemplate{}
 		}
 		stdlibTemplates.byConfig[cfg] = t
 	}

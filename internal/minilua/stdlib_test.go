@@ -153,7 +153,7 @@ func TestStdlibTemplateMatchesFreshInstall(t *testing.T) {
 	// among them, so that -race covers the shared template.
 	t.Run("concurrent", func(t *testing.T) {
 		stdlibTemplates.Lock()
-		stdlibTemplates.byConfig = nil
+		clear(stdlibTemplates.byConfig)
 		stdlibTemplates.Unlock()
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {

@@ -155,12 +155,13 @@ func TestStdlibTemplateMatchesFreshInstall(t *testing.T) {
 		stdlibTemplates.Lock()
 		clear(stdlibTemplates.byConfig)
 		stdlibTemplates.Unlock()
+		levels := interp.OptLevels()
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				cfg := interp.OptLevels()[g%4]
+				cfg := levels[g%len(levels)]
 				vm, _, _ := templateVM(cfg, 1<<40)
 				// Write to the clone as a guest would, racing the others.
 				_ = vm.indexSet(vm.globals["table"].(*TableVal), MkStr("insert"), Nil)

@@ -113,11 +113,10 @@ type Instr struct {
 // own slot and resolving it hashes nothing: the compiler deduplicates Names
 // per block, and a nil slot is an unbound local.
 type Code struct {
-	Name       string
-	BlockID    uint32
-	Params     []string
-	ParamSlots []int32 // the local slot of each of Params
-	Defaults   []Value // aligned to the tail of Params; immutable literal values
+	Name     string
+	BlockID  uint32
+	Params   []string // Params[i] is Names[i], so parameter i is local slot i
+	Defaults []Value  // aligned to the tail of Params; immutable literal values
 	// Global[i] reports that Names[i] resolves in the module namespace:
 	// every name of the module body, and the names a function declares
 	// global anywhere in its body.

@@ -67,6 +67,10 @@ func (c *compiler) newCode(name string, params []string, defaults []Value, isMod
 func (c *compiler) compileBlock(name string, params []string, defaults []Value, body []Node, isModule bool) (*Code, error) {
 	code := c.newCode(name, params, defaults, isModule)
 	bc := &blockCompiler{c: c, code: code}
+	// Parameters are named first, so parameter i is local slot i.
+	for _, p := range params {
+		bc.nameIdx(p)
+	}
 	if err := bc.stmts(body); err != nil {
 		return nil, err
 	}
@@ -77,12 +81,6 @@ func (c *compiler) compileBlock(name string, params []string, defaults []Value, 
 	}
 	bc.emit(OpLoadConst, bc.constIdx(None), last)
 	bc.emit(OpReturn, 0, last)
-	// A parameter's slot is its name index; names the body never uses are
-	// appended, so no instruction's operand changes.
-	code.ParamSlots = make([]int32, len(params))
-	for i, p := range params {
-		code.ParamSlots[i] = bc.nameIdx(p)
-	}
 	code.Global = make([]bool, len(code.Names))
 	for i, n := range code.Names {
 		code.Global[i] = isModule || bc.globals[n]

@@ -1,6 +1,7 @@
 package minipy
 
 import (
+	"slices"
 	"testing"
 
 	"chef/internal/interp"
@@ -78,6 +79,13 @@ def r():
 print(r())
 print(z)
 `, "10", "7")
+	})
+	t.Run("parameter i is slot i", func(t *testing.T) {
+		prog := MustCompile("def f(p, q, unused):\n    v = q\n    return p + v\n")
+		code := prog.Blocks[1]
+		if !slices.Equal(code.Names[:len(code.Params)], code.Params) {
+			t.Fatalf("Names %v do not start with Params %v", code.Names, code.Params)
+		}
 	})
 	t.Run("bound method and defaults", func(t *testing.T) {
 		expectPrints(t, `

@@ -371,6 +371,7 @@ func TestCompileErrors(t *testing.T) {
 		"break",
 		"  unexpected_indent = 1",
 		"def f(a=1, b):\n    pass",
+		"def f(a, a):\n    pass",
 	}
 	for _, src := range bad {
 		if _, err := Compile(src); err == nil {

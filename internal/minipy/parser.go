@@ -1,5 +1,7 @@
 package minipy
 
+import "slices"
+
 // Recursive-descent parser for MiniPy.
 
 type parser struct {
@@ -371,6 +373,9 @@ func (p *parser) defStatement() (*DefStmt, error) {
 		pn, err := p.expectKind(TokName)
 		if err != nil {
 			return nil, err
+		}
+		if slices.Contains(params, pn.Text) {
+			return nil, syntaxErrf(pn.Line, "duplicate argument '%s' in function definition", pn.Text)
 		}
 		params = append(params, pn.Text)
 		if p.acceptOp("=") {

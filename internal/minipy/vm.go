@@ -113,19 +113,15 @@ func (vm *VM) runCode(code *Code, fn *FuncVal, args []Value) (Value, *Exc) {
 	locals := vm.vals[base : base+n : base+n]
 	clear(locals)
 	if fn != nil {
-		slots := code.ParamSlots
 		i := 0
 		if fn.Self != nil {
-			locals[slots[0]] = fn.Self
+			locals[0] = fn.Self
 			i = 1
 		}
-		for _, a := range args {
-			locals[slots[i]] = a
-			i++
-		}
-		required := len(slots) - len(fn.Defaults)
-		for ; i < len(slots); i++ {
-			locals[slots[i]] = fn.Defaults[i-required]
+		i += copy(locals[i:], args)
+		required := len(code.Params) - len(fn.Defaults)
+		for ; i < len(code.Params); i++ {
+			locals[i] = fn.Defaults[i-required]
 		}
 	}
 	for len(vm.frames) < vm.depth {

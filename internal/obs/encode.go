@@ -111,29 +111,26 @@ func appendString(dst []byte, s string) []byte {
 type StringTable struct {
 	ids  map[string]uint64
 	strs []string
-	// recent holds, per symbol field in Event order, the two strings that
-	// field interned last and their numbers, the latest first. Consecutive
-	// events mostly repeat a field's value or alternate between two (an
-	// ll-fork between hlpc-edges), and comparing is cheaper than hashing.
-	recent [symFields][2]struct {
-		s  string
-		id uint64
-	}
+	// last holds, indexed by a symbol field's record tag, the string that
+	// field interned last and its number; it grows to the highest tag seen.
+	// On a served job's events it answers about three lookups in five
+	// without hashing.
+	last []lastSym
 }
 
-// symFields is the number of Event fields stored as symbols: the sym calls
-// of recordCodec.event.
-const symFields = 7
+type lastSym struct {
+	s  string
+	id uint64
+}
 
-// intern numbers s, the nonempty value of the field-th symbol field.
-func (t *StringTable) intern(field int, s string) uint64 {
-	r := &t.recent[field]
-	if r[0].s == s { // an unused entry holds "", which s is not
-		return r[0].id
+// intern numbers s, the nonempty value of the symbol field tagged tag.
+func (t *StringTable) intern(tag byte, s string) uint64 {
+	if int(tag) >= len(t.last) {
+		t.last = append(t.last, make([]lastSym, int(tag)+1-len(t.last))...)
 	}
-	if r[1].s == s {
-		r[0], r[1] = r[1], r[0]
-		return r[0].id
+	l := &t.last[tag]
+	if l.s == s { // an unused entry holds "", which s is not
+		return l.id
 	}
 	id, ok := t.ids[s]
 	if !ok {
@@ -144,8 +141,7 @@ func (t *StringTable) intern(field int, s string) uint64 {
 		t.ids[s] = id
 		t.strs = append(t.strs, s)
 	}
-	r[1] = r[0]
-	r[0].s, r[0].id = s, id
+	l.s, l.id = s, id
 	return id
 }
 
@@ -188,7 +184,6 @@ type recordCodec struct {
 	enc  *StringTable // encoding: interns repeated strings; nil when decoding
 	dec  []string     // decoding: the strings records index
 	tag  byte         // tag of the field being visited
-	nsym int          // number of symbol fields visited before this one
 	next byte         // decoding: tag of the next stored field, 0 at the end
 }
 
@@ -296,7 +291,6 @@ func (c *recordCodec) sym(p *string) {
 	if c.stored(*p != "") {
 		c.symbol(p)
 	}
-	c.nsym++
 }
 
 // str stores a string inline, as its length and bytes.
@@ -346,7 +340,7 @@ func (c *recordCodec) varint(p *int64) {
 func (c *recordCodec) symbol(p *string) {
 	if c.enc != nil {
 		c.value()
-		c.buf = binary.AppendUvarint(c.buf, c.enc.intern(c.nsym, *p))
+		c.buf = binary.AppendUvarint(c.buf, c.enc.intern(c.tag, *p))
 		return
 	}
 	*p = c.dec[c.readUvarint()]

@@ -478,7 +478,11 @@ func BenchmarkGuestCall(b *testing.B) {
 	})
 	b.Run("minilua", func(b *testing.B) {
 		p, m := entry("JSON")
-		vm, out := minilua.RunModule(minilua.MustCompile(p.Source), m, nil, interp.Optimized)
+		prog, err := minilua.Compile(p.Source)
+		if err != nil {
+			b.Fatal(err)
+		}
+		vm, out := minilua.RunModule(prog, m, nil, interp.Optimized)
 		if out.Error != "" {
 			b.Fatal(out.Error)
 		}

@@ -11,7 +11,6 @@ import (
 
 	"chef/internal/chef"
 	"chef/internal/interp"
-	"chef/internal/minipy"
 	"chef/internal/symtest"
 )
 
@@ -41,7 +40,7 @@ func main() {
 	fmt.Printf("explored %d low-level paths, distilled %d high-level test cases:\n\n",
 		stats.LLPaths, len(tests))
 	for _, tc := range tests {
-		email := minipy.ConcreteStringFromInput(tc.Input, "email", 6)
+		email := symtest.ConcreteString(tc.Input, "email", 6)
 		// Confirm by replaying on the vanilla interpreter.
 		rep := test.Replay(tc.Input, 1<<20)
 		fmt.Printf("  email=%-10q  ->  %s (replay: %s)\n", email, tc.Result, rep.Result)

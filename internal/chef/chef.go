@@ -223,7 +223,6 @@ func NewSession(prog TestProgram, opts Options) *Session {
 	}
 	s.eng = lowlevel.NewEngine(s.runOnce, strat, lowlevel.Options{
 		StepLimit:       opts.StepLimit,
-		Seed:            opts.Seed,
 		SolverOptions:   opts.SolverOptions,
 		ForkWeightDecay: opts.ForkWeightDecay,
 		Metrics:         opts.Metrics,
@@ -555,15 +554,7 @@ func (c *Ctx) LogPC(pc HLPC, opcode uint32) {
 // getString: it returns n concolic bytes named buf, defaulting to def
 // (padded with zeros) on the first run.
 func (c *Ctx) GetString(buf string, n int, def string) []lowlevel.SVal {
-	out := make([]lowlevel.SVal, n)
-	for i := 0; i < n; i++ {
-		var d byte
-		if i < len(def) {
-			d = def[i]
-		}
-		out[i] = c.M.InputByte(buf, i, d)
-	}
-	return out
+	return c.M.InputBytes(buf, n, def)
 }
 
 // GetInt returns a concolic 32-bit integer input named name.

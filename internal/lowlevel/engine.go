@@ -103,8 +103,6 @@ type Options struct {
 	// StepLimit caps virtual steps per run; exceeding it is a hang
 	// (the paper's 60-second per-path timeout). Default 1 << 20.
 	StepLimit int64
-	// Seed drives all randomized choices.
-	Seed int64
 	// SolverOptions configure the constraint solver.
 	SolverOptions solver.Options
 	// ForkWeightDecay is the p of §3.4 (default 0.75).
@@ -218,7 +216,7 @@ type concretizeKey struct {
 // Engine drives concolic exploration of a Program.
 //
 // Concurrency contract: an Engine is single-owner. All methods — including
-// the read accessors Stats, Clock, Pending, Solver and Rand, which touch
+// the read accessors Stats, Clock, Pending and Solver, which touch
 // the same unsynchronized fields the exploration loop mutates — must be
 // called from the goroutine currently driving the engine. Ownership may
 // move between goroutines only across a happens-before edge (channel,
@@ -229,7 +227,6 @@ type Engine struct {
 	solver   *solver.Solver
 	strategy Strategy
 	prog     Program
-	rng      *rand.Rand
 	router   Router
 
 	visited    map[uint64]bool // explored or queued decision signatures
@@ -278,7 +275,6 @@ func NewEngine(prog Program, strategy Strategy, opts Options) *Engine {
 		solver:     solver.New(so),
 		strategy:   strategy,
 		prog:       prog,
-		rng:        rand.New(rand.NewSource(opts.Seed)),
 		router:     opts.Router,
 		visited:    map[uint64]bool{},
 		seenValues: map[concretizeKey]map[uint64]bool{},
@@ -299,10 +295,6 @@ func NewEngine(prog Program, strategy Strategy, opts Options) *Engine {
 // Solver exposes the engine's constraint solver (for stats and the CHEF
 // layer's upper_bound needs).
 func (e *Engine) Solver() *solver.Solver { return e.solver }
-
-// Rand exposes the engine's deterministic randomness source so strategies
-// can share it.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Clock returns the virtual time consumed so far.
 func (e *Engine) Clock() int64 { return e.clock }

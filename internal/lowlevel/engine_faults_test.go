@@ -38,7 +38,6 @@ func TestUnknownStateRequeuedAndRecovered(t *testing.T) {
 	paths := map[[3]bool]int{}
 	plan := mustPlan(t, "seed=1;solver.unknown:n=1")
 	e := NewEngine(threeBranchProg(paths), NewBFSStrategy(), Options{
-		Seed:          1,
 		SolverOptions: solver.Options{Faults: plan.Injector("eng")},
 	})
 	exploreAll(e, 100)
@@ -60,7 +59,6 @@ func TestAbandonedStateReleasesVisitedSig(t *testing.T) {
 	paths := map[[3]bool]int{}
 	plan := mustPlan(t, "seed=1;solver.unknown:n=1")
 	e := NewEngine(threeBranchProg(paths), NewBFSStrategy(), Options{
-		Seed:           1,
 		UnknownRetries: -1, // abandon on the first Unknown
 		SolverOptions:  solver.Options{Faults: plan.Injector("eng")},
 	})
@@ -81,7 +79,6 @@ func TestAbandonedStateReleasesVisitedSig(t *testing.T) {
 func TestBudgetStarvedRunRecoversAfterBudgetRestore(t *testing.T) {
 	paths := map[[3]bool]int{}
 	e := NewEngine(threeBranchProg(paths), NewBFSStrategy(), Options{
-		Seed:          1,
 		SolverOptions: solver.Options{PropBudget: 1},
 	})
 	e.RunInitial()
@@ -110,7 +107,6 @@ func TestSustainedStarvationTerminates(t *testing.T) {
 	paths := map[[3]bool]int{}
 	plan := mustPlan(t, "seed=3;solver.unknown:p=1")
 	e := NewEngine(threeBranchProg(paths), NewBFSStrategy(), Options{
-		Seed:          3,
 		SolverOptions: solver.Options{Faults: plan.Injector("eng")},
 	})
 	exploreAll(e, 10_000)

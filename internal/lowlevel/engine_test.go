@@ -32,7 +32,7 @@ func TestBranchEnumeratesBothSides(t *testing.T) {
 		big := m.Branch(1, UltV(ConcreteVal(10, symexpr.W8), x))
 		outcomes[big]++
 	}
-	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(1))), Options{Seed: 1})
+	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(1))), Options{})
 	runs := exploreAll(e, 100)
 	if runs != 2 {
 		t.Fatalf("runs = %d, want 2", runs)
@@ -53,7 +53,7 @@ func TestNestedBranchesEnumerateAllPaths(t *testing.T) {
 		}
 		paths[key]++
 	}
-	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(2))), Options{Seed: 2})
+	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(2))), Options{})
 	runs := exploreAll(e, 100)
 	if runs != 8 {
 		t.Fatalf("runs = %d, want 8", runs)
@@ -76,7 +76,7 @@ func TestInfeasiblePathsDiscarded(t *testing.T) {
 			m.Branch(2, UltV(ConcreteVal(200, symexpr.W8), x))
 		}
 	}
-	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(3))), Options{Seed: 3})
+	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(3))), Options{})
 	exploreAll(e, 100)
 	if e.Stats().UnsatStates == 0 {
 		t.Fatalf("expected at least one unsat state, stats %+v", e.Stats())
@@ -88,7 +88,7 @@ func TestConcreteBranchesDoNotFork(t *testing.T) {
 		v := ConcreteVal(5, symexpr.W8)
 		m.Branch(1, UltV(v, ConcreteVal(10, symexpr.W8)))
 	}
-	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(4))), Options{Seed: 4})
+	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(4))), Options{})
 	runs := exploreAll(e, 100)
 	if runs != 1 {
 		t.Fatalf("runs = %d, want 1", runs)
@@ -107,7 +107,7 @@ func TestHangDetection(t *testing.T) {
 			}
 		}
 	}
-	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(5))), Options{Seed: 5, StepLimit: 1000})
+	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(5))), Options{StepLimit: 1000})
 	exploreAll(e, 100)
 	st := e.Stats()
 	if st.Hangs != 1 {
@@ -127,7 +127,7 @@ func TestAssumeRestrictsExploration(t *testing.T) {
 		m.Branch(2, EqV(x, ConcreteVal(1, symexpr.W8)))
 		seen[m.Assignment()[symexpr.Var{Buf: "in", W: symexpr.W8}]] = true
 	}
-	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(6))), Options{Seed: 6})
+	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(6))), Options{})
 	exploreAll(e, 100)
 	for v := range seen {
 		if v >= 3 {
@@ -148,7 +148,7 @@ func TestAssumeFailedOnInitialDefaults(t *testing.T) {
 		m.Assume(1, UltV(ConcreteVal(100, symexpr.W8), x)) // x > 100
 		reached++
 	}
-	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(7))), Options{Seed: 7})
+	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(7))), Options{})
 	exploreAll(e, 100)
 	if reached == 0 {
 		t.Fatal("never reached code behind the assumption")
@@ -167,7 +167,7 @@ func TestConcretizeForkEnumeratesDomain(t *testing.T) {
 		v := m.ConcretizeFork(1, two)
 		seen[v] = true
 	}
-	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(8))), Options{Seed: 8})
+	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(8))), Options{})
 	exploreAll(e, 100)
 	if len(seen) != 4 {
 		t.Fatalf("concretize-fork enumerated %d values (%v), want 4", len(seen), seen)
@@ -179,7 +179,7 @@ func TestConcretizeSilentDoesNotFork(t *testing.T) {
 		x := m.InputByte("in", 0, 0)
 		m.ConcretizeSilent(x)
 	}
-	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(9))), Options{Seed: 9})
+	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(9))), Options{})
 	runs := exploreAll(e, 100)
 	if runs != 1 {
 		t.Fatalf("runs = %d, want 1", runs)
@@ -195,7 +195,7 @@ func TestUpperBound(t *testing.T) {
 			m.EndSymbolic()
 		}
 	}
-	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(10))), Options{Seed: 10})
+	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(10))), Options{})
 	exploreAll(e, 100)
 	if got != 49 {
 		t.Fatalf("upper bound = %d, want 49", got)
@@ -211,7 +211,7 @@ func TestEndSymbolicTerminatesState(t *testing.T) {
 		}
 		after++
 	}
-	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(11))), Options{Seed: 11})
+	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(11))), Options{})
 	runs := exploreAll(e, 100)
 	if runs != 2 {
 		t.Fatalf("runs = %d, want 2", runs)
@@ -235,7 +235,7 @@ func TestPathConditionConsistency(t *testing.T) {
 			}
 		}
 	}
-	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(12))), Options{Seed: 12})
+	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(12))), Options{})
 	exploreAll(e, 100)
 }
 
@@ -251,7 +251,7 @@ func TestForkWeights(t *testing.T) {
 			}
 		}
 	}
-	e := NewEngine(prog, NewDFSStrategy(), Options{Seed: 13})
+	e := NewEngine(prog, NewDFSStrategy(), Options{})
 	e.OnFork = func(s *State) { states = append(states, s) }
 	e.RunInitial()
 	if len(states) != 5 {
@@ -317,7 +317,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 				m.Branch(3, EqV(y, ConcreteVal(3, symexpr.W8)))
 			}
 		}
-		e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(99))), Options{Seed: 99})
+		e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(99))), Options{})
 		exploreAll(e, 100)
 		return e.Clock(), e.Stats().Runs
 	}
@@ -396,7 +396,7 @@ func TestRandomBranchProgramsEnumerateAllPaths(t *testing.T) {
 		default:
 			strat = NewBFSStrategy()
 		}
-		e := NewEngine(prog, strat, Options{Seed: int64(trial)})
+		e := NewEngine(prog, strat, Options{})
 		exploreAll(e, 200)
 		want := 1 << uint(n)
 		if len(paths) != want {
@@ -421,7 +421,7 @@ func TestDependentBranchesPruneInfeasible(t *testing.T) {
 		lt5 := m.Branch(2, UltV(x, ConcreteVal(5, symexpr.W8)))
 		seen[[2]bool{lt10, lt5}] = true
 	}
-	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(9))), Options{Seed: 9})
+	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(9))), Options{})
 	exploreAll(e, 100)
 	if seen[[2]bool{false, true}] {
 		t.Fatal("explored infeasible combination x>=10 && x<5")
@@ -444,7 +444,7 @@ func TestVirtualClockMonotonicAndCharged(t *testing.T) {
 		m.Branch(1, EqV(x, ConcreteVal(42, symexpr.W8)))
 		m.Step(100)
 	}
-	e := NewEngine(prog, NewBFSStrategy(), Options{Seed: 1})
+	e := NewEngine(prog, NewBFSStrategy(), Options{})
 	prev := e.Clock()
 	e.RunInitial()
 	if e.Clock() <= prev {

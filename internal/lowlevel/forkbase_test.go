@@ -33,7 +33,7 @@ func TestSharedForkBasesAreNeverWritten(t *testing.T) {
 		snap symexpr.Assignment
 	}
 	var forks []fork
-	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(14))), Options{Seed: 14})
+	e := NewEngine(prog, NewRandomStrategy(rand.New(rand.NewSource(14))), Options{})
 	e.OnFork = func(st *State) { forks = append(forks, fork{st, cur.assign.Clone()}) }
 	exploreAll(e, 100)
 	if len(forks) < 4 {

@@ -174,6 +174,20 @@ func (m *Machine) InputByte(buf string, idx int, def byte) SVal {
 	return SVal{C: c & 0xff, E: symexpr.NewVar(v), W: symexpr.W8}
 }
 
+// InputBytes returns the n concolic bytes of a named symbolic buffer,
+// defaulting to def padded with zeros.
+func (m *Machine) InputBytes(buf string, n int, def string) []SVal {
+	out := make([]SVal, n)
+	for i := range out {
+		var d byte
+		if i < len(def) {
+			d = def[i]
+		}
+		out[i] = m.InputByte(buf, i, d)
+	}
+	return out
+}
+
 // InputInt32 returns the concolic value of a named 32-bit symbolic input.
 func (m *Machine) InputInt32(name string, def int32) SVal {
 	v := symexpr.Var{Buf: name, W: symexpr.W32}

@@ -36,7 +36,7 @@ func nestedProg(m *Machine) {
 // and Stats.HandedOff counts exactly the routed states.
 func TestRouterSplitsWork(t *testing.T) {
 	router := &recordingRouter{split: 1 << 63}
-	e := NewEngine(nestedProg, NewDFSStrategy(), Options{Seed: 1, Router: router})
+	e := NewEngine(nestedProg, NewDFSStrategy(), Options{Router: router})
 	e.RunInitial()
 	for {
 		info, more := e.SelectAndRun()
@@ -70,7 +70,7 @@ func TestRouterSplitsWork(t *testing.T) {
 // TestInjectStateDedups: injecting the same signature twice queues once
 // and counts a duplicate, mirroring the local-fork dedup.
 func TestInjectStateDedups(t *testing.T) {
-	e := NewEngine(nestedProg, NewDFSStrategy(), Options{Seed: 2})
+	e := NewEngine(nestedProg, NewDFSStrategy(), Options{})
 	st := &State{Sig: 0xdead, pc: &pcNode{}, base: symexpr.Assignment{}}
 	if !e.InjectState(st) {
 		t.Fatal("first injection must queue")
@@ -94,7 +94,7 @@ func TestInjectStateDedups(t *testing.T) {
 // TestRouterlessEngineUnchanged: without a router every fork stays local
 // and HandedOff stays zero — the sharding hooks are inert by default.
 func TestRouterlessEngineUnchanged(t *testing.T) {
-	e := NewEngine(nestedProg, NewDFSStrategy(), Options{Seed: 4})
+	e := NewEngine(nestedProg, NewDFSStrategy(), Options{})
 	e.RunInitial()
 	for {
 		if _, more := e.SelectAndRun(); !more {

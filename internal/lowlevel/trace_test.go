@@ -25,7 +25,7 @@ func (c *kindCounter) Emit(ev obs.Event) {
 func TestTracingAddsNoAllocations(t *testing.T) {
 	allocs := func(tr obs.Tracer, explore bool) float64 {
 		return testing.AllocsPerRun(20, func() {
-			e := NewEngine(nestedProg, NewDFSStrategy(), Options{Seed: 1, Tracer: tr})
+			e := NewEngine(nestedProg, NewDFSStrategy(), Options{Tracer: tr})
 			if explore {
 				exploreAll(e, 100)
 			}

@@ -143,16 +143,6 @@ func XorV(x, y SVal) SVal {
 	return binOp(symexpr.Xor, func(a, b uint64, w symexpr.Width) uint64 { return a ^ b }, sameW, x, y)
 }
 
-// ShlV returns x << y.
-func ShlV(x, y SVal) SVal {
-	return binOp(symexpr.Shl, func(a, b uint64, w symexpr.Width) uint64 {
-		if b&w.Mask() >= uint64(w) {
-			return 0
-		}
-		return a << (b & w.Mask())
-	}, sameW, x, y)
-}
-
 // LShrV returns x >> y (logical).
 func LShrV(x, y SVal) SVal {
 	return binOp(symexpr.LShr, func(a, b uint64, w symexpr.Width) uint64 {

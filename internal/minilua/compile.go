@@ -40,15 +40,6 @@ func Compile(src string) (*Program, error) {
 	return p.prog, nil
 }
 
-// MustCompile compiles or panics (for embedded package sources).
-func MustCompile(src string) *Program {
-	prog, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return prog
-}
-
 func (p *parser) newFunc(name string, params []string) *funcState {
 	proto := &Proto{Name: name, BlockID: uint32(len(p.prog.Protos)), NumParams: len(params)}
 	p.prog.Protos = append(p.prog.Protos, proto)

@@ -31,39 +31,9 @@ func RunModule(prog *Program, m *lowlevel.Machine, host Host, cfg interp.Config)
 	return vm, out
 }
 
-// CoverageHost records executed source lines during replay.
-type CoverageHost struct {
-	Prog  *Program
-	Lines map[int]bool
-	seen  []bool // Lines by line number, so each line is inserted once
-}
-
-// NewCoverageHost builds a coverage recorder for prog.
-func NewCoverageHost(prog *Program) *CoverageHost {
-	return &CoverageHost{Prog: prog, Lines: map[int]bool{}, seen: make([]bool, prog.MaxLine+1)}
-}
-
-// LogPC implements Host.
-func (h *CoverageHost) LogPC(hlpc uint64, opcode uint32) {
-	line := h.Prog.LineOf(hlpc)
-	if line <= 0 || h.seen[line] {
-		return
-	}
-	h.seen[line] = true
-	h.Lines[line] = true
-}
-
 // SymbolicString builds a MiniLua string over a named symbolic buffer.
 func SymbolicString(m *lowlevel.Machine, name string, n int, def string) StrVal {
-	b := make([]lowlevel.SVal, n)
-	for i := 0; i < n; i++ {
-		var d byte
-		if i < len(def) {
-			d = def[i]
-		}
-		b[i] = m.InputByte(name, i, d)
-	}
-	return StrVal{B: b}
+	return StrVal{B: m.InputBytes(name, n, def)}
 }
 
 // SymbolicInt builds a MiniLua number over a named symbolic 32-bit input.

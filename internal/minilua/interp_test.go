@@ -265,25 +265,6 @@ func TestLuaCompileErrors(t *testing.T) {
 	}
 }
 
-func TestLuaCoverage(t *testing.T) {
-	prog, err := Compile("local x = 1\nif x > 0 then\n    print(1)\nelse\n    print(2)\nend\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := lowlevel.NewConcreteMachine(nil, 1<<20)
-	h := NewCoverageHost(prog)
-	m.RunConcrete(func(m *lowlevel.Machine) { RunModule(prog, m, h, interp.Vanilla) })
-	if !h.Lines[3] {
-		t.Errorf("line 3 must be covered: %v", h.Lines)
-	}
-	if h.Lines[5] {
-		t.Errorf("line 5 must not be covered: %v", h.Lines)
-	}
-	if len(prog.CoverableLines()) < 4 {
-		t.Errorf("coverable lines: %v", prog.CoverableLines())
-	}
-}
-
 func TestLuaOptLevelsAgreeConcretely(t *testing.T) {
 	src := `
 local d = {}
@@ -297,7 +278,7 @@ print(table.concat({1, 2, 3}, ","))
 `
 	var results [][]string
 	for _, cfg := range []interp.Config{interp.Vanilla, {AvoidSymbolicPointers: true}, {AvoidSymbolicPointers: true, HashNeutralization: true}, interp.Optimized} {
-		prog := MustCompile(src)
+		prog := mustCompile(t, src)
 		m := lowlevel.NewConcreteMachine(nil, 1<<22)
 		var out Outcome
 		m.RunConcrete(func(m *lowlevel.Machine) { _, out = RunModule(prog, m, nil, cfg) })
@@ -319,7 +300,7 @@ print(table.concat({1, 2, 3}, ","))
 }
 
 func TestLuaHang(t *testing.T) {
-	prog := MustCompile("while true do end")
+	prog := mustCompile(t, "while true do end")
 	m := lowlevel.NewConcreteMachine(nil, 2000)
 	status := m.RunConcrete(func(m *lowlevel.Machine) { RunModule(prog, m, nil, interp.Vanilla) })
 	if status != lowlevel.RunHang {
@@ -347,22 +328,12 @@ print(("x-y-z"):gsub("-", "+"))
 `, "x=42", "100%", "a1b2c", "hell0 w0rld", "ba", "x+y+z")
 }
 
-func TestLuaDisasm(t *testing.T) {
-	prog := MustCompile(`
-local function f(a)
-    if a > 1 then
-        return a * 2
-    end
-    return 0
-end
-print(f(3))
-`)
-	out := Disasm(prog)
-	for _, want := range []string{"proto 0 <<main>>", "<proto f>", "GETLOCAL", "BINOP", "JMPIFNOT", "RETURN", "CALL"} {
-		if !hasSub(out, want) {
-			t.Errorf("disassembly missing %q:\n%s", want, out)
-		}
+// mustCompile compiles src or fails the test.
+func mustCompile(t testing.TB, src string) *Program {
+	t.Helper()
+	prog, err := Compile(src)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return prog
 }
-
-func hasSub(s, sub string) bool { return contains(s, sub) }

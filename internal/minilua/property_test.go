@@ -149,7 +149,7 @@ func TestLuaStringDifferential(t *testing.T) {
 // across all optimization configurations.
 func TestLuaTableModelBased(t *testing.T) {
 	for _, cfg := range []interp.Config{interp.Vanilla, interp.Optimized} {
-		prog := MustCompile(`
+		prog := mustCompile(t, `
 t = {}
 function tset(k, v)
     t[k] = v
@@ -211,7 +211,7 @@ end
 // TestLuaArrayPartDifferential checks the array-part semantics of # and
 // table.insert/remove against a Go slice model.
 func TestLuaArrayPartDifferential(t *testing.T) {
-	prog := MustCompile(`
+	prog := mustCompile(t, `
 a = {}
 function push(v)
     table.insert(a, v)

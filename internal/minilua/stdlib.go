@@ -347,12 +347,7 @@ var stringLib = map[string]func(vm *VM, args []Value) (Value, *LuaError){
 			if !ok {
 				return nil, luaErrf("bad argument #%d to 'char'", i+1)
 			}
-			b := lowlevel.TruncV(n.V, symexpr.W8)
-			if !vm.cfg.AvoidSymbolicPointers && b.IsSymbolic() {
-				c := vm.m.ConcretizeFork(llpcStrIntern, b)
-				b = c8v(byte(c))
-			}
-			out = append(out, b)
+			out = append(out, interp.InternByte(vm.m, vm.cfg, lowlevel.TruncV(n.V, symexpr.W8), llpcStrIntern))
 		}
 		return StrVal{B: out}, nil
 	},

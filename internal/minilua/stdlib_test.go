@@ -178,7 +178,7 @@ func TestStdlibTemplateMatchesFreshInstall(t *testing.T) {
 // allocates once the VM has warmed up: only the boxed result of a + b. The
 // register window comes from the VM's one value stack.
 func TestGuestCallAllocs(t *testing.T) {
-	prog := MustCompile("function f(a, b)\n  return a + b\nend\n")
+	prog := mustCompile(t, "function f(a, b)\n  return a + b\nend\n")
 	m := lowlevel.NewConcreteMachine(nil, 1<<50)
 	vm, out := RunModule(prog, m, nil, interp.Optimized)
 	if out.Error != "" {

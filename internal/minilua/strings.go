@@ -1,105 +1,42 @@
 package minilua
 
 import (
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
-	"chef/internal/symexpr"
 )
 
-// Native string routines, sharing the fast-path/eliminated split of §4.2
-// with the MiniPy runtime.
+// Native string routines: the ones that the §4.2 switches change are
+// written once for both guests in internal/interp; these wrap them with
+// MiniLua's types, 1-based positions, errors and LLPCs.
 
 // strEq returns string equality as a width-1 value.
 func (vm *VM) strEq(a, b StrVal) lowlevel.SVal {
-	if len(a.B) != len(b.B) {
-		return lowlevel.ConcreteBool(false)
-	}
-	if vm.cfg.FastPathElimination {
-		acc := lowlevel.ConcreteBool(true)
-		for i := range a.B {
-			vm.m.Step(1)
-			acc = lowlevel.BoolAndV(acc, lowlevel.EqV(a.B[i], b.B[i]))
-		}
-		return acc
-	}
-	for i := range a.B {
-		vm.m.Step(1)
-		if vm.m.Branch(llpcStrEqFast, lowlevel.NeV(a.B[i], b.B[i])) {
-			return lowlevel.ConcreteBool(false)
-		}
-	}
-	return lowlevel.ConcreteBool(true)
+	return interp.StrEq(vm.m, vm.cfg, a.B, b.B, llpcStrEqFast)
 }
 
 // strOrder implements <, <=, >, >= lexicographically.
 func (vm *VM) strOrder(kind int, a, b StrVal) lowlevel.SVal {
-	n := len(a.B)
-	if len(b.B) < n {
-		n = len(b.B)
-	}
-	for i := 0; i < n; i++ {
-		vm.m.Step(1)
-		if vm.m.Branch(llpcStrLtByte, lowlevel.UltV(a.B[i], b.B[i])) {
-			return lowlevel.ConcreteBool(kind == luaLt || kind == luaLe)
-		}
-		if vm.m.Branch(llpcStrLtByte, lowlevel.UltV(b.B[i], a.B[i])) {
-			return lowlevel.ConcreteBool(kind == luaGt || kind == luaGe)
-		}
-	}
+	sign := interp.StrCompare(vm.m, a.B, b.B, llpcStrLtByte)
 	switch kind {
 	case luaLt:
-		return lowlevel.ConcreteBool(len(a.B) < len(b.B))
+		return lowlevel.ConcreteBool(sign < 0)
 	case luaLe:
-		return lowlevel.ConcreteBool(len(a.B) <= len(b.B))
+		return lowlevel.ConcreteBool(sign <= 0)
 	case luaGt:
-		return lowlevel.ConcreteBool(len(a.B) > len(b.B))
+		return lowlevel.ConcreteBool(sign > 0)
 	default:
-		return lowlevel.ConcreteBool(len(a.B) >= len(b.B))
+		return lowlevel.ConcreteBool(sign >= 0)
 	}
-}
-
-// strMatchAt reports whether needle occurs at pos.
-func (vm *VM) strMatchAt(hay, needle StrVal, pos int) lowlevel.SVal {
-	if vm.cfg.FastPathElimination {
-		acc := lowlevel.ConcreteBool(true)
-		for j := range needle.B {
-			vm.m.Step(1)
-			acc = lowlevel.BoolAndV(acc, lowlevel.EqV(hay.B[pos+j], needle.B[j]))
-		}
-		return acc
-	}
-	for j := range needle.B {
-		vm.m.Step(1)
-		if vm.m.Branch(llpcStrEqFast, lowlevel.NeV(hay.B[pos+j], needle.B[j])) {
-			return lowlevel.ConcreteBool(false)
-		}
-	}
-	return lowlevel.ConcreteBool(true)
 }
 
 // strFindPlain implements string.find(s, pat, init, true): plain substring
-// search, one branch per candidate position.
+// search from the 1-based init, returning a 1-based position or -1.
 func (vm *VM) strFindPlain(hay, needle StrVal, start int) int {
-	if start < 1 {
-		start = 1
+	pos := interp.StrFind(vm.m, vm.cfg, hay.B, needle.B, start-1, llpcStrEqFast, llpcStrFindPos)
+	if pos < 0 {
+		return -1
 	}
-	for pos := start - 1; pos+len(needle.B) <= len(hay.B); pos++ {
-		vm.m.Step(1)
-		if vm.m.Branch(llpcStrFindPos, vm.strMatchAt(hay, needle, pos)) {
-			return pos + 1 // Lua positions are 1-based
-		}
-	}
-	return -1
-}
-
-// strIndexByte extracts one byte as a 1-char string, with the interning
-// table fork of the vanilla build (Lua interns short strings).
-func (vm *VM) strIndexByte(s StrVal, i int) StrVal {
-	b := s.B[i]
-	if !vm.cfg.AvoidSymbolicPointers && b.IsSymbolic() {
-		c := vm.m.ConcretizeFork(llpcStrIntern, b)
-		return StrVal{B: []lowlevel.SVal{c8v(byte(c))}}
-	}
-	return StrVal{B: []lowlevel.SVal{b}}
+	return pos + 1
 }
 
 // strSub implements string.sub with Lua's index conventions.
@@ -123,23 +60,11 @@ func (vm *VM) strSub(s StrVal, i, j int) StrVal {
 	return StrVal{B: append([]lowlevel.SVal(nil), s.B[i-1:j]...)}
 }
 
-// strRep implements string.rep with the allocation-size treatment of §4.2.
+// strRep implements string.rep with the allocation-size treatment of §4.2
+// (see interp.AllocCount).
 func (vm *VM) strRep(s StrVal, n IntVal) (Value, *LuaError) {
-	var count int64
-	capN := int64(4096 / maxInt(1, len(s.B)))
-	if !n.V.IsSymbolic() {
-		count = n.V.Int()
-	} else if vm.cfg.AvoidSymbolicPointers {
-		ub := vm.m.UpperBound(n.V)
-		_ = ub
-		count = int64(vm.m.ConcretizeSilent(n.V))
-	} else {
-		count = int64(vm.m.ConcretizeFork(llpcStrAlloc, n.V))
-	}
-	if count < 0 {
-		count = 0
-	}
-	if count > capN {
+	count := max(interp.AllocCount(vm.m, vm.cfg, n.V, llpcStrAlloc), 0)
+	if count > int64(4096/max(1, len(s.B))) {
 		return nil, luaErrf("resulting string too large")
 	}
 	var out []lowlevel.SVal
@@ -150,43 +75,7 @@ func (vm *VM) strRep(s StrVal, n IntVal) (Value, *LuaError) {
 	return StrVal{B: out}, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// strCase converts case, branch-per-byte in the vanilla build.
+// strCase implements string.lower and string.upper.
 func (vm *VM) strCase(s StrVal, toLower bool) StrVal {
-	out := make([]lowlevel.SVal, len(s.B))
-	var lo, hi byte
-	if toLower {
-		lo, hi = 'A', 'Z'
-	} else {
-		lo, hi = 'a', 'z'
-	}
-	for i, b := range s.B {
-		vm.m.Step(1)
-		inRange := lowlevel.BoolAndV(lowlevel.UleV(c8v(lo), b), lowlevel.UleV(b, c8v(hi)))
-		if vm.cfg.FastPathElimination {
-			d := lowlevel.MulV(lowlevel.ZExtV(inRange, symexpr.W8), lowlevel.ConcreteVal(32, symexpr.W8))
-			if toLower {
-				out[i] = lowlevel.AddV(b, d)
-			} else {
-				out[i] = lowlevel.SubV(b, d)
-			}
-			continue
-		}
-		if vm.m.Branch(llpcStrCase, inRange) {
-			if toLower {
-				out[i] = lowlevel.AddV(b, c8v(32))
-			} else {
-				out[i] = lowlevel.SubV(b, c8v(32))
-			}
-		} else {
-			out[i] = b
-		}
-	}
-	return StrVal{B: out}
+	return StrVal{B: interp.StrCaseMap(vm.m, vm.cfg, s.B, toLower, llpcStrCase)}
 }

@@ -3,6 +3,7 @@ package minilua
 import (
 	"slices"
 
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
 	"chef/internal/symexpr"
 )
@@ -76,13 +77,7 @@ func (vm *VM) hashKey(key Value) (lowlevel.SVal, *LuaError) {
 	case IntVal:
 		return k.V, nil
 	case StrVal:
-		// Lua's string hash: h = h*31 ^ byte, seeded with the length.
-		h := c64(uint64(k.Len()))
-		for _, b := range k.B {
-			vm.m.Step(1)
-			h = lowlevel.XorV(lowlevel.MulV(h, c64(31)), lowlevel.ZExtV(b, symexpr.W64))
-		}
-		return h, nil
+		return interp.StrHash(vm.m, k.B, 31), nil
 	case BoolVal:
 		return lowlevel.ZExtV(k.B, symexpr.W64), nil
 	}
@@ -90,11 +85,7 @@ func (vm *VM) hashKey(key Value) (lowlevel.SVal, *LuaError) {
 }
 
 func (vm *VM) bucketOf(h lowlevel.SVal) int {
-	b := lowlevel.AndV(h, c64(nBuckets-1))
-	if b.IsSymbolic() {
-		return int(vm.m.ConcretizeFork(llpcTableBucket, b)) & (nBuckets - 1)
-	}
-	return int(b.C) & (nBuckets - 1)
+	return interp.BucketIndex(vm.m, h, nBuckets, llpcTableBucket)
 }
 
 // arrayIndexOf resolves an integer key against the array part; ok is false

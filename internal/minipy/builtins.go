@@ -1,6 +1,7 @@
 package minipy
 
 import (
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
 	"chef/internal/symexpr"
 )
@@ -97,11 +98,7 @@ func builtinChr(vm *VM, args []Value) (Value, *Exc) {
 		return nil, excf("ValueError", "chr() arg not in range(256)")
 	}
 	b := lowlevel.TruncV(iv.V, symexpr.W8)
-	if !vm.cfg.AvoidSymbolicPointers && b.IsSymbolic() {
-		c := vm.m.ConcretizeFork(llpcStrCharIntern, b)
-		return MkStr(string([]byte{byte(c)})), nil
-	}
-	return StrVal{B: []lowlevel.SVal{b}}, nil
+	return StrVal{B: []lowlevel.SVal{interp.InternByte(vm.m, vm.cfg, b, llpcStrCharIntern)}}, nil
 }
 
 func builtinStr(vm *VM, args []Value) (Value, *Exc) {

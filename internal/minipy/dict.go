@@ -3,6 +3,7 @@ package minipy
 import (
 	"strings"
 
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
 	"chef/internal/symexpr"
 )
@@ -74,14 +75,7 @@ func (vm *VM) hashValue(key Value) (lowlevel.SVal, *Exc) {
 		}
 		return k.V, nil
 	case StrVal:
-		// CPython 2.x string hash: h = h*1000003 ^ c, seeded with the first
-		// byte, finalized with the length.
-		h := c64(uint64(k.Len()))
-		for _, b := range k.B {
-			vm.m.Step(1)
-			h = lowlevel.XorV(lowlevel.MulV(h, c64(1000003)), lowlevel.ZExtV(b, symexpr.W64))
-		}
-		return h, nil
+		return interp.StrHash(vm.m, k.B, 1000003), nil
 	case BoolVal:
 		return lowlevel.ZExtV(k.B, symexpr.W64), nil
 	case NoneVal:
@@ -90,15 +84,10 @@ func (vm *VM) hashValue(key Value) (lowlevel.SVal, *Exc) {
 	return lowlevel.SVal{}, excf("TypeError", "unhashable type: '%s'", key.TypeName())
 }
 
-// bucketIndex selects the bucket for a hash. A symbolic hash makes the
-// bucket a symbolic table index — the engine forks one state per feasible
-// bucket, strategy (a) of the paper's symbolic-pointer discussion.
+// bucketIndex selects the bucket for a hash, forking per feasible bucket
+// when the hash is symbolic.
 func (vm *VM) bucketIndex(h lowlevel.SVal) int {
-	b := lowlevel.AndV(h, c64(nBuckets-1))
-	if b.IsSymbolic() {
-		return int(vm.m.ConcretizeFork(llpcDictBucket, b)) & (nBuckets - 1)
-	}
-	return int(b.C) & (nBuckets - 1)
+	return interp.BucketIndex(vm.m, h, nBuckets, llpcDictBucket)
 }
 
 // dictSet inserts or replaces a key.

@@ -399,22 +399,6 @@ func TestCoverableLinesAndLineOf(t *testing.T) {
 	}
 }
 
-func TestCoverageHost(t *testing.T) {
-	prog, err := Compile("x = 1\nif x:\n    y = 2\nelse:\n    y = 3\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := lowlevel.NewConcreteMachine(nil, 1<<20)
-	h := NewCoverageHost(prog)
-	m.RunConcrete(func(m *lowlevel.Machine) { RunModule(prog, m, h, interp.Vanilla) })
-	if !h.Lines[3] {
-		t.Errorf("then-branch line must be covered: %v", h.Lines)
-	}
-	if h.Lines[5] {
-		t.Errorf("else-branch line must not be covered: %v", h.Lines)
-	}
-}
-
 func TestHangDetectedAsStepLimit(t *testing.T) {
 	prog, err := Compile("while True:\n    pass\n")
 	if err != nil {
@@ -533,26 +517,6 @@ print(sum([]))
 for pair in enumerate(["x", "y"]):
     print(pair[0], pair[1])
 `, "[1, 2, 3]", "['a', 'b', 'c']", "['a', 'z']", "10", "0", "0 x", "1 y")
-}
-
-func TestDisasm(t *testing.T) {
-	prog := MustCompile(`
-def f(a, b=2):
-    if a > b:
-        return a - b
-    return 0
-x = f(5)
-`)
-	out := Disasm(prog)
-	for _, want := range []string{
-		"block 0 <<module>>", "<code f>", "params=a,b",
-		"LOAD_NAME", "COMPARE", "JUMP_IF_FALSE", "BINARY", "RETURN", "CALL",
-		"-> ", "(f)",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("disassembly missing %q:\n%s", want, out)
-		}
-	}
 }
 
 func TestReprAndMiscBuiltins(t *testing.T) {

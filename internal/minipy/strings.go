@@ -1,16 +1,14 @@
 package minipy
 
 import (
+	"chef/internal/interp"
 	"chef/internal/lowlevel"
 	"chef/internal/symexpr"
 )
 
-// Native string routines. These are the interpreter internals whose byte-wise
-// loops make a single high-level instruction (like email.find("@")) explode
-// into many low-level paths — the paper's Fig. 2/3 phenomenon. Each routine
-// has a vanilla variant with CPython-style fast paths (early exits that fork
-// per byte) and an optimized variant per §4.2's fast-path elimination that
-// processes whole buffers on a single path.
+// Native string routines. The ones that the §4.2 switches change are
+// written once for both guests in internal/interp; this file wraps them with
+// MiniPy's types and LLPCs, and holds the routines only MiniPy has.
 
 func c8v(b byte) lowlevel.SVal { return lowlevel.ConcreteVal(uint64(b), symexpr.W8) }
 
@@ -22,30 +20,8 @@ func strConcat(a, b StrVal) StrVal {
 }
 
 // strEq returns the equality of two strings as a width-1 value.
-//
-// Vanilla: CPython short-circuits on the first differing byte, so each byte
-// is a branch and inequality exits early — n low-level paths. Optimized: the
-// whole buffers are compared on one path, accumulating a symbolic flag; the
-// single branch happens at the caller.
 func (vm *VM) strEq(a, b StrVal) lowlevel.SVal {
-	if len(a.B) != len(b.B) {
-		return lowlevel.ConcreteBool(false) // length check is structural
-	}
-	if vm.cfg.FastPathElimination {
-		acc := lowlevel.ConcreteBool(true)
-		for i := range a.B {
-			vm.m.Step(1)
-			acc = lowlevel.BoolAndV(acc, lowlevel.EqV(a.B[i], b.B[i]))
-		}
-		return acc
-	}
-	for i := range a.B {
-		vm.m.Step(1)
-		if vm.m.Branch(llpcStrEqFast, lowlevel.NeV(a.B[i], b.B[i])) {
-			return lowlevel.ConcreteBool(false)
-		}
-	}
-	return lowlevel.ConcreteBool(true)
+	return interp.StrEq(vm.m, vm.cfg, a.B, b.B, llpcStrEqFast)
 }
 
 // strCompare implements all six comparison operators.
@@ -56,80 +32,35 @@ func (vm *VM) strCompare(kind int, a, b StrVal) lowlevel.SVal {
 	case cmpNe:
 		return lowlevel.NotV(vm.strEq(a, b))
 	}
-	// Lexicographic comparison always walks bytes with branches; there is no
-	// branch-free variant in CPython either.
-	n := len(a.B)
-	if len(b.B) < n {
-		n = len(b.B)
-	}
-	for i := 0; i < n; i++ {
-		vm.m.Step(1)
-		if vm.m.Branch(llpcStrLtByte, lowlevel.UltV(a.B[i], b.B[i])) {
-			return lowlevel.ConcreteBool(kind == cmpLt || kind == cmpLe)
-		}
-		if vm.m.Branch(llpcStrLtByte, lowlevel.UltV(b.B[i], a.B[i])) {
-			return lowlevel.ConcreteBool(kind == cmpGt || kind == cmpGe)
-		}
-	}
+	sign := interp.StrCompare(vm.m, a.B, b.B, llpcStrLtByte)
 	switch kind {
 	case cmpLt:
-		return lowlevel.ConcreteBool(len(a.B) < len(b.B))
+		return lowlevel.ConcreteBool(sign < 0)
 	case cmpLe:
-		return lowlevel.ConcreteBool(len(a.B) <= len(b.B))
+		return lowlevel.ConcreteBool(sign <= 0)
 	case cmpGt:
-		return lowlevel.ConcreteBool(len(a.B) > len(b.B))
+		return lowlevel.ConcreteBool(sign > 0)
 	default:
-		return lowlevel.ConcreteBool(len(a.B) >= len(b.B))
+		return lowlevel.ConcreteBool(sign >= 0)
 	}
 }
 
 // strMatchAt reports whether needle occurs in hay at position pos, as a
-// width-1 value (optimized) or via early-exit branches (vanilla).
+// width-1 value.
 func (vm *VM) strMatchAt(hay, needle StrVal, pos int) lowlevel.SVal {
-	if vm.cfg.FastPathElimination {
-		acc := lowlevel.ConcreteBool(true)
-		for j := range needle.B {
-			vm.m.Step(1)
-			acc = lowlevel.BoolAndV(acc, lowlevel.EqV(hay.B[pos+j], needle.B[j]))
-		}
-		return acc
-	}
-	for j := range needle.B {
-		vm.m.Step(1)
-		if vm.m.Branch(llpcStrEqFast, lowlevel.NeV(hay.B[pos+j], needle.B[j])) {
-			return lowlevel.ConcreteBool(false)
-		}
-	}
-	return lowlevel.ConcreteBool(true)
+	return interp.StrMatchAt(vm.m, vm.cfg, hay.B, needle.B, pos, llpcStrEqFast)
 }
 
 // strFind returns the first occurrence of needle in hay at or after start,
-// or -1 — string.find, the paper's canonical low-level path-explosion
-// source: one branch per candidate position.
+// or -1.
 func (vm *VM) strFind(hay, needle StrVal, start int) int {
-	if start < 0 {
-		start = 0
-	}
-	for pos := start; pos+len(needle.B) <= len(hay.B); pos++ {
-		vm.m.Step(1)
-		if vm.m.Branch(llpcStrFindPos, vm.strMatchAt(hay, needle, pos)) {
-			return pos
-		}
-	}
-	return -1
+	return interp.StrFind(vm.m, vm.cfg, hay.B, needle.B, start, llpcStrEqFast, llpcStrFindPos)
 }
 
-// strIndexChar extracts s[i] as a one-character string. In the vanilla
-// interpreter single-character strings are interned: the result object is a
-// table lookup at a symbolic index — a symbolic pointer resolved by forking
-// per feasible byte value. The optimization allocates a fresh string.
+// strIndexChar extracts s[i] as a one-character string, through the
+// interning fork of the vanilla interpreter.
 func (vm *VM) strIndexChar(s StrVal, i int) StrVal {
-	b := s.B[i]
-	if !vm.cfg.AvoidSymbolicPointers && b.IsSymbolic() {
-		c := vm.m.ConcretizeFork(llpcStrCharIntern, b)
-		return StrVal{B: []lowlevel.SVal{c8v(byte(c))}}
-	}
-	return StrVal{B: []lowlevel.SVal{b}}
+	return StrVal{B: []lowlevel.SVal{interp.InternByte(vm.m, vm.cfg, s.B[i], llpcStrCharIntern)}}
 }
 
 // strRepeat implements s * n. A symbolic count is an allocation with a
@@ -148,36 +79,13 @@ func (vm *VM) strRepeat(s StrVal, n IntVal) (Value, *Exc) {
 	return StrVal{B: out}, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // allocSize turns a possibly-symbolic element count into a concrete
-// allocation size, forking (vanilla) or using upper_bound + concretize
-// (optimized), and enforcing a structural cap.
+// allocation size (see interp.AllocCount), enforcing a structural cap.
 func (vm *VM) allocSize(n IntVal, cap int) (int, *Exc) {
 	if n.Big != nil {
 		return 0, excf("OverflowError", "repeat count out of range")
 	}
-	var c int64
-	if !n.V.IsSymbolic() {
-		c = n.V.Int()
-	} else if vm.cfg.AvoidSymbolicPointers {
-		ub := vm.m.UpperBound(n.V)
-		if int64(ub) > int64(cap) {
-			ub = uint64(cap)
-		}
-		_ = ub // the allocation could be sized by ub; the content length is pinned
-		c = int64(vm.m.ConcretizeSilent(n.V))
-	} else {
-		c = int64(vm.m.ConcretizeFork(llpcStrAllocSize, n.V))
-	}
-	if c < 0 {
-		c = 0
-	}
+	c := max(interp.AllocCount(vm.m, vm.cfg, n.V, llpcStrAllocSize), 0)
 	if c > int64(cap) {
 		return 0, excf("OverflowError", "repeat count out of range")
 	}
@@ -345,42 +253,9 @@ func (vm *VM) strCount(s, sub StrVal) int {
 	}
 }
 
-// strLower/strUpper convert case. Vanilla consults the character-class table
-// per byte (a branch); the optimized build computes the result symbolically
-// on a single path.
+// strCaseMap implements lower() and upper().
 func (vm *VM) strCaseMap(s StrVal, toLower bool) StrVal {
-	out := make([]lowlevel.SVal, len(s.B))
-	var lo, hi byte
-	var delta uint64
-	if toLower {
-		lo, hi, delta = 'A', 'Z', 32
-	} else {
-		lo, hi, delta = 'a', 'z', 0x20 // subtract via add of two's complement at W8
-	}
-	for i, b := range s.B {
-		vm.m.Step(1)
-		inRange := lowlevel.BoolAndV(lowlevel.UleV(c8v(lo), b), lowlevel.UleV(b, c8v(hi)))
-		if vm.cfg.FastPathElimination {
-			// res = b + (inRange ? ±32 : 0), computed branch-free.
-			d := lowlevel.MulV(lowlevel.ZExtV(inRange, symexpr.W8), lowlevel.ConcreteVal(delta, symexpr.W8))
-			if toLower {
-				out[i] = lowlevel.AddV(b, d)
-			} else {
-				out[i] = lowlevel.SubV(b, d)
-			}
-			continue
-		}
-		if vm.m.Branch(llpcStrIsAlpha, inRange) {
-			if toLower {
-				out[i] = lowlevel.AddV(b, c8v(32))
-			} else {
-				out[i] = lowlevel.SubV(b, c8v(32))
-			}
-		} else {
-			out[i] = b
-		}
-	}
-	return StrVal{B: out}
+	return StrVal{B: interp.StrCaseMap(vm.m, vm.cfg, s.B, toLower, llpcStrIsAlpha)}
 }
 
 // strClassAll reports whether every byte satisfies the class predicate

@@ -244,13 +244,6 @@ func (s *Server) Cancel(id string) bool {
 	return true
 }
 
-// Draining reports whether the server has stopped accepting submissions.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // Drain stops accepting new submissions and waits for the queued and
 // running jobs to finish. If ctx expires first, the remaining jobs are
 // cancelled (they finish as cancelled, not lost) and Drain keeps waiting

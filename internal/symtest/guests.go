@@ -104,9 +104,8 @@ func (t *PyTest) symInt(m *lowlevel.Machine, in Input) (minipy.Value, lowlevel.S
 	return v, v.V
 }
 
-func (t *PyTest) coverage() (hlHost, map[int]bool) {
-	cov := minipy.NewCoverageHost(t.prog)
-	return cov, cov.Lines
+func (t *PyTest) lineMap() (func(uint64) int, int) {
+	return t.prog.LineOf, t.prog.MaxLine
 }
 
 // LuaTest is a symbolic test for a MiniLua target: run the chunk, then call
@@ -167,7 +166,6 @@ func (t *LuaTest) symInt(m *lowlevel.Machine, in Input) (minilua.Value, lowlevel
 	return v, v.V
 }
 
-func (t *LuaTest) coverage() (hlHost, map[int]bool) {
-	cov := minilua.NewCoverageHost(t.prog)
-	return cov, cov.Lines
+func (t *LuaTest) lineMap() (func(uint64) int, int) {
+	return t.prog.LineOf, t.prog.MaxLine
 }

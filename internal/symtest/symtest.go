@@ -16,7 +16,6 @@ import (
 	"chef/internal/chef"
 	"chef/internal/interp"
 	"chef/internal/lowlevel"
-	"chef/internal/minipy"
 	"chef/internal/symexpr"
 )
 
@@ -70,8 +69,9 @@ type guest[V any] interface {
 	symString(m *lowlevel.Machine, in Input) V
 	// symInt returns the guest integer and its width-64 value.
 	symInt(m *lowlevel.Machine, in Input) (V, lowlevel.SVal)
-	// coverage returns a host recording the lines the trace visits.
-	coverage() (hlHost, map[int]bool)
+	// lineMap returns the compiled program's HLPC-to-source-line map and
+	// its highest line.
+	lineMap() (lineOf func(hlpc uint64) int, maxLine int)
 }
 
 func mustCompile(t interface{ Compile() error }) {
@@ -135,40 +135,61 @@ type ReplayResult struct {
 }
 
 // hlHost is the structural shape shared by minipy.Host and minilua.Host, so
-// one counting wrapper serves both interpreters.
+// one session program and one replay host serve both interpreters.
 type hlHost interface {
 	LogPC(hlpc uint64, opcode uint32)
 }
 
-// countingHost forwards the high-level trace to the coverage recorder while
-// counting its length.
-type countingHost struct {
-	inner hlHost
-	n     int
+// coverageHost is the replay host of every guest, the role of Python's
+// coverage package in §6.1: it counts the high-level trace and marks the
+// source lines it visits.
+type coverageHost struct {
+	lineOf  func(hlpc uint64) int
+	seen    []bool // by source line
+	covered int    // true entries of seen
+	n       int    // LogPC calls
+}
+
+func newCoverageHost(lineOf func(hlpc uint64) int, maxLine int) *coverageHost {
+	return &coverageHost{lineOf: lineOf, seen: make([]bool, maxLine+1)}
 }
 
 // LogPC implements minipy.Host and minilua.Host.
-func (h *countingHost) LogPC(hlpc uint64, opcode uint32) {
+func (h *coverageHost) LogPC(hlpc uint64, opcode uint32) {
 	h.n++
-	h.inner.LogPC(hlpc, opcode)
+	if line := h.lineOf(hlpc); line > 0 && !h.seen[line] {
+		h.seen[line] = true
+		h.covered++
+	}
+}
+
+// lines returns the covered source lines.
+func (h *coverageHost) lines() map[int]bool {
+	lines := make(map[int]bool, h.covered)
+	for line, ok := range h.seen {
+		if ok {
+			lines[line] = true
+		}
+	}
+	return lines
 }
 
 // replay is the Replay of every guest: a concrete machine over the test's
-// input, the vanilla build, and a counting coverage host. The input is run as
+// input, the vanilla build, and a coverage host. The input is run as
 // given, without the range assumptions, which every generated test already
 // meets. A run cut off by the step limit reports "hang".
 func replay[V any](g guest[V], inputs []Input, input symexpr.Assignment, stepLimit int64) ReplayResult {
 	mustCompile(g)
 	m := lowlevel.NewConcreteMachine(input.Clone(), stepLimit)
-	cov, lines := g.coverage()
-	host := &countingHost{inner: cov}
-	res := ReplayResult{Lines: lines}
+	host := newCoverageHost(g.lineMap())
+	var res ReplayResult
 	res.Status = m.RunConcrete(func(m *lowlevel.Machine) {
 		res.Result = run(g, m, host, interp.Vanilla, inputs, false)
 	})
 	if res.Status == lowlevel.RunHang && res.Result == "" {
 		res.Result = "hang"
 	}
+	res.Lines = host.lines()
 	res.HLLen = host.n
 	res.LLBranches = m.Branches()
 	res.Steps = m.Steps()
@@ -184,10 +205,20 @@ func InputString(in symexpr.Assignment, inputs []Input) string {
 		}
 		switch decl.Kind {
 		case StringInput:
-			s += fmt.Sprintf("%s=%q", decl.Name, minipy.ConcreteStringFromInput(in, decl.Name, decl.Len))
+			s += fmt.Sprintf("%s=%q", decl.Name, ConcreteString(in, decl.Name, decl.Len))
 		case IntInput:
 			s += fmt.Sprintf("%s=%d", decl.Name, int32(in[symexpr.Var{Buf: decl.Name, W: symexpr.W32}]))
 		}
 	}
 	return s
+}
+
+// ConcreteString reconstructs the bytes of the named n-byte string input
+// from a test-case assignment.
+func ConcreteString(in symexpr.Assignment, name string, n int) string {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(in[symexpr.Var{Buf: name, Idx: i, W: symexpr.W8}])
+	}
+	return string(b)
 }

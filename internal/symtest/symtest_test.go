@@ -183,39 +183,6 @@ func TestReplayCoverageGrowsWithTests(t *testing.T) {
 	}
 }
 
-// TestCoverageHost replays an if/else in each guest on the input that takes
-// the then branch: the replay host covers the then line and not the else
-// line, and counts every instruction of the trace.
-func TestCoverageHost(t *testing.T) {
-	in := symexpr.Assignment{{Buf: "s", W: symexpr.W8}: 'a'}
-	inputs := []Input{Str("s", 1, "")}
-	py := &PyTest{Source: "def f(s):\n    if s == \"a\":\n        y = 1\n    else:\n        y = 2\n    return y\n", Entry: "f", Inputs: inputs}
-	lua := &LuaTest{Source: "function f(s)\n  local y = 0\n  if s == \"a\" then\n    y = 1\n  else\n    y = 2\n  end\n  return y\nend\n", Entry: "f", Inputs: inputs}
-	for _, tc := range []struct {
-		name        string
-		replay      func(symexpr.Assignment, int64) ReplayResult
-		coverable   map[int]bool
-		then, else_ int
-	}{
-		{"MiniPy", py.Replay, py.CoverableLines(), 3, 5},
-		{"MiniLua", lua.Replay, lua.CoverableLines(), 4, 6},
-	} {
-		rep := tc.replay(in, 1<<20)
-		if rep.Result != "ok" {
-			t.Fatalf("%s: replay result %q", tc.name, rep.Result)
-		}
-		if !rep.Lines[tc.then] || rep.Lines[tc.else_] {
-			t.Errorf("%s: covered %v, want line %d and not line %d", tc.name, rep.Lines, tc.then, tc.else_)
-		}
-		if !tc.coverable[tc.else_] {
-			t.Errorf("%s: else line %d must be coverable: %v", tc.name, tc.else_, tc.coverable)
-		}
-		if rep.HLLen < len(rep.Lines) {
-			t.Errorf("%s: trace of %d instructions over %d lines", tc.name, rep.HLLen, len(rep.Lines))
-		}
-	}
-}
-
 func TestHangDetectionThroughFullStack(t *testing.T) {
 	// The sb-JSON bug shape: an input-dependent infinite loop. The engine
 	// must generate a test case with hang status.

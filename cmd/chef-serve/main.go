@@ -46,7 +46,7 @@ func run() int {
 		retryAfter   = flag.Int("retry-after", 1, "Retry-After seconds hint on 429 responses")
 		cfile        = flag.String("cachefile", "", "persistent counterexample store shared by all jobs")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "max time to let jobs finish on SIGTERM before cancelling them")
-		fspec        = flag.String("faults", "", "deterministic fault-injection plan, e.g. 'seed=7;worker.stall:session=1;persist.write:err@n=3'")
+		fspec        = flag.String("faults", "", "deterministic fault-injection plan, e.g. 'seed=7;solver.unknown:p=0.05;persist.write:err@n=3'")
 		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the service address")
 	)
 	var obsFlags obscli.Flags

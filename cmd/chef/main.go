@@ -62,6 +62,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "chef: unknown package %q (try -list)\n", *pkgName)
 		os.Exit(1)
 	}
+	if err := checkSeed(*seed); err != nil {
+		fmt.Fprintf(os.Stderr, "chef: %v\n", err)
+		os.Exit(1)
+	}
 	spec := serve.JobSpec{
 		Package:   *pkgName,
 		Strategy:  *strategy,
@@ -130,9 +134,6 @@ func main() {
 	if plan != nil {
 		line := fmt.Sprintf("faults: %d injected; states requeued %d, abandoned %d",
 			sum.FaultsInjected+persistInj.Injected(), sum.RequeuedStates, sum.AbandonedStates)
-		if res.Stalled {
-			line += "; session stalled"
-		}
 		if persist != nil {
 			line += fmt.Sprintf("; persist retries %d, lost %d", persist.Retries(), persist.Lost())
 		}
@@ -173,6 +174,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "chef: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// checkSeed rejects seed 0. A job spec reads seed 0 as unset and runs
+// serve.DefaultSeed instead, so the run would not be the one asked for.
+func checkSeed(seed int64) error {
+	if seed == 0 {
+		return fmt.Errorf("-seed 0 is not a seed: a job spec reads 0 as unset and would run seed %d", serve.DefaultSeed)
+	}
+	return nil
 }
 
 func renderInput(p *packages.Package, tc symtest.SerializedTest) string {

@@ -18,21 +18,17 @@ func mustChaosPlan(t testing.TB, spec string) *faults.Plan {
 }
 
 // randomPlanSpec draws a random-but-valid fault plan: a seed plus 1-3 rules
-// over the solver.unknown and worker.stall sites with assorted triggers.
+// over the solver.unknown site with assorted triggers.
 func randomPlanSpec(r *rand.Rand) string {
 	spec := fmt.Sprintf("seed=%d", r.Int63n(1_000_000))
 	for i, n := 0, 1+r.Intn(3); i < n; i++ {
-		switch r.Intn(5) {
+		switch r.Intn(3) {
 		case 0:
 			spec += fmt.Sprintf(";solver.unknown:p=%.2f", 0.05+0.85*r.Float64())
 		case 1:
 			spec += fmt.Sprintf(";solver.unknown:n=%d", 1+r.Intn(20))
-		case 2:
-			spec += fmt.Sprintf(";solver.unknown:every=%d", 1+r.Intn(8))
-		case 3:
-			spec += fmt.Sprintf(";worker.stall:session=%d", r.Intn(4))
 		default:
-			spec += ";worker.stall" // stalls every session
+			spec += fmt.Sprintf(";solver.unknown:every=%d", 1+r.Intn(8))
 		}
 	}
 	return spec
@@ -45,23 +41,22 @@ var chaosStrategies = []StrategyKind{
 // Chaos property suite: whatever fault plan is active, a session must never
 // panic, must terminate within its budget, and must keep its accounting
 // invariants — one test per distilled high-level path, Unknown verdicts
-// fully split between re-queues and abandonments, monotone progress series,
-// and a stalled session reporting zero tests.
+// fully split between re-queues and abandonments, and monotone progress
+// series.
 func TestChaosFaultPlansKeepSessionInvariants(t *testing.T) {
 	plans := 1000
 	if testing.Short() {
 		plans = 150
 	}
 	r := rand.New(rand.NewSource(20260806))
-	stalled, faulted := 0, 0
+	faulted := 0
 	for i := 0; i < plans; i++ {
 		spec := randomPlanSpec(r)
 		s := NewSession(validateEmailProg(4+i%3), Options{
-			Strategy:     chaosStrategies[i%len(chaosStrategies)],
-			Seed:         int64(i + 1),
-			SessionIndex: i % 4,
-			Faults:       mustChaosPlan(t, spec),
-			Name:         fmt.Sprintf("chaos-%d", i),
+			Strategy: chaosStrategies[i%len(chaosStrategies)],
+			Seed:     int64(i + 1),
+			Faults:   mustChaosPlan(t, spec),
+			Name:     fmt.Sprintf("chaos-%d", i),
 		})
 		tests := s.Run(100_000)
 		st := s.Engine().Stats()
@@ -69,15 +64,9 @@ func TestChaosFaultPlansKeepSessionInvariants(t *testing.T) {
 		if st.UnknownStates != st.RequeuedStates+st.AbandonedStates {
 			t.Fatalf("plan %q: accounting broken: %+v", spec, st)
 		}
-		if s.Stalled() {
-			stalled++
-			if len(tests) != 0 {
-				t.Fatalf("plan %q: stalled session produced %d tests", spec, len(tests))
-			}
-			continue
-		}
-		if len(tests) != s.HLPathCount() {
-			t.Fatalf("plan %q: %d tests for %d HL paths", spec, len(tests), s.HLPathCount())
+		sum := s.Summary()
+		if len(tests) != sum.HLPaths {
+			t.Fatalf("plan %q: %d tests for %d HL paths", spec, len(tests), sum.HLPaths)
 		}
 		series := s.Series()
 		for j := 1; j < len(series); j++ {
@@ -90,16 +79,15 @@ func TestChaosFaultPlansKeepSessionInvariants(t *testing.T) {
 		if s.FaultsInjected() > 0 {
 			faulted++
 		}
-		sum := s.Summary()
 		if sum.RequeuedStates != st.RequeuedStates || sum.AbandonedStates != st.AbandonedStates ||
 			sum.FaultsInjected != s.FaultsInjected() {
 			t.Fatalf("plan %q: summary out of sync with stats: %+v vs %+v", spec, sum, st)
 		}
 	}
-	if stalled == 0 || faulted == 0 {
-		t.Fatalf("chaos generator too tame: %d stalled, %d faulted sessions", stalled, faulted)
+	if faulted == 0 {
+		t.Fatal("chaos generator too tame: no session had a fault injected")
 	}
-	t.Logf("%d plans: %d stalled, %d injected solver faults", plans, stalled, faulted)
+	t.Logf("%d plans: %d with injected solver faults", plans, faulted)
 }
 
 // The acceptance property from the issue: a fault plan forcing a sizable
@@ -145,8 +133,8 @@ func TestFaultedRunRecoversAllPaths(t *testing.T) {
 }
 
 // Per-scope fault streams keep the parallel-determinism contract: a
-// portfolio under an active plan — including a stalled member — produces
-// identical merged results at any worker count.
+// portfolio under an active plan produces identical merged results at any
+// worker count.
 func TestPortfolioDeterministicUnderFaults(t *testing.T) {
 	members := []PortfolioMember{
 		{Name: "m0", Prog: validateEmailProg(4)},
@@ -159,7 +147,7 @@ func TestPortfolioDeterministicUnderFaults(t *testing.T) {
 			Strategy: StrategyCUPAPath,
 			Seed:     11,
 			Parallel: parallel,
-			Faults:   mustChaosPlan(t, "seed=5;solver.unknown:p=0.1;worker.stall:session=1"),
+			Faults:   mustChaosPlan(t, "seed=5;solver.unknown:p=0.3"),
 		}, 1<<22)
 	}
 	serial, wide := run(1), run(4)
@@ -178,12 +166,11 @@ func TestPortfolioDeterministicUnderFaults(t *testing.T) {
 				serial.PerBuild[i], serial.NewPerBuild[i], wide.PerBuild[i], wide.NewPerBuild[i])
 		}
 	}
-	// The stalled member contributed nothing, and the stall was actually
-	// injected in both runs.
-	if serial.PerBuild[1] != 0 || wide.PerBuild[1] != 0 {
-		t.Fatalf("session=1 stall did not fire: per-build %v / %v", serial.PerBuild, wide.PerBuild)
+	// The plan actually fired, the same number of times in both runs.
+	if serial.Aggregate.FaultsInjected == 0 {
+		t.Fatal("plan injected no faults; the test is vacuous")
 	}
-	if serial.PerBuild[0] == 0 || serial.PerBuild[2] == 0 {
-		t.Fatalf("non-stalled members found nothing: %v", serial.PerBuild)
+	if serial.Aggregate != wide.Aggregate {
+		t.Fatalf("aggregates diverge:\nserial   %+v\nparallel %+v", serial.Aggregate, wide.Aggregate)
 	}
 }

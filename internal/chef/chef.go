@@ -109,12 +109,9 @@ type Options struct {
 	Name string
 	// Faults, when non-nil, is the fault-injection plan for this run (see
 	// internal/faults). The session derives a deterministic injector scoped
-	// by Name and threads it into its solver; worker.stall rules match
-	// SessionIndex. nil disables injection entirely.
+	// by Name and threads it into its solver. nil disables injection
+	// entirely.
 	Faults *faults.Plan
-	// SessionIndex identifies this session among its siblings (portfolio
-	// member or harness cell index); worker.stall fault rules match on it.
-	SessionIndex int
 	// router, when non-nil, confines this session's engine to its own
 	// signature range (path-space sharding). Only ShardedSession sets it;
 	// it is unexported because a routed session is only meaningful as a
@@ -158,8 +155,7 @@ type Session struct {
 	cur *Ctx // context of the run in progress
 
 	// Fault injection (nil when disabled).
-	faults  *faults.Injector
-	stalled bool
+	faults *faults.Injector
 
 	// cancelled records that RunContext stopped early because its context
 	// was done; the tests generated so far remain valid.
@@ -278,17 +274,6 @@ func (s *Session) RunContext(ctx context.Context, budget int64) []TestCase {
 			Strategy: s.opts.Strategy.String(),
 		})
 	}
-	// A stalled worker never starts exploring: it terminates cleanly with
-	// zero tests so a portfolio or harness degrades to the surviving
-	// members instead of wedging or miscounting.
-	if s.faults.FireStall(s.opts.SessionIndex) {
-		s.stalled = true
-		if s.tracer != nil {
-			s.tracer.Emit(obs.Event{Kind: obs.KindFault, Site: string(faults.WorkerStall)})
-		}
-		s.finish(false)
-		return s.tests
-	}
 	s.cancelled = s.explore(ctx, budget, true)
 	s.finish(s.cancelled)
 	return s.tests
@@ -321,16 +306,13 @@ func (s *Session) explore(ctx context.Context, until int64, initial bool) (cance
 }
 
 // finish ends the session: it emits the session-end event, with status
-// "stalled" or "cancelled" when the session ended that way, then publishes
-// the session's counts and the engine's to the registry. The counts are
-// published once, here, from the session's own state; nothing increments
-// them while the session runs.
+// "cancelled" when the session ended that way, then publishes the session's
+// counts and the engine's to the registry. The counts are published once,
+// here, from the session's own state; nothing increments them while the
+// session runs.
 func (s *Session) finish(cancelled bool) {
 	var status string
-	switch {
-	case s.stalled:
-		status = "stalled"
-	case cancelled:
+	if cancelled {
 		status = "cancelled"
 	}
 	if s.tracer != nil {
@@ -344,13 +326,8 @@ func (s *Session) finish(cancelled bool) {
 		})
 	}
 	if reg := s.metrics; reg != nil {
-		var stalled int64
-		if s.stalled {
-			stalled = 1
-		}
 		reg.Counter(obs.MChefTests).Add(int64(len(s.tests)))
 		reg.Counter(obs.MChefHLPaths).Add(int64(len(s.hlPaths)))
-		reg.Counter(obs.MSessionsStalled).Add(stalled)
 	}
 	s.eng.Publish()
 }
@@ -404,9 +381,6 @@ func (s *Session) Tests() []TestCase { return s.tests }
 
 // Series returns the exploration progress samples.
 func (s *Session) Series() []SamplePoint { return s.series }
-
-// HLPathCount returns the number of distinct high-level paths discovered.
-func (s *Session) HLPathCount() int { return len(s.hlPaths) }
 
 // Engine exposes the underlying low-level engine (stats, clock).
 func (s *Session) Engine() *lowlevel.Engine { return s.eng }
@@ -637,12 +611,6 @@ func (g *CFG) index(pc HLPC) uint32 {
 	return i
 }
 
-// AddEdge records an observed transition between high-level locations and
-// reports whether the edge was new (first observation).
-func (g *CFG) AddEdge(from, to HLPC) bool {
-	return g.addEdge(g.index(from), g.index(to))
-}
-
 func (g *CFG) addEdge(from, to uint32) bool {
 	f := &g.nodes[from]
 	if slices.Contains(f.succs, to) {
@@ -655,9 +623,6 @@ func (g *CFG) addEdge(from, to uint32) bool {
 	g.dirty = true
 	return true
 }
-
-// SetOpcode records the opcode of a high-level location.
-func (g *CFG) SetOpcode(pc HLPC, opcode uint32) { g.setOpcode(g.index(pc), opcode) }
 
 func (g *CFG) setOpcode(i uint32, opcode uint32) {
 	n := &g.nodes[i]
@@ -803,7 +768,6 @@ type Summary struct {
 	RequeuedStates  int64
 	AbandonedStates int64
 	FaultsInjected  int64
-	Stalled         int // 1 when the session stalled (worker.stall)
 }
 
 // Add folds another session's summary into s, field by field. CFG sizes and
@@ -825,14 +789,13 @@ func (s *Summary) Add(o Summary) {
 	s.RequeuedStates += o.RequeuedStates
 	s.AbandonedStates += o.AbandonedStates
 	s.FaultsInjected += o.FaultsInjected
-	s.Stalled += o.Stalled
 }
 
 // Summary returns a value snapshot of the session's headline numbers, taken
 // at call time (it does not track later exploration).
 func (s *Session) Summary() Summary {
 	st := s.eng.Stats()
-	sum := Summary{
+	return Summary{
 		HLTests:         len(s.tests),
 		HLPaths:         len(s.hlPaths),
 		LLPaths:         st.LLPaths,
@@ -848,19 +811,10 @@ func (s *Session) Summary() Summary {
 		AbandonedStates: st.AbandonedStates,
 		FaultsInjected:  s.faults.Injected(),
 	}
-	if s.stalled {
-		sum.Stalled = 1
-	}
-	return sum
 }
 
-// Stalled reports whether the session was stalled by an injected
-// worker.stall fault and never explored.
-func (s *Session) Stalled() bool { return s.stalled }
-
 // FaultsInjected returns the number of faults this session's injector fired
-// (solver and stall sites; the persistent store's injector counts
-// separately).
+// (the solver site; the persistent store's injector counts separately).
 func (s *Session) FaultsInjected() int64 { return s.faults.Injected() }
 
 // ReplaySig executes the session's program once under the given concrete

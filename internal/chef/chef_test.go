@@ -56,7 +56,7 @@ func TestDistillsHLPathsFromLLPaths(t *testing.T) {
 	// 0..5 (positions 0..2 raise, 3..5 ok) and not-found (raise). The find
 	// loop breaks at the first '@', so the HL trace differs only through
 	// the branch outcome — exactly 2 distinct HL paths.
-	if got := s.HLPathCount(); got != 2 {
+	if got := s.Summary().HLPaths; got != 2 {
 		t.Fatalf("HL paths = %d, want 2", got)
 	}
 	// Both outcomes must be represented.
@@ -93,6 +93,15 @@ func TestTestInputsSatisfyTheirOutcome(t *testing.T) {
 		}
 	}
 }
+
+// AddEdge records an observed transition between high-level locations and
+// reports whether the edge was new (first observation).
+func (g *CFG) AddEdge(from, to HLPC) bool {
+	return g.addEdge(g.index(from), g.index(to))
+}
+
+// SetOpcode records the opcode of a high-level location.
+func (g *CFG) SetOpcode(pc HLPC, opcode uint32) { g.setOpcode(g.index(pc), opcode) }
 
 // outDegree returns the number of distinct successors observed after pc.
 func (g *CFG) outDegree(pc HLPC) int {

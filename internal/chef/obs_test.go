@@ -172,7 +172,7 @@ type published struct {
 
 // sessionCounts maps the engine, solver and session counters to the
 // snapshot fields they are published from.
-func sessionCounts(e lowlevel.Stats, sol solver.Stats, tests, hlPaths, stalled int) map[string]int64 {
+func sessionCounts(e lowlevel.Stats, sol solver.Stats, tests, hlPaths int) map[string]int64 {
 	return map[string]int64{
 		obs.MRuns:                   e.Runs,
 		obs.MStatesCompleted:        e.Runs,
@@ -195,7 +195,6 @@ func sessionCounts(e lowlevel.Stats, sol solver.Stats, tests, hlPaths, stalled i
 		obs.MSolverCacheHitsPersist: sol.CacheHitsPersist,
 		obs.MChefTests:              int64(tests),
 		obs.MChefHLPaths:            int64(hlPaths),
-		obs.MSessionsStalled:        int64(stalled),
 	}
 }
 
@@ -211,7 +210,7 @@ func TestPublishedCountersMatchSnapshots(t *testing.T) {
 		tests := s.RunContext(ctx, budget)
 		sol := s.Engine().Solver().Stats()
 		return published{
-			counters: sessionCounts(s.Engine().Stats(), sol, len(tests), s.HLPathCount(), s.Summary().Stalled),
+			counters: sessionCounts(s.Engine().Stats(), sol, len(tests), s.Summary().HLPaths),
 			pending:  int64(s.Engine().Pending()),
 			solvers:  []solver.Stats{sol},
 		}
@@ -225,20 +224,12 @@ func TestPublishedCountersMatchSnapshots(t *testing.T) {
 		var cellTests, cellPaths int
 		for _, c := range ss.cells {
 			cellTests += len(c.sess.tests)
-			cellPaths += c.sess.HLPathCount()
+			cellPaths += len(c.sess.hlPaths)
 			p.pending += int64(c.sess.eng.Pending())
 			p.solvers = append(p.solvers, c.sess.eng.Solver().Stats())
 		}
-		if ss.Stalled() {
-			// A total stall never finishes its cells: only the
-			// coordinator publishes.
-			p.counters = map[string]int64{}
-			p.pending = -1
-		} else {
-			p.counters = sessionCounts(ss.Stats(), ss.SolverStats(), cellTests, cellPaths, 0)
-		}
+		p.counters = sessionCounts(ss.Stats(), ss.SolverStats(), cellTests, cellPaths)
 		p.counters[obs.MChefTestsMerged] = int64(len(ss.Tests()))
-		p.counters[obs.MShardStalled] = int64(ss.StalledWorkers())
 		return p
 	}
 	cupa := Options{Strategy: StrategyCUPAPath, Seed: 11}
@@ -251,8 +242,12 @@ func TestPublishedCountersMatchSnapshots(t *testing.T) {
 		}},
 		{"sharded-1", func(t *testing.T, reg *obs.Registry) published { return sharded(reg, 1, nil) }},
 		{"sharded-2", func(t *testing.T, reg *obs.Registry) published { return sharded(reg, 2, nil) }},
-		{"sharded-stalled", func(t *testing.T, reg *obs.Registry) published {
-			return sharded(reg, 2, mustChaosPlan(t, "worker.stall"))
+		{"sharded-faulted", func(t *testing.T, reg *obs.Registry) published {
+			p := sharded(reg, 2, mustChaosPlan(t, "seed=7;solver.unknown:p=0.5"))
+			if p.counters[obs.MStatesRequeued] == 0 {
+				t.Fatal("fault plan requeued no state")
+			}
+			return p
 		}},
 		{"portfolio", func(t *testing.T, reg *obs.Registry) published {
 			res := RunPortfolio([]PortfolioMember{
@@ -272,13 +267,7 @@ func TestPublishedCountersMatchSnapshots(t *testing.T) {
 				obs.MStatesAbandoned: a.AbandonedStates,
 				obs.MChefTests:       int64(a.HLTests),
 				obs.MChefHLPaths:     int64(a.HLPaths),
-				obs.MSessionsStalled: int64(a.Stalled),
 			}}
-		}},
-		{"stalled", func(t *testing.T, reg *obs.Registry) published {
-			opts := cupa
-			opts.Faults = mustChaosPlan(t, "worker.stall:session=0")
-			return plain(reg, context.Background(), branchesProg(10), opts)
 		}},
 		{"cancelled", func(t *testing.T, reg *obs.Registry) published {
 			ctx, cancel := context.WithCancel(context.Background())

@@ -84,7 +84,6 @@ func RunPortfolioContext(ctx context.Context, members []PortfolioMember, opts Op
 	runMember := func(i int) {
 		memberOpts := opts
 		memberOpts.Seed = opts.Seed + int64(i)*104729
-		memberOpts.SessionIndex = i // worker.stall fault rules match on it
 		if memberOpts.Name == "" {
 			memberOpts.Name = members[i].Name
 		}

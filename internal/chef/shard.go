@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 
-	"chef/internal/faults"
 	"chef/internal/lowlevel"
 	"chef/internal/obs"
 	"chef/internal/solver"
@@ -113,15 +112,12 @@ type ShardedSession struct {
 	mDups   *obs.Counter
 	mDepth  *obs.Histogram
 
-	stallInj *faults.Injector
-
-	ran            bool
-	initialDone    bool
-	spent          int64
-	stalledWorkers int
-	cancelled      bool
-	tests          []TestCase
-	series         []SamplePoint
+	ran         bool
+	initialDone bool
+	spent       int64
+	cancelled   bool
+	tests       []TestCase
+	series      []SamplePoint
 }
 
 // NewShardedSession builds a sharded exploration of prog. workers bounds
@@ -144,13 +140,6 @@ func NewShardedSession(prog TestProgram, opts Options, workers int) *ShardedSess
 		workers: workers,
 		tracer:  obs.WithSession(opts.Tracer, name),
 	}
-	// The coordinator's injector uses the same scope a plain session
-	// would, so worker.stall rules address shard workers the way they
-	// address portfolio members. Cell injectors get their own scopes.
-	if opts.Faults != nil {
-		ss.stallInj = opts.Faults.Injector(name)
-		ss.stallInj.Instrument(opts.Metrics)
-	}
 	if reg := opts.Metrics; reg != nil {
 		ss.mEpochs = reg.Counter(obs.MShardEpochs)
 		ss.mLive = reg.Gauge(obs.MShardRangesLive)
@@ -169,7 +158,6 @@ func NewShardedSession(prog TestProgram, opts Options, workers int) *ShardedSess
 	for k := 0; k < ShardSubtrees; k++ {
 		cellOpts := opts
 		cellOpts.Seed = opts.Seed + int64(k)*104729
-		cellOpts.SessionIndex = k
 		cellOpts.Name = fmt.Sprintf("%s.s%02d", name, k)
 		if ss.childRegs != nil {
 			cellOpts.Metrics = ss.childRegs[k]
@@ -225,27 +213,6 @@ func (ss *ShardedSession) RunContext(ctx context.Context, budget int64) []TestCa
 			})
 		}
 	}
-	// Worker-level stall injection: a stalled worker never joins the
-	// pool. Because semantics are worker-independent, any surviving
-	// worker reproduces the full result; only a total stall degrades.
-	pool := 0
-	for w := 0; w < ss.workers; w++ {
-		if ss.stallInj.FireStall(w) {
-			ss.stalledWorkers++
-			if ss.tracer != nil {
-				ss.tracer.Emit(obs.Event{Kind: obs.KindFault, Site: string(faults.WorkerStall)})
-			}
-			continue
-		}
-		pool++
-	}
-	if pool == 0 {
-		if ss.tracer != nil {
-			ss.tracer.Emit(obs.Event{Kind: obs.KindSessionEnd, Status: "stalled"})
-		}
-		return ss.tests
-	}
-
 	for {
 		if ctx.Err() != nil {
 			ss.cancelled = true
@@ -270,7 +237,7 @@ func (ss *ShardedSession) RunContext(ctx context.Context, budget int64) []TestCa
 		// Cell engines migrate between worker goroutines only across the
 		// epoch barrier (ParFor returns after every call), satisfying the
 		// Engine ownership contract.
-		ParFor(pool, len(order), func(i int) {
+		ParFor(ss.workers, len(order), func(i int) {
 			k := order[i]
 			ss.runCellEpoch(ctx, ss.cells[k], slice, initial && k == 0)
 		})
@@ -381,11 +348,10 @@ func (ss *ShardedSession) merge() {
 	}
 }
 
-// publish adds the coordinator's end-of-run counts to the registry: the
-// stalled workers and the merged test count (zero after a total stall).
+// publish adds the coordinator's end-of-run count to the registry: the
+// merged test count.
 func (ss *ShardedSession) publish() {
 	if reg := ss.opts.Metrics; reg != nil {
-		reg.Counter(obs.MShardStalled).Add(int64(ss.stalledWorkers))
 		reg.Counter(obs.MChefTestsMerged).Add(int64(len(ss.tests)))
 	}
 }
@@ -399,17 +365,6 @@ func (ss *ShardedSession) Series() []SamplePoint { return ss.series }
 
 // Cancelled reports whether RunContext stopped early on a done context.
 func (ss *ShardedSession) Cancelled() bool { return ss.cancelled }
-
-// Stalled reports whether every shard worker was stalled by fault
-// injection, so the run never explored. A partial stall does not degrade:
-// the surviving workers reproduce the full result.
-func (ss *ShardedSession) Stalled() bool {
-	return ss.workers > 0 && ss.stalledWorkers == ss.workers
-}
-
-// StalledWorkers returns how many shard workers were lost to worker.stall
-// injection.
-func (ss *ShardedSession) StalledWorkers() int { return ss.stalledWorkers }
 
 // Clock returns the merged virtual time across all range cells.
 func (ss *ShardedSession) Clock() int64 {
@@ -428,16 +383,6 @@ func (ss *ShardedSession) Stats() lowlevel.Stats {
 		st.Add(c.sess.eng.Stats())
 	}
 	return st
-}
-
-// CellStats returns each range cell's engine counters in range order (the
-// per-shard view of the degradation invariants).
-func (ss *ShardedSession) CellStats() []lowlevel.Stats {
-	out := make([]lowlevel.Stats, len(ss.cells))
-	for i, c := range ss.cells {
-		out[i] = c.sess.eng.Stats()
-	}
-	return out
 }
 
 // SolverStats returns the merged solver counters across all range cells.
@@ -462,8 +407,7 @@ func (ss *ShardedSession) CacheStats() solver.CacheStats {
 // Summary condenses the sharded run: per-cell summaries folded with
 // Summary.Add, with the path counts replaced by the cross-range
 // deduplicated view (a plain session dedups globally, so the merged
-// numbers are the comparable ones) and stall accounting at worker
-// granularity.
+// numbers are the comparable ones).
 func (ss *ShardedSession) Summary() Summary {
 	var sum Summary
 	for _, c := range ss.cells {
@@ -471,9 +415,5 @@ func (ss *ShardedSession) Summary() Summary {
 	}
 	sum.HLTests = len(ss.tests)
 	sum.HLPaths = len(ss.tests)
-	sum.Stalled = ss.stalledWorkers
-	if ss.stallInj != nil {
-		sum.FaultsInjected += ss.stallInj.Injected()
-	}
 	return sum
 }

@@ -28,7 +28,7 @@ type cell struct {
 func runCells(b Budgets, cells []cell) []RunResult {
 	out := make([]RunResult, len(cells))
 	chef.ParFor(b.Workers(), len(cells), func(i int) {
-		out[i] = runPackageCell(cells[i].p, cells[i].cfg, b, cells[i].seed, i)
+		out[i] = RunPackage(cells[i].p, cells[i].cfg, b, cells[i].seed)
 	})
 	return out
 }

@@ -63,9 +63,8 @@ type Budgets struct {
 	Tracer obs.Tracer
 	// Faults, when non-nil, is the fault-injection plan threaded into every
 	// session of the run (see internal/faults). Each session derives its
-	// injector from the plan seed and its own label, and worker.stall rules
-	// match the session's grid-cell index, so fault schedules are identical
-	// for every Parallel value.
+	// injector from the plan seed and its own label, so fault schedules are
+	// identical for every Parallel value.
 	Faults *faults.Plan
 	// Spans enables the hierarchical span profiler. Profilers are
 	// single-goroutine, so the harness builds one per session cell, writing
@@ -146,13 +145,6 @@ type RunResult struct {
 // RunPackage explores one package under one configuration and replays the
 // generated tests to confirm outcomes and measure line coverage.
 func RunPackage(p *packages.Package, cfg Configuration, b Budgets, seed int64) RunResult {
-	return runPackageCell(p, cfg, b, seed, 0)
-}
-
-// runPackageCell is RunPackage with the session's grid-cell index, which
-// worker.stall fault rules match on (the index is a grid position, so fault
-// schedules are schedule-independent).
-func runPackageCell(p *packages.Package, cfg Configuration, b Budgets, seed int64, idx int) RunResult {
 	opts := chef.Options{
 		Strategy:      cfg.Strategy,
 		Seed:          seed,
@@ -161,7 +153,6 @@ func runPackageCell(p *packages.Package, cfg Configuration, b Budgets, seed int6
 		Tracer:        b.Tracer,
 		Name:          fmt.Sprintf("%s/%s/%d", p.Name, cfg.Name, seed),
 		Faults:        b.Faults,
-		SessionIndex:  idx,
 	}
 	var child *obs.Registry
 	if b.Metrics != nil {

@@ -3,7 +3,7 @@
 // cmd/chef-experiments — is a seed plus a list of rules naming an injection
 // site and a trigger:
 //
-//	seed=7;solver.unknown:p=0.05;persist.write:err@n=3;worker.stall:session=2
+//	seed=7;solver.unknown:p=0.05;persist.write:err@n=3
 //
 // Sites:
 //
@@ -15,14 +15,10 @@
 //	                 flusher. Mode err fails cleanly with zero bytes
 //	                 written; mode short writes half the buffer and then
 //	                 fails, exercising the partial-write retention path.
-//	worker.stall   — a session never starts exploring: Run returns
-//	                 immediately with zero tests, modeling a dead worker
-//	                 in a portfolio or harness grid.
 //
 // Triggers: p=<prob> fires probabilistically per occurrence, n=<k> fires at
-// exactly the k-th occurrence, every=<k> at every k-th, session=<i>
-// (worker.stall only) matches the session's index among its siblings. A rule
-// with no trigger fires at every occurrence.
+// exactly the k-th occurrence, every=<k> at every k-th. A rule with no
+// trigger fires at every occurrence.
 //
 // Determinism contract: an Injector's decisions are a pure function of
 // (plan seed, scope label, occurrence index). Each scope derives its own PRNG
@@ -53,13 +49,11 @@ type Site string
 const (
 	SolverUnknown Site = "solver.unknown"
 	PersistWrite  Site = "persist.write"
-	WorkerStall   Site = "worker.stall"
 )
 
 var knownSites = map[Site]bool{
 	SolverUnknown: true,
 	PersistWrite:  true,
-	WorkerStall:   true,
 }
 
 // WriteMode is the outcome FireWrite prescribes for one physical write.
@@ -73,19 +67,16 @@ const (
 	WriteShort
 )
 
-// Rule is one parsed fault rule. Zero trigger fields mean "unset"; Session
-// is -1 when unset so index 0 stays matchable.
+// Rule is one parsed fault rule. Zero trigger fields mean "unset".
 type Rule struct {
-	Site    Site
-	Short   bool    // persist.write: short write instead of a clean error
-	P       float64 // fire with this probability per occurrence
-	N       int64   // fire at exactly the N-th occurrence (1-based)
-	Every   int64   // fire at every multiple of Every
-	Session int64   // worker.stall: match this session index; -1 = any
+	Site  Site
+	Short bool    // persist.write: short write instead of a clean error
+	P     float64 // fire with this probability per occurrence
+	N     int64   // fire at exactly the N-th occurrence (1-based)
+	Every int64   // fire at every multiple of Every
 }
 
-// always reports whether the rule fires on every occurrence (no trigger, or
-// only a session filter).
+// always reports whether the rule fires on every occurrence (no trigger).
 func (r Rule) always() bool { return r.P == 0 && r.N == 0 && r.Every == 0 }
 
 // Plan is a parsed fault plan: a seed and the rule list. A nil *Plan (or one
@@ -139,9 +130,9 @@ func Parse(spec string) (*Plan, error) {
 // parseRule parses one "site:param,param" field.
 func parseRule(field string) (Rule, error) {
 	site, params, _ := strings.Cut(field, ":")
-	r := Rule{Site: Site(strings.TrimSpace(site)), Session: -1}
+	r := Rule{Site: Site(strings.TrimSpace(site))}
 	if !knownSites[r.Site] {
-		return r, fmt.Errorf("faults: unknown site %q (want solver.unknown, persist.write or worker.stall)", site)
+		return r, fmt.Errorf("faults: unknown site %q (want solver.unknown or persist.write)", site)
 	}
 	for _, param := range strings.Split(params, ",") {
 		param = strings.TrimSpace(param)
@@ -183,15 +174,6 @@ func parseRule(field string) (Rule, error) {
 				return r, fmt.Errorf("faults: every=%q must be a positive integer", val)
 			}
 			r.Every = n
-		case "session":
-			if r.Site != WorkerStall {
-				return r, fmt.Errorf("faults: session= is only valid on %s", WorkerStall)
-			}
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil || n < 0 {
-				return r, fmt.Errorf("faults: session=%q must be a non-negative integer", val)
-			}
-			r.Session = n
 		default:
 			return r, fmt.Errorf("faults: unknown parameter %q in rule %q", key, field)
 		}
@@ -225,7 +207,6 @@ func (p *Plan) Injector(scope string) *Injector {
 		scope: scope,
 		rngs:  map[Site]*rand.Rand{},
 		occ:   map[Site]int64{},
-		hits:  map[Site]int64{},
 	}
 }
 
@@ -240,7 +221,6 @@ type Injector struct {
 	mu   sync.Mutex
 	rngs map[Site]*rand.Rand
 	occ  map[Site]int64
-	hits map[Site]int64
 
 	total atomic.Int64
 
@@ -258,14 +238,6 @@ func (in *Injector) Instrument(reg *obs.Registry) {
 	in.mu.Unlock()
 }
 
-// Scope returns the label the injector's PRNG streams were derived from.
-func (in *Injector) Scope() string {
-	if in == nil {
-		return ""
-	}
-	return in.scope
-}
-
 // Injected returns the total number of faults fired by this injector.
 func (in *Injector) Injected() int64 {
 	if in == nil {
@@ -274,23 +246,13 @@ func (in *Injector) Injected() int64 {
 	return in.total.Load()
 }
 
-// InjectedAt returns how many faults fired at one site.
-func (in *Injector) InjectedAt(site Site) int64 {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.hits[site]
-}
-
 // Fire records one occurrence at site and reports whether a fault fires
-// there. Used for sites without modes or session matching (solver.unknown).
+// there. Used for sites without modes (solver.unknown).
 func (in *Injector) Fire(site Site) bool {
 	if in == nil {
 		return false
 	}
-	_, ok := in.fire(site, -1)
+	_, ok := in.fire(site)
 	return ok
 }
 
@@ -300,7 +262,7 @@ func (in *Injector) FireWrite() WriteMode {
 	if in == nil {
 		return WriteOK
 	}
-	r, ok := in.fire(PersistWrite, -1)
+	r, ok := in.fire(PersistWrite)
 	switch {
 	case !ok:
 		return WriteOK
@@ -311,19 +273,8 @@ func (in *Injector) FireWrite() WriteMode {
 	}
 }
 
-// FireStall records one session-start occurrence and reports whether the
-// session with the given sibling index should stall.
-func (in *Injector) FireStall(session int) bool {
-	if in == nil {
-		return false
-	}
-	_, ok := in.fire(WorkerStall, int64(session))
-	return ok
-}
-
-// fire implements the occurrence bookkeeping and rule matching. session is
-// -1 for sites without session matching.
-func (in *Injector) fire(site Site, session int64) (Rule, bool) {
+// fire implements the occurrence bookkeeping and rule matching.
+func (in *Injector) fire(site Site) (Rule, bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.occ[site]++
@@ -348,15 +299,11 @@ func (in *Injector) fire(site Site, session int64) (Rule, bool) {
 				match = true
 			}
 		}
-		if r.Session >= 0 && session != r.Session {
-			match = false
-		}
 		if match && !fired {
 			hit, fired = r, true
 		}
 	}
 	if fired {
-		in.hits[site]++
 		in.total.Add(1)
 		if in.reg != nil {
 			in.reg.Counter(obs.MFaultsInjected).Inc()
@@ -383,12 +330,8 @@ func (in *Injector) rng(site Site) *rand.Rand {
 
 // siteMetric maps a site to its canonical per-site counter name.
 func siteMetric(site Site) string {
-	switch site {
-	case SolverUnknown:
+	if site == SolverUnknown {
 		return obs.MFaultsSolverUnknown
-	case PersistWrite:
-		return obs.MFaultsPersistWrite
-	default:
-		return obs.MFaultsWorkerStall
 	}
+	return obs.MFaultsPersistWrite
 }

@@ -25,18 +25,17 @@ func TestParseEmptyDisables(t *testing.T) {
 }
 
 func TestParseFullSpec(t *testing.T) {
-	p, err := Parse("seed=7; solver.unknown:p=0.05; persist.write:err@n=3; persist.write:short@every=2; worker.stall:session=2")
+	p, err := Parse("seed=7; solver.unknown:p=0.05; persist.write:err@n=3; persist.write:short@every=2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Seed != 7 || len(p.Rules) != 4 {
+	if p.Seed != 7 || len(p.Rules) != 3 {
 		t.Fatalf("plan = %+v", p)
 	}
 	want := []Rule{
-		{Site: SolverUnknown, P: 0.05, Session: -1},
-		{Site: PersistWrite, N: 3, Session: -1},
-		{Site: PersistWrite, Short: true, Every: 2, Session: -1},
-		{Site: WorkerStall, Session: 2},
+		{Site: SolverUnknown, P: 0.05},
+		{Site: PersistWrite, N: 3},
+		{Site: PersistWrite, Short: true, Every: 2},
 	}
 	for i, r := range p.Rules {
 		if r != want[i] {
@@ -52,7 +51,9 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"solver.unknown:p=0",
 		"solver.unknown:n=0",
 		"solver.unknown:short@n=1", // modes are persist.write-only
-		"solver.unknown:session=1", // session= is worker.stall-only
+		"worker.stall",             // no such site: a worker is a goroutine
+		"worker.stall:session=1",
+		"solver.unknown:session=1", // there is no session= trigger
 		"persist.write:wat=3",
 		"seed=xyz",
 		"solver.unknown:p",
@@ -66,10 +67,10 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 
 func TestNilInjectorNeverFires(t *testing.T) {
 	var in *Injector
-	if in.Fire(SolverUnknown) || in.FireStall(0) || in.FireWrite() != WriteOK {
+	if in.Fire(SolverUnknown) || in.FireWrite() != WriteOK {
 		t.Fatal("nil injector fired")
 	}
-	if in.Injected() != 0 || in.InjectedAt(SolverUnknown) != 0 || in.Scope() != "" {
+	if in.Injected() != 0 {
 		t.Fatal("nil injector reported activity")
 	}
 	in.Instrument(obs.NewRegistry()) // must not panic
@@ -98,22 +99,8 @@ func TestOccurrenceTriggers(t *testing.T) {
 			t.Fatalf("occurrence %d: mode %d, want %d (all: %v)", occ, m, want, got)
 		}
 	}
-	if in.Injected() != 3 || in.InjectedAt(PersistWrite) != 3 {
-		t.Fatalf("injected = %d / %d, want 3", in.Injected(), in.InjectedAt(PersistWrite))
-	}
-}
-
-func TestSessionMatching(t *testing.T) {
-	p, err := Parse("worker.stall:session=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := p.Injector("s")
-	for i := 0; i < 5; i++ {
-		want := i == 2
-		if got := in.FireStall(i); got != want {
-			t.Fatalf("FireStall(%d) = %v, want %v", i, got, want)
-		}
+	if in.Injected() != 3 {
+		t.Fatalf("injected = %d, want 3", in.Injected())
 	}
 }
 
@@ -184,7 +171,7 @@ func TestDeterministicRuleDoesNotPerturbStream(t *testing.T) {
 }
 
 func TestInstrumentCountsBySite(t *testing.T) {
-	p, err := Parse("persist.write:err@n=1;worker.stall:session=0")
+	p, err := Parse("persist.write:err@n=1;solver.unknown:n=2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,16 +179,16 @@ func TestInstrumentCountsBySite(t *testing.T) {
 	reg := obs.NewRegistry()
 	in.Instrument(reg)
 	in.FireWrite()
-	in.FireStall(0)
-	in.FireStall(1)
+	in.Fire(SolverUnknown)
+	in.Fire(SolverUnknown)
 	if got := reg.Counter(obs.MFaultsInjected).Value(); got != 2 {
 		t.Fatalf("%s = %d, want 2", obs.MFaultsInjected, got)
 	}
 	if got := reg.Counter(obs.MFaultsPersistWrite).Value(); got != 1 {
 		t.Fatalf("%s = %d, want 1", obs.MFaultsPersistWrite, got)
 	}
-	if got := reg.Counter(obs.MFaultsWorkerStall).Value(); got != 1 {
-		t.Fatalf("%s = %d, want 1", obs.MFaultsWorkerStall, got)
+	if got := reg.Counter(obs.MFaultsSolverUnknown).Value(); got != 1 {
+		t.Fatalf("%s = %d, want 1", obs.MFaultsSolverUnknown, got)
 	}
 }
 

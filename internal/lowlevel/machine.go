@@ -97,12 +97,6 @@ func (m *Machine) Diverged() bool { return m.diverged }
 // Assignment exposes the run's concrete input values (for replay capture).
 func (m *Machine) Assignment() symexpr.Assignment { return m.assign }
 
-// PathCondition materializes the current path condition.
-func (m *Machine) PathCondition() []*symexpr.Expr { return m.pc.slice() }
-
-// PathDepth returns the number of symbolic decisions taken so far.
-func (m *Machine) PathDepth() int { return m.nDecisions }
-
 // Step advances the virtual clock by n units. Every interpreter bytecode
 // dispatch and every iteration of a native loop should cost at least one
 // step; exceeding the per-run limit aborts the run as a hang, implementing

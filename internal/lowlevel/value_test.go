@@ -7,6 +7,12 @@ import (
 	"chef/internal/symexpr"
 )
 
+// PathCondition materializes the current path condition.
+func (m *Machine) PathCondition() []*symexpr.Expr { return m.pc.slice() }
+
+// PathDepth returns the number of symbolic decisions taken so far.
+func (m *Machine) PathDepth() int { return m.nDecisions }
+
 // TestConcolicInvariant checks the engine's central invariant: for every
 // concolic operation, evaluating the symbolic expression under the input
 // assignment yields exactly the concrete value the operation computed. A

@@ -88,6 +88,27 @@ func (vm *VM) bucketOf(h lowlevel.SVal) int {
 	return interp.BucketIndex(vm.m, h, nBuckets, llpcTableBucket)
 }
 
+// hashFind hashes key and scans its bucket, one step and one comparison
+// branch per live entry, and returns the bucket index and the entry holding
+// key (nil when there is none).
+func (vm *VM) hashFind(t *TableVal, key Value) (int, *tableEntry, *LuaError) {
+	h, err := vm.hashKey(key)
+	if err != nil {
+		return 0, nil, err
+	}
+	b := vm.bucketOf(h)
+	for _, e := range t.buckets[b] {
+		if e.deleted {
+			continue
+		}
+		vm.m.Step(1)
+		if vm.valuesEqualBranch(e.key, key) {
+			return b, e, nil
+		}
+	}
+	return b, nil, nil
+}
+
 // arrayIndexOf resolves an integer key against the array part; ok is false
 // when the key belongs in the hash part. Symbolic in-range indices are
 // symbolic pointers and concretize by forking.
@@ -124,21 +145,14 @@ func (vm *VM) indexGet(tv, key Value) (Value, *LuaError) {
 				return t.arr[idx], nil
 			}
 		}
-		h, err := vm.hashKey(key)
+		_, e, err := vm.hashFind(t, key)
 		if err != nil {
 			return nil, err
 		}
-		b := vm.bucketOf(h)
-		for _, e := range t.buckets[b] {
-			if e.deleted {
-				continue
-			}
-			vm.m.Step(1)
-			if vm.valuesEqualBranch(e.key, key) {
-				return e.val, nil
-			}
+		if e == nil {
+			return Nil, nil
 		}
-		return Nil, nil
+		return e.val, nil
 	case StrVal:
 		// Indexing a string looks up the string library (s.sub etc. is not
 		// Lua, but s:method() routes through OpSelfField; plain indexing is
@@ -168,34 +182,23 @@ func (vm *VM) indexSet(tv, key, val Value) *LuaError {
 			return nil
 		}
 	}
-	h, err := vm.hashKey(key)
+	b, e, err := vm.hashFind(t, key)
 	if err != nil {
 		return err
 	}
-	b := vm.bucketOf(h)
 	_, isNilVal := val.(NilVal)
-	for _, e := range t.buckets[b] {
-		if e.deleted {
-			continue
-		}
-		vm.m.Step(1)
-		if vm.valuesEqualBranch(e.key, key) {
-			if isNilVal {
-				e.deleted = true
-				t.hsize--
-			} else {
-				e.val = val
-			}
-			return nil
-		}
+	switch {
+	case e != nil && isNilVal:
+		e.deleted = true
+		t.hsize--
+	case e != nil:
+		e.val = val
+	case !isNilVal:
+		e = &tableEntry{key: key, val: val}
+		t.buckets[b] = append(t.buckets[b], e)
+		t.order = append(t.order, e)
+		t.hsize++
 	}
-	if isNilVal {
-		return nil
-	}
-	e := &tableEntry{key: key, val: val}
-	t.buckets[b] = append(t.buckets[b], e)
-	t.order = append(t.order, e)
-	t.hsize++
 	return nil
 }
 

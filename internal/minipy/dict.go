@@ -90,11 +90,13 @@ func (vm *VM) bucketIndex(h lowlevel.SVal) int {
 	return interp.BucketIndex(vm.m, h, nBuckets, llpcDictBucket)
 }
 
-// dictSet inserts or replaces a key.
-func (vm *VM) dictSet(d *DictVal, key, val Value) *Exc {
+// dictFind hashes key and scans its bucket, one step and one comparison
+// branch per live entry, and returns the bucket index and the entry holding
+// key (nil when there is none).
+func (vm *VM) dictFind(d *DictVal, key Value) (int, *dictEntry, *Exc) {
 	h, exc := vm.hashValue(key)
 	if exc != nil {
-		return exc
+		return 0, nil, exc
 	}
 	idx := vm.bucketIndex(h)
 	for _, e := range d.buckets[idx] {
@@ -104,67 +106,50 @@ func (vm *VM) dictSet(d *DictVal, key, val Value) *Exc {
 		vm.m.Step(1)
 		eq, exc := vm.valuesEqualBranch(e.key, key)
 		if exc != nil {
-			return exc
+			return idx, nil, exc
 		}
 		if eq {
-			e.val = val
-			return nil
+			return idx, e, nil
 		}
 	}
-	e := &dictEntry{key: key, val: val}
+	return idx, nil, nil
+}
+
+// dictSet inserts or replaces a key.
+func (vm *VM) dictSet(d *DictVal, key, val Value) *Exc {
+	idx, e, exc := vm.dictFind(d, key)
+	if exc != nil {
+		return exc
+	}
+	if e != nil {
+		e.val = val
+		return nil
+	}
+	e = &dictEntry{key: key, val: val}
 	d.buckets[idx] = append(d.buckets[idx], e)
 	d.order = append(d.order, e)
 	d.size++
 	return nil
 }
 
-// dictLookup finds a key, scanning the bucket with per-key comparison
-// branches.
+// dictLookup finds a key.
 func (vm *VM) dictLookup(d *DictVal, key Value) (Value, bool, *Exc) {
-	h, exc := vm.hashValue(key)
-	if exc != nil {
+	_, e, exc := vm.dictFind(d, key)
+	if e == nil {
 		return nil, false, exc
 	}
-	idx := vm.bucketIndex(h)
-	for _, e := range d.buckets[idx] {
-		if e.deleted {
-			continue
-		}
-		vm.m.Step(1)
-		eq, exc := vm.valuesEqualBranch(e.key, key)
-		if exc != nil {
-			return nil, false, exc
-		}
-		if eq {
-			return e.val, true, nil
-		}
-	}
-	return nil, false, nil
+	return e.val, true, nil
 }
 
 // dictDelete removes a key, reporting whether it existed.
 func (vm *VM) dictDelete(d *DictVal, key Value) (bool, *Exc) {
-	h, exc := vm.hashValue(key)
-	if exc != nil {
+	_, e, exc := vm.dictFind(d, key)
+	if e == nil {
 		return false, exc
 	}
-	idx := vm.bucketIndex(h)
-	for _, e := range d.buckets[idx] {
-		if e.deleted {
-			continue
-		}
-		vm.m.Step(1)
-		eq, exc := vm.valuesEqualBranch(e.key, key)
-		if exc != nil {
-			return false, exc
-		}
-		if eq {
-			e.deleted = true
-			d.size--
-			return true, nil
-		}
-	}
-	return false, nil
+	e.deleted = true
+	d.size--
+	return true, nil
 }
 
 // dictKeys returns the live keys in insertion order.

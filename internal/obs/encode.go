@@ -52,7 +52,6 @@ func AppendJSON(dst []byte, ev *Event) []byte {
 	dst = appendInt(dst, `,"self_virt":`, ev.SelfVirt)
 	dst = appendInt(dst, `,"self_wall_ns":`, ev.SelfWall)
 
-	dst = appendStr(dst, `,"site":`, ev.Site)
 	dst = appendInt(dst, `,"retries":`, int64(ev.Retries))
 
 	dst = appendInt(dst, `,"seed":`, ev.Seed)
@@ -224,7 +223,6 @@ func (c *recordCodec) event(ev *Event) {
 	c.i64(&ev.SelfVirt)
 	c.i64(&ev.SelfWall)
 
-	c.str(&ev.Site)
 	c.int(&ev.Retries)
 
 	c.i64(&ev.Seed)

@@ -74,17 +74,14 @@ const (
 	MSolverPersistWriteErrors = "solver.persist.write_errors" // counter: failed physical write attempts
 	MSolverPersistLost        = "solver.persist.lost"         // counter: entries dropped after the retry budget
 
-	// Graceful degradation (states re-queued/abandoned on solver.Unknown,
-	// sessions stalled by injected worker faults).
+	// Graceful degradation (states re-queued/abandoned on solver.Unknown).
 	MStatesRequeued  = "engine.states.requeued"  // counter: Unknown states re-queued for retry
 	MStatesAbandoned = "engine.states.abandoned" // counter: states dropped after the retry budget
-	MSessionsStalled = "chef.sessions.stalled"   // counter: sessions that never started (worker.stall)
 
 	// Fault injection (internal/faults).
 	MFaultsInjected      = "faults.injected"                // counter: total faults fired
 	MFaultsSolverUnknown = "faults.injected.solver_unknown" // counter: forced Unknown verdicts
 	MFaultsPersistWrite  = "faults.injected.persist_write"  // counter: failed/shortened writes
-	MFaultsWorkerStall   = "faults.injected.worker_stall"   // counter: stalled sessions
 
 	// CUPA.
 	MCupaSelections   = "cupa.selections"
@@ -97,13 +94,12 @@ const (
 
 	// Serving layer (internal/serve). Job accounting mirrors the engine's
 	// Unknown == Requeued + Abandoned invariant one level up: at any quiescent
-	// point, submitted == succeeded + degraded + cancelled + failed +
-	// queued(gauge) + running(gauge) — no job is ever silently lost.
+	// point, submitted == succeeded + cancelled + failed + queued(gauge) +
+	// running(gauge) — no job is ever silently lost.
 	MServeJobsSubmitted = "serve.jobs.submitted" // counter: accepted submissions
 	MServeJobsRejected  = "serve.jobs.rejected"  // counter: 429/503 rejections (never counted as submitted)
 	MServeJobsInvalid   = "serve.jobs.invalid"   // counter: 400 malformed specs (never counted as submitted)
 	MServeJobsSucceeded = "serve.jobs.succeeded" // counter: jobs that ran to completion
-	MServeJobsDegraded  = "serve.jobs.degraded"  // counter: terminal but degraded (stalled session)
 	MServeJobsCancelled = "serve.jobs.cancelled" // counter: cancelled via DELETE or drain timeout
 	MServeJobsFailed    = "serve.jobs.failed"    // counter: jobs that errored or panicked
 	MServeJobsQueued    = "serve.jobs.queued"    // gauge: jobs waiting for a worker slot
@@ -120,7 +116,6 @@ const (
 	MShardVisitedNotes = "shard.handoffs.visited" // counter: trail signatures delivered across ranges
 	MShardHandoffDups  = "shard.handoffs.dup"     // counter: delivered states dropped as already-visited
 	MShardHandoffDepth = "shard.handoff.depth"    // histogram: per-(epoch,target) delivered queue depth
-	MShardStalled      = "shard.workers.stalled"  // counter: workers lost to worker.stall injection
 	MChefTestsMerged   = "chef.tests.merged"      // counter: distinct tests after cross-range HLSig dedup
 
 	// MShardSteals is no longer emitted: epoch workers pull cells from a

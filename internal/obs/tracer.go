@@ -19,7 +19,6 @@ const (
 	KindSolverQuery  = "solver-query"  // one satisfiability query (result, latency, cache)
 	KindCUPAPick     = "cupa-pick"     // CUPA selected a state (top-level class)
 	KindTestCase     = "testcase"      // a new high-level path was distilled to a test case
-	KindFault        = "fault"         // an injected fault fired (site)
 	KindStateRequeue = "state-requeue" // an Unknown state was re-queued for retry
 	KindStateAbandon = "state-abandon" // a state was dropped after its retry budget
 	KindSpan         = "span"          // a profiler span closed (layer, self/total durations)
@@ -71,9 +70,8 @@ type Event struct {
 	SelfVirt int64  `json:"self_virt,omitempty"`
 	SelfWall int64  `json:"self_wall_ns,omitempty"`
 
-	// Fault injection and degradation.
-	Site    string `json:"site,omitempty"`    // fault: injection site
-	Retries int    `json:"retries,omitempty"` // state-requeue/abandon: attempts so far
+	// Degradation.
+	Retries int `json:"retries,omitempty"` // state-requeue/abandon: attempts so far
 
 	// Session lifecycle.
 	Seed     int64  `json:"seed,omitempty"`

@@ -21,44 +21,12 @@ func mustPlan(t *testing.T, spec string) *faults.Plan {
 	return plan
 }
 
-// An injected worker.stall makes the job degraded-but-terminal: the state is
-// final, the queue keeps moving, and the stall shows up in the server
-// counters instead of wedging a worker.
-func TestStalledJobReportsDegraded(t *testing.T) {
-	// session=0 matches the first submitted job's global ordinal.
-	plan := mustPlan(t, "seed=7;worker.stall:session=0")
-	s := newTestServer(t, Options{Workers: 1, Faults: plan})
-
-	stalled := s.submit(t, "", quickSpec(1))
-	st := s.poll(t, stalled)
-	if st.State != StateDegraded {
-		t.Fatalf("stalled job state = %s, want degraded", st.State)
-	}
-	if st.Tests != 0 {
-		t.Fatalf("stalled job produced %d tests, want 0", st.Tests)
-	}
-	// The stall is terminal, not wedging: the next job runs to completion
-	// on the same worker.
-	next := s.submit(t, "", quickSpec(2))
-	if st := s.poll(t, next); st.State != StateSucceeded {
-		t.Fatalf("job after the stalled one: %s (error %q)", st.State, st.Error)
-	}
-	reg := s.srv.Registry()
-	if got := reg.Counter(obs.MServeJobsDegraded).Value(); got != 1 {
-		t.Fatalf("degraded counter = %d, want 1", got)
-	}
-	if got := reg.Counter(obs.MSessionsStalled).Value(); got != 1 {
-		t.Fatalf("merged chef.sessions.stalled = %d, want 1", got)
-	}
-	assertAccounting(t, s.srv)
-}
-
-// A chaos plan active across a batch of jobs: the queue drains, every
+// A chaos plan active across a batch of jobs: the queue drains and every
 // submitted job reaches exactly one terminal state (the job-level mirror of
-// the engine's Unknown == Requeued + Abandoned invariant), and stalled jobs
-// are the degraded ones.
+// the engine's Unknown == Requeued + Abandoned invariant). Forced solver
+// Unknowns degrade no job: each one still succeeds.
 func TestChaosBatchNoJobSilentlyLost(t *testing.T) {
-	plan := mustPlan(t, "seed=3;worker.stall:session=1;solver.unknown:p=0.2")
+	plan := mustPlan(t, "seed=3;solver.unknown:p=0.2")
 	s := newTestServer(t, Options{Workers: 2, Faults: plan})
 
 	const n = 5
@@ -66,19 +34,13 @@ func TestChaosBatchNoJobSilentlyLost(t *testing.T) {
 	for i := range ids {
 		ids[i] = s.submit(t, "", quickSpec(int64(i+1)))
 	}
-	degraded := 0
 	for _, id := range ids {
-		st := s.poll(t, id)
-		switch st.State {
-		case StateSucceeded:
-		case StateDegraded:
-			degraded++
-		default:
+		if st := s.poll(t, id); st.State != StateSucceeded {
 			t.Fatalf("job %s under chaos: %s (error %q)", id, st.State, st.Error)
 		}
 	}
-	if degraded != 1 {
-		t.Fatalf("degraded jobs = %d, want exactly 1 (session=1 rule)", degraded)
+	if got := s.srv.Registry().Counter(obs.MFaultsSolverUnknown).Value(); got == 0 {
+		t.Fatal("plan injected no solver Unknowns; the test is vacuous")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -29,13 +29,10 @@ type ExecOptions struct {
 	// Single-goroutine: the server builds one per job.
 	Spans *obs.SpanProfiler
 	// Faults is the fault-injection plan; the session derives its injector
-	// from (plan seed, Name), and worker.stall rules match SessionIndex.
+	// from (plan seed, Name).
 	Faults *faults.Plan
 	// Name labels the session's trace events and scopes its fault injector.
 	Name string
-	// SessionIndex is the job's global ordinal (worker.stall session= rules
-	// match on it).
-	SessionIndex int
 }
 
 // JobResult is the outcome of one executed job.
@@ -48,9 +45,6 @@ type JobResult struct {
 	// Cancelled reports the job stopped early because its context was done;
 	// Tests holds whatever was generated before the cancellation point.
 	Cancelled bool `json:"cancelled,omitempty"`
-	// Stalled reports the session was stalled by an injected worker.stall
-	// fault and never explored (a degraded but terminal outcome).
-	Stalled bool `json:"stalled,omitempty"`
 	// CacheStats is the occupancy of the job's in-memory query cache.
 	CacheStats solver.CacheStats `json:"-"`
 	// SolverStats is the job's solver traffic, including persistent-store
@@ -73,15 +67,14 @@ func Execute(ctx context.Context, spec JobSpec, eo ExecOptions) (JobResult, erro
 	}
 	strat, _ := ParseStrategy(spec.Strategy)
 	opts := chef.Options{
-		Strategy:     strat,
-		Seed:         spec.Seed,
-		StepLimit:    spec.StepLimit,
-		Metrics:      eo.Metrics,
-		Tracer:       eo.Tracer,
-		Spans:        eo.Spans,
-		Name:         eo.Name,
-		Faults:       eo.Faults,
-		SessionIndex: eo.SessionIndex,
+		Strategy:  strat,
+		Seed:      spec.Seed,
+		StepLimit: spec.StepLimit,
+		Metrics:   eo.Metrics,
+		Tracer:    eo.Tracer,
+		Spans:     eo.Spans,
+		Name:      eo.Name,
+		Faults:    eo.Faults,
 	}
 	if eo.Persist != nil {
 		// Conditional on purpose: Persist is an interface, and assigning a
@@ -104,7 +97,6 @@ func Execute(ctx context.Context, spec JobSpec, eo ExecOptions) (JobResult, erro
 		res = JobResult{
 			Summary:     ss.Summary(),
 			Cancelled:   ss.Cancelled(),
-			Stalled:     ss.Stalled(),
 			CacheStats:  ss.CacheStats(),
 			SolverStats: ss.SolverStats(),
 		}
@@ -114,7 +106,6 @@ func Execute(ctx context.Context, spec JobSpec, eo ExecOptions) (JobResult, erro
 		res = JobResult{
 			Summary:     session.Summary(),
 			Cancelled:   session.Cancelled(),
-			Stalled:     session.Stalled(),
 			CacheStats:  session.Engine().Solver().Cache().Stats(),
 			SolverStats: session.Engine().Solver().Stats(),
 		}

@@ -254,7 +254,6 @@ func (s *Server) writePromExtras(w io.Writer) {
 		c    *obs.Counter
 	}{
 		{"cancelled", s.mCancelled},
-		{"degraded", s.mDegraded},
 		{"failed", s.mFailed},
 		{"invalid", s.mInvalid},
 		{"rejected", s.mRejected},

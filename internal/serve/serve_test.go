@@ -470,6 +470,19 @@ func TestDrainTimeoutCancelsJobs(t *testing.T) {
 	assertAccounting(t, s.srv)
 }
 
+// Accounting returns the job ledger used by the no-job-lost invariant:
+// submitted == succeeded + cancelled + failed + queued + running at every
+// quiescent point.
+func (s *Server) Accounting() (submitted, terminal, queued, running int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	submitted = s.mSubmitted.Value()
+	terminal = s.mSucceeded.Value() + s.mCancelled.Value() + s.mFailed.Value()
+	queued = s.gQueued.Value()
+	running = s.gRunning.Value()
+	return
+}
+
 // assertAccounting checks the job ledger invariant: submitted ==
 // terminal + queued + running.
 func assertAccounting(t *testing.T, srv *Server) {

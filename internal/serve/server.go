@@ -30,8 +30,7 @@ type Options struct {
 	// for later jobs — cross-job warmth without cross-job nondeterminism.
 	Persist *solver.PersistentStore
 	// Faults is the server-wide fault-injection plan, threaded into every
-	// job. A job's injector is scoped "tenant/jobID", and worker.stall
-	// session= rules match the job's global ordinal.
+	// job. A job's injector is scoped "tenant/jobID".
 	Faults *faults.Plan
 	// Metrics is the server-total registry (serve.* counters, merged per-job
 	// engine metrics). Required for /metrics; NewServer creates one if nil.
@@ -44,15 +43,12 @@ type Options struct {
 // JobState is the lifecycle state of a job.
 type JobState string
 
-// Job lifecycle states. The terminal states are succeeded, degraded,
-// cancelled and failed; every submitted job reaches exactly one of them.
+// Job lifecycle states. The terminal states are succeeded, cancelled and
+// failed; every submitted job reaches exactly one of them.
 const (
 	StateQueued    JobState = "queued"
 	StateRunning   JobState = "running"
 	StateSucceeded JobState = "succeeded"
-	// StateDegraded is terminal-but-degraded: the job's session was stalled
-	// by an injected worker.stall fault and produced no tests.
-	StateDegraded  JobState = "degraded"
 	StateCancelled JobState = "cancelled"
 	StateFailed    JobState = "failed"
 )
@@ -60,7 +56,7 @@ const (
 // Terminal reports whether the state is final.
 func (s JobState) Terminal() bool {
 	switch s {
-	case StateSucceeded, StateDegraded, StateCancelled, StateFailed:
+	case StateSucceeded, StateCancelled, StateFailed:
 		return true
 	}
 	return false
@@ -77,12 +73,11 @@ type Job struct {
 	Result  *JobResult
 	Metrics obs.Snapshot // per-job registry snapshot, set when terminal
 
-	ordinal int // global submission ordinal; SessionIndex for worker.stall
-	slots   int // worker slots charged while running (sharded jobs weigh more)
-	cancel  context.CancelFunc
-	ctx     context.Context
-	trace   *traceBuffer
-	done    chan struct{} // closed when the job reaches a terminal state
+	slots  int // worker slots charged while running (sharded jobs weigh more)
+	cancel context.CancelFunc
+	ctx    context.Context
+	trace  *traceBuffer
+	done   chan struct{} // closed when the job reaches a terminal state
 }
 
 // Server owns the job table, the bounded queue and the worker pool.
@@ -105,9 +100,9 @@ type Server struct {
 	lastPersist struct{ appended, retries, writeErrs, lost int64 }
 
 	// serve.* metric handles (always non-nil; see Options.Metrics).
-	mSubmitted, mRejected, mInvalid            *obs.Counter
-	mSucceeded, mDegraded, mCancelled, mFailed *obs.Counter
-	gQueued, gRunning, gSlots                  *obs.Gauge
+	mSubmitted, mRejected, mInvalid *obs.Counter
+	mSucceeded, mCancelled, mFailed *obs.Counter
+	gQueued, gRunning, gSlots       *obs.Gauge
 }
 
 // NewServer builds the server and starts its worker pool.
@@ -136,7 +131,6 @@ func NewServer(opts Options) *Server {
 	s.mRejected = reg.Counter(obs.MServeJobsRejected)
 	s.mInvalid = reg.Counter(obs.MServeJobsInvalid)
 	s.mSucceeded = reg.Counter(obs.MServeJobsSucceeded)
-	s.mDegraded = reg.Counter(obs.MServeJobsDegraded)
 	s.mCancelled = reg.Counter(obs.MServeJobsCancelled)
 	s.mFailed = reg.Counter(obs.MServeJobsFailed)
 	s.gQueued = reg.Gauge(obs.MServeJobsQueued)
@@ -186,15 +180,14 @@ func (s *Server) Submit(tenant string, spec JobSpec) (*Job, error) {
 	s.nextID++
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &Job{
-		ID:      fmt.Sprintf("job-%d", s.nextID),
-		Tenant:  tenant,
-		Spec:    spec,
-		State:   StateQueued,
-		ordinal: s.nextID - 1,
-		ctx:     ctx,
-		cancel:  cancel,
-		trace:   newTraceBuffer(),
-		done:    make(chan struct{}),
+		ID:     fmt.Sprintf("job-%d", s.nextID),
+		Tenant: tenant,
+		Spec:   spec,
+		State:  StateQueued,
+		ctx:    ctx,
+		cancel: cancel,
+		trace:  newTraceBuffer(),
+		done:   make(chan struct{}),
 	}
 	s.jobs[j.ID] = j
 	s.queue = append(s.queue, j)
@@ -295,19 +288,6 @@ func (s *Server) Close() error {
 		return s.opts.Persist.Close()
 	}
 	return nil
-}
-
-// Accounting returns the job ledger used by the no-job-lost invariant:
-// submitted == succeeded + degraded + cancelled + failed + queued + running
-// at every quiescent point.
-func (s *Server) Accounting() (submitted, terminal, queued, running int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	submitted = s.mSubmitted.Value()
-	terminal = s.mSucceeded.Value() + s.mDegraded.Value() + s.mCancelled.Value() + s.mFailed.Value()
-	queued = s.gQueued.Value()
-	running = s.gRunning.Value()
-	return
 }
 
 // Health is the /healthz payload: liveness plus the load numbers an
@@ -424,12 +404,11 @@ func (s *Server) runJob(j *Job) {
 	child.SetVecLabeler(obs.MForksByLLPC, packages.LLPCLabel)
 	tracer := obs.Fanout(j.trace, s.opts.Tracer)
 	eo := ExecOptions{
-		Metrics:      child,
-		Tracer:       tracer,
-		Spans:        obs.NewSpanProfiler(child, tracer),
-		Faults:       s.opts.Faults,
-		Name:         j.Tenant + "/" + j.ID,
-		SessionIndex: j.ordinal,
+		Metrics: child,
+		Tracer:  tracer,
+		Spans:   obs.NewSpanProfiler(child, tracer),
+		Faults:  s.opts.Faults,
+		Name:    j.Tenant + "/" + j.ID,
 	}
 	if s.opts.Persist != nil {
 		eo.Persist = s.opts.Persist.View()
@@ -468,10 +447,6 @@ func (s *Server) runJob(j *Job) {
 		j.Result = &res
 		j.State = StateCancelled
 		s.mCancelled.Inc()
-	case res.Stalled:
-		j.Result = &res
-		j.State = StateDegraded
-		s.mDegraded.Inc()
 	default:
 		j.Result = &res
 		j.State = StateSucceeded

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"net/http"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -151,13 +153,26 @@ func TestShardedJobSlotWeightClampsToPool(t *testing.T) {
 	}
 }
 
+// overlapTracer records the most Emit calls ever in flight at once. Emit
+// yields while it is in flight, so events from several goroutines overlap.
+type overlapTracer struct{ cur, max atomic.Int64 }
+
+func (o *overlapTracer) Emit(obs.Event) {
+	n := o.cur.Add(1)
+	for m := o.max.Load(); n > m && !o.max.CompareAndSwap(m, n); m = o.max.Load() {
+	}
+	runtime.Gosched()
+	o.cur.Add(-1)
+}
+
 // TestShardedJobRunsWithinItsSlots: a sharded job runs no more epoch
 // workers than the slots it was charged. On a 1-worker pool a 16-shard job
-// holds one slot, so a stall rule aimed at epoch worker 3 finds no such
-// worker, and the job record still shows the submitted shard count.
+// holds one slot, so its cells run one at a time and never emit trace
+// events concurrently, and the job record still shows the submitted shard
+// count.
 func TestShardedJobRunsWithinItsSlots(t *testing.T) {
-	plan := mustPlan(t, "worker.stall:session=3")
-	s := newTestServer(t, Options{Workers: 1, Faults: plan})
+	tracer := &overlapTracer{}
+	s := newTestServer(t, Options{Workers: 1, Tracer: tracer})
 	spec := shardSpec(quickSpec(1), chef.ShardSubtrees)
 	spec.Budget = 100_000
 	id := s.submit(t, "", spec)
@@ -165,8 +180,8 @@ func TestShardedJobRunsWithinItsSlots(t *testing.T) {
 	if st.State != StateSucceeded {
 		t.Fatalf("16-shard job on a 1-worker pool: %s (error %q)", st.State, st.Error)
 	}
-	if st.Summary == nil || st.Summary.Stalled != 0 {
-		t.Fatalf("summary %+v: a stall hit epoch worker 3 of a job holding one slot", st.Summary)
+	if got := tracer.max.Load(); got != 1 {
+		t.Fatalf("%d trace events in flight at once from a job holding one slot, want 1", got)
 	}
 	j, _ := s.srv.Job(id)
 	s.srv.mu.Lock()

@@ -91,7 +91,7 @@ func TestVanillaGeneratesFewerHLTestsPerLLPath(t *testing.T) {
 		if ll == 0 {
 			return 0, len(tests)
 		}
-		return float64(s.HLPathCount()) / float64(ll), len(tests)
+		return float64(s.Summary().HLPaths) / float64(ll), len(tests)
 	}
 	vanillaEff, _ := eff(interp.Vanilla)
 	optEff, _ := eff(interp.Optimized)

@@ -17,13 +17,11 @@ import (
 
 	"chef/internal/dedicated"
 	"chef/internal/experiments"
-	"chef/internal/faults"
 	"chef/internal/interp"
 	"chef/internal/minipy"
 	"chef/internal/obs"
 	"chef/internal/obscli"
 	"chef/internal/packages"
-	"chef/internal/solver"
 	"chef/internal/symexpr"
 )
 
@@ -37,8 +35,6 @@ func main() {
 		frames   = flag.Int("frames", 4, "max symbolic frames for fig12")
 		parallel = flag.Int("parallel", 0, "worker goroutines for the session grid (0 = GOMAXPROCS, 1 = serial); output is identical for every value")
 		shards   = flag.Int("shards", 0, "sharded exploration per session cell: split the path space across signature-subtree ranges driven by up to N epoch workers (0 = plain sessions; output is identical for every N >= 1)")
-		cfile    = flag.String("cachefile", "", "persistent counterexample cache: load solved queries from this file at startup, append new ones")
-		fspec    = flag.String("faults", "", "deterministic fault-injection plan, e.g. 'seed=7;solver.unknown:p=0.05' (see docs/ROBUSTNESS.md)")
 	)
 	var obsFlags obscli.Flags
 	obsFlags.Register(flag.CommandLine)
@@ -51,29 +47,11 @@ func main() {
 		Time: *budget, StepLimit: *stepCap, Reps: *reps, Seed: *seed, Parallel: *parallel,
 		Shards:  *shards,
 		Metrics: obsFlags.Registry(), Tracer: obsFlags.Tracer(), Spans: obsFlags.SpansEnabled(),
-	}
-	plan, err := faults.Parse(*fspec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chef-experiments: -faults: %v\n", err)
-		os.Exit(1)
-	}
-	b.Faults = plan
-	if *cfile != "" {
-		persist, err := solver.OpenPersistentStore(*cfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chef-experiments: -cachefile: %v\n", err)
-			os.Exit(1)
-		}
-		if cerr := persist.Corruption(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "chef-experiments: -cachefile: %v; continuing with the %d valid entries (appends disabled)\n",
-				cerr, persist.Loaded())
-		}
-		b.Persist = persist
-		if plan != nil {
-			pin := plan.Injector("persist")
-			pin.Instrument(obsFlags.Registry())
-			persist.SetFaults(pin)
-		}
+		Faults: obsFlags.Faults(),
+		// One view for the whole process, taken before any append: every
+		// cell answers exactly the entries the file held at startup, for
+		// every -parallel value.
+		Persist: obsFlags.Store().View(),
 	}
 
 	run := map[string]func(){
@@ -99,18 +77,6 @@ func main() {
 	order := []string{"table2", "table3", "table4", "fig8", "fig9", "fig10", "fig11", "fig12", "nicebug", "portfolio", "crosscheck"}
 
 	finishObs := func() {
-		if b.Persist != nil {
-			// Close first so the retry/loss counters are final when copied
-			// into the metrics dump; a close failure means appended entries
-			// were lost — exit nonzero after flushing the sinks.
-			cerr := b.Persist.Close()
-			obsFlags.SetPersistStats(b.Persist.Stats())
-			if cerr != nil {
-				obsFlags.Finish(os.Stdout)
-				fmt.Fprintf(os.Stderr, "chef-experiments: -cachefile: %v\n", cerr)
-				os.Exit(1)
-			}
-		}
 		if err := obsFlags.Finish(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "chef-experiments: %v\n", err)
 			os.Exit(1)

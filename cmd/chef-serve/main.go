@@ -26,11 +26,8 @@ import (
 	"syscall"
 	"time"
 
-	"chef/internal/faults"
-	"chef/internal/obs"
 	"chef/internal/obscli"
 	"chef/internal/serve"
-	"chef/internal/solver"
 )
 
 func main() {
@@ -44,47 +41,18 @@ func run() int {
 		queueCap     = flag.Int("queue", 64, "bounded job queue capacity (full queue answers 429)")
 		tenantLimit  = flag.Int("tenant-limit", 0, "max concurrently running jobs per X-API-Key tenant (0 = unlimited)")
 		retryAfter   = flag.Int("retry-after", 1, "Retry-After seconds hint on 429 responses")
-		cfile        = flag.String("cachefile", "", "persistent counterexample store shared by all jobs")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "max time to let jobs finish on SIGTERM before cancelling them")
-		fspec        = flag.String("faults", "", "deterministic fault-injection plan, e.g. 'seed=7;solver.unknown:p=0.05;persist.write:err@n=3'")
 		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the service address")
 	)
 	var obsFlags obscli.Flags
 	obsFlags.Register(flag.CommandLine)
 	flag.Parse()
 
-	plan, err := faults.Parse(*fspec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chef-serve: -faults: %v\n", err)
-		return 1
-	}
-	var persist *solver.PersistentStore
-	if *cfile != "" {
-		persist, err = solver.OpenPersistentStore(*cfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chef-serve: -cachefile: %v\n", err)
-			return 1
-		}
-		if cerr := persist.Corruption(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "chef-serve: -cachefile: %v; continuing with the %d valid entries (appends disabled)\n",
-				cerr, persist.Loaded())
-		}
-	}
 	// Servers always carry a registry: /metrics must work without any
 	// metrics flag.
 	if err := obsFlags.StartAlways("chef-serve"); err != nil {
 		fmt.Fprintf(os.Stderr, "chef-serve: %v\n", err)
 		return 1
-	}
-	if persist != nil && plan != nil {
-		inj := plan.Injector("persist")
-		inj.Instrument(obsFlags.Registry())
-		persist.SetFaults(inj)
-	}
-	if persist != nil {
-		// Dedicated profiler for the flusher goroutine: persist.flush spans
-		// land in the server-total registry and the server-level trace.
-		persist.Attach(solver.Instruments{Spans: obs.NewSpanProfiler(obsFlags.Registry(), obsFlags.Tracer())})
 	}
 
 	srv := serve.NewServer(serve.Options{
@@ -92,8 +60,8 @@ func run() int {
 		QueueCap:          *queueCap,
 		TenantLimit:       *tenantLimit,
 		RetryAfterSeconds: *retryAfter,
-		Persist:           persist,
-		Faults:            plan,
+		Persist:           obsFlags.Store(),
+		Faults:            obsFlags.Faults(),
 		Metrics:           obsFlags.Registry(),
 		Tracer:            obsFlags.Tracer(),
 	})
@@ -144,11 +112,9 @@ func run() int {
 	_ = httpSrv.Shutdown(sctx)
 	scancel()
 
+	// Finish closes the store (flushing pending appends), publishes its
+	// final counts into the exit dump and reports lost appends.
 	code := 0
-	if err := srv.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "chef-serve: -cachefile: %v\n", err)
-		code = 1
-	}
 	if err := obsFlags.Finish(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "chef-serve: %v\n", err)
 		code = 1

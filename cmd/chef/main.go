@@ -24,12 +24,9 @@ import (
 	"fmt"
 	"os"
 
-	"chef/internal/faults"
-	"chef/internal/obs"
 	"chef/internal/obscli"
 	"chef/internal/packages"
 	"chef/internal/serve"
-	"chef/internal/solver"
 	"chef/internal/symtest"
 )
 
@@ -44,8 +41,6 @@ func main() {
 		vanilla  = flag.Bool("vanilla", false, "use the unoptimized interpreter build")
 		out      = flag.String("out", "", "write generated tests as NDJSON to this file")
 		shards   = flag.Int("shards", 0, "sharded exploration: split the path space across signature-subtree ranges driven by up to N epoch workers (0 = plain session; results are identical for every N >= 1)")
-		cfile    = flag.String("cachefile", "", "persistent counterexample cache: load solved queries from this file at startup, append new ones")
-		fspec    = flag.String("faults", "", "deterministic fault-injection plan, e.g. 'seed=7;solver.unknown:p=0.05;persist.write:err@n=3' (see docs/ROBUSTNESS.md)")
 	)
 	var obsFlags obscli.Flags
 	obsFlags.Register(flag.CommandLine)
@@ -62,7 +57,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "chef: unknown package %q (try -list)\n", *pkgName)
 		os.Exit(1)
 	}
-	if err := checkSeed(*seed); err != nil {
+	if err := checkArgs(*seed, *budget, *stepCap); err != nil {
 		fmt.Fprintf(os.Stderr, "chef: %v\n", err)
 		os.Exit(1)
 	}
@@ -79,34 +74,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "chef: %v\n", err)
 		os.Exit(1)
 	}
-	plan, err := faults.Parse(*fspec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chef: -faults: %v\n", err)
-		os.Exit(1)
-	}
-	var persist *solver.PersistentStore
-	if *cfile != "" {
-		var err error
-		persist, err = solver.OpenPersistentStore(*cfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chef: -cachefile: %v\n", err)
-			os.Exit(1)
-		}
-		if cerr := persist.Corruption(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "chef: -cachefile: %v; continuing with the %d valid entries (appends disabled)\n",
-				cerr, persist.Loaded())
-		}
-	}
 	if err := obsFlags.Start("chef"); err != nil {
 		fmt.Fprintf(os.Stderr, "chef: %v\n", err)
 		os.Exit(1)
 	}
-	var persistInj *faults.Injector
-	if persist != nil && plan != nil {
-		persistInj = plan.Injector("persist")
-		persistInj.Instrument(obsFlags.Registry())
-		persist.SetFaults(persistInj)
-	}
+	plan, persist := obsFlags.Faults(), obsFlags.Store()
 
 	eo := serve.ExecOptions{
 		Metrics: obsFlags.Registry(),
@@ -114,14 +86,9 @@ func main() {
 		Spans:   obsFlags.SpanProfiler(),
 		Faults:  plan,
 		Name:    fmt.Sprintf("%s/%s/%d", *pkgName, *strategy, *seed),
-	}
-	if persist != nil {
-		eo.Persist = persist
-		if obsFlags.SpansEnabled() {
-			// The flusher goroutine gets its own profiler (profilers are
-			// single-goroutine); its spans land in the same registry/trace.
-			persist.Attach(solver.Instruments{Spans: obs.NewSpanProfiler(obsFlags.Registry(), obsFlags.Tracer())})
-		}
+		// Taken before any append: the run answers exactly the entries the
+		// file held at startup.
+		Persist: persist.View(),
 	}
 	res, err := serve.Execute(context.Background(), spec, eo)
 	if err != nil {
@@ -133,7 +100,7 @@ func main() {
 		p.Name, len(res.Tests), sum.LLPaths, sum.Runs, sum.UnsatStates, sum.VirtTime)
 	if plan != nil {
 		line := fmt.Sprintf("faults: %d injected; states requeued %d, abandoned %d",
-			sum.FaultsInjected+persistInj.Injected(), sum.RequeuedStates, sum.AbandonedStates)
+			sum.FaultsInjected+obsFlags.PersistInjected(), sum.RequeuedStates, sum.AbandonedStates)
 		if persist != nil {
 			line += fmt.Sprintf("; persist retries %d, lost %d", persist.Retries(), persist.Lost())
 		}
@@ -158,29 +125,23 @@ func main() {
 
 	cs := res.CacheStats
 	obsFlags.SetCacheGauges(cs.Entries, cs.Evictions)
-	if persist != nil {
-		// Close first: it drains (or gives up on) pending writes, so the
-		// retry/loss counters are final when copied into the metrics dump.
-		// A close failure means appended entries were lost — exit nonzero.
-		cerr := persist.Close()
-		obsFlags.SetPersistStats(persist.Stats())
-		if cerr != nil {
-			obsFlags.Finish(os.Stdout)
-			fmt.Fprintf(os.Stderr, "chef: -cachefile: %v\n", cerr)
-			os.Exit(1)
-		}
-	}
 	if err := obsFlags.Finish(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "chef: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// checkSeed rejects seed 0. A job spec reads seed 0 as unset and runs
-// serve.DefaultSeed instead, so the run would not be the one asked for.
-func checkSeed(seed int64) error {
-	if seed == 0 {
+// checkArgs rejects the flag values a job spec reads as unset: seed 0, and
+// a budget or step limit <= 0, which the spec replaces with its defaults, so
+// the run would not be the one asked for.
+func checkArgs(seed, budget, stepLimit int64) error {
+	switch {
+	case seed == 0:
 		return fmt.Errorf("-seed 0 is not a seed: a job spec reads 0 as unset and would run seed %d", serve.DefaultSeed)
+	case budget <= 0:
+		return fmt.Errorf("-budget %d is not a budget: a job spec reads values <= 0 as unset and would run budget %d", budget, serve.DefaultBudget)
+	case stepLimit <= 0:
+		return fmt.Errorf("-steplimit %d is not a step limit: a job spec reads values <= 0 as unset and would run step limit %d", stepLimit, serve.DefaultStepLimit)
 	}
 	return nil
 }

@@ -17,13 +17,39 @@ func TestSeedZeroRejected(t *testing.T) {
 	if err := spec.Validate(); err != nil || spec.Seed != serve.DefaultSeed {
 		t.Fatalf("spec with seed 0 validated to seed %d (err %v), want %d", spec.Seed, err, serve.DefaultSeed)
 	}
-	if err := checkSeed(0); err == nil || !strings.Contains(err.Error(), "-seed 0") {
-		t.Fatalf("checkSeed(0) = %v, want an error naming -seed 0", err)
+	if err := checkArgs(0, 1, 1); err == nil || !strings.Contains(err.Error(), "-seed 0") {
+		t.Fatalf("checkArgs(seed 0) = %v, want an error naming -seed 0", err)
 	}
 	for _, seed := range []int64{1, 2, 42, -1} {
-		if err := checkSeed(seed); err != nil {
-			t.Fatalf("checkSeed(%d) = %v, want nil", seed, err)
+		if err := checkArgs(seed, 1, 1); err != nil {
+			t.Fatalf("checkArgs(seed %d) = %v, want nil", seed, err)
 		}
+	}
+}
+
+// TestBudgetAndStepLimitRejected: a job spec reads a budget or step limit
+// <= 0 as unset and runs the default, so chef refuses such values instead
+// of silently running a different exploration.
+func TestBudgetAndStepLimitRejected(t *testing.T) {
+	spec := serve.JobSpec{Package: "simplejson", Budget: -5, StepLimit: 0}
+	if err := spec.Validate(); err != nil || spec.Budget != serve.DefaultBudget || spec.StepLimit != serve.DefaultStepLimit {
+		t.Fatalf("spec validated to budget %d, step limit %d (err %v), want the defaults", spec.Budget, spec.StepLimit, err)
+	}
+	for _, tc := range []struct {
+		budget, stepLimit int64
+		flag              string
+	}{
+		{0, 60_000, "-budget 0"},
+		{-5, 60_000, "-budget -5"},
+		{100_000, 0, "-steplimit 0"},
+		{100_000, -1, "-steplimit -1"},
+	} {
+		if err := checkArgs(1, tc.budget, tc.stepLimit); err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Fatalf("checkArgs(budget %d, steplimit %d) = %v, want an error naming %s", tc.budget, tc.stepLimit, err, tc.flag)
+		}
+	}
+	if err := checkArgs(1, 1, 1); err != nil {
+		t.Fatalf("checkArgs(1, 1, 1) = %v, want nil", err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"chef/internal/interp"
 	"chef/internal/minipy"
 	"chef/internal/packages"
+	"chef/internal/solver"
 	"chef/internal/symexpr"
 )
 
@@ -320,7 +321,7 @@ func Fig12(maxFrames int, b Budgets) []Fig12Point {
 				Strategy:      chef.StrategyCUPAPath,
 				Seed:          b.Seed,
 				StepLimit:     b.StepLimit,
-				SolverOptions: solverOptions(b),
+				SolverOptions: solver.Options{Persist: b.Persist},
 			})
 			tests := s.Run(b.Time)
 			paths := len(tests)

@@ -27,7 +27,7 @@ func runFig8WithStore(t *testing.T, path string) (string, int64) {
 		t.Fatalf("store corrupt: %v", cerr)
 	}
 	b := goldenBudgets()
-	b.Persist = store
+	b.Persist = store.View()
 	b.Metrics = obs.NewRegistry()
 	out := RenderFig8(Fig8(b))
 	if err := store.Close(); err != nil {
@@ -74,7 +74,7 @@ func TestWarmParallelMatchesColdSerial(t *testing.T) {
 			t.Fatalf("open: %v", err)
 		}
 		b := quickParallelBudgets(workers)
-		b.Persist = store
+		b.Persist = store.View()
 		b.Metrics = obs.NewRegistry()
 		ts, cs, last := RunRepeated(p, cfg, b)
 		if err := store.Close(); err != nil {
@@ -107,12 +107,12 @@ func TestFig12UsesSolverOptions(t *testing.T) {
 	}
 	b := QuickBudgets()
 	b.Time = 100_000
-	b.Persist = store
+	b.Persist = store.View()
 	Fig12(1, b)
 	if err := store.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if st := store.Stats(); st.Appended == 0 {
-		t.Fatalf("fig12 sessions appended nothing to the persistent store: %+v", st)
+	if store.Appended() == 0 {
+		t.Fatal("fig12 sessions appended nothing to the persistent store")
 	}
 }

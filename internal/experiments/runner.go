@@ -47,10 +47,12 @@ type Budgets struct {
 	// single-session path, so 0 (the default) keeps existing goldens
 	// stable.
 	Shards int
-	// Persist, when non-nil, is a disk-backed store of solved queries shared
-	// by every session. Its read side is fixed before the run starts, so warm
-	// runs remain byte-identical to cold ones; see solver.PersistentStore.
-	Persist *solver.PersistentStore
+	// Persist, when non-nil, is one view of a disk-backed store of solved
+	// queries, taken once per process before the first session and shared
+	// by every session. Its answerable set is fixed before the run starts,
+	// so warm runs remain byte-identical to cold ones and results do not
+	// depend on Parallel; see solver.PersistView.
+	Persist *solver.PersistView
 	// Metrics, when non-nil, aggregates observability metrics across every
 	// session of the run: each session writes into a private child registry
 	// that is merged into this one when the session finishes (counters and
@@ -72,18 +74,6 @@ type Budgets struct {
 	// end) and tagging span events with the session label. Observation-only:
 	// results stay byte-identical for every Parallel value.
 	Spans bool
-}
-
-// solverOptions builds the per-session solver options. The Persist field is
-// assigned conditionally: solver.Options.Persist is an interface, and storing
-// a nil *solver.PersistentStore in it directly would produce a non-nil
-// interface value (the typed-nil trap).
-func solverOptions(b Budgets) solver.Options {
-	var so solver.Options
-	if b.Persist != nil {
-		so.Persist = b.Persist
-	}
-	return so
 }
 
 // Workers returns the effective worker count of the harness pool.
@@ -149,7 +139,7 @@ func RunPackage(p *packages.Package, cfg Configuration, b Budgets, seed int64) R
 		Strategy:      cfg.Strategy,
 		Seed:          seed,
 		StepLimit:     b.StepLimit,
-		SolverOptions: solverOptions(b),
+		SolverOptions: solver.Options{Persist: b.Persist},
 		Tracer:        b.Tracer,
 		Name:          fmt.Sprintf("%s/%s/%d", p.Name, cfg.Name, seed),
 		Faults:        b.Faults,

@@ -14,8 +14,8 @@ import (
 // tests, low-level paths, coverage, series, virtual time, solver traffic —
 // is identical whether the range cells are driven by 1 or 4 epoch workers.
 // Warm runs read a store prewarmed by an unsharded pass, which answers only
-// part of the sharded runs' queries. The store's read side is fixed when it
-// is opened, so every warm run sees the same entries.
+// part of the sharded runs' queries. Every warm run reads one view taken
+// right after the store opened, so every warm run sees the same entries.
 func TestRunPackageShardedDeterminism(t *testing.T) {
 	cfg := FourConfigurations(true)[3]
 	for _, name := range []string{"simplejson", "JSON"} {
@@ -23,11 +23,11 @@ func TestRunPackageShardedDeterminism(t *testing.T) {
 		if !ok {
 			t.Fatalf("package %q missing", name)
 		}
-		run := func(store *solver.PersistentStore, shards int) RunResult {
+		run := func(view *solver.PersistView, shards int) RunResult {
 			b := QuickBudgets()
 			b.Time = 300_000
 			b.Shards = shards
-			b.Persist = store
+			b.Persist = view
 			return RunPackage(p, cfg, b, 42)
 		}
 		path := filepath.Join(t.TempDir(), "store.bin")
@@ -35,7 +35,7 @@ func TestRunPackageShardedDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run(prewarm, 0)
+		run(prewarm.View(), 0)
 		if err := prewarm.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -45,18 +45,18 @@ func TestRunPackageShardedDeterminism(t *testing.T) {
 		}
 		defer warm.Close()
 
-		for _, store := range []*solver.PersistentStore{nil, warm} {
-			serial := run(store, 1)
+		for _, view := range []*solver.PersistView{nil, warm.View()} {
+			serial := run(view, 1)
 			if serial.HLTests == 0 {
-				t.Fatalf("%s/warm=%v: sharded run found no tests; comparison is vacuous", name, store != nil)
+				t.Fatalf("%s/warm=%v: sharded run found no tests; comparison is vacuous", name, view != nil)
 			}
-			if store != nil && serial.Solver.CacheHitsPersist == 0 {
+			if view != nil && serial.Solver.CacheHitsPersist == 0 {
 				t.Fatalf("%s: warm run recorded no persistent hits; comparison is vacuous", name)
 			}
-			multi := run(store, 4)
+			multi := run(view, 4)
 			if !reflect.DeepEqual(serial, multi) {
 				t.Fatalf("%s/warm=%v: sharded run diverged between 1 and 4 workers:\nserial %+v\nmulti  %+v",
-					name, store != nil, serial, multi)
+					name, view != nil, serial, multi)
 			}
 		}
 	}

@@ -49,9 +49,6 @@ type State struct {
 // Unknown feasibility verdict.
 func (s *State) Retries() int { return s.retries }
 
-// PathCondition materializes the state's path condition.
-func (s *State) PathCondition() []*symexpr.Expr { return s.pc.slice() }
-
 // Strategy selects the next pending state to explore. Implementations are
 // not safe for concurrent use.
 type Strategy interface {

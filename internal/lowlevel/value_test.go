@@ -10,6 +10,9 @@ import (
 // PathCondition materializes the current path condition.
 func (m *Machine) PathCondition() []*symexpr.Expr { return m.pc.slice() }
 
+// PathCondition materializes the state's path condition.
+func (s *State) PathCondition() []*symexpr.Expr { return s.pc.slice() }
+
 // PathDepth returns the number of symbolic decisions taken so far.
 func (m *Machine) PathDepth() int { return m.nDecisions }
 

@@ -1,9 +1,11 @@
-// Package obscli wires the observability layer (internal/obs) into the
+// Package obscli wires the observability layer (internal/obs), the
+// persistent counterexample store and the fault-injection plan into the
 // command-line tools. It owns the shared -trace / -metrics / -metrics-json /
-// -httpobs flags of cmd/chef and cmd/chef-experiments so both binaries expose
-// identical knobs, and it keeps the net/http/pprof side-effect import out of
-// the engine packages: only binaries that link this package register pprof
-// handlers on the default mux.
+// -httpobs / -spans / -cachefile / -faults flags of cmd/chef,
+// cmd/chef-experiments and cmd/chef-serve, so the three binaries expose
+// identical knobs with one implementation, and it keeps the net/http/pprof
+// side-effect import out of the engine packages: only binaries that link
+// this package register pprof handlers on the default mux.
 package obscli
 
 import (
@@ -14,13 +16,14 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the default mux for -httpobs
 	"os"
 
+	"chef/internal/faults"
 	"chef/internal/obs"
 	"chef/internal/packages"
 	"chef/internal/solver"
 )
 
-// Flags is the standard observability flag set. Register it on a FlagSet,
-// parse, then call Start before the run and Finish after it.
+// Flags is the standard observability, store and fault flag set. Register it
+// on a FlagSet, parse, then call Start before the run and Finish after it.
 type Flags struct {
 	// Trace is the JSONL event output path ("" disables tracing).
 	Trace string
@@ -34,17 +37,24 @@ type Flags struct {
 	// time aggregates in the metrics dump, span events in the trace).
 	Spans bool
 
-	reg    *obs.Registry
-	tracer *obs.JSONL
+	cacheFile  string // -cachefile: persistent store path ("" disables it)
+	faultSpec  string // -faults: fault-injection plan ("" disables it)
+	reg        *obs.Registry
+	tracer     *obs.JSONL
+	plan       *faults.Plan
+	store      *solver.PersistentStore
+	persistInj *faults.Injector
 }
 
-// Register installs the observability flags on fs.
+// Register installs the observability, -cachefile and -faults flags on fs.
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Trace, "trace", "", "write structured exploration events as JSONL to this file")
 	fs.BoolVar(&f.Metrics, "metrics", false, "print a metrics dump (counters, gauges, solver latency histograms, cache hit rates) at exit")
 	fs.StringVar(&f.MetricsJSON, "metrics-json", "", "write the metrics snapshot as JSON to this file")
 	fs.StringVar(&f.HTTPAddr, "httpobs", "", "serve expvar (/debug/vars) and pprof (/debug/pprof) on this address, e.g. :6060")
 	fs.BoolVar(&f.Spans, "spans", false, "profile per-layer self/total time (span.* metrics, span trace events; render with chef-trace -profile)")
+	fs.StringVar(&f.cacheFile, "cachefile", "", "persistent counterexample cache: load solved queries from this file at startup, append new ones")
+	fs.StringVar(&f.faultSpec, "faults", "", "deterministic fault-injection plan, e.g. 'seed=7;solver.unknown:p=0.05;persist.write:err@n=3' (see docs/ROBUSTNESS.md)")
 }
 
 // MetricsEnabled reports whether any metrics sink was requested.
@@ -54,21 +64,38 @@ func (f *Flags) MetricsEnabled() bool {
 	return f.Metrics || f.MetricsJSON != "" || f.HTTPAddr != "" || f.Spans
 }
 
-// Start opens the requested sinks: it creates the registry when any metrics
-// sink is enabled, opens the trace file, and starts the expvar/pprof endpoint
-// (publishing the registry under publishName). Returns an error if the trace
-// file cannot be created.
-func (f *Flags) Start(publishName string) error {
+// Start parses the -faults plan, opens the -cachefile store (warning on
+// stderr when its file is corrupt), opens the requested sinks — the registry
+// when any metrics sink is enabled, the trace file, the expvar/pprof endpoint
+// publishing the registry under name — and then wires the store: the
+// persist fault injector, and under -spans a profiler for its flusher.
+// Errors are prefixed with the flag at fault.
+func (f *Flags) Start(name string) error {
+	plan, err := faults.Parse(f.faultSpec)
+	if err != nil {
+		return fmt.Errorf("-faults: %w", err)
+	}
+	f.plan = plan
+	if f.cacheFile != "" {
+		f.store, err = solver.OpenPersistentStore(f.cacheFile)
+		if err != nil {
+			return fmt.Errorf("-cachefile: %w", err)
+		}
+		if cerr := f.store.Corruption(); cerr != nil {
+			fmt.Fprintf(os.Stderr, "%s: -cachefile: %v; continuing with the %d valid entries (appends disabled)\n",
+				name, cerr, f.store.Loaded())
+		}
+	}
 	if f.MetricsEnabled() {
 		if f.reg == nil {
 			f.reg = obs.NewRegistry()
 		}
 		f.reg.SetVecLabeler(obs.MForksByLLPC, packages.LLPCLabel)
 		if f.HTTPAddr != "" {
-			f.reg.Publish(publishName)
+			f.reg.Publish(name)
 			go func() {
 				if err := http.ListenAndServe(f.HTTPAddr, nil); err != nil {
-					fmt.Fprintf(os.Stderr, "%s: -httpobs: %v\n", publishName, err)
+					fmt.Fprintf(os.Stderr, "%s: -httpobs: %v\n", name, err)
 				}
 			}()
 		}
@@ -80,21 +107,41 @@ func (f *Flags) Start(publishName string) error {
 		}
 		f.tracer = obs.NewJSONL(out)
 	}
+	if f.store != nil {
+		f.persistInj = plan.Injector("persist")
+		f.persistInj.Instrument(f.reg)
+		f.store.SetFaults(f.persistInj)
+		if f.Spans {
+			// The flusher goroutine gets its own profiler (profilers are
+			// single-goroutine); its spans land in the same registry/trace.
+			f.store.Attach(solver.Instruments{Spans: obs.NewSpanProfiler(f.reg, f.Tracer())})
+		}
+	}
 	return nil
 }
+
+// Faults returns the parsed -faults plan, nil when the flag is unset.
+func (f *Flags) Faults() *faults.Plan { return f.plan }
+
+// Store returns the -cachefile store, nil when the flag is unset. Runs read
+// it through one View taken right after Start, before any append.
+func (f *Flags) Store() *solver.PersistentStore { return f.store }
+
+// PersistInjected returns the number of faults injected into the store's
+// writes so far.
+func (f *Flags) PersistInjected() int64 { return f.persistInj.Injected() }
 
 // Registry returns the metrics registry, nil when no metrics sink is enabled.
 // The nil default is what the engine packages expect for disabled metrics.
 func (f *Flags) Registry() *obs.Registry { return f.reg }
 
-// StartAlways is Start for long-running servers: the registry is created
-// unconditionally (a server's /metrics endpoint must work without any
-// metrics flag), then the requested sinks are opened as usual.
-func (f *Flags) StartAlways(publishName string) error {
-	if f.reg == nil {
-		f.reg = obs.NewRegistry()
-	}
-	return f.Start(publishName)
+// StartAlways is Start for long-running servers, which always carry a
+// registry (a server's /metrics endpoint must work without any metrics flag)
+// and always profile spans (every job builds its own profiler): it turns
+// -spans on, which implies the registry, then starts as usual.
+func (f *Flags) StartAlways(name string) error {
+	f.Spans = true
+	return f.Start(name)
 }
 
 // Tracer returns the trace sink as the interface the engine consumes, nil
@@ -132,25 +179,27 @@ func (f *Flags) SetCacheGauges(entries, evictions int64) {
 	f.reg.Gauge(obs.MSolverCacheEvicted).Set(evictions)
 }
 
-// SetPersistStats copies an end-of-run persistent-store traffic snapshot
-// (solver.PersistentStore.Stats: entries loaded at startup, entries appended
-// during the run, write retries/errors and entries lost to the retry budget)
-// into the dump-time metrics. A no-op when metrics are disabled.
-func (f *Flags) SetPersistStats(s solver.PersistStats) {
-	if f.reg == nil {
-		return
+// Finish closes the -cachefile store and publishes its counts, then flushes
+// and closes the trace file, prints the text metrics dump to w when -metrics
+// was given, and writes the JSON snapshot when -metrics-json was given. The
+// store is closed first: Close drains (or gives up on) pending writes, so
+// the published counts are final. A store close error means appended
+// entries were lost; it is returned after the sinks are written, so the
+// caller exits nonzero. Safe to call when nothing is enabled.
+func (f *Flags) Finish(w io.Writer) error {
+	var cerr error
+	if f.store != nil {
+		cerr = f.store.Close()
+		f.store.Publish(f.reg)
 	}
-	f.reg.Gauge(obs.MSolverPersistLoaded).Set(s.Loaded)
-	f.reg.Counter(obs.MSolverPersistAppended).Add(s.Appended)
-	f.reg.Counter(obs.MSolverPersistRetries).Add(s.Retries)
-	f.reg.Counter(obs.MSolverPersistWriteErrors).Add(s.WriteErrors)
-	f.reg.Counter(obs.MSolverPersistLost).Add(s.Lost)
+	err := f.finishSinks(w)
+	if cerr != nil {
+		return fmt.Errorf("-cachefile: %w", cerr)
+	}
+	return err
 }
 
-// Finish flushes and closes the trace file, prints the text metrics dump to w
-// when -metrics was given, and writes the JSON snapshot when -metrics-json
-// was given. Safe to call when no sink is enabled.
-func (f *Flags) Finish(w io.Writer) error {
+func (f *Flags) finishSinks(w io.Writer) error {
 	if f.tracer != nil {
 		if err := f.tracer.Close(); err != nil {
 			return fmt.Errorf("-trace: %w", err)

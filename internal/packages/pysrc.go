@@ -543,27 +543,3 @@ def drive(data):
     book = open_workbook(data)
     return book.nrows + len(book.strings)
 `
-
-// MacLearningSrc is the MAC-learning OpenFlow controller of §6.6: the
-// forwarding table is a dict keyed by MAC address, fed symbolic Ethernet
-// frames. drive<N> entry points accept N (src, dst) frame pairs.
-const MacLearningSrc = `
-class Switch:
-    def __init__(self):
-        self.table = {}
-
-    def process(self, src, dst, in_port):
-        self.table[src] = in_port
-        if dst in self.table:
-            return self.table[dst]
-        return -1
-
-def drive(frames):
-    sw = Switch()
-    outs = []
-    i = 0
-    while i < len(frames):
-        outs.append(sw.process(frames[i], frames[i + 1], i))
-        i += 2
-    return outs
-`

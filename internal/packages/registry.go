@@ -232,30 +232,6 @@ func ByLang(l Lang) []*Package {
 	return out
 }
 
-// MacLearningTest builds the §6.6 NICE-comparison workload: a MiniPy
-// MAC-learning controller fed nFrames symbolic Ethernet frames (each frame
-// contributes a src and dst MAC of macLen symbolic bytes).
-func MacLearningTest(nFrames, macLen int, cfg interp.Config) *symtest.PyTest {
-	var sb strings.Builder
-	sb.WriteString(MacLearningSrc)
-	sb.WriteString("\ndef drive_frames(")
-	var params []string
-	for i := 0; i < nFrames; i++ {
-		params = append(params, fmt.Sprintf("s%d", i), fmt.Sprintf("d%d", i))
-	}
-	sb.WriteString(strings.Join(params, ", "))
-	sb.WriteString("):\n    frames = [")
-	sb.WriteString(strings.Join(params, ", "))
-	sb.WriteString("]\n    return drive(frames)\n")
-	var inputs []symtest.Input
-	for i := 0; i < nFrames; i++ {
-		inputs = append(inputs,
-			symtest.Str(fmt.Sprintf("s%d", i), macLen, ""),
-			symtest.Str(fmt.Sprintf("d%d", i), macLen, ""))
-	}
-	return &symtest.PyTest{Source: sb.String(), Entry: "drive_frames", Inputs: inputs, Config: cfg}
-}
-
 // MacLearningFlatSource generates the class-free, loop-free MAC-learning
 // controller used for the §6.6 engine comparison: the dedicated engine's
 // supported subset excludes classes and loops, so both engines run this

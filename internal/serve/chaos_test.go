@@ -57,7 +57,7 @@ func TestChaosBatchNoJobSilentlyLost(t *testing.T) {
 }
 
 // persist.write faults: the store's give-up path (entries lost after the
-// retry budget) surfaces in /metrics via the live mirror.
+// retry budget) surfaces in /metrics, published on scrape.
 func TestPersistGiveUpSurfacesInMetrics(t *testing.T) {
 	store, err := solver.OpenPersistentStore(filepath.Join(t.TempDir(), "cxc.bin"))
 	if err != nil {

@@ -14,11 +14,10 @@ import (
 // ExecOptions carries the process-level resources a job runs against. All
 // fields are optional; the zero value runs the job fully isolated.
 type ExecOptions struct {
-	// Persist, when non-nil, is the job's slice of the persistent store —
-	// typically a PersistentStore.View() snapshot, whose answerable set is
-	// fixed for the job's lifetime (hits replay their recorded cost, so warm
-	// jobs stay byte-identical to cold ones).
-	Persist solver.PersistLayer
+	// Persist, when non-nil, is the job's view of the persistent store,
+	// whose answerable set is fixed for the job's lifetime (hits replay their
+	// recorded cost, so warm jobs stay byte-identical to cold ones).
+	Persist *solver.PersistView
 	// Metrics, when non-nil, receives the job's counters and histograms
 	// (the server gives each job a child registry and merges it into the
 	// server totals when the job finishes).
@@ -75,11 +74,8 @@ func Execute(ctx context.Context, spec JobSpec, eo ExecOptions) (JobResult, erro
 		Spans:     eo.Spans,
 		Name:      eo.Name,
 		Faults:    eo.Faults,
-	}
-	if eo.Persist != nil {
-		// Conditional on purpose: Persist is an interface, and assigning a
-		// nil concrete pointer directly would make it non-nil (typed nil).
-		opts.SolverOptions.Persist = eo.Persist
+
+		SolverOptions: solver.Options{Persist: eo.Persist},
 	}
 	if opts.Name == "" {
 		opts.Name = fmt.Sprintf("%s/%s/%d", name, spec.Strategy, spec.Seed)

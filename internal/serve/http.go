@@ -223,14 +223,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, h)
 }
 
-// handleMetrics renders the server-total registry, first mirroring the
-// persistent store's live traffic counters into it. The format is
+// handleMetrics renders the server-total registry, first publishing the
+// persistent store's live traffic counts into it. The format is
 // content-negotiated on the Accept header: application/json returns the
 // structured snapshot, text/plain (what Prometheus sends) returns the
 // exposition format with per-tenant and per-outcome labels, and anything
 // else (a bare curl) keeps the original human-readable text dump.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mirrorPersist()
+	s.opts.Persist.Publish(s.opts.Metrics)
 	accept := r.Header.Get("Accept")
 	switch {
 	case strings.Contains(accept, "application/json"):
@@ -274,27 +274,4 @@ func (s *Server) writePromExtras(w io.Writer) {
 	for _, t := range tenants {
 		fmt.Fprintf(w, "chef_serve_tenant_running{tenant=\"%s\"} %d\n", obs.PromEscapeLabel(t), h.Tenants[t])
 	}
-}
-
-// mirrorPersist copies the persistent store's cumulative counters into the
-// registry as deltas since the last mirror (registry counters only add).
-func (s *Server) mirrorPersist() {
-	p := s.opts.Persist
-	if p == nil {
-		return
-	}
-	reg := s.opts.Metrics
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	reg.Gauge(obs.MSolverPersistLoaded).Set(int64(p.Loaded()))
-	mirror := func(name string, cur int64, last *int64) {
-		if d := cur - *last; d > 0 {
-			reg.Counter(name).Add(d)
-			*last = cur
-		}
-	}
-	mirror(obs.MSolverPersistAppended, p.Appended(), &s.lastPersist.appended)
-	mirror(obs.MSolverPersistRetries, p.Retries(), &s.lastPersist.retries)
-	mirror(obs.MSolverPersistWriteErrors, p.WriteErrors(), &s.lastPersist.writeErrs)
-	mirror(obs.MSolverPersistLost, p.Lost(), &s.lastPersist.lost)
 }

@@ -263,6 +263,33 @@ func TestServedJobOnFreshStoreMatchesCold(t *testing.T) {
 	}
 }
 
+// Close publishes the store's final counts into the server registry, so an
+// exit dump taken after Close carries them even when /metrics was never
+// scraped.
+func TestCloseSurfacesPersistCounts(t *testing.T) {
+	store, err := solver.OpenPersistentStore(filepath.Join(t.TempDir(), "cxc.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Options{Workers: 1, Persist: store})
+	id := s.submit(t, "", quickSpec(42))
+	if st := s.poll(t, id); st.State != StateSucceeded {
+		t.Fatalf("job state = %s (error %q)", st.State, st.Error)
+	}
+	if err := s.srv.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	snap := s.srv.Registry().Snapshot()
+	appended, ok := snap.Counters[obs.MSolverPersistAppended]
+	if !ok || appended == 0 || appended != store.Appended() {
+		t.Fatalf("registry %s = %d (present %v), want store.Appended() = %d > 0",
+			obs.MSolverPersistAppended, appended, ok, store.Appended())
+	}
+	if _, ok := snap.Gauges[obs.MSolverPersistLoaded]; !ok {
+		t.Fatalf("registry lacks the %s gauge after Close", obs.MSolverPersistLoaded)
+	}
+}
+
 // N concurrent jobs against one store under -race: every job succeeds,
 // later jobs can observe warm hits, and the store file stays loadable
 // afterwards.

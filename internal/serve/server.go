@@ -95,10 +95,6 @@ type Server struct {
 	closed          bool
 	wg              sync.WaitGroup
 
-	// lastPersist tracks the store counters already mirrored into the
-	// registry (see mirrorPersist).
-	lastPersist struct{ appended, retries, writeErrs, lost int64 }
-
 	// serve.* metric handles (always non-nil; see Options.Metrics).
 	mSubmitted, mRejected, mInvalid *obs.Counter
 	mSucceeded, mCancelled, mFailed *obs.Counter
@@ -280,14 +276,17 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// Close is Drain with no deadline plus persistent-store shutdown; it returns
-// the store's close error, if any (lost appends).
+// Close is Drain with no deadline plus persistent-store shutdown: it closes
+// the store, publishes its final counts into the registry and returns the
+// store's close error, if any (lost appends).
 func (s *Server) Close() error {
 	_ = s.Drain(context.Background())
-	if s.opts.Persist != nil {
-		return s.opts.Persist.Close()
+	if s.opts.Persist == nil {
+		return nil
 	}
-	return nil
+	err := s.opts.Persist.Close()
+	s.opts.Persist.Publish(s.opts.Metrics)
+	return err
 }
 
 // Health is the /healthz payload: liveness plus the load numbers an
@@ -409,9 +408,7 @@ func (s *Server) runJob(j *Job) {
 		Spans:   obs.NewSpanProfiler(child, tracer),
 		Faults:  s.opts.Faults,
 		Name:    j.Tenant + "/" + j.ID,
-	}
-	if s.opts.Persist != nil {
-		eo.Persist = s.opts.Persist.View()
+		Persist: s.opts.Persist.View(),
 	}
 
 	// A sharded job runs no more epoch workers than the slots it was

@@ -9,37 +9,27 @@ import "chef/internal/symexpr"
 // hash-consing makes entry confirmation a pointer-slice comparison.
 //
 // Every Solver owns a private QueryCache and, like the Solver, it serves a
-// single goroutine, so it needs no locks. Entries are spread over a fixed
-// number of partitions, each with its own FIFO eviction queue. Cache hits
-// are free on the virtual clock, so which entry an insert evicts is
-// observable output; the partitioning and eviction order are therefore part
-// of the determinism contract, not a tuning knob.
+// single goroutine, so it needs no locks. One FIFO queue bounds the entry
+// count. Cache hits are free on the virtual clock, so which entry an insert
+// evicts is observable output; the eviction order is therefore part of the
+// determinism contract, not a tuning knob.
 //
 // Determinism note: queries are solved in canonical constraint order, so the
 // result *and model* of a solved query are a pure function of the constraint
 // set, and a Solver with its private cache is fully deterministic.
 type QueryCache struct {
-	shards [cacheShardCount]cacheShard
-
-	// perShardCap bounds the number of entries per partition; inserting
-	// beyond it evicts the partition's oldest entry (FIFO).
-	perShardCap int
-	evictions   int64
-}
-
-const (
-	cacheShardCount = 16
-
-	// DefaultCacheCapacity is the default total entry bound of a QueryCache.
-	DefaultCacheCapacity = 1 << 16
-)
-
-type cacheShard struct {
 	m map[uint64][]cachedQuery
 	// order records insertion order of bucket keys, one element per stored
 	// entry, for exact FIFO eviction.
 	order []uint64
+	// capacity bounds the number of entries; inserting beyond it evicts the
+	// oldest entry.
+	capacity  int
+	evictions int64
 }
+
+// DefaultCacheCapacity is the default entry bound of a QueryCache.
+const DefaultCacheCapacity = 1 << 16
 
 type cachedQuery struct {
 	key    []*symexpr.Expr
@@ -61,27 +51,13 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.Entries += o.Entries
 }
 
-// NewQueryCache builds a cache bounded to roughly capacity entries
-// (0 means DefaultCacheCapacity).
+// NewQueryCache builds a cache bounded to capacity entries (0 means
+// DefaultCacheCapacity).
 func NewQueryCache(capacity int) *QueryCache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	per := capacity / cacheShardCount
-	if per < 1 {
-		per = 1
-	}
-	c := &QueryCache{perShardCap: per}
-	for i := range c.shards {
-		c.shards[i].m = map[uint64][]cachedQuery{}
-	}
-	return c
-}
-
-func (c *QueryCache) shard(key uint64) *cacheShard {
-	// The key is already a mixed hash; fold the high bits so partition
-	// selection does not correlate with bucket selection.
-	return &c.shards[(key^key>>32)%cacheShardCount]
+	return &QueryCache{m: map[uint64][]cachedQuery{}, capacity: capacity}
 }
 
 // sameCanon reports equality of two canonicalized constraint slices. Both
@@ -103,7 +79,7 @@ func sameCanon(a, b []*symexpr.Expr) bool {
 // present. The returned model is owned by the cache and must not be mutated;
 // callers clone before merging (as Solver.Check does).
 func (c *QueryCache) Lookup(key uint64, canon []*symexpr.Expr) (Result, symexpr.Assignment, bool) {
-	for _, q := range c.shard(key).m[key] {
+	for _, q := range c.m[key] {
 		if sameCanon(q.key, canon) {
 			return q.result, q.model, true
 		}
@@ -121,31 +97,22 @@ func (c *QueryCache) Store(key uint64, canon []*symexpr.Expr, r Result, m symexp
 	if m != nil {
 		mc = m.Clone()
 	}
-	sh := c.shard(key)
-	sh.m[key] = append(sh.m[key], cachedQuery{cs, r, mc})
-	sh.order = append(sh.order, key)
-	if len(sh.order) > c.perShardCap {
-		old := sh.order[0]
-		sh.order = sh.order[1:]
-		if bucket := sh.m[old]; len(bucket) > 0 {
-			if len(bucket) == 1 {
-				delete(sh.m, old)
-			} else {
-				sh.m[old] = bucket[1:]
-			}
-			c.evictions++
+	c.m[key] = append(c.m[key], cachedQuery{cs, r, mc})
+	c.order = append(c.order, key)
+	if len(c.order) > c.capacity {
+		old := c.order[0]
+		c.order = c.order[1:]
+		if bucket := c.m[old]; len(bucket) == 1 {
+			delete(c.m, old)
+		} else {
+			c.m[old] = bucket[1:]
 		}
+		c.evictions++
 	}
 }
 
 // Len returns the current number of cached entries.
-func (c *QueryCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		n += len(c.shards[i].order)
-	}
-	return n
-}
+func (c *QueryCache) Len() int { return len(c.order) }
 
 // Stats snapshots the cache's occupancy.
 func (c *QueryCache) Stats() CacheStats {

@@ -68,10 +68,11 @@ func TestQueryCacheOverlappingTraffic(t *testing.T) {
 	}
 }
 
-// TestQueryCacheEviction fills a tiny cache beyond capacity and checks FIFO
-// eviction keeps the entry count bounded while the counters stay consistent.
+// TestQueryCacheEviction fills a small cache with ten times its capacity
+// of distinct queries and checks exact FIFO residency: precisely the last
+// capacity stores survive, and every other store was evicted.
 func TestQueryCacheEviction(t *testing.T) {
-	const capacity = cacheShardCount // 1 entry per shard
+	const capacity = 16
 	c := NewQueryCache(capacity)
 	const n = 10 * capacity
 	for i := 0; i < n; i++ {
@@ -79,28 +80,15 @@ func TestQueryCacheEviction(t *testing.T) {
 		c.Store(canonKey(q), q, Unsat, nil)
 	}
 	s := c.Stats()
-	if s.Entries > int64(capacity) {
-		t.Fatalf("entries = %d, want <= %d", s.Entries, capacity)
+	if s.Entries != capacity || s.Evictions != n-capacity {
+		t.Fatalf("entries = %d, evictions = %d; want %d and %d", s.Entries, s.Evictions, capacity, n-capacity)
 	}
-	if s.Evictions == 0 {
-		t.Fatal("no evictions despite exceeding capacity")
-	}
-	if s.Entries != n-s.Evictions {
-		t.Fatalf("entries (%d) != stores (%d) - evictions (%d)", s.Entries, n, s.Evictions)
-	}
-	// The most recently stored queries must still be resident (FIFO evicts
-	// oldest first); with 1 slot per shard the latest store of each shard
-	// wins, so at least one of the last cacheShardCount queries must hit.
-	hit := false
-	for i := n - capacity; i < n; i++ {
+	for i := 0; i < n; i++ {
 		q := stressQuery(i)
-		if _, _, ok := c.Lookup(canonKey(q), q); ok {
-			hit = true
-			break
+		_, _, ok := c.Lookup(canonKey(q), q)
+		if want := i >= n-capacity; ok != want {
+			t.Fatalf("query %d: resident = %v, want %v", i, ok, want)
 		}
-	}
-	if !hit {
-		t.Fatal("none of the most recent queries survived eviction")
 	}
 }
 

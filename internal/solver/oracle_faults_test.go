@@ -87,7 +87,7 @@ func TestSolverOraclePersistentUnderInjectedUnknowns(t *testing.T) {
 	plan := mustFaultPlan(t, "seed=13;solver.unknown:p=0.4")
 
 	cold := mustOpen(t, path)
-	s := New(Options{Persist: cold, Faults: plan.Injector("cold")})
+	s := New(Options{Persist: cold.View(), Faults: plan.Injector("cold")})
 	solved := 0
 	for i, q := range queries {
 		res, model := s.CheckQuery(Query{PC: q.pc, Base: q.base})
@@ -118,7 +118,7 @@ func TestSolverOraclePersistentUnderInjectedUnknowns(t *testing.T) {
 	if warm.Corruption() != nil {
 		t.Fatalf("faulted pass corrupted the cache file: %v", warm.Corruption())
 	}
-	s2 := New(Options{Persist: warm, Faults: plan.Injector("warm")})
+	s2 := New(Options{Persist: warm.View(), Faults: plan.Injector("warm")})
 	for i, q := range queries {
 		res, model := s2.CheckQuery(Query{PC: q.pc, Base: q.base})
 		if res != Unknown && res != q.want {

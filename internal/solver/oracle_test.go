@@ -189,7 +189,7 @@ func TestSolverMatchesOraclePersistent(t *testing.T) {
 		if cerr := store.Corruption(); cerr != nil {
 			t.Fatalf("%s: unexpected corruption: %v", label, cerr)
 		}
-		s := New(Options{Persist: store})
+		s := New(Options{Persist: store.View()})
 		outs := make([]outcome, 0, len(queries))
 		for i, q := range queries {
 			res, model := checkAgainstOracle(t, label, i, q, s)

@@ -22,22 +22,22 @@ import (
 //
 // The store is deliberately asymmetric:
 //
-//   - The *read side* of the store itself is immutable after load. Direct
-//     lookups only ever see what the previous process left on disk, never
-//     entries appended during this run (the in-memory QueryCache already
-//     serves those). This is what makes a warm rerun reproduce a cold run
+//   - The *read side* is fixed per View. A View taken right after opening
+//     sees only what the previous process left on disk, never entries
+//     appended during this run (the in-memory QueryCache already serves
+//     those). This is what makes a warm rerun reproduce a cold run
 //     byte-for-byte: the set of answerable persistent lookups is fixed before
 //     the run starts, so it cannot depend on scheduling.
 //   - The *write side* records only queries this run actually solved, and
 //     a solve is a pure function of its canonical key, so every entry is
 //     what a cold solve of its key produces.
 //
-// Long-running multi-job processes (chef-serve) use View instead of the store
-// directly: a View snapshots the load-time entries plus everything published
-// by earlier Appends at view-creation time, so each job's answerable set is
-// fixed when the job starts — per-job determinism — while jobs submitted
-// later still observe warm state from jobs that already ran, without waiting
-// for a process restart.
+// Every read goes through a View: a View snapshots the load-time entries plus
+// everything published by earlier Appends at view-creation time, so the
+// answerable set of a run (a CLI process takes one View right after opening)
+// or of a job (chef-serve takes one per job) is fixed when it starts — the
+// determinism contract — while jobs submitted later still observe warm state
+// from jobs that already ran, without waiting for a process restart.
 //
 // Each entry stores the canonical constraint sequence, the result, the model
 // (Sat only) and the SAT propagation count the solve cost. A hit replays that
@@ -99,10 +99,9 @@ type PersistentStore struct {
 	corrupt error // non-nil: loading stopped early; appends disabled
 
 	// overlay holds entries appended (and therefore published) during this
-	// process, keyed like entries. It is never consulted by the store's own
-	// Lookup — only by Views snapshotted after the publish — so single-run
-	// CLI behavior is unchanged. Bucket slices are copy-on-publish: once a
-	// slice is stored it is never mutated, so View can alias them.
+	// process, keyed like entries. Only Views snapshotted after the publish
+	// consult it. Bucket slices are copy-on-publish: once a slice is stored
+	// it is never mutated, so View can alias them.
 	ovMu    sync.RWMutex
 	overlay map[uint64][]persistEntry
 
@@ -124,6 +123,9 @@ type PersistentStore struct {
 	retriesN   atomic.Int64
 	writeErrsN atomic.Int64
 	lostN      atomic.Int64
+	// published holds the appended, retries, write-error and lost counts
+	// already added to the registry by Publish (guarded by mu).
+	published [4]int64
 
 	// spans, when set, profiles physical flushes (layer persist.flush). The
 	// profiler is used only by the single flusher goroutine; the atomic makes
@@ -237,31 +239,37 @@ func (p *PersistentStore) Appended() int64 { return p.appendedN.Load() }
 // writes.
 func (p *PersistentStore) Retries() int64 { return p.retriesN.Load() }
 
-// WriteErrors returns the number of failed physical write attempts.
-func (p *PersistentStore) WriteErrors() int64 { return p.writeErrsN.Load() }
-
 // Lost returns the number of entries dropped because the write-retry budget
 // was exhausted. Lost entries are subtracted from Appended.
 func (p *PersistentStore) Lost() int64 { return p.lostN.Load() }
 
-// PersistStats is a point-in-time snapshot of the store's traffic counters,
-// as one value (the shape obscli.Flags.SetPersistStats consumes).
-type PersistStats struct {
-	Loaded      int64 // entries loaded at startup
-	Appended    int64 // entries appended and still on track to be durable
-	Retries     int64 // flush retry attempts after failed writes
-	WriteErrors int64 // failed physical write attempts
-	Lost        int64 // entries dropped after the retry budget
-}
-
-// Stats returns a snapshot of the store's traffic counters.
-func (p *PersistentStore) Stats() PersistStats {
-	return PersistStats{
-		Loaded:      int64(p.loaded),
-		Appended:    p.appendedN.Load(),
-		Retries:     p.retriesN.Load(),
-		WriteErrors: p.writeErrsN.Load(),
-		Lost:        p.lostN.Load(),
+// Publish writes the store's traffic into reg: the solver.persist.loaded
+// gauge, and the appended, retries, write_errors and lost counters.
+// Registry counters only add, so each call adds the change since the
+// previous call, which leaves every counter equal to the store's count (the
+// appended delta is negative when queued entries were lost since the last
+// call). Call it on every scrape and once more after Close to make the
+// counts final. A store publishes into one registry. No-op on a nil store
+// or registry.
+func (p *PersistentStore) Publish(reg *obs.Registry) {
+	if p == nil || reg == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	reg.Gauge(obs.MSolverPersistLoaded).Set(int64(p.loaded))
+	for i, c := range [...]struct {
+		name string
+		n    *atomic.Int64
+	}{
+		{obs.MSolverPersistAppended, &p.appendedN},
+		{obs.MSolverPersistRetries, &p.retriesN},
+		{obs.MSolverPersistWriteErrors, &p.writeErrsN},
+		{obs.MSolverPersistLost, &p.lostN},
+	} {
+		cur := c.n.Load()
+		reg.Counter(c.name).Add(cur - p.published[i])
+		p.published[i] = cur
 	}
 }
 
@@ -291,17 +299,12 @@ func (p *PersistentStore) Attach(in Instruments) {
 // the whole file parsed. A corrupt store still serves the valid prefix.
 func (p *PersistentStore) Corruption() error { return p.corrupt }
 
-// Lookup returns the stored result for the canonical query, confirming the
-// candidate entries pointer-wise (decoded expressions are re-interned, so
+// lookup returns the load-time entry for the canonical query, confirming
+// the candidate entries pointer-wise (decoded expressions are re-interned, so
 // equality is pointer identity). The returned model is owned by the store;
 // callers clone before mutating. cost is the recorded propagation count of
-// the original solve. Only load-time entries are consulted — appends made
-// during this process are visible through Views created after them, never
-// here. Nil-receiver safe (a nil store never answers).
-func (p *PersistentStore) Lookup(key uint64, canon []*symexpr.Expr) (Result, symexpr.Assignment, int64, bool) {
-	if p == nil {
-		return Unknown, nil, 0, false
-	}
+// the original solve. Only PersistView reads through it.
+func (p *PersistentStore) lookup(key uint64, canon []*symexpr.Expr) (Result, symexpr.Assignment, int64, bool) {
 	for _, e := range p.entries[key] {
 		if sameCanon(e.canon, canon) {
 			return e.result, e.model, e.cost, true
@@ -330,22 +333,25 @@ func (p *PersistentStore) View() *PersistView {
 	return &PersistView{store: p, overlay: ov}
 }
 
-// PersistView is a point-in-time view of a PersistentStore: lookups answer
-// from the store's load-time entries plus the overlay snapshot taken at View
-// time; appends forward to the store (queued for disk and published to later
-// views). It implements PersistLayer, so a solver can hold either a store or
-// a view. All methods are nil-receiver safe.
+// PersistView is a point-in-time view of a PersistentStore and the only way
+// to read one: lookups answer from the store's load-time entries plus the
+// overlay snapshot taken at View time; appends forward to the store (queued
+// for disk and published to later views). All methods are nil-receiver
+// safe.
 type PersistView struct {
 	store   *PersistentStore
 	overlay map[uint64][]persistEntry
 }
 
-// Lookup implements PersistLayer over the view's fixed answerable set.
+// Lookup returns the stored result for the canonical query from the view's
+// fixed answerable set. The returned model is owned by the store; callers
+// clone before mutating. cost is the recorded propagation count of the
+// original solve.
 func (v *PersistView) Lookup(key uint64, canon []*symexpr.Expr) (Result, symexpr.Assignment, int64, bool) {
 	if v == nil {
 		return Unknown, nil, 0, false
 	}
-	if r, m, cost, ok := v.store.Lookup(key, canon); ok {
+	if r, m, cost, ok := v.store.lookup(key, canon); ok {
 		return r, m, cost, true
 	}
 	for _, e := range v.overlay[key] {
@@ -356,7 +362,7 @@ func (v *PersistView) Lookup(key uint64, canon []*symexpr.Expr) (Result, symexpr
 	return Unknown, nil, 0, false
 }
 
-// Append implements PersistLayer by forwarding to the backing store.
+// Append forwards a solved query to the backing store.
 func (v *PersistView) Append(key uint64, canon []*symexpr.Expr, r Result, m symexpr.Assignment, cost int64) {
 	if v == nil {
 		return
@@ -367,9 +373,8 @@ func (v *PersistView) Append(key uint64, canon []*symexpr.Expr, r Result, m syme
 // Append queues a solved query for the background flusher and publishes it
 // for Views created afterwards. Results read from other cache layers must
 // not be appended (the solver only appends after an actual oneshot solve).
-// Appends never become visible to the store's own Lookup or to Views taken
-// before the append — within one run the in-memory QueryCache serves them —
-// so single-store runs behave exactly as before. Nil-receiver safe.
+// Appends never become visible to Views taken before the append — within one
+// run the in-memory QueryCache serves them. Nil-receiver safe.
 func (p *PersistentStore) Append(key uint64, canon []*symexpr.Expr, r Result, m symexpr.Assignment, cost int64) {
 	if p == nil || r == Unknown || len(canon) == 0 {
 		return

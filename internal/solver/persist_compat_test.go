@@ -56,7 +56,7 @@ func TestPersistStoreFromPreviousSlicer(t *testing.T) {
 		t.Fatalf("store: loaded %d, corruption %v", store.Loaded(), store.Corruption())
 	}
 
-	warm := New(Options{DisableCache: true, Persist: store})
+	warm := New(Options{DisableCache: true, Persist: store.View()})
 	cold := New(Options{DisableCache: true})
 	if got := deepPathDigest(warm); got != deepPathStoreDigest {
 		t.Errorf("warm digest %#x, want %#x", got, deepPathStoreDigest)

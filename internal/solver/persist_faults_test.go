@@ -30,9 +30,9 @@ func TestPersistWriteErrorRetriesAndRecovers(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("close after a recoverable write fault: %v", err)
 	}
-	if w.WriteErrors() != 1 || w.Retries() < 1 {
+	if w.writeErrsN.Load() != 1 || w.Retries() < 1 {
 		t.Fatalf("write errors = %d, retries = %d; want 1 error and >= 1 retry",
-			w.WriteErrors(), w.Retries())
+			w.writeErrsN.Load(), w.Retries())
 	}
 	if w.Lost() != 0 || w.Appended() != 10 {
 		t.Fatalf("lost = %d, appended = %d; want nothing lost", w.Lost(), w.Appended())
@@ -48,7 +48,7 @@ func TestPersistWriteErrorRetriesAndRecovers(t *testing.T) {
 	}
 	for k := uint64(0); k < 10; k++ {
 		canon, key := persistQuery(k)
-		if res, _, _, ok := r.Lookup(key, canon); !ok || res != Sat {
+		if res, _, _, ok := r.View().Lookup(key, canon); !ok || res != Sat {
 			t.Fatalf("k=%d: ok=%v res=%v after retried write", k, ok, res)
 		}
 	}
@@ -65,9 +65,9 @@ func TestPersistShortWriteRetainsTail(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("close after a recoverable short write: %v", err)
 	}
-	if w.WriteErrors() != 1 || w.Lost() != 0 || w.Appended() != 10 {
+	if w.writeErrsN.Load() != 1 || w.Lost() != 0 || w.Appended() != 10 {
 		t.Fatalf("write errors = %d, lost = %d, appended = %d; want 1/0/10",
-			w.WriteErrors(), w.Lost(), w.Appended())
+			w.writeErrsN.Load(), w.Lost(), w.Appended())
 	}
 
 	r := mustOpen(t, path)
@@ -99,9 +99,9 @@ func TestPersistGiveUpAfterRetryBudget(t *testing.T) {
 	if w.Appended() != 0 {
 		t.Fatalf("appended = %d after give-up, want 0 (lost entries must be subtracted)", w.Appended())
 	}
-	if w.WriteErrors() < maxFlushRetries {
+	if w.writeErrsN.Load() < maxFlushRetries {
 		t.Fatalf("write errors = %d, want >= %d consecutive failures before giving up",
-			w.WriteErrors(), maxFlushRetries)
+			w.writeErrsN.Load(), maxFlushRetries)
 	}
 
 	r := mustOpen(t, path)
@@ -135,7 +135,7 @@ func TestPersistShortGiveUpLeavesLoadablePrefix(t *testing.T) {
 	// iff k < Loaded().
 	for k := 0; k < 12; k++ {
 		canon, key := persistQuery(uint64(k))
-		_, _, _, ok := r.Lookup(key, canon)
+		_, _, _, ok := r.View().Lookup(key, canon)
 		if want := k < r.Loaded(); ok != want {
 			t.Fatalf("k=%d: loadable=%v, want %v (durable frames not a prefix)", k, ok, want)
 		}

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"chef/internal/obs"
 	sx "chef/internal/symexpr"
 )
 
@@ -30,6 +31,7 @@ func mustOpen(t *testing.T, path string) *PersistentStore {
 func TestPersistRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cxc.bin")
 	w := mustOpen(t, path)
+	v := w.View() // taken before any append, as the CLIs take theirs
 	var keys []uint64
 	for k := uint64(0); k < 20; k++ {
 		canon, key := persistQuery(k)
@@ -46,8 +48,8 @@ func TestPersistRoundTrip(t *testing.T) {
 	if got := w.Appended(); got != 21 {
 		t.Fatalf("appended = %d, want 21", got)
 	}
-	// Appends must not be visible to the writing process's own lookups.
-	if _, _, _, ok := w.Lookup(keys[0], mustCanon(0)); ok {
+	// Appends must not be visible to the writing process's own view.
+	if _, _, _, ok := v.Lookup(keys[0], mustCanon(0)); ok {
 		t.Fatal("in-run append visible to in-run lookup")
 	}
 	if err := w.Close(); err != nil {
@@ -62,9 +64,10 @@ func TestPersistRoundTrip(t *testing.T) {
 	if r.Loaded() != 21 {
 		t.Fatalf("loaded = %d, want 21", r.Loaded())
 	}
+	rv := r.View()
 	for k := uint64(0); k < 20; k++ {
 		canon, key := persistQuery(k)
-		res, m, cost, ok := r.Lookup(key, canon)
+		res, m, cost, ok := rv.Lookup(key, canon)
 		if !ok || res != Sat || cost != int64(100+k) {
 			t.Fatalf("k=%d: ok=%v res=%v cost=%d", k, ok, res, cost)
 		}
@@ -72,7 +75,7 @@ func TestPersistRoundTrip(t *testing.T) {
 			t.Fatalf("k=%d: model value %d, want %d", k, got, (k+1)&0xff)
 		}
 	}
-	res, m, cost, ok := r.Lookup(unsatKey, unsatCanon)
+	res, m, cost, ok := rv.Lookup(unsatKey, unsatCanon)
 	if !ok || res != Unsat || m != nil || cost != 777 {
 		t.Fatalf("unsat entry: ok=%v res=%v m=%v cost=%d", ok, res, m, cost)
 	}
@@ -168,7 +171,7 @@ func TestPersistCorruptStoreColdEquivalence(t *testing.T) {
 	if store.Corruption() == nil {
 		t.Fatal("garbage accepted")
 	}
-	warm := New(Options{Persist: store})
+	warm := New(Options{Persist: store.View()})
 	cold := New(Options{})
 	queries := genOracleQueries(t, 50, 7)
 	for i, q := range queries {
@@ -209,5 +212,28 @@ func TestPersistDedup(t *testing.T) {
 	defer r2.Close()
 	if r2.Loaded() != 1 {
 		t.Fatalf("loaded = %d, want 1", r2.Loaded())
+	}
+}
+
+// TestPersistPublishAddsDeltas: Publish leaves the registry holding the
+// store's counts however often it runs, because each call adds only what the
+// store counted since the previous one.
+func TestPersistPublishAddsDeltas(t *testing.T) {
+	w := mustOpen(t, filepath.Join(t.TempDir(), "cxc.bin"))
+	reg := obs.NewRegistry()
+	for k := uint64(0); k < 3; k++ {
+		canon, key := persistQuery(k)
+		w.Append(key, canon, Unsat, nil, 1)
+		w.Publish(reg)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w.Publish(reg)
+	if got := reg.Counter(obs.MSolverPersistAppended).Value(); got != 3 || got != w.Appended() {
+		t.Fatalf("published appended = %d, store %d; want 3", got, w.Appended())
+	}
+	if got := reg.Counter(obs.MSolverPersistLost).Value(); got != 0 {
+		t.Fatalf("published lost = %d, want 0", got)
 	}
 }

@@ -61,19 +61,15 @@ type Options struct {
 	Mode CacheMode
 	// PropBudget caps SAT propagations per query; 0 means the default cap.
 	PropBudget int64
-	// Persist, when non-nil, is the disk-backed layer of solved queries (see
-	// persist.go): a *PersistentStore for single-run CLI use, or a
-	// *PersistView for multi-job servers that share one warm store. It is
+	// Persist, when non-nil, is a view of the disk-backed store of solved
+	// queries (see persist.go), taken when the run or job starts. It is
 	// consulted after the in-memory layers miss, and every result freshly
-	// *solved* (never derived) by the backend is appended to it. A
+	// *solved* (never derived) by the backend is appended through it. A
 	// persistent hit replays the recorded propagation cost into the solver's
 	// stats, so a warm rerun spends the same virtual time a cold run would —
 	// the store accelerates wall clock without perturbing deterministic
 	// output.
-	//
-	// Callers must not assign a typed-nil pointer here (wrap the assignment
-	// in a nil check); the solver treats any non-nil interface as enabled.
-	Persist PersistLayer
+	Persist *PersistView
 	// Metrics, when non-nil, receives per-query latency histograms (virtual
 	// propagations and wall-clock ns) and, from Publish, the query and cache
 	// counters. Wall clock is read only when observability is enabled and
@@ -95,16 +91,6 @@ type Options struct {
 }
 
 const defaultPropBudget = 4_000_000
-
-// PersistLayer is the surface of the persistent counterexample cache as the
-// solver consumes it. Both *PersistentStore (whole-store reads: single CLI
-// runs) and *PersistView (fixed point-in-time reads: one job of a multi-job
-// server) implement it. Lookup's cost result is the propagation count of the
-// original solve, replayed into the stats on a hit.
-type PersistLayer interface {
-	Lookup(key uint64, canon []*symexpr.Expr) (Result, symexpr.Assignment, int64, bool)
-	Append(key uint64, canon []*symexpr.Expr, r Result, m symexpr.Assignment, cost int64)
-}
 
 // Stats accumulates solver work, expressed in units the engine converts to
 // virtual time. Solver.Stats returns it by value — a point-in-time snapshot

@@ -16,9 +16,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 
 	"chef/internal/chef"
 	"chef/internal/cupa"
@@ -204,69 +202,6 @@ func BenchmarkFig12Overhead(b *testing.B) {
 	if testing.Verbose() {
 		fmt.Println(experiments.RenderFig12(pts))
 	}
-}
-
-// --- Parallel harness benches ------------------------------------------------
-
-// parallelGridBudgets is the workload for the worker-pool benches: a slice of
-// the §6.3 grid big enough that parallel scheduling matters.
-func parallelGridBudgets(workers int) experiments.Budgets {
-	b := benchBudgets()
-	b.Reps = 2
-	b.Parallel = workers
-	return b
-}
-
-// runParallelGridSlice runs a 4-package x 4-configuration x 2-repetition
-// slice of the evaluation grid and returns the total test count (to keep the
-// compiler honest and to assert serial/parallel agreement).
-func runParallelGridSlice(b experiments.Budgets) int {
-	configs := experiments.FourConfigurations(true)
-	total := 0
-	for _, name := range []string{"simplejson", "HTMLParser", "JSON", "cliargs"} {
-		p, _ := packages.ByName(name)
-		for _, cfg := range configs {
-			t, _, _ := experiments.RunRepeated(p, cfg, b)
-			total += int(t.Mean * float64(b.Reps))
-		}
-	}
-	return total
-}
-
-// BenchmarkParallelGrid measures the experiment grid under the worker pool.
-// Sub-benchmarks run the same workload serial (-parallel 1) and at 4 workers;
-// the parallel run also reports its wall-clock speedup over a serial
-// reference measured in the same process. On a >= 4-core machine the speedup
-// at 4 workers is >= 2x; on fewer cores it degrades gracefully toward 1x
-// (the pool adds no measurable overhead).
-func BenchmarkParallelGrid(b *testing.B) {
-	b.Run("serial", func(b *testing.B) {
-		bud := parallelGridBudgets(1)
-		for i := 0; i < b.N; i++ {
-			runParallelGridSlice(bud)
-		}
-	})
-	b.Run("parallel-4", func(b *testing.B) {
-		serialBud := parallelGridBudgets(1)
-		parBud := parallelGridBudgets(4)
-		var serialNs, parNs int64
-		var serialTests, parTests int
-		for i := 0; i < b.N; i++ {
-			t0 := time.Now()
-			serialTests = runParallelGridSlice(serialBud)
-			serialNs += time.Since(t0).Nanoseconds()
-			t1 := time.Now()
-			parTests = runParallelGridSlice(parBud)
-			parNs += time.Since(t1).Nanoseconds()
-		}
-		if serialTests != parTests {
-			b.Fatalf("parallel grid diverged: serial %d tests, parallel %d", serialTests, parTests)
-		}
-		if parNs > 0 {
-			b.ReportMetric(float64(serialNs)/float64(parNs), "speedup-x")
-		}
-		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-	})
 }
 
 // --- Ablation benches (DESIGN.md) -------------------------------------------

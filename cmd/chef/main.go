@@ -22,6 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"chef/internal/obscli"
@@ -31,35 +32,50 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is chef with its arguments and output streams, returning the exit
+// code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("chef", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		pkgName  = flag.String("package", "simplejson", "target package (see -list)")
-		list     = flag.Bool("list", false, "list available packages")
-		strategy = flag.String("strategy", "cupa-path", "state selection: random | cupa-path | cupa-coverage | dfs | bfs")
-		budget   = flag.Int64("budget", 3_000_000, "virtual-time exploration budget")
-		stepCap  = flag.Int64("steplimit", 60_000, "per-run hang threshold (virtual steps)")
-		seed     = flag.Int64("seed", 1, "random seed")
-		vanilla  = flag.Bool("vanilla", false, "use the unoptimized interpreter build")
-		out      = flag.String("out", "", "write generated tests as NDJSON to this file")
-		shards   = flag.Int("shards", 0, "sharded exploration: split the path space across signature-subtree ranges driven by up to N epoch workers (0 = plain session; results are identical for every N >= 1)")
+		pkgName  = fs.String("package", "simplejson", "target package (see -list)")
+		list     = fs.Bool("list", false, "list available packages")
+		strategy = fs.String("strategy", "cupa-path", "state selection: random | cupa-path | cupa-coverage | dfs | bfs")
+		budget   = fs.Int64("budget", 3_000_000, "virtual-time exploration budget")
+		stepCap  = fs.Int64("steplimit", 60_000, "per-run hang threshold (virtual steps)")
+		seed     = fs.Int64("seed", 1, "random seed")
+		vanilla  = fs.Bool("vanilla", false, "use the unoptimized interpreter build")
+		out      = fs.String("out", "", "write generated tests as NDJSON to this file")
+		shards   = fs.Int("shards", 0, "sharded exploration: split the path space across signature-subtree ranges driven by up to N epoch workers (0 = plain session; results are identical for every N >= 1)")
 	)
 	var obsFlags obscli.Flags
-	obsFlags.Register(flag.CommandLine)
-	flag.Parse()
+	obsFlags.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "chef: %v\n", err)
+		return 1
+	}
 
 	if *list {
 		for _, p := range packages.All() {
-			fmt.Printf("%-14s %-7s %5d LOC  %s\n", p.Name, p.Lang, p.LOC(), p.Desc)
+			fmt.Fprintf(stdout, "%-14s %-7s %5d LOC  %s\n", p.Name, p.Lang, p.LOC(), p.Desc)
 		}
-		return
+		return 0
 	}
 	p, ok := packages.ByName(*pkgName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "chef: unknown package %q (try -list)\n", *pkgName)
-		os.Exit(1)
+		return fail(fmt.Errorf("unknown package %q (try -list)", *pkgName))
 	}
 	if err := checkArgs(*seed, *budget, *stepCap); err != nil {
-		fmt.Fprintf(os.Stderr, "chef: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	spec := serve.JobSpec{
 		Package:   *pkgName,
@@ -71,12 +87,10 @@ func main() {
 		Shards:    *shards,
 	}
 	if err := spec.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "chef: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if err := obsFlags.Start("chef"); err != nil {
-		fmt.Fprintf(os.Stderr, "chef: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	plan, persist := obsFlags.Faults(), obsFlags.Store()
 
@@ -92,43 +106,43 @@ func main() {
 	}
 	res, err := serve.Execute(context.Background(), spec, eo)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "chef: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	sum := res.Summary
-	fmt.Printf("package %s: %d high-level tests from %d low-level paths (%d runs, %d solver-unsat states, clock %d)\n",
+	fmt.Fprintf(stdout, "package %s: %d high-level tests from %d low-level paths (%d runs, %d solver-unsat states, clock %d)\n",
 		p.Name, len(res.Tests), sum.LLPaths, sum.Runs, sum.UnsatStates, sum.VirtTime)
+
+	for _, tc := range res.Tests {
+		fmt.Fprintf(stdout, "  %-28s %s\n", tc.Result, renderInput(p, tc))
+	}
+	if *out != "" {
+		data, err := symtest.MarshalTests(res.Tests)
+		if err != nil {
+			return fail(err)
+		}
+		if err := os.WriteFile(*out, data, 0o644); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "wrote %d tests to %s\n", len(res.Tests), *out)
+	}
+
+	cs := res.CacheStats
+	obsFlags.SetCacheGauges(cs.Entries, cs.Evictions)
+	err = obsFlags.Finish(stdout)
+	// The faults line comes after Finish closed the store, so it counts
+	// what the final flush injected, retried and lost.
 	if plan != nil {
 		line := fmt.Sprintf("faults: %d injected; states requeued %d, abandoned %d",
 			sum.FaultsInjected+obsFlags.PersistInjected(), sum.RequeuedStates, sum.AbandonedStates)
 		if persist != nil {
 			line += fmt.Sprintf("; persist retries %d, lost %d", persist.Retries(), persist.Lost())
 		}
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 	}
-
-	for _, tc := range res.Tests {
-		fmt.Printf("  %-28s %s\n", tc.Result, renderInput(p, tc))
+	if err != nil {
+		return fail(err)
 	}
-	if *out != "" {
-		data, err := symtest.MarshalTests(res.Tests)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chef: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "chef: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d tests to %s\n", len(res.Tests), *out)
-	}
-
-	cs := res.CacheStats
-	obsFlags.SetCacheGauges(cs.Entries, cs.Evictions)
-	if err := obsFlags.Finish(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "chef: %v\n", err)
-		os.Exit(1)
-	}
+	return 0
 }
 
 // checkArgs rejects the flag values a job spec reads as unset: seed 0, and

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -65,5 +69,34 @@ func TestRenderInput(t *testing.T) {
 	}
 	if renderInput(p, symtest.SerializedTest{Input: map[string]uint64{"bad": 1}}) != "?" {
 		t.Error("bad input should render as ?")
+	}
+}
+
+// TestFaultsLineCountsFinalFlush: under a sustained persist.write fault the
+// store gives up in the final flush that Finish's Close does, after the
+// run. chef exits 1, and its faults line, printed once the store is closed,
+// counts the write attempts and the lost entries that the close error
+// reports.
+func TestFaultsLineCountsFinalFlush(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-package", "simplejson", "-budget", "200000",
+		"-cachefile", filepath.Join(t.TempDir(), "g.bin"), "-faults", "persist.write:err"}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("exit %d under a sustained persist write fault, want 1; stderr:\n%s", code, stderr.String())
+	}
+	closeErr := regexp.MustCompile(`after (\d+) failed write attempts \((\d+) entries lost\)`).FindStringSubmatch(stderr.String())
+	if closeErr == nil {
+		t.Fatalf("stderr names no lost entries:\n%s", stderr.String())
+	}
+	line := regexp.MustCompile(`faults: (\d+) injected; .*; persist retries \d+, lost (\d+)\n`).FindStringSubmatch(stdout.String())
+	if line == nil {
+		t.Fatalf("no faults line with persist counts in stdout:\n%s", stdout.String())
+	}
+	if n, _ := strconv.Atoi(closeErr[2]); n == 0 {
+		t.Fatalf("the close error reports 0 entries lost: %s", closeErr[0])
+	}
+	if line[1] != closeErr[1] || line[2] != closeErr[2] {
+		t.Fatalf("faults line %q reports %s injected and %s lost; the store's close error reports %s failed attempts and %s lost",
+			strings.TrimSpace(line[0]), line[1], line[2], closeErr[1], closeErr[2])
 	}
 }

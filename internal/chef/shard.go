@@ -36,6 +36,14 @@ import (
 //     barrier, so which worker runs which cell affects wall-clock time
 //     and nothing else.
 //
+// Trace events follow the same split. Each cell emits into its own
+// segment of the tracer (obs.Segment), without locking, and the
+// coordinator commits the segments in range order at three points: after
+// the session starts, after every epoch's cells have run and after the
+// merge. So a sharded run's trace comes epoch by epoch, cells in range
+// order within an epoch, and apart from its wall-clock fields it does not
+// depend on the worker count either.
+//
 // Warmth is shared where sharing is deterministic: the process-global
 // symexpr interner and the persistent cache layer (whose hits replay
 // their recorded virtual cost). The in-memory query cache is private to
@@ -101,6 +109,9 @@ type ShardedSession struct {
 
 	cells     []*shardCell
 	childRegs []*obs.Registry
+	// segs holds each cell's trace segment, indexed like cells; nil when
+	// tracing is off.
+	segs []obs.SegmentTracer
 
 	// Coordinator observability (nil when disabled).
 	tracer  obs.Tracer
@@ -162,10 +173,17 @@ func NewShardedSession(prog TestProgram, opts Options, workers int) *ShardedSess
 		if ss.childRegs != nil {
 			cellOpts.Metrics = ss.childRegs[k]
 		}
+		if opts.Tracer != nil {
+			// The cell's session, engine, solver, strategy and profiler
+			// all emit into its segment.
+			seg := obs.Segment(opts.Tracer)
+			ss.segs = append(ss.segs, seg)
+			cellOpts.Tracer = seg
+		}
 		if opts.Spans != nil {
 			// One profiler per cell: a SpanProfiler serves one goroutine
 			// at a time, and a cell's epochs are sequenced by barriers.
-			cellOpts.Spans = obs.NewSpanProfiler(cellOpts.Metrics, obs.WithSession(opts.Tracer, cellOpts.Name))
+			cellOpts.Spans = obs.NewSpanProfiler(cellOpts.Metrics, obs.WithSession(cellOpts.Tracer, cellOpts.Name))
 		}
 		c := &shardCell{
 			idx:         k,
@@ -213,6 +231,7 @@ func (ss *ShardedSession) RunContext(ctx context.Context, budget int64) []TestCa
 			})
 		}
 	}
+	ss.commit()
 	for {
 		if ctx.Err() != nil {
 			ss.cancelled = true
@@ -242,6 +261,7 @@ func (ss *ShardedSession) RunContext(ctx context.Context, budget int64) []TestCa
 			ss.runCellEpoch(ctx, ss.cells[k], slice, initial && k == 0)
 		})
 		ss.initialDone = true
+		ss.commit()
 		ss.deliver()
 		ss.spent = ss.Clock()
 		sp.End(ss.spent - before)
@@ -250,7 +270,15 @@ func (ss *ShardedSession) RunContext(ctx context.Context, budget int64) []TestCa
 		}
 	}
 	ss.merge()
+	ss.commit()
 	return ss.tests
+}
+
+// commit appends the cells' trace segments to the tracer in range order.
+func (ss *ShardedSession) commit() {
+	for _, seg := range ss.segs {
+		seg.Commit()
+	}
 }
 
 // liveCells returns the cells with pending work, largest queue first and

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"chef/internal/chef"
 	"chef/internal/interp"
@@ -20,8 +22,16 @@ func quickParallelBudgets(workers int) Budgets {
 	return b
 }
 
+// runRepeated runs RunPackage b.Reps times with varying seeds, fanning the
+// repetitions out over the worker pool, and aggregates test counts and
+// coverage. Results are gathered in repetition order, so the output is
+// byte-identical to a serial run for any Parallel value.
+func runRepeated(p *packages.Package, cfg Configuration, b Budgets) (tests, coverage Aggregated, last RunResult) {
+	return aggregate(runCells(b, repCells(p, cfg, b)))
+}
+
 // TestRunRepeatedParallelDeterminism proves the tentpole property at the
-// RunRepeated level: identical budgets and seeds give identical aggregates
+// runRepeated level: identical budgets and seeds give identical aggregates
 // whether the repetitions run on one worker or eight.
 func TestRunRepeatedParallelDeterminism(t *testing.T) {
 	p, _ := packages.ByName("simplejson")
@@ -30,8 +40,8 @@ func TestRunRepeatedParallelDeterminism(t *testing.T) {
 	serial := quickParallelBudgets(1)
 	parallel := quickParallelBudgets(8)
 
-	st, sc, slast := RunRepeated(p, cfg, serial)
-	pt, pc, plast := RunRepeated(p, cfg, parallel)
+	st, sc, slast := runRepeated(p, cfg, serial)
+	pt, pc, plast := runRepeated(p, cfg, parallel)
 
 	if st != pt || sc != pc {
 		t.Fatalf("aggregates diverged:\n serial   tests=%+v cov=%+v\n parallel tests=%+v cov=%+v", st, sc, pt, pc)
@@ -146,4 +156,62 @@ func TestBudgetsWorkers(t *testing.T) {
 	if (Budgets{}).Workers() < 1 {
 		t.Fatal("default workers must be >= 1")
 	}
+}
+
+// parallelGridBudgets is the workload for the worker-pool benches: a slice of
+// the §6.3 grid big enough that parallel scheduling matters.
+func parallelGridBudgets(workers int) Budgets {
+	return Budgets{Time: 400_000, StepLimit: 30_000, Reps: 2, Seed: 1, Parallel: workers}
+}
+
+// runParallelGridSlice runs a 4-package x 4-configuration x 2-repetition
+// slice of the evaluation grid and returns the total test count (to keep the
+// compiler honest and to assert serial/parallel agreement).
+func runParallelGridSlice(b Budgets) int {
+	configs := FourConfigurations(true)
+	total := 0
+	for _, name := range []string{"simplejson", "HTMLParser", "JSON", "cliargs"} {
+		p, _ := packages.ByName(name)
+		for _, cfg := range configs {
+			t, _, _ := runRepeated(p, cfg, b)
+			total += int(t.Mean * float64(b.Reps))
+		}
+	}
+	return total
+}
+
+// BenchmarkParallelGrid measures the experiment grid under the worker pool.
+// Sub-benchmarks run the same workload serial (-parallel 1) and at 4 workers;
+// the parallel run also reports its wall-clock speedup over a serial
+// reference measured in the same process. On a >= 4-core machine the speedup
+// at 4 workers is >= 2x; on fewer cores it degrades gracefully toward 1x
+// (the pool adds no measurable overhead).
+func BenchmarkParallelGrid(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
+		bud := parallelGridBudgets(1)
+		for i := 0; i < b.N; i++ {
+			runParallelGridSlice(bud)
+		}
+	})
+	b.Run("parallel-4", func(b *testing.B) {
+		serialBud := parallelGridBudgets(1)
+		parBud := parallelGridBudgets(4)
+		var serialNs, parNs int64
+		var serialTests, parTests int
+		for i := 0; i < b.N; i++ {
+			t0 := time.Now()
+			serialTests = runParallelGridSlice(serialBud)
+			serialNs += time.Since(t0).Nanoseconds()
+			t1 := time.Now()
+			parTests = runParallelGridSlice(parBud)
+			parNs += time.Since(t1).Nanoseconds()
+		}
+		if serialTests != parTests {
+			b.Fatalf("parallel grid diverged: serial %d tests, parallel %d", serialTests, parTests)
+		}
+		if parNs > 0 {
+			b.ReportMetric(float64(serialNs)/float64(parNs), "speedup-x")
+		}
+		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
+	})
 }

@@ -76,7 +76,7 @@ func TestWarmParallelMatchesColdSerial(t *testing.T) {
 		b := quickParallelBudgets(workers)
 		b.Persist = store.View()
 		b.Metrics = obs.NewRegistry()
-		ts, cs, last := RunRepeated(p, cfg, b)
+		ts, cs, last := runRepeated(p, cfg, b)
 		if err := store.Close(); err != nil {
 			t.Fatalf("close: %v", err)
 		}

@@ -246,14 +246,6 @@ func aggregate(results []RunResult) (tests, coverage Aggregated, last RunResult)
 	return Aggregated{tm, tstd}, Aggregated{cm, cstd}, last
 }
 
-// RunRepeated runs RunPackage b.Reps times with varying seeds, fanning the
-// repetitions out over the worker pool, and aggregates test counts and
-// coverage. Results are gathered in repetition order, so the output is
-// byte-identical to a serial run for any Parallel value.
-func RunRepeated(p *packages.Package, cfg Configuration, b Budgets) (tests, coverage Aggregated, last RunResult) {
-	return aggregate(runCells(b, repCells(p, cfg, b)))
-}
-
 // sortedKeys returns sorted map keys for deterministic rendering.
 func sortedKeys(m map[string]bool) []string {
 	out := make([]string, 0, len(m))

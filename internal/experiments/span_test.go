@@ -59,7 +59,7 @@ func TestSpannedParallelDeterminism(t *testing.T) {
 		b := quickParallelBudgets(workers)
 		b.Spans = true
 		b.Metrics = obs.NewRegistry()
-		tests, cov, _ := RunRepeated(p, cfg, b)
+		tests, cov, _ := runRepeated(p, cfg, b)
 		return tests, cov, b.Metrics.SpanAggregates()
 	}
 	st, sc, serial := run(1)

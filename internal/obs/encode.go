@@ -107,6 +107,10 @@ func appendString(dst []byte, s string) []byte {
 // decision, result, status, layer, parent) as their number here. A table is
 // not safe for concurrent use; Strings returns a prefix that later interning
 // only extends, so a reader may decode with it while a writer goes on.
+//
+// A table made by NewStringCache numbers nothing itself: it stands in front
+// of a table that several goroutines share and remembers the numbers that
+// table gave it.
 type StringTable struct {
 	ids  map[string]uint64
 	strs []string
@@ -115,11 +119,23 @@ type StringTable struct {
 	// On a served job's events it answers about three lookups in five
 	// without hashing.
 	last []lastSym
+	// number, set by NewStringCache, numbers a string the table has not
+	// seen.
+	number func(string) uint64
 }
 
 type lastSym struct {
 	s  string
 	id uint64
+}
+
+// NewStringCache returns a table whose new strings are numbered by number,
+// typically the Intern of a table shared under a lock. Records encoded
+// against the cache read back with the shared table's Strings, and the
+// encoding goroutine calls number, and so takes the lock, only for a string
+// it has not seen. The cache's own Strings is empty.
+func NewStringCache(number func(string) uint64) StringTable {
+	return StringTable{number: number}
 }
 
 // intern numbers s, the nonempty value of the symbol field tagged tag.
@@ -131,16 +147,25 @@ func (t *StringTable) intern(tag byte, s string) uint64 {
 	if l.s == s { // an unused entry holds "", which s is not
 		return l.id
 	}
+	l.s, l.id = s, t.Intern(s)
+	return l.id
+}
+
+// Intern returns the number of s, numbering it first when it is new.
+func (t *StringTable) Intern(s string) uint64 {
 	id, ok := t.ids[s]
 	if !ok {
 		if t.ids == nil {
 			t.ids = map[string]uint64{}
 		}
-		id = uint64(len(t.strs))
+		if t.number != nil {
+			id = t.number(s)
+		} else {
+			id = uint64(len(t.strs))
+			t.strs = append(t.strs, s)
+		}
 		t.ids[s] = id
-		t.strs = append(t.strs, s)
 	}
-	l.s, l.id = s, id
 	return id
 }
 

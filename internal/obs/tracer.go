@@ -84,7 +84,9 @@ type Event struct {
 // Tracer receives exploration events. Implementations must be safe for
 // concurrent use (parallel harness sessions share one tracer). Events pass by
 // value, so an emission site builds its event on the stack and a tracer that
-// fills a field (WallNs, Session) edits only its own copy.
+// fills a field (WallNs, Session) edits only its own copy. Goroutines that
+// must not contend on one tracer each emit into a segment of it instead
+// (see Segment).
 //
 // The disabled case is a nil Tracer value held by the instrumented component:
 // every site guards with a single nil-check, so the hot path cost of disabled

@@ -165,6 +165,16 @@ func (o *overlapTracer) Emit(obs.Event) {
 	o.cur.Add(-1)
 }
 
+// Segment implements obs.Segmenter. A sharded job's cells emit into
+// segments, which reach the tracer only at commit, on one goroutine; so
+// each segment counts its own Emit calls in the tracer's counters, and
+// cells that run at once still overlap there.
+func (o *overlapTracer) Segment() obs.SegmentTracer { return overlapSegment{o} }
+
+type overlapSegment struct{ *overlapTracer }
+
+func (overlapSegment) Commit() {}
+
 // TestShardedJobRunsWithinItsSlots: a sharded job runs no more epoch
 // workers than the slots it was charged. On a 1-worker pool a 16-shard job
 // holds one slot, so its cells run one at a time and never emit trace

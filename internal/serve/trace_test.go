@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -110,6 +112,139 @@ func TestTraceEmitDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestShardedTraceSameAcrossShards: a sharded job traced straight into a
+// traceBuffer, whose cells emit into segments of it, renders the same
+// /events lines at 1, 2 and 4 epoch workers once the wall-clock fields are
+// zeroed, and the same events, in the same order, as the job traced into
+// an obs.Collect, whose cells buffer events by value.
+func TestShardedTraceSameAcrossShards(t *testing.T) {
+	// run executes the job at the given worker count with tracer and a
+	// span profiler on it, as the server does.
+	run := func(shards int, tracer obs.Tracer) {
+		eo := ExecOptions{Tracer: tracer, Spans: obs.NewSpanProfiler(obs.NewRegistry(), tracer), Name: "det"}
+		if _, err := Execute(context.Background(), shardSpec(quickSpec(3), shards), eo); err != nil {
+			t.Fatalf("shards %d: %v", shards, err)
+		}
+	}
+	var want []obs.Event
+	for _, shards := range []int{1, 2, 4} {
+		buf := newTraceBuffer()
+		run(shards, buf)
+		buf.finish()
+		data, _, _ := buf.readFrom(traceCursor{})
+		evs, err := obs.ParseJSONL(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("shards %d: /events is not JSONL: %v", shards, err)
+		}
+		zeroWall(evs)
+		if want == nil {
+			want = evs
+			continue
+		}
+		compareEvents(t, fmt.Sprintf("shards %d vs 1", shards), evs, want)
+	}
+	var collect obs.Collect
+	run(2, &collect)
+	evs := collect.Events()
+	zeroWall(evs)
+	compareEvents(t, "obs.Collect vs traceBuffer", evs, want)
+}
+
+// zeroWall zeroes the wall-clock fields of evs, which are observational.
+func zeroWall(evs []obs.Event) {
+	for i := range evs {
+		evs[i].WallNs, evs[i].WallCost, evs[i].SelfWall = 0, 0, 0
+	}
+}
+
+func compareEvents(t *testing.T, what string, got, want []obs.Event) {
+	t.Helper()
+	if len(got) == 0 {
+		t.Fatalf("%s: no events", what)
+	}
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Fatalf("%s: event %d differs:\ngot  %+v\nwant %+v", what, i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d events, want %d", what, len(got), len(want))
+	}
+}
+
+// TestTraceSegmentCommitPacksLikeEmit: the records that two segments
+// commit land in the chunks as Emit would place the same events one by
+// one, for commits of many sizes, across chunk boundaries and for a record
+// larger than a chunk, so the buffer holds the same bytes for them and
+// renders the same /events.
+func TestTraceSegmentCommitPacksLikeEmit(t *testing.T) {
+	const chunk = 256
+	segBuf, ref := &traceBuffer{chunk: chunk}, &traceBuffer{chunk: chunk}
+	segs := []obs.SegmentTracer{segBuf.Segment(), segBuf.Segment()}
+	big := traceMix[0]
+	big.Sig = strings.Repeat("x", 2*chunk)
+	var evs []obs.Event
+	for range 5 {
+		evs = append(evs, traceMix...)
+	}
+	evs = append(evs, big)
+	i := 0
+	for round := 1; round <= 12; round++ {
+		for k, seg := range segs {
+			var committed []obs.Event
+			for range round * (k + 1) {
+				ev := evs[i%len(evs)]
+				i++
+				seg.Emit(ev)
+				committed = append(committed, ev)
+			}
+			seg.Commit()
+			for _, ev := range committed {
+				ref.Emit(ev)
+			}
+		}
+	}
+	if len(segBuf.chunks) != len(ref.chunks) {
+		t.Fatalf("segments filled %d chunks, Emit %d", len(segBuf.chunks), len(ref.chunks))
+	}
+	for j := range ref.chunks {
+		if !bytes.Equal(segBuf.chunks[j], ref.chunks[j]) || cap(segBuf.chunks[j]) != cap(ref.chunks[j]) {
+			t.Fatalf("chunk %d: segments stored %d of %d bytes, Emit %d of %d, or other bytes",
+				j, len(segBuf.chunks[j]), cap(segBuf.chunks[j]), len(ref.chunks[j]), cap(ref.chunks[j]))
+		}
+	}
+	got, _, _ := segBuf.readFrom(traceCursor{})
+	want, _, _ := ref.readFrom(traceCursor{})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("segments render %d bytes of /events, differing from Emit's %d", len(got), len(want))
+	}
+}
+
+// TestTraceSegmentEmitDoesNotAllocate: once a segment has seen the strings
+// of its events, and its buffers have grown to an epoch's records, neither
+// Emit nor a Commit within the last chunk allocates.
+func TestTraceSegmentEmitDoesNotAllocate(t *testing.T) {
+	buf := newTraceBuffer()
+	seg := buf.Segment()
+	epoch := func() {
+		for range 50 {
+			for _, ev := range traceMix {
+				seg.Emit(ev)
+			}
+		}
+		seg.Commit()
+	}
+	// The first epoch, which AllocsPerRun runs before it counts, sees the
+	// strings and grows the buffers; the counted one counts exactly.
+	allocs := testing.AllocsPerRun(1, epoch)
+	if len(buf.chunks) != 1 {
+		t.Fatalf("the events filled %d chunks; the check needs them in one", len(buf.chunks))
+	}
+	if allocs != 0 {
+		t.Fatalf("an epoch of %d events through a segment allocated %.0f times, want 0", 50*len(traceMix), allocs)
+	}
+}
+
 // traceMix is a fixed sample of the events a served job emits most: LL
 // forks and HL edges, then spans and solver queries.
 var traceMix = []obs.Event{
@@ -140,23 +275,57 @@ func (t *traceBuffer) retained() int {
 	return n
 }
 
-// BenchmarkTraceEmit times traceBuffer.Emit per event over traceMix,
-// starting a fresh buffer every jobEvents events as a new job would. It
-// reports the bytes allocated and the chunk bytes retained per event.
+// commitEvents is how many events a benchmark producer emits into its
+// segment between commits, about a shard cell's share of an epoch.
+const commitEvents = 256
+
+// BenchmarkTraceEmit times emitting traceMix into a job's buffer, per
+// event, starting a fresh buffer every jobEvents events as a new job would.
+// It reports the bytes allocated and the chunk bytes retained per event.
+// "emit" is one producer calling traceBuffer.Emit, as a plain job's session
+// does; "segments-2" is two goroutines, as the cells of a 2-worker sharded
+// job, each emitting into its own segment of the buffer and committing
+// every commitEvents events.
 func BenchmarkTraceEmit(b *testing.B) {
+	b.Run("emit", func(b *testing.B) { benchTraceEmit(b, 0) })
+	b.Run("segments-2", func(b *testing.B) { benchTraceEmit(b, 2) })
+}
+
+// benchTraceEmit emits b.N events through the buffer's Emit when producers
+// is 0, else split across that many goroutines with a segment each.
+func benchTraceEmit(b *testing.B, producers int) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
-	buf, retained := newTraceBuffer(), 0
-	for i := 0; i < b.N; i++ {
-		if i%jobEvents == 0 {
-			retained += buf.retained()
-			buf = newTraceBuffer()
+	retained := 0
+	for done := 0; done < b.N; done += jobEvents {
+		n := min(jobEvents, b.N-done)
+		buf := newTraceBuffer()
+		if producers == 0 {
+			for i := 0; i < n; i++ {
+				buf.Emit(traceMix[i%len(traceMix)])
+			}
+		} else {
+			var wg sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					seg := buf.Segment()
+					for i := p; i < n; i += producers {
+						seg.Emit(traceMix[i%len(traceMix)])
+						if (i/producers+1)%commitEvents == 0 {
+							seg.Commit()
+						}
+					}
+					seg.Commit()
+				}()
+			}
+			wg.Wait()
 		}
-		buf.Emit(traceMix[i%len(traceMix)])
+		retained += buf.retained()
 	}
 	b.StopTimer()
-	retained += buf.retained()
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N), "B/event")

@@ -490,7 +490,7 @@ func BenchmarkAblationPortfolio(b *testing.B) {
 			members = append(members, chef.PortfolioMember{Name: names[li], Prog: p.Test(lvl).Program()})
 		}
 		res := chef.RunPortfolio(members,
-			chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 5, StepLimit: bud.StepLimit}, total)
+			chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 5, StepLimit: bud.StepLimit}, 0, total)
 		portfolio = len(res.Tests)
 	}
 	b.ReportMetric(float64(single), "tests-single-build")

@@ -148,7 +148,7 @@ func portfolio(b experiments.Budgets) {
 		ms = append(ms, chefPkg.PortfolioMember{Name: names[i], Prog: p.Test(lvl).Program()})
 	}
 	opts := chefPkg.Options{
-		Strategy: chefPkg.StrategyCUPAPath, Seed: b.Seed, StepLimit: b.StepLimit, Parallel: b.Parallel,
+		Strategy: chefPkg.StrategyCUPAPath, Seed: b.Seed, StepLimit: b.StepLimit,
 		Metrics: b.Metrics, Tracer: b.Tracer, Faults: b.Faults,
 	}
 	if b.Spans {
@@ -156,7 +156,7 @@ func portfolio(b experiments.Budgets) {
 		// run concurrently; profilers are single-goroutine).
 		opts.Spans = obs.NewSpanProfiler(b.Metrics, b.Tracer)
 	}
-	res := chefPkg.RunPortfolio(ms, opts, b.Time)
+	res := chefPkg.RunPortfolio(ms, opts, b.Parallel, b.Time)
 	fmt.Printf("Portfolio over %d interpreter builds of xlrd (total budget %d):\n", len(ms), b.Time)
 	for i, m := range ms {
 		fmt.Printf("  %-30s %5d paths, %4d new to the portfolio\n", m.Name, res.PerBuild[i], res.NewPerBuild[i])

@@ -42,7 +42,6 @@ func run() int {
 		tenantLimit  = flag.Int("tenant-limit", 0, "max concurrently running jobs per X-API-Key tenant (0 = unlimited)")
 		retryAfter   = flag.Int("retry-after", 1, "Retry-After seconds hint on 429 responses")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "max time to let jobs finish on SIGTERM before cancelling them")
-		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the service address")
 	)
 	var obsFlags obscli.Flags
 	obsFlags.Register(flag.CommandLine)
@@ -79,16 +78,7 @@ func run() int {
 	}
 	fmt.Printf("chef-serve: listening on %s\n", ln.Addr())
 
-	handler := srv.Handler()
-	if *pprofOn {
-		// obscli's side-effect import registers the pprof handlers on the
-		// default mux; expose them alongside the job API when asked.
-		m := http.NewServeMux()
-		m.Handle("/debug/pprof/", http.DefaultServeMux)
-		m.Handle("/", handler)
-		handler = m
-	}
-	httpSrv := &http.Server{Handler: handler}
+	httpSrv := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

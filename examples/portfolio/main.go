@@ -25,7 +25,7 @@ func main() {
 	}
 	const totalBudget = 2_000_000
 	opts := chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 7, StepLimit: 40_000}
-	res := chef.RunPortfolio(members, opts, totalBudget)
+	res := chef.RunPortfolio(members, opts, 0, totalBudget)
 
 	fmt.Printf("portfolio over %d interpreter builds of %s (budget %d, split equally):\n\n",
 		len(members), pkg.Name, totalBudget)

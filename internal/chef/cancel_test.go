@@ -80,24 +80,3 @@ func TestRunContextCancelMidway(t *testing.T) {
 		t.Fatalf("session executed %d engine runs after cancel at run 2, want 2", got)
 	}
 }
-
-// RunPortfolioContext with an uncancelled context matches RunPortfolio, and
-// a pre-cancelled one terminates with zero exploration.
-func TestRunPortfolioContext(t *testing.T) {
-	members := []PortfolioMember{
-		{Name: "a", Prog: validateEmailProg(6)},
-		{Name: "b", Prog: validateEmailProg(6)},
-	}
-	opts := Options{Strategy: StrategyCUPAPath, Seed: 3, Parallel: 1}
-	serial := RunPortfolio(members, opts, 1<<22)
-	ctxed := RunPortfolioContext(context.Background(), members, opts, 1<<22)
-	if !reflect.DeepEqual(serial, ctxed) {
-		t.Fatal("RunPortfolioContext(Background) diverged from RunPortfolio")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res := RunPortfolioContext(ctx, members, opts, 1<<22)
-	if res.Aggregate.Runs != 0 {
-		t.Fatalf("cancelled portfolio executed %d runs, want 0", res.Aggregate.Runs)
-	}
-}

@@ -76,11 +76,11 @@ func TestChaosFaultPlansKeepSessionInvariants(t *testing.T) {
 				t.Fatalf("plan %q: series not monotone at %d", spec, j)
 			}
 		}
-		if s.FaultsInjected() > 0 {
+		if s.faults.Injected() > 0 {
 			faulted++
 		}
 		if sum.RequeuedStates != st.RequeuedStates || sum.AbandonedStates != st.AbandonedStates ||
-			sum.FaultsInjected != s.FaultsInjected() {
+			sum.FaultsInjected != s.faults.Injected() {
 			t.Fatalf("plan %q: summary out of sync with stats: %+v vs %+v", spec, sum, st)
 		}
 	}
@@ -146,9 +146,8 @@ func TestPortfolioDeterministicUnderFaults(t *testing.T) {
 		return RunPortfolio(members, Options{
 			Strategy: StrategyCUPAPath,
 			Seed:     11,
-			Parallel: parallel,
 			Faults:   mustChaosPlan(t, "seed=5;solver.unknown:p=0.3"),
-		}, 1<<22)
+		}, parallel, 1<<22)
 	}
 	serial, wide := run(1), run(4)
 	if len(serial.Tests) != len(wide.Tests) {

@@ -82,10 +82,6 @@ type Options struct {
 	SolverOptions solver.Options
 	// ForkWeightDecay is the p of §3.4; 0 means the paper's 0.75.
 	ForkWeightDecay float64
-	// Parallel bounds the worker count of multi-session drivers such as
-	// RunPortfolio; 0 means runtime.GOMAXPROCS(0), 1 forces serial
-	// execution. A single Session is always confined to one goroutine.
-	Parallel int
 	// Metrics, when non-nil, receives the session's counters, gauges and
 	// latency histograms (see internal/obs for the metric names). Sharing one
 	// registry across sessions is safe (all cells are atomics); multi-session
@@ -375,9 +371,6 @@ func (s *Session) sample() {
 		HLPaths:  int64(len(s.hlPaths)),
 	})
 }
-
-// Tests returns the generated test cases so far.
-func (s *Session) Tests() []TestCase { return s.tests }
 
 // Series returns the exploration progress samples.
 func (s *Session) Series() []SamplePoint { return s.series }
@@ -812,10 +805,6 @@ func (s *Session) Summary() Summary {
 		FaultsInjected:  s.faults.Injected(),
 	}
 }
-
-// FaultsInjected returns the number of faults this session's injector fired
-// (the solver site; the persistent store's injector counts separately).
-func (s *Session) FaultsInjected() int64 { return s.faults.Injected() }
 
 // ReplaySig executes the session's program once under the given concrete
 // input on a non-forking machine and returns the high-level path signature

@@ -1,7 +1,9 @@
 package chef
 
 import (
+	"bytes"
 	"context"
+	"regexp"
 	"testing"
 
 	"chef/internal/faults"
@@ -130,7 +132,7 @@ func TestPortfolioAggregateMatchesMembers(t *testing.T) {
 		{Name: "m1", Prog: branchesProg(10)},
 	}
 	reg := obs.NewRegistry()
-	res := RunPortfolio(members, Options{Strategy: StrategyCUPAPath, Seed: 9, Metrics: reg, Parallel: 2}, 400_000)
+	res := RunPortfolio(members, Options{Strategy: StrategyCUPAPath, Seed: 9, Metrics: reg}, 2, 400_000)
 	if res.Aggregate.Runs <= 0 || res.Aggregate.VirtTime <= 0 {
 		t.Errorf("portfolio aggregate empty: %+v", res.Aggregate)
 	}
@@ -143,6 +145,46 @@ func TestPortfolioAggregateMatchesMembers(t *testing.T) {
 	if len(res.Tests) == 0 {
 		t.Error("portfolio found no tests")
 	}
+}
+
+// TestPortfolioTraceSameAcrossWorkers: each member traces into its own
+// segment and the segments are committed in member order, so a traced
+// portfolio writes the same JSONL at every worker count. The members at 4
+// workers explore at the same time; only the measured wall durations of
+// spans and solver queries may differ.
+func TestPortfolioTraceSameAcrossWorkers(t *testing.T) {
+	members := []PortfolioMember{
+		{Name: "m0", Prog: branchesProg(10)},
+		{Name: "m1", Prog: validateEmailProg(6)},
+		{Name: "m2", Prog: branchesProg(8)},
+		{Name: "m3", Prog: validateEmailProg(5)},
+	}
+	wall := regexp.MustCompile(`,"(wall_cost_ns|self_wall_ns)":-?[0-9]+`)
+	run := func(workers int) []byte {
+		var out bytes.Buffer
+		tr := obs.NewJSONL(&out)
+		tr.DisableWallClock()
+		reg := obs.NewRegistry()
+		RunPortfolio(members, Options{
+			Strategy: StrategyCUPAPath, Seed: 9, Metrics: reg, Tracer: tr,
+			Spans: obs.NewSpanProfiler(reg, tr),
+		}, workers, 1_600_000)
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return wall.ReplaceAll(out.Bytes(), nil)
+	}
+	serial, wide := run(1), run(4)
+	if bytes.Equal(serial, wide) {
+		return
+	}
+	a, b := bytes.Split(serial, []byte("\n")), bytes.Split(wide, []byte("\n"))
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if !bytes.Equal(a[i], b[i]) {
+			t.Fatalf("line %d differs:\nworkers=1: %s\nworkers=4: %s", i+1, a[i], b[i])
+		}
+	}
+	t.Fatalf("line counts differ: workers=1 %d, workers=4 %d", len(a), len(b))
 }
 
 // branchesProg branches on each of n input bytes independently, so its
@@ -229,7 +271,7 @@ func TestPublishedCountersMatchSnapshots(t *testing.T) {
 			p.solvers = append(p.solvers, c.sess.eng.Solver().Stats())
 		}
 		p.counters = sessionCounts(ss.Stats(), ss.SolverStats(), cellTests, cellPaths)
-		p.counters[obs.MChefTestsMerged] = int64(len(ss.Tests()))
+		p.counters[obs.MChefTestsMerged] = int64(len(ss.tests))
 		return p
 	}
 	cupa := Options{Strategy: StrategyCUPAPath, Seed: 11}
@@ -253,7 +295,7 @@ func TestPublishedCountersMatchSnapshots(t *testing.T) {
 			res := RunPortfolio([]PortfolioMember{
 				{Name: "m0", Prog: validateEmailProg(3)},
 				{Name: "m1", Prog: branchesProg(10)},
-			}, Options{Strategy: StrategyCUPAPath, Seed: 9, Metrics: reg, Parallel: 2}, budget)
+			}, Options{Strategy: StrategyCUPAPath, Seed: 9, Metrics: reg}, 2, budget)
 			a := res.Aggregate
 			return published{pending: -1, counters: map[string]int64{
 				obs.MRuns:            a.Runs,

@@ -8,7 +8,6 @@ import (
 
 	"chef/internal/lowlevel"
 	"chef/internal/obs"
-	"chef/internal/solver"
 )
 
 // Path-space sharding (ROADMAP item 2; docs/DESIGN.md "Path-space
@@ -101,17 +100,14 @@ func (c *shardCell) NoteVisited(sig uint64) {
 // ShardedSession explores one symbolic test across ShardSubtrees range
 // cells with up to `workers` epoch workers. Results are byte-identical
 // for every worker count, including 1; see the package comment above for
-// the argument. Methods are not safe for concurrent use.
+// the argument. The cells are a sessionSet, which supplies the merge and
+// the folded counters (Clock, Stats, SolverStats, CacheStats, Series);
+// the sharded session adds the epochs, the router and the mailboxes.
+// Methods are not safe for concurrent use.
 type ShardedSession struct {
-	opts    Options
-	name    string
+	*sessionSet
 	workers int
-
-	cells     []*shardCell
-	childRegs []*obs.Registry
-	// segs holds each cell's trace segment, indexed like cells; nil when
-	// tracing is off.
-	segs []obs.SegmentTracer
+	cells   []*shardCell
 
 	// Coordinator observability (nil when disabled).
 	tracer  obs.Tracer
@@ -127,8 +123,6 @@ type ShardedSession struct {
 	initialDone bool
 	spent       int64
 	cancelled   bool
-	tests       []TestCase
-	series      []SamplePoint
 }
 
 // NewShardedSession builds a sharded exploration of prog. workers bounds
@@ -146,9 +140,8 @@ func NewShardedSession(prog TestProgram, opts Options, workers int) *ShardedSess
 		name = "session"
 	}
 	ss := &ShardedSession{
-		opts:    opts,
-		name:    name,
 		workers: workers,
+		cells:   make([]*shardCell, ShardSubtrees),
 		tracer:  obs.WithSession(opts.Tracer, name),
 	}
 	if reg := opts.Metrics; reg != nil {
@@ -158,33 +151,11 @@ func NewShardedSession(prog TestProgram, opts Options, workers int) *ShardedSess
 		ss.mNotes = reg.Counter(obs.MShardVisitedNotes)
 		ss.mDups = reg.Counter(obs.MShardHandoffDups)
 		ss.mDepth = reg.Histogram(obs.MShardHandoffDepth)
-		ss.childRegs = make([]*obs.Registry, ShardSubtrees)
-		for i := range ss.childRegs {
-			ss.childRegs[i] = obs.NewRegistry()
-		}
 	}
 	if opts.Spans != nil {
 		ss.spans = obs.NewSpanProfiler(opts.Metrics, ss.tracer)
 	}
-	for k := 0; k < ShardSubtrees; k++ {
-		cellOpts := opts
-		cellOpts.Seed = opts.Seed + int64(k)*104729
-		cellOpts.Name = fmt.Sprintf("%s.s%02d", name, k)
-		if ss.childRegs != nil {
-			cellOpts.Metrics = ss.childRegs[k]
-		}
-		if opts.Tracer != nil {
-			// The cell's session, engine, solver, strategy and profiler
-			// all emit into its segment.
-			seg := obs.Segment(opts.Tracer)
-			ss.segs = append(ss.segs, seg)
-			cellOpts.Tracer = seg
-		}
-		if opts.Spans != nil {
-			// One profiler per cell: a SpanProfiler serves one goroutine
-			// at a time, and a cell's epochs are sequenced by barriers.
-			cellOpts.Spans = obs.NewSpanProfiler(cellOpts.Metrics, obs.WithSession(cellOpts.Tracer, cellOpts.Name))
-		}
+	ss.sessionSet = newSessionSet(ShardSubtrees, opts, func(k int) (string, TestProgram, lowlevel.Router) {
 		c := &shardCell{
 			idx:         k,
 			outStates:   make([][]*lowlevel.State, ShardSubtrees),
@@ -194,15 +165,14 @@ func NewShardedSession(prog TestProgram, opts Options, workers int) *ShardedSess
 		for t := range c.sentVisited {
 			c.sentVisited[t] = map[uint64]bool{}
 		}
-		cellOpts.router = c
-		c.sess = NewSession(prog, cellOpts)
-		ss.cells = append(ss.cells, c)
+		ss.cells[k] = c
+		return fmt.Sprintf("%s.s%02d", name, k), prog, c
+	})
+	for k, c := range ss.cells {
+		c.sess = ss.sess[k]
 	}
 	return ss
 }
-
-// Workers returns the clamped epoch worker count.
-func (ss *ShardedSession) Workers() int { return ss.workers }
 
 // Run explores until the merged virtual-time budget is exhausted or all
 // range queues drain, and returns the merged test cases.
@@ -269,16 +239,14 @@ func (ss *ShardedSession) RunContext(ctx context.Context, budget int64) []TestCa
 			ss.mEpochs.Inc()
 		}
 	}
-	ss.merge()
+	// Every cell finishes like a plain session before the merge folds the
+	// counts it publishes.
+	for _, c := range ss.cells {
+		c.sess.finish(ss.cancelled)
+	}
+	ss.merge(nil)
 	ss.commit()
 	return ss.tests
-}
-
-// commit appends the cells' trace segments to the tracer in range order.
-func (ss *ShardedSession) commit() {
-	for _, seg := range ss.segs {
-		seg.Commit()
-	}
 }
 
 // liveCells returns the cells with pending work, largest queue first and
@@ -351,31 +319,6 @@ func (ss *ShardedSession) deliver() {
 	}
 }
 
-// merge gathers per-cell results in canonical range order: tests dedup by
-// high-level signature (first range wins, mirroring RunPortfolio), series
-// concatenate, every cell finishes like a plain session, and child
-// registries fold into the caller's registry.
-func (ss *ShardedSession) merge() {
-	seen := map[uint64]bool{}
-	for _, c := range ss.cells {
-		for _, tc := range c.sess.tests {
-			if !seen[tc.HLSig] {
-				seen[tc.HLSig] = true
-				ss.tests = append(ss.tests, tc)
-			}
-		}
-		ss.series = append(ss.series, c.sess.series...)
-	}
-	for _, c := range ss.cells {
-		c.sess.finish(ss.cancelled)
-	}
-	if ss.opts.Metrics != nil {
-		for _, child := range ss.childRegs {
-			ss.opts.Metrics.Merge(child)
-		}
-	}
-}
-
 // publish adds the coordinator's end-of-run count to the registry: the
 // merged test count.
 func (ss *ShardedSession) publish() {
@@ -384,63 +327,15 @@ func (ss *ShardedSession) publish() {
 	}
 }
 
-// Tests returns the merged test cases (valid after Run).
-func (ss *ShardedSession) Tests() []TestCase { return ss.tests }
-
-// Series returns the per-cell progress samples concatenated in range
-// order.
-func (ss *ShardedSession) Series() []SamplePoint { return ss.series }
-
 // Cancelled reports whether RunContext stopped early on a done context.
 func (ss *ShardedSession) Cancelled() bool { return ss.cancelled }
-
-// Clock returns the merged virtual time across all range cells.
-func (ss *ShardedSession) Clock() int64 {
-	var total int64
-	for _, c := range ss.cells {
-		total += c.sess.eng.Clock()
-	}
-	return total
-}
-
-// Stats returns the merged engine counters across all range cells, folded
-// in range order with Stats.Add.
-func (ss *ShardedSession) Stats() lowlevel.Stats {
-	var st lowlevel.Stats
-	for _, c := range ss.cells {
-		st.Add(c.sess.eng.Stats())
-	}
-	return st
-}
-
-// SolverStats returns the merged solver counters across all range cells.
-func (ss *ShardedSession) SolverStats() solver.Stats {
-	var st solver.Stats
-	for _, c := range ss.cells {
-		st.Add(c.sess.eng.Solver().Stats())
-	}
-	return st
-}
-
-// CacheStats returns the merged in-memory query-cache counters across the
-// cells' private caches.
-func (ss *ShardedSession) CacheStats() solver.CacheStats {
-	var st solver.CacheStats
-	for _, c := range ss.cells {
-		st.Add(c.sess.eng.Solver().Cache().Stats())
-	}
-	return st
-}
 
 // Summary condenses the sharded run: per-cell summaries folded with
 // Summary.Add, with the path counts replaced by the cross-range
 // deduplicated view (a plain session dedups globally, so the merged
 // numbers are the comparable ones).
 func (ss *ShardedSession) Summary() Summary {
-	var sum Summary
-	for _, c := range ss.cells {
-		sum.Add(c.sess.Summary())
-	}
+	sum := ss.sessionSet.Summary()
 	sum.HLTests = len(ss.tests)
 	sum.HLPaths = len(ss.tests)
 	return sum

@@ -25,7 +25,7 @@ func runSharded(t testing.TB, prog TestProgram, opts Options, workers int, budge
 // run into one comparable string.
 func fingerprint(ss *ShardedSession) string {
 	return fmt.Sprintf("tests=%#v\nstats=%+v\nclock=%d\nsolver=%+v\nseries=%+v\nsummary=%+v",
-		ss.Tests(), ss.Stats(), ss.Clock(), ss.SolverStats(), ss.Series(), ss.Summary())
+		ss.tests, ss.Stats(), ss.Clock(), ss.SolverStats(), ss.Series(), ss.Summary())
 }
 
 // TestShardOwnerOf pins the range encoding: a signature belongs to the
@@ -83,14 +83,14 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 func TestShardedFindsAllOutcomes(t *testing.T) {
 	ss := runSharded(t, validateEmailProg(6), Options{Strategy: StrategyCUPAPath, Seed: 42}, 4, shardFixtureBudget)
 	results := map[string]bool{}
-	for _, tc := range ss.Tests() {
+	for _, tc := range ss.tests {
 		results[tc.Result] = true
 	}
 	if !results["ok"] || !results["exception:InvalidEmailError"] {
 		t.Fatalf("outcomes %v, want both ok and exception", results)
 	}
-	if len(ss.Tests()) != 2 {
-		t.Fatalf("merged tests = %d, want 2 distinct HL paths", len(ss.Tests()))
+	if len(ss.tests) != 2 {
+		t.Fatalf("merged tests = %d, want 2 distinct HL paths", len(ss.tests))
 	}
 	st := ss.Stats()
 	if st.HandedOff == 0 {
@@ -192,8 +192,8 @@ func TestShardedCancellation(t *testing.T) {
 // and never change results (spot check at the extremes).
 func TestShardedWorkerClamp(t *testing.T) {
 	ss := NewShardedSession(validateEmailProg(4), Options{Seed: 1}, 1000)
-	if ss.Workers() != ShardSubtrees {
-		t.Fatalf("workers = %d, want clamp to %d", ss.Workers(), ShardSubtrees)
+	if ss.workers != ShardSubtrees {
+		t.Fatalf("workers = %d, want clamp to %d", ss.workers, ShardSubtrees)
 	}
 	opts := Options{Strategy: StrategyCUPAPath, Seed: 9}
 	a := fingerprint(runSharded(t, validateEmailProg(4), opts, 1, shardFixtureBudget))

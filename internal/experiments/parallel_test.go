@@ -93,8 +93,7 @@ func TestRunPortfolioParallelDeterminism(t *testing.T) {
 			Strategy:  chef.StrategyCUPAPath,
 			Seed:      7,
 			StepLimit: 30_000,
-			Parallel:  workers,
-		}, 800_000)
+		}, workers, 800_000)
 	}
 	serial := run(1)
 	parallel := run(8)

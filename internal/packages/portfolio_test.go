@@ -21,7 +21,7 @@ func TestPortfolioMergesAcrossBuilds(t *testing.T) {
 		})
 	}
 	opts := chef.Options{Strategy: chef.StrategyCUPAPath, Seed: 5, StepLimit: 30000}
-	res := chef.RunPortfolio(members, opts, 1_600_000)
+	res := chef.RunPortfolio(members, opts, 0, 1_600_000)
 	if len(res.PerBuild) != 4 || len(res.NewPerBuild) != 4 {
 		t.Fatalf("per-build stats missing: %+v", res)
 	}

@@ -6,12 +6,12 @@ import (
 	"chef/internal/solver"
 )
 
-// sessionSet is the fan-out shared by the two drivers that run several
-// sessions side by side: the members of a portfolio and the range cells of
-// a sharded session. It derives each member's options once, and everything
+// sessionSet is the fan-out behind both ways of running several sessions
+// side by side: the members of a portfolio and the range cells of a
+// sharded session. It derives each member's options once, and everything
 // it hands back (the trace, the merged tests and registries, the folded
 // counters) walks the members in index order, so none of it depends on
-// which goroutine ran which member. The drivers differ only in how they
+// which goroutine ran which member. The two differ only in how they
 // schedule their members' exploration.
 type sessionSet struct {
 	opts Options

@@ -9,7 +9,6 @@
 package main
 
 import (
-	chefPkg "chef/internal/chef"
 	"flag"
 	"fmt"
 	"os"
@@ -17,11 +16,8 @@ import (
 
 	"chef/internal/dedicated"
 	"chef/internal/experiments"
-	"chef/internal/interp"
 	"chef/internal/minipy"
-	"chef/internal/obs"
 	"chef/internal/obscli"
-	"chef/internal/packages"
 	"chef/internal/symexpr"
 )
 
@@ -64,7 +60,7 @@ func main() {
 		"fig11":     func() { fmt.Println(experiments.RenderFig11(experiments.Fig11(b))) },
 		"fig12":     func() { fmt.Println(experiments.RenderFig12(experiments.Fig12(*frames, b))) },
 		"nicebug":   func() { nicebug() },
-		"portfolio": func() { portfolio(b) },
+		"portfolio": func() { fmt.Print(experiments.RenderPortfolio(experiments.Portfolio(b), b.Time)) },
 		"crosscheck": func() {
 			r, err := experiments.CrossCheck(2, 2, false, b)
 			if err != nil {
@@ -135,31 +131,4 @@ def f(x):
 		fmt.Println("=> the buggy engine generates redundant test cases and misses a feasible path,")
 		fmt.Println("   detected by tracking its tests along the CHEF-generated high-level paths.")
 	}
-}
-
-// portfolio runs the §6.5 extension the paper proposes for large packages:
-// a portfolio of interpreter builds, each exploring under a share of the
-// budget, with high-level paths merged across builds.
-func portfolio(b experiments.Budgets) {
-	p, _ := packages.ByName("xlrd")
-	var ms []chefPkg.PortfolioMember
-	names := interp.OptLevelNames()
-	for i, lvl := range interp.OptLevels() {
-		ms = append(ms, chefPkg.PortfolioMember{Name: names[i], Prog: p.Test(lvl).Program()})
-	}
-	opts := chefPkg.Options{
-		Strategy: chefPkg.StrategyCUPAPath, Seed: b.Seed, StepLimit: b.StepLimit,
-		Metrics: b.Metrics, Tracer: b.Tracer, Faults: b.Faults,
-	}
-	if b.Spans {
-		// Non-nil Spans asks RunPortfolio for per-member profilers (members
-		// run concurrently; profilers are single-goroutine).
-		opts.Spans = obs.NewSpanProfiler(b.Metrics, b.Tracer)
-	}
-	res := chefPkg.RunPortfolio(ms, opts, b.Parallel, b.Time)
-	fmt.Printf("Portfolio over %d interpreter builds of xlrd (total budget %d):\n", len(ms), b.Time)
-	for i, m := range ms {
-		fmt.Printf("  %-30s %5d paths, %4d new to the portfolio\n", m.Name, res.PerBuild[i], res.NewPerBuild[i])
-	}
-	fmt.Printf("  merged distinct high-level paths: %d\n", len(res.Tests))
 }

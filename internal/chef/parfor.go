@@ -13,7 +13,7 @@ import (
 // It is the one worker pool behind every fan-out in the repository: the
 // experiment grid, portfolio members and the cells of a sharded epoch.
 // Callers keep results schedule-independent by writing each call's output
-// to its own slot and merging in index order after ParFor returns.
+// to its own slot and merging the slots in index order.
 func ParFor(workers, n int, fn func(i int)) {
 	if workers > n {
 		workers = n

@@ -45,9 +45,9 @@ type PortfolioResult struct {
 // merges distinct high-level paths. Member sessions are independent (each
 // owns its RNG, machine and solver), so they fan out over up to workers
 // goroutines (0 means runtime.GOMAXPROCS(0)). Each member traces into its
-// own segment, committed in member order after the pool drains, and the
-// merge walks the members in the same order, so the result and the trace
-// are those of a serial run whatever the schedule.
+// own segment; after the pool drains, the merge walks the members in order,
+// committing their segments as it goes, so the result and the trace are
+// those of a serial run whatever the schedule.
 func RunPortfolio(members []PortfolioMember, opts Options, workers int, budget int64) PortfolioResult {
 	res := PortfolioResult{}
 	if len(members) == 0 {
@@ -59,12 +59,11 @@ func RunPortfolio(members []PortfolioMember, opts Options, workers int, budget i
 	share := budget / int64(len(members))
 	set := newSessionSet(len(members), opts, func(k int) (string, TestProgram, lowlevel.Router) {
 		if opts.Name != "" {
-			return opts.Name, members[k].Prog, nil
+			return opts.Name + "/" + members[k].Name, members[k].Prog, nil
 		}
 		return members[k].Name, members[k].Prog, nil
 	})
 	ParFor(workers, len(members), func(k int) { set.sess[k].Run(share) })
-	set.commit()
 	res.NewPerBuild = make([]int, len(members))
 	set.merge(res.NewPerBuild)
 	res.Tests = set.tests

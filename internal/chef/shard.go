@@ -118,6 +118,7 @@ type ShardedSession struct {
 	mNotes  *obs.Counter
 	mDups   *obs.Counter
 	mDepth  *obs.Histogram
+	mMerged *obs.Counter
 
 	ran         bool
 	initialDone bool
@@ -151,6 +152,7 @@ func NewShardedSession(prog TestProgram, opts Options, workers int) *ShardedSess
 		ss.mNotes = reg.Counter(obs.MShardVisitedNotes)
 		ss.mDups = reg.Counter(obs.MShardHandoffDups)
 		ss.mDepth = reg.Histogram(obs.MShardHandoffDepth)
+		ss.mMerged = reg.Counter(obs.MChefTestsMerged)
 	}
 	if opts.Spans != nil {
 		ss.spans = obs.NewSpanProfiler(opts.Metrics, ss.tracer)
@@ -191,7 +193,6 @@ func (ss *ShardedSession) RunContext(ctx context.Context, budget int64) []TestCa
 		return ss.tests
 	}
 	ss.ran = true
-	defer ss.publish()
 	for _, c := range ss.cells {
 		if c.sess.tracer != nil {
 			c.sess.tracer.Emit(obs.Event{
@@ -245,7 +246,10 @@ func (ss *ShardedSession) RunContext(ctx context.Context, budget int64) []TestCa
 		c.sess.finish(ss.cancelled)
 	}
 	ss.merge(nil)
-	ss.commit()
+	// The coordinator's own count: the merged tests.
+	if ss.mMerged != nil {
+		ss.mMerged.Add(int64(len(ss.tests)))
+	}
 	return ss.tests
 }
 
@@ -316,14 +320,6 @@ func (ss *ShardedSession) deliver() {
 		ss.mStates.Add(states)
 		ss.mNotes.Add(notes)
 		ss.mDups.Add(dups)
-	}
-}
-
-// publish adds the coordinator's end-of-run count to the registry: the
-// merged test count.
-func (ss *ShardedSession) publish() {
-	if reg := ss.opts.Metrics; reg != nil {
-		reg.Counter(obs.MChefTestsMerged).Add(int64(len(ss.tests)))
 	}
 }
 

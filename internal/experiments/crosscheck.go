@@ -5,12 +5,8 @@ import (
 	"strings"
 
 	"chef/internal/chef"
-	"chef/internal/dedicated"
 	"chef/internal/interp"
-	"chef/internal/minipy"
 	"chef/internal/packages"
-	"chef/internal/symexpr"
-	"chef/internal/symtest"
 )
 
 // CrossCheckResult reports the §6.6 reference-implementation workflow: the
@@ -33,67 +29,37 @@ func CrossCheck(nFrames, macLen int, bugCompat bool, b Budgets) (CrossCheckResul
 
 	// CHEF side: ground-truth high-level paths.
 	pt := packages.MacLearningFlatTest(nFrames, macLen, interp.Optimized)
-	session := chef.NewSession(pt.Program(), chef.Options{
-		Strategy: chef.StrategyCUPAPath, Seed: b.Seed, StepLimit: b.StepLimit,
-	})
+	iso := b.session(chef.StrategyCUPAPath, b.Seed, fmt.Sprintf("maclearning-%d/crosscheck/%d", nFrames, b.Seed))
+	defer iso.Merge()
+	session := chef.NewSession(pt.Program(), iso.Opts)
 	chefTests := session.Run(b.Time)
 	out.ChefHLPaths = len(chefTests)
 
 	// Dedicated side.
-	src := packages.MacLearningFlatSource(nFrames)
-	prog, err := minipy.Compile(src)
+	ded, err := exploreDedicated(nFrames, macLen, bugCompat)
 	if err != nil {
-		return out, err
-	}
-	ded := dedicated.New(prog, dedicated.Options{BugCompat: bugCompat})
-	var args []dedicated.Value
-	for i := 0; i < nFrames; i++ {
-		args = append(args,
-			dedSymStr(fmt.Sprintf("s%d", i), macLen),
-			dedSymStr(fmt.Sprintf("d%d", i), macLen))
-	}
-	if err := ded.Explore("drive_frames", args); err != nil {
 		return out, err
 	}
 	out.DedicatedTests = len(ded.Tests())
 
 	// Track dedicated tests along CHEF's HL paths: replay each input on the
-	// instrumented interpreter and record the resulting HL signature.
-	chefSigs := map[uint64]bool{}
-	for _, tc := range chefTests {
-		chefSigs[tc.HLSig] = true
-	}
+	// instrumented interpreter, through CHEF's own session, and record the
+	// resulting HL signature. CHEF's tests are one per distinct HL path.
 	hit := map[uint64]bool{}
 	for _, tc := range ded.Tests() {
-		sig := hlSigOf(pt, tc.Input)
+		sig := session.ReplaySig(tc.Input)
 		if hit[sig] {
 			out.DuplicateTests++
-			continue
 		}
 		hit[sig] = true
 	}
-	for sig := range chefSigs {
-		if !hit[sig] {
+	for _, tc := range chefTests {
+		if !hit[tc.HLSig] {
 			out.MissedHLPaths++
 		}
 	}
 	out.CoveredHLPaths = out.ChefHLPaths - out.MissedHLPaths
 	return out, nil
-}
-
-// hlSigOf replays an input through a fresh single-run session to compute the
-// high-level path signature the instrumented interpreter assigns to it.
-func hlSigOf(pt *symtest.PyTest, input symexpr.Assignment) uint64 {
-	s := chef.NewSession(pt.Program(), chef.Options{Strategy: chef.StrategyDFS, Seed: 1})
-	return s.ReplaySig(input)
-}
-
-func dedSymStr(name string, n int) dedicated.Value {
-	b := make([]*symexpr.Expr, n)
-	for i := range b {
-		b[i] = symexpr.NewVar(symexpr.Var{Buf: name, Idx: i, W: symexpr.W8})
-	}
-	return dedicated.StrV{B: b}
 }
 
 // RenderCrossCheck formats a cross-check result.

@@ -7,6 +7,23 @@ import (
 	"chef/internal/packages"
 )
 
+// defaultBudgets returns budgets sized for the benchmark harness: large
+// enough to show every effect, small enough for a laptop.
+func defaultBudgets() Budgets {
+	return Budgets{Time: 3_000_000, StepLimit: 60_000, Reps: 3, Seed: 1}
+}
+
+// quickBudgets returns reduced budgets for unit tests.
+func quickBudgets() Budgets {
+	return Budgets{Time: 600_000, StepLimit: 30_000, Reps: 1, Seed: 1}
+}
+
+// runOne runs one grid cell the way the harness does and returns its
+// result; its trace and metrics reach b's tracer and registry.
+func runOne(p *packages.Package, cfg Configuration, b Budgets, seed int64) RunResult {
+	return runCells(b, []cell{{p: p, cfg: cfg, seed: seed}})[0]
+}
+
 func TestFourConfigurations(t *testing.T) {
 	for _, pathOpt := range []bool{true, false} {
 		cfgs := FourConfigurations(pathOpt)
@@ -22,11 +39,11 @@ func TestFourConfigurations(t *testing.T) {
 func TestAggregateConfigurationWins(t *testing.T) {
 	// The paper's core claim (§6.3): CUPA + optimizations beats the
 	// baseline on test-case generation for the string-heavy parsers.
-	b := QuickBudgets()
+	b := quickBudgets()
 	p, _ := packages.ByName("simplejson")
 	cfgs := FourConfigurations(true)
-	base := RunPackage(p, cfgs[0], b, 1)
-	aggr := RunPackage(p, cfgs[3], b, 1)
+	base := runOne(p, cfgs[0], b, 1)
+	aggr := runOne(p, cfgs[3], b, 1)
 	if aggr.HLTests <= base.HLTests {
 		t.Fatalf("aggregate (%d tests) must beat baseline (%d tests)", aggr.HLTests, base.HLTests)
 	}
@@ -37,11 +54,11 @@ func TestAggregateConfigurationWins(t *testing.T) {
 
 func TestHLPathEfficiencyImprovesWithOptimizations(t *testing.T) {
 	// Fig. 10's claim: the HL/LL ratio is higher with optimizations.
-	b := QuickBudgets()
+	b := quickBudgets()
 	p, _ := packages.ByName("simplejson")
 	cfgs := FourConfigurations(true)
-	base := RunPackage(p, cfgs[0], b, 1)
-	aggr := RunPackage(p, cfgs[3], b, 1)
+	base := runOne(p, cfgs[0], b, 1)
+	aggr := runOne(p, cfgs[3], b, 1)
 	rb := float64(base.HLTests) / float64(base.LLPaths)
 	ra := float64(aggr.HLTests) / float64(aggr.LLPaths)
 	if ra <= rb {
@@ -50,16 +67,16 @@ func TestHLPathEfficiencyImprovesWithOptimizations(t *testing.T) {
 }
 
 func TestTable3FindsJSONHangAndXlrdExceptions(t *testing.T) {
-	b := QuickBudgets()
+	b := quickBudgets()
 	b.Time = 1_200_000
 	cfg := FourConfigurations(true)[3]
 	j, _ := packages.ByName("JSON")
-	jres := RunPackage(j, cfg, b, 1)
+	jres := runOne(j, cfg, b, 1)
 	if jres.Hangs == 0 {
 		t.Error("the sb-JSON comment hang was not found")
 	}
 	x, _ := packages.ByName("xlrd")
-	xres := RunPackage(x, cfg, b, 1)
+	xres := runOne(x, cfg, b, 1)
 	undoc := 0
 	for exc := range xres.Exceptions {
 		if !x.IsDocumented(exc) {
@@ -85,7 +102,7 @@ func TestFig12OverheadAboveOne(t *testing.T) {
 	// CHEF pays for interpreter fidelity: per-path cost must exceed the
 	// dedicated engine's (Fig. 12's premise), and the optimizations must
 	// reduce the overhead of the vanilla build.
-	b := QuickBudgets()
+	b := quickBudgets()
 	pts := Fig12(2, b)
 	if len(pts) != 8 {
 		t.Fatalf("got %d points, want 8", len(pts))
@@ -124,7 +141,7 @@ func TestMeanStd(t *testing.T) {
 }
 
 func TestFig10SeriesMonotoneBudget(t *testing.T) {
-	b := QuickBudgets()
+	b := quickBudgets()
 	b.Time = 400_000
 	series := Fig10(b)
 	if len(series) != 8 { // 4 configs x 2 languages
@@ -142,7 +159,7 @@ func TestFig10SeriesMonotoneBudget(t *testing.T) {
 }
 
 func TestCrossCheckWorkflow(t *testing.T) {
-	b := QuickBudgets()
+	b := quickBudgets()
 	// A correct dedicated engine covers every CHEF HL path (its per-entry
 	// dict forks are strictly finer than HL paths).
 	good, err := CrossCheck(2, 2, false, b)
@@ -162,8 +179,8 @@ func TestCrossCheckWorkflow(t *testing.T) {
 }
 
 func TestBudgetPresets(t *testing.T) {
-	d := DefaultBudgets()
-	q := QuickBudgets()
+	d := defaultBudgets()
+	q := quickBudgets()
 	if d.Time <= q.Time || d.Reps < q.Reps || d.StepLimit <= 0 || q.StepLimit <= 0 {
 		t.Fatalf("budget presets inconsistent: default %+v quick %+v", d, q)
 	}

@@ -10,7 +10,6 @@ import (
 	"chef/internal/interp"
 	"chef/internal/minipy"
 	"chef/internal/packages"
-	"chef/internal/solver"
 	"chef/internal/symexpr"
 )
 
@@ -32,22 +31,11 @@ type Fig8Row struct {
 func Fig8(b Budgets) []Fig8Row {
 	configs := FourConfigurations(true)
 	pkgs := packages.All()
-	var cells []cell
-	for _, p := range pkgs {
-		for _, cfg := range configs {
-			cells = append(cells, repCells(p, cfg, b)...)
-		}
-	}
-	results := runCells(b, cells)
+	tests, _ := runGrid(pkgs, configs, b)
 	var rows []Fig8Row
-	idx := 0
-	for _, p := range pkgs {
+	for pi, p := range pkgs {
 		row := Fig8Row{Package: p.Name, Lang: p.Lang.String()}
-		for ci := range configs {
-			t, _, _ := aggregate(results[idx : idx+b.Reps])
-			idx += b.Reps
-			row.Tests[ci] = t
-		}
+		copy(row.Tests[:], tests[pi])
 		base := row.Tests[0].Mean
 		if base < 1 {
 			base = 1
@@ -91,24 +79,12 @@ type Fig9Row struct {
 // with the coverage-optimized CUPA. Like Fig8, the whole grid runs on the
 // worker pool with order-preserving aggregation.
 func Fig9(b Budgets) []Fig9Row {
-	configs := FourConfigurations(false)
 	pkgs := packages.All()
-	var cells []cell
-	for _, p := range pkgs {
-		for _, cfg := range configs {
-			cells = append(cells, repCells(p, cfg, b)...)
-		}
-	}
-	results := runCells(b, cells)
+	_, coverage := runGrid(pkgs, FourConfigurations(false), b)
 	var rows []Fig9Row
-	idx := 0
-	for _, p := range pkgs {
+	for pi, p := range pkgs {
 		row := Fig9Row{Package: p.Name, Lang: p.Lang.String()}
-		for ci := range configs {
-			_, c, _ := aggregate(results[idx : idx+b.Reps])
-			idx += b.Reps
-			row.Coverage[ci] = c
-		}
+		copy(row.Coverage[:], coverage[pi])
 		rows = append(rows, row)
 	}
 	return rows
@@ -228,24 +204,16 @@ type Fig11Row struct {
 // optimizations, one cumulative level at a time, with path-optimized CUPA.
 func Fig11(b Budgets) []Fig11Row {
 	levels := interp.OptLevels()
-	pkgs := packages.ByLang(packages.Python)
-	var cells []cell
-	for _, p := range pkgs {
-		for li, lvl := range levels {
-			cfg := Configuration{Name: interp.OptLevelNames()[li], Strategy: chef.StrategyCUPAPath, Interp: lvl}
-			cells = append(cells, repCells(p, cfg, b)...)
-		}
+	var configs []Configuration
+	for li, lvl := range levels {
+		configs = append(configs, Configuration{Name: interp.OptLevelNames()[li], Strategy: chef.StrategyCUPAPath, Interp: lvl})
 	}
-	results := runCells(b, cells)
+	pkgs := packages.ByLang(packages.Python)
+	tests, _ := runGrid(pkgs, configs, b)
 	var rows []Fig11Row
-	idx := 0
-	for _, p := range pkgs {
+	for pi, p := range pkgs {
 		row := Fig11Row{Package: p.Name}
-		for li := range levels {
-			t, _, _ := aggregate(results[idx : idx+b.Reps])
-			idx += b.Reps
-			row.Tests[li] = t
-		}
+		copy(row.Tests[:], tests[pi])
 		full := row.Tests[3].Mean
 		if full < 1 {
 			full = 1
@@ -277,6 +245,35 @@ func RenderFig11(rows []Fig11Row) string {
 	return sb.String()
 }
 
+// Portfolio runs the §6.5 extension the paper proposes for large packages:
+// a portfolio of interpreter builds of xlrd, one per optimization level of
+// Fig. 11, each exploring under a share of the budget, with high-level
+// paths merged across builds.
+func Portfolio(b Budgets) chef.PortfolioResult {
+	p, _ := packages.ByName("xlrd")
+	var ms []chef.PortfolioMember
+	names := interp.OptLevelNames()
+	for i, lvl := range interp.OptLevels() {
+		ms = append(ms, chef.PortfolioMember{Name: names[i], Prog: p.Test(lvl).Program()})
+	}
+	s := b.session(chef.StrategyCUPAPath, b.Seed, "xlrd/portfolio")
+	defer s.Merge()
+	return chef.RunPortfolio(ms, s.Opts, b.Parallel, b.Time)
+}
+
+// RenderPortfolio renders a portfolio result for the total budget it ran
+// under.
+func RenderPortfolio(res chef.PortfolioResult, budget int64) string {
+	var sb strings.Builder
+	names := interp.OptLevelNames()
+	fmt.Fprintf(&sb, "Portfolio over %d interpreter builds of xlrd (total budget %d):\n", len(res.PerBuild), budget)
+	for i, n := range res.PerBuild {
+		fmt.Fprintf(&sb, "  %-30s %5d paths, %4d new to the portfolio\n", names[i], n, res.NewPerBuild[i])
+	}
+	fmt.Fprintf(&sb, "  merged distinct high-level paths: %d\n", len(res.Tests))
+	return sb.String()
+}
+
 // Fig12Point is the measured overhead of CHEF relative to the dedicated
 // engine for one frame count and one optimization build.
 type Fig12Point struct {
@@ -296,41 +293,27 @@ func Fig12(maxFrames int, b Budgets) []Fig12Point {
 	// measurement; fan the frame counts out over the pool and concatenate in
 	// frame order.
 	perFrame := make([][]Fig12Point, maxFrames)
-	chef.ParFor(b.Workers(), maxFrames, func(fi int) {
+	fanOut(b, maxFrames, func(fi int) []chef.Isolated {
 		n := fi + 1
 		// Dedicated engine: explore the flat controller exhaustively.
-		src := packages.MacLearningFlatSource(n)
-		prog := minipy.MustCompile(src)
-		ded := dedicated.New(prog, dedicated.Options{})
-		var args []dedicated.Value
-		for i := 0; i < n; i++ {
-			args = append(args, symStrArg(fmt.Sprintf("s%d", i), macLen), symStrArg(fmt.Sprintf("d%d", i), macLen))
-		}
-		if err := ded.Explore("drive_frames", args); err != nil {
+		ded, err := exploreDedicated(n, macLen, false)
+		if err != nil {
 			panic(err)
 		}
-		dedPaths := len(ded.Tests())
-		if dedPaths == 0 {
-			dedPaths = 1
-		}
-		dedPerPath := float64(ded.VirtualTime()) / float64(dedPaths)
+		// Per-path costs count at least one path.
+		dedPerPath := float64(ded.VirtualTime()) / float64(max(len(ded.Tests()), 1))
 
+		var sessions []chef.Isolated
 		for li, lvl := range levels {
 			pt := packages.MacLearningFlatTest(n, macLen, lvl)
-			s := chef.NewSession(pt.Program(), chef.Options{
-				Strategy:      chef.StrategyCUPAPath,
-				Seed:          b.Seed,
-				StepLimit:     b.StepLimit,
-				SolverOptions: solver.Options{Persist: b.Persist},
-			})
-			tests := s.Run(b.Time)
-			paths := len(tests)
-			if paths == 0 {
-				paths = 1
-			}
-			chefPerPath := float64(s.Engine().Clock()) / float64(paths)
+			iso := b.session(chef.StrategyCUPAPath, b.Seed, fmt.Sprintf("maclearning-%d/%s/%d", n, names[li], b.Seed))
+			sessions = append(sessions, iso)
+			s := chef.NewSession(pt.Program(), iso.Opts)
+			paths := len(s.Run(b.Time))
+			chefPerPath := float64(s.Engine().Clock()) / float64(max(paths, 1))
 			perFrame[fi] = append(perFrame[fi], Fig12Point{Frames: n, Level: names[li], Overhead: chefPerPath / dedPerPath})
 		}
+		return sessions
 	})
 	var out []Fig12Point
 	for _, pts := range perFrame {
@@ -339,12 +322,22 @@ func Fig12(maxFrames int, b Budgets) []Fig12Point {
 	return out
 }
 
-func symStrArg(name string, n int) dedicated.Value {
-	b := make([]*symexpr.Expr, n)
-	for i := range b {
-		b[i] = symexpr.NewVar(symexpr.Var{Buf: name, Idx: i, W: symexpr.W8})
+// exploreDedicated explores the flat MAC-learning controller with the
+// dedicated engine: nFrames frames of symbolic macLen-byte addresses.
+func exploreDedicated(nFrames, macLen int, bugCompat bool) (*dedicated.Engine, error) {
+	ded := dedicated.New(minipy.MustCompile(packages.MacLearningFlatSource(nFrames)), dedicated.Options{BugCompat: bugCompat})
+	sym := func(name string) dedicated.Value {
+		b := make([]*symexpr.Expr, macLen)
+		for i := range b {
+			b[i] = symexpr.NewVar(symexpr.Var{Buf: name, Idx: i, W: symexpr.W8})
+		}
+		return dedicated.StrV{B: b}
 	}
-	return dedicated.StrV{B: b}
+	var args []dedicated.Value
+	for i := 0; i < nFrames; i++ {
+		args = append(args, sym(fmt.Sprintf("s%d", i)), sym(fmt.Sprintf("d%d", i)))
+	}
+	return ded, ded.Explore("drive_frames", args)
 }
 
 // RenderFig12 renders Figure 12.

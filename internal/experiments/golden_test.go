@@ -17,7 +17,7 @@ var update = flag.Bool("update", false, "rewrite golden files with current outpu
 // determinism suite they prove that the checked-in bytes are reproducible on
 // any machine and any GOMAXPROCS.
 func goldenBudgets() Budgets {
-	b := QuickBudgets()
+	b := quickBudgets()
 	b.Time = 300_000
 	b.Reps = 2
 	b.Parallel = 0 // GOMAXPROCS; output must not depend on this

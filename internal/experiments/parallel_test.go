@@ -15,19 +15,21 @@ import (
 // quickParallelBudgets trims the grid enough for a unit test while keeping
 // several repetitions so aggregation order matters.
 func quickParallelBudgets(workers int) Budgets {
-	b := QuickBudgets()
+	b := quickBudgets()
 	b.Time = 300_000
 	b.Reps = 2
 	b.Parallel = workers
 	return b
 }
 
-// runRepeated runs RunPackage b.Reps times with varying seeds, fanning the
+// runRepeated runs a grid point b.Reps times with varying seeds, fanning the
 // repetitions out over the worker pool, and aggregates test counts and
 // coverage. Results are gathered in repetition order, so the output is
 // byte-identical to a serial run for any Parallel value.
 func runRepeated(p *packages.Package, cfg Configuration, b Budgets) (tests, coverage Aggregated, last RunResult) {
-	return aggregate(runCells(b, repCells(p, cfg, b)))
+	results := runCells(b, repCells(p, cfg, b))
+	tests, coverage = aggregate(results)
+	return tests, coverage, results[len(results)-1]
 }
 
 // TestRunRepeatedParallelDeterminism proves the tentpole property at the

@@ -105,7 +105,7 @@ func TestFig12UsesSolverOptions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	b := QuickBudgets()
+	b := quickBudgets()
 	b.Time = 100_000
 	b.Persist = store.View()
 	Fig12(1, b)

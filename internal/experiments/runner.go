@@ -10,7 +10,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -54,25 +53,22 @@ type Budgets struct {
 	// depend on Parallel; see solver.PersistView.
 	Persist *solver.PersistView
 	// Metrics, when non-nil, aggregates observability metrics across every
-	// session of the run: each session writes into a private child registry
-	// that is merged into this one when the session finishes (counters and
-	// histograms are commutative sums, so aggregation is schedule-
-	// independent). Observation-only: tables and figures are unaffected.
+	// session of the run: each writes into a child registry, merged into
+	// this one in grid order. Observation-only: results are unaffected.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, receives structured exploration events from every
-	// session, labeled "<package>/<config>/<seed>". The tracer must be safe
-	// for concurrent use (obs.NewJSONL is).
+	// Tracer, when non-nil, receives the events of every session, labeled
+	// "<package>/<config>/<seed>" in the grid, committed in grid order, so
+	// the trace is the same for every Parallel value. The tracer must be
+	// safe for concurrent use (obs.NewJSONL is).
 	Tracer obs.Tracer
 	// Faults, when non-nil, is the fault-injection plan threaded into every
 	// session of the run (see internal/faults). Each session derives its
 	// injector from the plan seed and its own label, so fault schedules are
 	// identical for every Parallel value.
 	Faults *faults.Plan
-	// Spans enables the hierarchical span profiler. Profilers are
-	// single-goroutine, so the harness builds one per session cell, writing
-	// into the cell's private child registry (merged into Metrics at cell
-	// end) and tagging span events with the session label. Observation-only:
-	// results stay byte-identical for every Parallel value.
+	// Spans enables the hierarchical span profiler, one per session (see
+	// Budgets.session). Observation-only: results stay byte-identical for
+	// every Parallel value.
 	Spans bool
 }
 
@@ -84,15 +80,20 @@ func (b Budgets) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// DefaultBudgets returns budgets sized for the benchmark harness: large
-// enough to show every effect, small enough for a laptop.
-func DefaultBudgets() Budgets {
-	return Budgets{Time: 3_000_000, StepLimit: 60_000, Reps: 3, Seed: 1}
-}
-
-// QuickBudgets returns reduced budgets for unit tests.
-func QuickBudgets() Budgets {
-	return Budgets{Time: 600_000, StepLimit: 30_000, Reps: 1, Seed: 1}
+// session derives the options of one session of the run from b: strategy,
+// seed and name, b's step limit, store and fault plan, isolated from the
+// other sessions by chef.Isolate. Every experiment builds its sessions
+// here; Merge hands a session's trace and metrics back to b's.
+func (b Budgets) session(strategy chef.StrategyKind, seed int64, name string) chef.Isolated {
+	return chef.Isolate(chef.Options{
+		Strategy:      strategy,
+		Seed:          seed,
+		StepLimit:     b.StepLimit,
+		SolverOptions: solver.Options{Persist: b.Persist},
+		Metrics:       b.Metrics,
+		Tracer:        b.Tracer,
+		Faults:        b.Faults,
+	}, name, b.Spans)
 }
 
 // Configuration is one of the four §6.3 configurations.
@@ -120,8 +121,6 @@ func FourConfigurations(pathOpt bool) []Configuration {
 
 // RunResult summarizes one session on one package.
 type RunResult struct {
-	Package    string
-	Config     string
 	HLTests    int
 	LLPaths    int64
 	Coverage   float64 // covered / coverable lines, in [0,1]
@@ -132,27 +131,11 @@ type RunResult struct {
 	Solver     solver.Stats
 }
 
-// RunPackage explores one package under one configuration and replays the
-// generated tests to confirm outcomes and measure line coverage.
-func RunPackage(p *packages.Package, cfg Configuration, b Budgets, seed int64) RunResult {
-	opts := chef.Options{
-		Strategy:      cfg.Strategy,
-		Seed:          seed,
-		StepLimit:     b.StepLimit,
-		SolverOptions: solver.Options{Persist: b.Persist},
-		Tracer:        b.Tracer,
-		Name:          fmt.Sprintf("%s/%s/%d", p.Name, cfg.Name, seed),
-		Faults:        b.Faults,
-	}
-	var child *obs.Registry
-	if b.Metrics != nil {
-		child = obs.NewRegistry()
-		opts.Metrics = child
-	}
-	if b.Spans {
-		opts.Spans = obs.NewSpanProfiler(child, obs.WithSession(b.Tracer, opts.Name))
-	}
-	res := RunResult{Package: p.Name, Config: cfg.Name, Exceptions: map[string]bool{}}
+// runPackage explores one package under one configuration as a session
+// with options opts and replays the generated tests to confirm outcomes
+// and measure line coverage.
+func runPackage(p *packages.Package, cfg Configuration, b Budgets, opts chef.Options) RunResult {
+	res := RunResult{Exceptions: map[string]bool{}}
 	test := p.Test(cfg.Interp)
 	prog := test.Program()
 	var tests []chef.TestCase
@@ -181,9 +164,6 @@ func RunPackage(p *packages.Package, cfg Configuration, b Budgets, seed int64) R
 	}
 	res.HLTests = len(tests)
 	res.Coverage = float64(len(covered)) / float64(len(test.CoverableLines()))
-	if child != nil {
-		b.Metrics.Merge(child)
-	}
 	return res
 }
 
@@ -231,19 +211,39 @@ func repCells(p *packages.Package, cfg Configuration, b Budgets) []cell {
 	return cells
 }
 
+// runGrid runs every (package, configuration) point of a grid b.Reps
+// times on the worker pool and returns each point's aggregated test counts
+// and coverage, indexed [package][configuration].
+func runGrid(pkgs []*packages.Package, configs []Configuration, b Budgets) (tests, coverage [][]Aggregated) {
+	var cells []cell
+	for _, p := range pkgs {
+		for _, cfg := range configs {
+			cells = append(cells, repCells(p, cfg, b)...)
+		}
+	}
+	results := runCells(b, cells)
+	for range pkgs {
+		ts, cs := make([]Aggregated, len(configs)), make([]Aggregated, len(configs))
+		for ci := range configs {
+			ts[ci], cs[ci] = aggregate(results[:b.Reps])
+			results = results[b.Reps:]
+		}
+		tests, coverage = append(tests, ts), append(coverage, cs)
+	}
+	return tests, coverage
+}
+
 // aggregate folds per-repetition results into the (mean, std) pairs the
-// tables and figures report. last is the highest-seed repetition, matching
-// the serial harness.
-func aggregate(results []RunResult) (tests, coverage Aggregated, last RunResult) {
+// tables and figures report.
+func aggregate(results []RunResult) (tests, coverage Aggregated) {
 	var ts, cs []float64
 	for _, res := range results {
 		ts = append(ts, float64(res.HLTests))
 		cs = append(cs, res.Coverage)
-		last = res
 	}
 	tm, tstd := meanStd(ts)
 	cm, cstd := meanStd(cs)
-	return Aggregated{tm, tstd}, Aggregated{cm, cstd}, last
+	return Aggregated{tm, tstd}, Aggregated{cm, cstd}
 }
 
 // sortedKeys returns sorted map keys for deterministic rendering.

@@ -24,11 +24,11 @@ func TestRunPackageShardedDeterminism(t *testing.T) {
 			t.Fatalf("package %q missing", name)
 		}
 		run := func(view *solver.PersistView, shards int) RunResult {
-			b := QuickBudgets()
+			b := quickBudgets()
 			b.Time = 300_000
 			b.Shards = shards
 			b.Persist = view
-			return RunPackage(p, cfg, b, 42)
+			return runOne(p, cfg, b, 42)
 		}
 		path := filepath.Join(t.TempDir(), "store.bin")
 		prewarm, err := solver.OpenPersistentStore(path)

@@ -16,12 +16,12 @@ func TestSpannedRunMatchesUnspanned(t *testing.T) {
 			p, _ := packages.ByName(name)
 			cfg := FourConfigurations(true)[3]
 			b := quickParallelBudgets(1)
-			plain := RunPackage(p, cfg, b, b.Seed)
+			plain := runOne(p, cfg, b, b.Seed)
 
 			sb := quickParallelBudgets(1)
 			sb.Spans = true
 			sb.Metrics = obs.NewRegistry()
-			spanned := RunPackage(p, cfg, sb, sb.Seed)
+			spanned := runOne(p, cfg, sb, sb.Seed)
 
 			if plain.HLTests != spanned.HLTests || plain.LLPaths != spanned.LLPaths ||
 				plain.Coverage != spanned.Coverage || plain.VirtTime != spanned.VirtTime {

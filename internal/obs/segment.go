@@ -1,7 +1,5 @@
 package obs
 
-import "time"
-
 // SegmentTracer is a tracer that one goroutine emits to without locking.
 // What it holds reaches its parent tracer only at Commit, so several
 // goroutines that each emit into their own segment of one tracer never
@@ -20,9 +18,9 @@ type Segmenter interface {
 }
 
 // Segment returns a new segment of t, nil when t is nil. A Segmenter gives
-// its native form (JSONL encodes and stamps wall_ns at emission, Fanout
-// takes a segment of each member); any other tracer gets a segment that
-// buffers events by value and emits them to t at Commit.
+// its native form (JSONL, and a JSONL segment, encode and stamp wall_ns at
+// emission; Fanout takes a segment of each member); any other tracer gets
+// a segment that buffers events by value and emits them to t at Commit.
 func Segment(t Tracer) SegmentTracer {
 	switch t := t.(type) {
 	case nil:
@@ -55,26 +53,33 @@ func (s *eventSegment) Commit() {
 func (t *JSONL) Segment() SegmentTracer { return &jsonlSegment{t: t} }
 
 type jsonlSegment struct {
-	t   *JSONL
-	buf []byte // lines emitted since the last commit
+	t      *JSONL
+	parent *jsonlSegment // nil: Commit writes to t
+	buf    []byte        // lines emitted since the last commit
 }
+
+// Segment implements Segmenter: a segment of a segment commits its lines
+// into the parent's.
+func (s *jsonlSegment) Segment() SegmentTracer { return &jsonlSegment{t: s.t, parent: s} }
 
 // Emit implements Tracer.
 func (s *jsonlSegment) Emit(ev Event) {
-	if s.t.stampWall {
-		ev.WallNs = time.Since(s.t.start).Nanoseconds()
-	}
+	s.t.stamp(&ev)
 	s.buf = append(AppendJSON(s.buf, &ev), '\n')
 }
 
 // Commit implements SegmentTracer.
 func (s *jsonlSegment) Commit() {
-	if len(s.buf) == 0 {
+	switch {
+	case len(s.buf) == 0:
 		return
+	case s.parent != nil:
+		s.parent.buf = append(s.parent.buf, s.buf...)
+	default:
+		s.t.mu.Lock()
+		_, _ = s.t.bw.Write(s.buf)
+		s.t.mu.Unlock()
 	}
-	s.t.mu.Lock()
-	_, _ = s.t.bw.Write(s.buf)
-	s.t.mu.Unlock()
 	s.buf = s.buf[:0]
 }
 

@@ -66,27 +66,68 @@ func TestSegmentsCommitInCommitOrder(t *testing.T) {
 	}
 }
 
-// TestJSONLSegmentStampsAtEmission: a JSONL segment stamps wall_ns when an
-// event is emitted, not when the segment commits.
-func TestJSONLSegmentStampsAtEmission(t *testing.T) {
-	const wait = 3 * time.Millisecond
-	var out bytes.Buffer
-	jsonl := NewJSONL(&out)
-	seg := Segment(jsonl)
-	seg.Emit(Event{Kind: KindRunEnd})
-	time.Sleep(wait)
-	seg.Commit()
-	jsonl.Emit(Event{Kind: KindRunEnd})
+// TestSegmentOfSegment: a segment of a segment commits into its parent
+// segment, so its events reach the tracer only when the parent commits,
+// after the events the parent held and before those it gets later.
+func TestSegmentOfSegment(t *testing.T) {
+	var jsonlOut bytes.Buffer
+	jsonl := NewJSONL(&jsonlOut)
+	jsonl.DisableWallClock()
+	var a, b Collect
+	for _, parent := range []Tracer{jsonl, Fanout(&a, &b)} {
+		outer := Segment(parent)
+		inner := Segment(outer)
+		outer.Emit(Event{T: 1})
+		inner.Emit(Event{T: 2})
+		inner.Commit()
+		outer.Emit(Event{T: 3})
+		if len(a.Events()) != 0 {
+			t.Fatal("an inner commit reached the tracer")
+		}
+		outer.Commit()
+	}
 	if err := jsonl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := ParseJSONL(&out)
-	if err != nil || len(evs) != 2 {
-		t.Fatalf("parsed %d events (err %v), want 2", len(evs), err)
+	gotJSONL, err := ParseJSONL(&jsonlOut)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if evs[0].WallNs <= 0 || evs[1].WallNs-evs[0].WallNs < wait.Nanoseconds() {
-		t.Fatalf("wall_ns %d then %d: want the segment's event stamped at least %v before the direct one, which follows its commit",
-			evs[0].WallNs, evs[1].WallNs, wait)
+	for name, got := range map[string][]Event{"jsonl": gotJSONL, "fanout a": a.Events(), "fanout b": b.Events()} {
+		if len(got) != 3 || got[0].T != 1 || got[1].T != 2 || got[2].T != 3 {
+			t.Fatalf("%s: got %+v, want events 1, 2, 3", name, got)
+		}
+	}
+}
+
+// TestJSONLSegmentStampsAtEmission: a JSONL segment, or a segment of one,
+// stamps wall_ns when an event is emitted, not when the segment commits.
+func TestJSONLSegmentStampsAtEmission(t *testing.T) {
+	const wait = 3 * time.Millisecond
+	for _, nested := range []bool{false, true} {
+		var out bytes.Buffer
+		jsonl := NewJSONL(&out)
+		segs := []SegmentTracer{Segment(jsonl)}
+		if nested {
+			segs = append([]SegmentTracer{Segment(segs[0])}, segs...)
+		}
+		segs[0].Emit(Event{Kind: KindRunEnd})
+		time.Sleep(wait)
+		for _, seg := range segs {
+			seg.Commit()
+		}
+		jsonl.Emit(Event{Kind: KindRunEnd})
+		if err := jsonl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := ParseJSONL(&out)
+		if err != nil || len(evs) != 2 {
+			t.Fatalf("nested=%v: parsed %d events (err %v), want 2", nested, len(evs), err)
+		}
+		if evs[0].WallNs <= 0 || evs[1].WallNs-evs[0].WallNs < wait.Nanoseconds() {
+			t.Fatalf("nested=%v: wall_ns %d then %d: want the segment's event stamped at least %v before the direct one, which follows its commit",
+				nested, evs[0].WallNs, evs[1].WallNs, wait)
+		}
 	}
 }
 

@@ -117,16 +117,25 @@ func NewJSONL(w io.Writer) *JSONL {
 	return t
 }
 
-// DisableWallClock stops stamping WallNs, making traces byte-deterministic
-// for fixed seeds (used by tests and golden traces).
+// DisableWallClock stops stamping WallNs and drops the measured wall
+// durations of spans and solver queries (WallCost, SelfWall), making traces
+// byte-deterministic for fixed seeds (used by tests and golden traces).
 func (t *JSONL) DisableWallClock() { t.stampWall = false }
+
+// stamp sets ev's wall-clock fields as the tracer writes them: WallNs
+// stamped, or every wall field zeroed under DisableWallClock.
+func (t *JSONL) stamp(ev *Event) {
+	if t.stampWall {
+		ev.WallNs = time.Since(t.start).Nanoseconds()
+		return
+	}
+	ev.WallCost, ev.SelfWall = 0, 0
+}
 
 // Emit implements Tracer.
 func (t *JSONL) Emit(ev Event) {
 	t.mu.Lock()
-	if t.stampWall {
-		ev.WallNs = time.Since(t.start).Nanoseconds()
-	}
+	t.stamp(&ev)
 	t.scratch = append(AppendJSON(t.scratch[:0], &ev), '\n')
 	_, _ = t.bw.Write(t.scratch)
 	t.mu.Unlock()

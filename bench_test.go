@@ -433,6 +433,28 @@ func BenchmarkGuestCall(b *testing.B) {
 	})
 }
 
+// BenchmarkGuestRun measures one whole guest run as a replay makes it: a
+// concrete machine, a VM started at the entry call from the module image,
+// the entry call on the packages' default inputs, and the coverage it
+// records; argparse's on MiniPy and JSON's on MiniLua. allocs/op is what
+// one run allocates, about ten thousand times in a parsers-cupa pass.
+func BenchmarkGuestRun(b *testing.B) {
+	for _, c := range []struct{ lang, pkg string }{{"minipy", "argparse"}, {"minilua", "JSON"}} {
+		b.Run(c.lang, func(b *testing.B) {
+			p, _ := packages.ByName(c.pkg)
+			test := p.Test(interp.Vanilla)
+			if err := test.Compile(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				test.Replay(nil, 60_000)
+			}
+		})
+	}
+}
+
 // BenchmarkCUPASelection measures strategy insert/select throughput.
 func BenchmarkCUPASelection(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))

@@ -33,7 +33,7 @@ func main() {
 		}
 		hangs++
 		input := minilua.SymbolicString(
-			lowlevel.NewConcreteMachine(tc.Input.Clone(), 1000), "s", 5, "")
+			lowlevel.NewConcreteMachine(tc.Input, 1000), "s", 5, "")
 		fmt.Printf("  HANG on input %q — parser spins past end-of-string\n", input.Concrete())
 	}
 	if hangs == 0 {

@@ -817,7 +817,7 @@ func (s *Session) ReplaySig(input symexpr.Assignment) uint64 {
 	if limit <= 0 {
 		limit = 1 << 20
 	}
-	m := lowlevel.NewConcreteMachine(input.Clone(), limit)
+	m := lowlevel.NewConcreteMachine(input, limit)
 	ctx := &Ctx{M: m, s: s, hashOnly: true}
 	m.RunConcrete(func(*lowlevel.Machine) { s.prog(ctx) })
 	return ctx.hlSig

@@ -51,3 +51,28 @@ func TestSharedForkBasesAreNeverWritten(t *testing.T) {
 		t.Errorf("%d forks hold %d distinct base maps, want sharing", len(forks), len(bases))
 	}
 }
+
+// TestConcreteMachineNeverWritesInput: a replay's machine records the
+// inputs its run declares in a copy, never in the caller's assignment, so
+// callers need not clone what they pass.
+func TestConcreteMachineNeverWritesInput(t *testing.T) {
+	a := symexpr.Var{Buf: "s", Idx: 0, W: symexpr.W8}
+	b := symexpr.Var{Buf: "s", Idx: 1, W: symexpr.W8}
+	for _, c := range []struct {
+		in    symexpr.Assignment
+		first uint64
+	}{{nil, 'y'}, {symexpr.Assignment{a: 'x'}, 'x'}} {
+		in := c.in
+		before := in.Clone()
+		m := NewConcreteMachine(in, 100)
+		if got := m.InputBytes("s", 2, "yz"); got[0].C != c.first || got[1].C != 'z' {
+			t.Errorf("input %v: bytes %v", before, got)
+		}
+		if len(in) != len(before) || in[a] != before[a] {
+			t.Errorf("input %v was written: %v", before, in)
+		}
+		if m.Assignment()[b] != 'z' {
+			t.Errorf("input %v: the machine's assignment %v lacks the declared default", before, m.Assignment())
+		}
+	}
+}

@@ -53,7 +53,7 @@ type Machine struct {
 	concrete   bool    // replay mode: inputs are plain values, nothing forks
 	stepLimit  int64
 	assign     symexpr.Assignment // concrete values for input variables
-	shared     bool               // assign is some state's base: clone before writing
+	shared     bool               // assign is a state's base or the caller's input: clone before writing
 	pc         *pcNode
 	sig        uint64 // rolling low-level path signature
 	steps      int64
@@ -121,15 +121,13 @@ func (m *Machine) CountConcreteBranches(n int64) { m.nBranches += n }
 // NewConcreteMachine builds a machine for replaying a test case on the
 // vanilla (uninstrumented-in-spirit) interpreter: inputs are purely concrete
 // and branch sites never fork. The step limit still applies, so replay can
-// confirm hangs.
+// confirm hangs. The machine never writes input: it copies it before
+// recording an input that the run declares and input lacks.
 func NewConcreteMachine(input symexpr.Assignment, stepLimit int64) *Machine {
 	if stepLimit <= 0 {
 		stepLimit = 1 << 20
 	}
-	if input == nil {
-		input = symexpr.Assignment{}
-	}
-	return &Machine{concrete: true, stepLimit: stepLimit, assign: input, expectIdx: -1}
+	return &Machine{concrete: true, stepLimit: stepLimit, assign: input, shared: true, expectIdx: -1}
 }
 
 // RunConcrete executes f on the machine, converting the sentinel panics into
@@ -197,8 +195,8 @@ func (m *Machine) InputInt32(name string, def int32) SVal {
 }
 
 // setInput records the value of a newly declared input. While assign is
-// shared as a forked state's base it is copied first, so a base is never
-// written (see State.base).
+// shared, as a forked state's base or a concrete machine's input, it is
+// copied first, so neither is ever written (see State.base).
 func (m *Machine) setInput(v symexpr.Var, c uint64) {
 	if m.shared {
 		m.assign = m.assign.Clone()

@@ -128,6 +128,8 @@ type Program struct {
 	Protos  []*Proto
 	Source  string
 	MaxLine int // the highest source line carrying an instruction
+
+	images interp.PerConfig[*Image] // built by StartModule, on first use
 }
 
 // ProtoByID returns the prototype with the given block id.

@@ -4,7 +4,6 @@ import (
 	"maps"
 	"math"
 	"sort"
-	"sync"
 
 	"chef/internal/interp"
 	"chef/internal/lowlevel"
@@ -77,19 +76,14 @@ type stdlibTemplate struct {
 	steps, branches int64
 }
 
-var stdlibTemplates = struct {
-	sync.Mutex
-	byConfig map[interp.Config]*stdlibTemplate
-}{byConfig: map[interp.Config]*stdlibTemplate{}}
+// stdlibTemplates holds the template of each interp.Config.
+var stdlibTemplates = new(interp.PerConfig[*stdlibTemplate])
 
 func stdlibFor(cfg interp.Config) *stdlibTemplate {
-	stdlibTemplates.Lock()
-	defer stdlibTemplates.Unlock()
-	t := stdlibTemplates.byConfig[cfg]
-	if t == nil {
+	return stdlibTemplates.Get(cfg, func(cfg interp.Config) *stdlibTemplate {
 		vm := &VM{m: lowlevel.NewConcreteMachine(nil, math.MaxInt64), cfg: cfg}
 		str, tbl := vm.libTables()
-		t = &stdlibTemplate{
+		t := &stdlibTemplate{
 			globals:  map[string]Value{"string": str, "table": tbl},
 			str:      newTableTemplate(str),
 			tbl:      newTableTemplate(tbl),
@@ -99,9 +93,8 @@ func stdlibFor(cfg interp.Config) *stdlibTemplate {
 		for name, b := range baseLib {
 			t.globals[name] = b
 		}
-		stdlibTemplates.byConfig[cfg] = t
-	}
-	return t
+		return t
+	})
 }
 
 // installStdlib populates the global namespace with MiniLua's standard
@@ -225,7 +218,7 @@ func biToNumber(vm *VM, args []Value) (Value, *LuaError) {
 		if neg {
 			acc = lowlevel.NegV(acc)
 		}
-		return IntVal{acc}, nil
+		return intValue(acc), nil
 	}
 	return Nil, nil
 }
@@ -309,7 +302,7 @@ var stringLib = map[string]func(vm *VM, args []Value) (Value, *LuaError){
 		if err != nil {
 			return nil, err
 		}
-		return MkInt(int64(s.Len())), nil
+		return goInt(int64(s.Len())), nil
 	},
 	"sub": func(vm *VM, args []Value) (Value, *LuaError) {
 		s, err := argStrL(args, 0, "sub")
@@ -338,7 +331,7 @@ var stringLib = map[string]func(vm *VM, args []Value) (Value, *LuaError){
 		if i < 1 || int(i) > s.Len() {
 			return Nil, nil
 		}
-		return IntVal{lowlevel.ZExtV(s.B[i-1], symexpr.W64)}, nil
+		return intValue(lowlevel.ZExtV(s.B[i-1], symexpr.W64)), nil
 	},
 	"char": func(vm *VM, args []Value) (Value, *LuaError) {
 		var out []lowlevel.SVal
@@ -384,7 +377,7 @@ var stringLib = map[string]func(vm *VM, args []Value) (Value, *LuaError){
 		if pos < 0 {
 			return Nil, nil
 		}
-		return MkInt(int64(pos)), nil
+		return goInt(int64(pos)), nil
 	},
 	"format": func(vm *VM, args []Value) (Value, *LuaError) {
 		f, err := argStrL(args, 0, "format")

@@ -152,9 +152,7 @@ func TestStdlibTemplateMatchesFreshInstall(t *testing.T) {
 	// VMs built from many goroutines at once, with the templates built
 	// among them, so that -race covers the shared template.
 	t.Run("concurrent", func(t *testing.T) {
-		stdlibTemplates.Lock()
-		clear(stdlibTemplates.byConfig)
-		stdlibTemplates.Unlock()
+		stdlibTemplates = new(interp.PerConfig[*stdlibTemplate])
 		levels := interp.OptLevels()
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {

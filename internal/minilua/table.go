@@ -31,7 +31,7 @@ func newTableTemplate(t *TableVal) tableTemplate {
 
 // clone returns a table equal to the template's: fresh entries, bucket
 // chains and order, sharing the keys and values, which no guest operation
-// mutates in place.
+// mutates in place (an image points the values that are tables at copies).
 func (tt *tableTemplate) clone() *TableVal {
 	n := len(tt.t.order)
 	entries := make([]tableEntry, n)
@@ -223,7 +223,7 @@ func (it *pairsIter) next(vm *VM) (Value, Value, bool) {
 		i := it.ai
 		it.ai++
 		if _, isNil := it.t.arr[i].(NilVal); !isNil {
-			return MkInt(int64(i + 1)), it.t.arr[i], true
+			return goInt(int64(i + 1)), it.t.arr[i], true
 		}
 	}
 	for it.hi < len(it.t.order) {
@@ -254,5 +254,5 @@ func (it *ipairsIter) next(vm *VM) (Value, Value, bool) {
 		return nil, nil, false
 	}
 	it.i++
-	return MkInt(int64(it.i)), v, true
+	return goInt(int64(it.i)), v, true
 }

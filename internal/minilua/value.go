@@ -52,6 +52,53 @@ func (IntVal) TypeName() string { return "number" }
 // MkInt wraps a concrete int64.
 func MkInt(v int64) IntVal { return IntVal{lowlevel.ConcreteVal(uint64(v), symexpr.W64)} }
 
+// Boxed concrete scalars. Converting a BoolVal or an IntVal to a Value
+// allocates, so the interpreter's hot paths convert concrete booleans, and
+// concrete ints in -5..256, to these shared boxes instead. A value carrying
+// an expression still boxes fresh.
+const smallIntMin, smallIntMax = -5, 256
+
+var (
+	boxedBools [2]Value
+	boxedInts  [smallIntMax - smallIntMin + 1]Value
+)
+
+func init() {
+	boxedBools[0], boxedBools[1] = MkBool(false), MkBool(true)
+	for i := range boxedInts {
+		boxedInts[i] = MkInt(int64(i + smallIntMin))
+	}
+}
+
+// boolValue boxes a width-1 truth value.
+func boolValue(b lowlevel.SVal) Value {
+	if b.E == nil && b.W == symexpr.W1 {
+		return boxedBools[b.C&1]
+	}
+	return BoolVal{b}
+}
+
+// intValue boxes a width-64 integer value.
+func intValue(v lowlevel.SVal) Value {
+	if v.E == nil && v.W == symexpr.W64 {
+		if i := int64(v.C); i >= smallIntMin && i <= smallIntMax {
+			return boxedInts[i-smallIntMin]
+		}
+	}
+	return IntVal{v}
+}
+
+// goBool boxes a concrete Go bool.
+func goBool(b bool) Value {
+	if b {
+		return boxedBools[1]
+	}
+	return boxedBools[0]
+}
+
+// goInt boxes a concrete Go int.
+func goInt(v int64) Value { return intValue(lowlevel.ConcreteVal(uint64(v), symexpr.W64)) }
+
 // StrVal is a byte string.
 type StrVal struct{ B []lowlevel.SVal }
 

@@ -9,13 +9,7 @@ import (
 )
 
 // Host receives the high-level trace, as in minipy.
-type Host interface {
-	LogPC(hlpc uint64, opcode uint32)
-}
-
-type nopHost struct{}
-
-func (nopHost) LogPC(uint64, uint32) {}
+type Host = interp.Host
 
 // VM interprets compiled MiniLua over a low-level machine — the instrumented
 // Lua interpreter of §5.2.
@@ -31,12 +25,18 @@ type VM struct {
 	// its slots, then its operand stack. A call takes its window from the
 	// top and gives it back when it returns.
 	stack []Value
+	// img is the image the VM was started from, nil for a VM that ran its
+	// chunk. While sharedGlobals is set, globals is the image's map, and
+	// tables holds the VM's copies of the image's tables (Image.tables).
+	img           *Image
+	sharedGlobals bool
+	tables        []*TableVal
 }
 
 // NewVM builds a VM.
 func NewVM(prog *Program, m *lowlevel.Machine, host Host, cfg interp.Config) *VM {
 	if host == nil {
-		host = nopHost{}
+		host = interp.NopHost{}
 	}
 	vm := &VM{prog: prog, m: m, host: host, cfg: cfg}
 	vm.installStdlib()
@@ -53,7 +53,7 @@ func (vm *VM) Run() (Value, *LuaError) {
 
 // CallFunction invokes a global function by name.
 func (vm *VM) CallFunction(name string, args []Value) (Value, *LuaError) {
-	fn, ok := vm.globals[name]
+	fn, ok := vm.global(name)
 	if !ok {
 		return nil, luaErrf("attempt to call a nil value (global '%s')", name)
 	}
@@ -120,20 +120,20 @@ func (vm *VM) callProto(p *Proto, args []Value) (Value, *LuaError) {
 		case OpLoadNil:
 			vm.push(Nil)
 		case OpLoadBool:
-			vm.push(MkBool(in.Arg != 0))
+			vm.push(goBool(in.Arg != 0))
 		case OpGetLocal:
 			vm.push(slots[in.Arg])
 		case OpSetLocal:
 			slots[in.Arg] = vm.pop()
 		case OpGetGlobal:
 			name := p.Names[in.Arg]
-			if v, ok := vm.globals[name]; ok {
+			if v, ok := vm.global(name); ok {
 				vm.push(v)
 			} else {
 				vm.push(Nil)
 			}
 		case OpSetGlobal:
-			vm.globals[p.Names[in.Arg]] = vm.pop()
+			vm.setGlobal(p.Names[in.Arg], vm.pop())
 		case OpNewTable:
 			vm.push(NewTable())
 		case OpGetIndex:
@@ -242,16 +242,16 @@ func (vm *VM) callProto(p *Proto, args []Value) (Value, *LuaError) {
 			if !ok {
 				return nil, luaErrf("attempt to perform arithmetic on a non-number")
 			}
-			vm.push(IntVal{lowlevel.NegV(v.V)})
+			vm.push(intValue(lowlevel.NegV(v.V)))
 		case OpNot:
-			vm.push(BoolVal{lowlevel.NotV(vm.truth(vm.pop()))})
+			vm.push(boolValue(lowlevel.NotV(vm.truth(vm.pop()))))
 		case OpLen:
 			v := vm.pop()
 			switch x := v.(type) {
 			case StrVal:
-				vm.push(MkInt(int64(x.Len())))
+				vm.push(goInt(int64(x.Len())))
 			case *TableVal:
-				vm.push(MkInt(int64(x.arrayLen())))
+				vm.push(goInt(int64(x.arrayLen())))
 			default:
 				return nil, luaErrf("attempt to get length of a %s value", v.TypeName())
 			}
@@ -387,44 +387,44 @@ func (vm *VM) binop(kind int, l, r Value) (Value, *LuaError) {
 		}
 		switch kind {
 		case luaAdd:
-			return IntVal{lowlevel.AddV(li.V, ri.V)}, nil
+			return intValue(lowlevel.AddV(li.V, ri.V)), nil
 		case luaSub:
-			return IntVal{lowlevel.SubV(li.V, ri.V)}, nil
+			return intValue(lowlevel.SubV(li.V, ri.V)), nil
 		case luaMul:
-			return IntVal{lowlevel.MulV(li.V, ri.V)}, nil
+			return intValue(lowlevel.MulV(li.V, ri.V)), nil
 		default:
 			q, rem, err := vm.intDivMod(li.V, ri.V)
 			if err != nil {
 				return nil, err
 			}
 			if kind == luaDiv {
-				return IntVal{q}, nil
+				return intValue(q), nil
 			}
-			return IntVal{rem}, nil
+			return intValue(rem), nil
 		}
 	case luaEq, luaNe:
 		b := vm.valuesEqual(l, r)
 		if kind == luaNe {
 			b = lowlevel.NotV(b)
 		}
-		return BoolVal{b}, nil
+		return boolValue(b), nil
 	default: // ordering
 		if lok && rok {
 			switch kind {
 			case luaLt:
-				return BoolVal{lowlevel.SltV(li.V, ri.V)}, nil
+				return boolValue(lowlevel.SltV(li.V, ri.V)), nil
 			case luaLe:
-				return BoolVal{lowlevel.SleV(li.V, ri.V)}, nil
+				return boolValue(lowlevel.SleV(li.V, ri.V)), nil
 			case luaGt:
-				return BoolVal{lowlevel.SltV(ri.V, li.V)}, nil
+				return boolValue(lowlevel.SltV(ri.V, li.V)), nil
 			default:
-				return BoolVal{lowlevel.SleV(ri.V, li.V)}, nil
+				return boolValue(lowlevel.SleV(ri.V, li.V)), nil
 			}
 		}
 		ls, lsok := l.(StrVal)
 		rs, rsok := r.(StrVal)
 		if lsok && rsok {
-			return BoolVal{vm.strOrder(kind, ls, rs)}, nil
+			return boolValue(vm.strOrder(kind, ls, rs)), nil
 		}
 		return nil, luaErrf("attempt to compare %s with %s", l.TypeName(), r.TypeName())
 	}

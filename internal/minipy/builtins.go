@@ -59,11 +59,11 @@ func builtinLen(vm *VM, args []Value) (Value, *Exc) {
 	}
 	switch x := args[0].(type) {
 	case StrVal:
-		return MkInt(int64(x.Len())), nil
+		return goInt(int64(x.Len())), nil
 	case *ListVal:
-		return MkInt(int64(len(x.Items))), nil
+		return goInt(int64(len(x.Items))), nil
 	case *DictVal:
-		return MkInt(int64(x.Len())), nil
+		return goInt(int64(x.Len())), nil
 	}
 	return nil, excf("TypeError", "object of type '%s' has no len()", args[0].TypeName())
 }
@@ -170,7 +170,7 @@ func builtinBool(vm *VM, args []Value) (Value, *Exc) {
 	if e != nil {
 		return nil, e
 	}
-	return BoolVal{t}, nil
+	return boolValue(t), nil
 }
 
 func builtinRange(vm *VM, args []Value) (Value, *Exc) {
@@ -287,28 +287,30 @@ func builtinIsInstance(vm *VM, args []Value) (Value, *Exc) {
 		switch want.Name {
 		case "str":
 			_, ok := args[0].(StrVal)
-			return MkBool(ok), nil
+			return goBool(ok), nil
 		case "int":
 			_, ok := asInt(args[0])
-			return MkBool(ok), nil
+			return goBool(ok), nil
 		case "list":
 			_, ok := args[0].(*ListVal)
-			return MkBool(ok), nil
+			return goBool(ok), nil
 		case "dict":
 			_, ok := args[0].(*DictVal)
-			return MkBool(ok), nil
+			return goBool(ok), nil
 		case "bool":
 			_, ok := args[0].(BoolVal)
-			return MkBool(ok), nil
+			return goBool(ok), nil
 		}
 		if builtinExceptionTypes[want.Name] {
 			ev, ok := args[0].(*ExcInstanceVal)
-			return MkBool(ok && excMatches(ev.Type, want.Name)), nil
+			return goBool(ok && excMatches(ev.Type, want.Name)), nil
 		}
-		return MkBool(false), nil
+		return goBool(false), nil
+	case *MethodVal:
+		return goBool(false), nil // a builtin that names no type
 	case *ClassVal:
 		inst, ok := args[0].(*InstanceVal)
-		return MkBool(ok && inst.Class.isSubclassOf(want.Name)), nil
+		return goBool(ok && inst.Class.isSubclassOf(want.Name)), nil
 	}
 	return nil, excf("TypeError", "isinstance() arg 2 must be a type")
 }
@@ -427,7 +429,7 @@ func builtinEnumerate(vm *VM, args []Value) (Value, *Exc) {
 	}
 	out := &ListVal{}
 	for i, it := range lst.Items {
-		out.Items = append(out.Items, &ListVal{Items: []Value{MkInt(int64(i)), it}})
+		out.Items = append(out.Items, &ListVal{Items: []Value{goInt(int64(i)), it}})
 	}
 	return out, nil
 }

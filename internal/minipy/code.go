@@ -1,6 +1,10 @@
 package minipy
 
-import "fmt"
+import (
+	"fmt"
+
+	"chef/internal/interp"
+)
 
 // OpCode enumerates MiniPy bytecode operations. Opcode values are reported
 // to CHEF through log_pc and drive the branching-opcode inference of §3.4.
@@ -165,6 +169,11 @@ type Program struct {
 	Blocks  []*Code // all blocks, indexed by BlockID
 	Source  string
 	MaxLine int // the highest source line carrying an instruction
+
+	images interp.PerConfig[*Image] // built by StartModule, on first use
+	// plainGlobals is the globals map shared by the images whose globals
+	// need no copying (see buildImage).
+	plainGlobals map[string]Value
 }
 
 // BlockByID returns the code block with the given id, or nil.

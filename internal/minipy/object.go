@@ -45,6 +45,58 @@ func (BoolVal) TypeName() string { return "bool" }
 // MkBool wraps a concrete Go bool.
 func MkBool(b bool) BoolVal { return BoolVal{lowlevel.ConcreteBool(b)} }
 
+// Boxed concrete scalars. Converting a BoolVal or an IntVal to a Value
+// allocates, so the interpreter's hot paths convert concrete booleans, and
+// concrete small ints in CPython's cached range -5..256, to these shared
+// boxes instead. A value carrying an expression still boxes fresh.
+const smallIntMin, smallIntMax = -5, 256
+
+var (
+	boxedBools [2]Value
+	boxedInts  [smallIntMax - smallIntMin + 1]Value
+)
+
+func init() {
+	boxedBools[0], boxedBools[1] = MkBool(false), MkBool(true)
+	for i := range boxedInts {
+		boxedInts[i] = MkInt(int64(i + smallIntMin))
+	}
+}
+
+// boolValue boxes a width-1 truth value.
+func boolValue(b lowlevel.SVal) Value {
+	if b.E == nil && b.W == symexpr.W1 {
+		return boxedBools[b.C&1]
+	}
+	return BoolVal{b}
+}
+
+// goBool boxes a concrete Go bool.
+func goBool(b bool) Value {
+	if b {
+		return boxedBools[1]
+	}
+	return boxedBools[0]
+}
+
+// intValue boxes an int.
+func intValue(v IntVal) Value {
+	if v.Big == nil && v.V.E == nil && v.V.W == symexpr.W64 {
+		if i := int64(v.V.C); i >= smallIntMin && i <= smallIntMax {
+			return boxedInts[i-smallIntMin]
+		}
+	}
+	return v
+}
+
+// goInt boxes a concrete Go int.
+func goInt(v int64) Value {
+	if v >= smallIntMin && v <= smallIntMax {
+		return boxedInts[v-smallIntMin]
+	}
+	return MkInt(v)
+}
+
 // IntVal is an integer: a 64-bit concolic small value, or a bignum when Big
 // is non-nil (mirroring CPython 2.x int/long promotion).
 type IntVal struct {
@@ -249,6 +301,8 @@ func Repr(v Value) string {
 		return "<function " + x.Code.Name + ">"
 	case *BuiltinVal:
 		return "<builtin " + x.Name + ">"
+	case *MethodVal:
+		return "<builtin " + x.def.name + ">"
 	case *ClassVal:
 		return "<class " + x.Name + ">"
 	case *InstanceVal:

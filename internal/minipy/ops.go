@@ -224,7 +224,7 @@ func (vm *VM) intDivMod(a, b lowlevel.SVal) (q, r lowlevel.SVal, exc *Exc) {
 // optimization (§4.2) removes the cache.
 func (vm *VM) internInt(v IntVal) Value {
 	if vm.cfg.AvoidSymbolicPointers || !v.V.IsSymbolic() {
-		return v
+		return intValue(v)
 	}
 	inRange := lowlevel.BoolAndV(
 		lowlevel.SleV(c64(^uint64(4)), v.V), // -5 <= v (two's complement)
@@ -232,7 +232,7 @@ func (vm *VM) internInt(v IntVal) Value {
 	)
 	if vm.m.Branch(llpcIntIntern, inRange) {
 		c := vm.m.ConcretizeFork(llpcIntIntern+1000, v.V)
-		return MkInt(int64(c))
+		return goInt(int64(c))
 	}
 	return v
 }
@@ -265,17 +265,17 @@ func (vm *VM) compare(kind int, l, r Value) (Value, *Exc) {
 		if kind == cmpNotIn {
 			b = lowlevel.NotV(b)
 		}
-		return BoolVal{b}, nil
+		return boolValue(b), nil
 	}
 	li, lok := asInt(l)
 	ri, rok := asInt(r)
 	if lok && rok {
-		return BoolVal{vm.intCompare(kind, li, ri)}, nil
+		return boolValue(vm.intCompare(kind, li, ri)), nil
 	}
 	ls, lsok := l.(StrVal)
 	rs, rsok := r.(StrVal)
 	if lsok && rsok {
-		return BoolVal{vm.strCompare(kind, ls, rs)}, nil
+		return boolValue(vm.strCompare(kind, ls, rs)), nil
 	}
 	ll, llok := l.(*ListVal)
 	rl, rlok := r.(*ListVal)
@@ -287,14 +287,14 @@ func (vm *VM) compare(kind int, l, r Value) (Value, *Exc) {
 		if kind == cmpNe {
 			b = lowlevel.NotV(b)
 		}
-		return BoolVal{b}, nil
+		return boolValue(b), nil
 	}
 	// Cross-type and identity-style comparisons.
 	switch kind {
 	case cmpEq:
-		return MkBool(vm.shallowEqual(l, r)), nil
+		return goBool(vm.shallowEqual(l, r)), nil
 	case cmpNe:
-		return MkBool(!vm.shallowEqual(l, r)), nil
+		return goBool(!vm.shallowEqual(l, r)), nil
 	}
 	return nil, excf("TypeError", "unorderable types: %s and %s", l.TypeName(), r.TypeName())
 }

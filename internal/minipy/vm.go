@@ -1,6 +1,7 @@
 package minipy
 
 import (
+	"maps"
 	"slices"
 
 	"chef/internal/interp"
@@ -8,16 +9,7 @@ import (
 )
 
 // Host receives the high-level trace of the interpreter — CHEF's log_pc.
-// chef.Ctx satisfies it in symbolic sessions; replay uses a coverage
-// recorder.
-type Host interface {
-	LogPC(hlpc uint64, opcode uint32)
-}
-
-// nopHost discards the trace (pure concrete runs without coverage).
-type nopHost struct{}
-
-func (nopHost) LogPC(uint64, uint32) {}
+type Host = interp.Host
 
 // VM interprets a compiled MiniPy program over a low-level machine. It is
 // the instrumented interpreter of §5.1: the dispatch loop reports HLPCs via
@@ -37,13 +29,16 @@ type VM struct {
 	// it returns, so once they have grown a call allocates no frame.
 	vals   []Value
 	frames []*frame
+	// While sharedGlobals is set, globals is the map of the image the VM
+	// started from, which the VM copies before its first write.
+	sharedGlobals bool
 }
 
 // NewVM builds a VM for prog running on machine m with the given
 // optimization configuration. host may be nil.
 func NewVM(prog *Program, m *lowlevel.Machine, host Host, cfg interp.Config) *VM {
 	if host == nil {
-		host = nopHost{}
+		host = interp.NopHost{}
 	}
 	return &VM{prog: prog, m: m, host: host, cfg: cfg, globals: map[string]Value{}}
 }
@@ -192,6 +187,7 @@ func (vm *VM) exec(f *frame, in Instr) (ret Value, exc *Exc, done bool) {
 		vm.storeName(f, in.Arg, vm.pop())
 	case OpDelName:
 		if code.Global[in.Arg] {
+			vm.ownGlobals()
 			delete(vm.globals, code.Names[in.Arg])
 		} else {
 			f.locals[in.Arg] = nil
@@ -227,7 +223,7 @@ func (vm *VM) exec(f *frame, in Instr) (ret Value, exc *Exc, done bool) {
 		if e != nil {
 			return nil, e, false
 		}
-		vm.push(BoolVal{lowlevel.NotV(t)})
+		vm.push(boolValue(lowlevel.NotV(t)))
 	case OpJump:
 		f.ip = int(in.Arg)
 	case OpJumpIfFalse:
@@ -391,7 +387,7 @@ func (vm *VM) exec(f *frame, in Instr) (ret Value, exc *Exc, done bool) {
 	case OpExcMatch:
 		ev := vm.peek().(*ExcInstanceVal)
 		want := code.Names[in.Arg]
-		vm.push(MkBool(excMatches(ev.Type, want)))
+		vm.push(goBool(excMatches(ev.Type, want)))
 		vm.m.Step(1)
 	case OpBindExc:
 		ev := vm.pop()
@@ -465,6 +461,8 @@ func (vm *VM) call(fn Value, args []Value) (Value, *Exc) {
 		return vm.callFunc(fv, args)
 	case *BuiltinVal:
 		return fv.Fn(vm, args)
+	case *MethodVal:
+		return fv.def.fn(vm, fv, args)
 	case *ClassVal:
 		inst := &InstanceVal{Class: fv, Attrs: map[string]Value{}}
 		if init, ok := fv.lookup("__init__"); ok {
@@ -496,9 +494,19 @@ func (vm *VM) callFunc(fv *FuncVal, args []Value) (Value, *Exc) {
 // storeName binds Names[idx] in the frame's scope to v.
 func (vm *VM) storeName(f *frame, idx int32, v Value) {
 	if f.code.Global[idx] {
+		vm.ownGlobals()
 		vm.globals[f.code.Names[idx]] = v
 	} else {
 		f.locals[idx] = v
+	}
+}
+
+// ownGlobals gives the VM its own copy of the image's globals before it
+// writes one.
+func (vm *VM) ownGlobals() {
+	if vm.sharedGlobals {
+		vm.globals = maps.Clone(vm.globals)
+		vm.sharedGlobals = false
 	}
 }
 

@@ -25,8 +25,14 @@ type SerializedTest struct {
 // "buf[idx]:width".
 func EncodeInput(in symexpr.Assignment) map[string]uint64 {
 	out := make(map[string]uint64, len(in))
+	var key []byte
 	for v, val := range in {
-		out[fmt.Sprintf("%s[%d]:%d", v.Buf, v.Idx, v.W)] = val
+		key = append(key[:0], v.Buf...)
+		key = append(key, '[')
+		key = strconv.AppendInt(key, int64(v.Idx), 10)
+		key = append(key, "]:"...)
+		key = strconv.AppendUint(key, uint64(v.W), 10)
+		out[string(key)] = val
 	}
 	return out
 }
@@ -101,13 +107,36 @@ func UnmarshalTests(data []byte) ([]SerializedTest, error) {
 }
 
 // SortTests orders tests deterministically by result then input rendering
-// (fmt.Sprint of Input). Each input is rendered once, before sorting.
+// (the text fmt.Sprint gives of Input). Each input is rendered once, before
+// sorting.
 func SortTests(tests []SerializedTest) {
 	keys := make([]string, len(tests))
+	var names []string
+	var buf []byte
 	for i := range tests {
-		keys[i] = fmt.Sprint(tests[i].Input)
+		buf, names = appendInputKey(buf[:0], names[:0], tests[i].Input)
+		keys[i] = string(buf)
 	}
 	sort.Sort(keyedTests{tests, keys})
+}
+
+// appendInputKey appends the rendering fmt.Sprint gives of in, "map[k:v
+// ...]" in sorted key order, to buf. names is scratch space for the keys.
+func appendInputKey(buf []byte, names []string, in map[string]uint64) ([]byte, []string) {
+	for k := range in {
+		names = append(names, k)
+	}
+	slices.Sort(names)
+	buf = append(buf, "map["...)
+	for i, k := range names {
+		if i > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = append(buf, k...)
+		buf = append(buf, ':')
+		buf = strconv.AppendUint(buf, in[k], 10)
+	}
+	return append(buf, ']'), names
 }
 
 // keyedTests sorts tests by Result, then by a precomputed input rendering

@@ -190,3 +190,49 @@ func TestSortTestsMatchesComparator(t *testing.T) {
 		}
 	}
 }
+
+// TestInputKeysMatchFmt: EncodeInput's keys and SortTests' input rendering,
+// built without fmt, are the strings the fmt forms give, and the tests sort
+// into the fmt-keyed reference order, over random assignments.
+func TestInputKeysMatchFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	bufs := []string{"email", "in", "", "odd[name]", "a b:c", "é", "x]:8"}
+	widths := []symexpr.Width{symexpr.W1, symexpr.W8, symexpr.W16, symexpr.W32, symexpr.W64}
+	results := []string{"ok", "exception:ValueError"}
+	for iter := 0; iter < 500; iter++ {
+		var tests []SerializedTest
+		for n := rng.Intn(12); n > 0; n-- {
+			in := symexpr.Assignment{}
+			for k := rng.Intn(6); k > 0; k-- {
+				v := symexpr.Var{Buf: bufs[rng.Intn(len(bufs))], Idx: rng.Intn(40), W: widths[rng.Intn(len(widths))]}
+				if rng.Intn(8) == 0 {
+					v.Idx = rng.Int()
+				}
+				in[v] = rng.Uint64() >> uint(rng.Intn(64))
+			}
+			enc := EncodeInput(in)
+			want := make(map[string]uint64, len(in))
+			for v, val := range in {
+				want[fmt.Sprintf("%s[%d]:%d", v.Buf, v.Idx, v.W)] = val
+			}
+			if !maps.Equal(enc, want) {
+				t.Fatalf("EncodeInput(%v) = %v, want %v", in, enc, want)
+			}
+			if rng.Intn(10) == 0 {
+				enc = nil
+			}
+			if got, _ := appendInputKey(nil, nil, enc); string(got) != fmt.Sprint(enc) {
+				t.Fatalf("input key %q, want %q", got, fmt.Sprint(enc))
+			}
+			tests = append(tests, SerializedTest{Package: "p", Result: results[rng.Intn(len(results))], Status: "ok", Input: enc})
+		}
+		want := slices.Clone(tests)
+		sortTestsReference(want)
+		SortTests(tests)
+		for i := range want {
+			if tests[i].Result != want[i].Result || !maps.Equal(tests[i].Input, want[i].Input) {
+				t.Fatalf("set %d: element %d is %+v, want %+v", iter, i, tests[i], want[i])
+			}
+		}
+	}
+}

@@ -82,13 +82,15 @@ func (t *PyTest) CoverableLines() map[int]bool {
 	return t.prog.CoverableLines()
 }
 
-func (t *PyTest) start(m *lowlevel.Machine, host hlHost, cfg interp.Config) (func([]minipy.Value) string, string) {
-	vm, out := minipy.RunModule(t.prog, m, host, cfg)
+func (t *PyTest) start(m *lowlevel.Machine, host interp.Host, cfg interp.Config) (func([]minipy.Value) string, string) {
+	vm, out := minipy.StartModule(t.prog, m, host, cfg)
 	if out.Exception != "" {
 		return nil, out.Exception
 	}
 	return func(args []minipy.Value) string {
-		if _, exc := vm.CallFunction(t.Entry, args); exc != nil {
+		_, exc := vm.CallFunction(t.Entry, args)
+		vm.Release()
+		if exc != nil {
 			return "exception:" + exc.Type
 		}
 		return "ok"
@@ -144,13 +146,15 @@ func (t *LuaTest) CoverableLines() map[int]bool {
 	return t.prog.CoverableLines()
 }
 
-func (t *LuaTest) start(m *lowlevel.Machine, host hlHost, cfg interp.Config) (func([]minilua.Value) string, string) {
-	vm, out := minilua.RunModule(t.prog, m, host, cfg)
+func (t *LuaTest) start(m *lowlevel.Machine, host interp.Host, cfg interp.Config) (func([]minilua.Value) string, string) {
+	vm, out := minilua.StartModule(t.prog, m, host, cfg)
 	if out.Error != "" {
 		return nil, out.Error
 	}
 	return func(args []minilua.Value) string {
-		if _, err := vm.CallFunction(t.Entry, args); err != nil {
+		_, err := vm.CallFunction(t.Entry, args)
+		vm.Release()
+		if err != nil {
 			return "error:" + err.Msg
 		}
 		return "ok"

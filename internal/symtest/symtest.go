@@ -65,7 +65,7 @@ type guest[V any] interface {
 	Compile() error
 	// start runs the compiled module on m and returns the call of the
 	// test's entry, rendering its outcome, or the module's error.
-	start(m *lowlevel.Machine, host hlHost, cfg interp.Config) (entry func(args []V) string, moduleErr string)
+	start(m *lowlevel.Machine, host interp.Host, cfg interp.Config) (entry func(args []V) string, moduleErr string)
 	symString(m *lowlevel.Machine, in Input) V
 	// symInt returns the guest integer and its width-64 value.
 	symInt(m *lowlevel.Machine, in Input) (V, lowlevel.SVal)
@@ -83,7 +83,7 @@ func mustCompile(t interface{ Compile() error }) {
 // run is one test run on m: the module, then the entry called with one
 // symbolic argument per input. With assume set, ranged integer inputs are
 // confined through the assume() API call.
-func run[V any](g guest[V], m *lowlevel.Machine, host hlHost, cfg interp.Config, inputs []Input, assume bool) string {
+func run[V any](g guest[V], m *lowlevel.Machine, host interp.Host, cfg interp.Config, inputs []Input, assume bool) string {
 	entry, moduleErr := g.start(m, host, cfg)
 	if moduleErr != "" {
 		return "moduleerror:" + moduleErr
@@ -134,12 +134,6 @@ type ReplayResult struct {
 	Steps      int64
 }
 
-// hlHost is the structural shape shared by minipy.Host and minilua.Host, so
-// one session program and one replay host serve both interpreters.
-type hlHost interface {
-	LogPC(hlpc uint64, opcode uint32)
-}
-
 // coverageHost is the replay host of every guest, the role of Python's
 // coverage package in §6.1: it counts the high-level trace and marks the
 // source lines it visits.
@@ -154,7 +148,7 @@ func newCoverageHost(lineOf func(hlpc uint64) int, maxLine int) *coverageHost {
 	return &coverageHost{lineOf: lineOf, seen: make([]bool, maxLine+1)}
 }
 
-// LogPC implements minipy.Host and minilua.Host.
+// LogPC implements interp.Host.
 func (h *coverageHost) LogPC(hlpc uint64, opcode uint32) {
 	h.n++
 	if line := h.lineOf(hlpc); line > 0 && !h.seen[line] {
@@ -180,7 +174,7 @@ func (h *coverageHost) lines() map[int]bool {
 // meets. A run cut off by the step limit reports "hang".
 func replay[V any](g guest[V], inputs []Input, input symexpr.Assignment, stepLimit int64) ReplayResult {
 	mustCompile(g)
-	m := lowlevel.NewConcreteMachine(input.Clone(), stepLimit)
+	m := lowlevel.NewConcreteMachine(input, stepLimit)
 	host := newCoverageHost(g.lineMap())
 	var res ReplayResult
 	res.Status = m.RunConcrete(func(m *lowlevel.Machine) {

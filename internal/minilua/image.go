@@ -81,7 +81,7 @@ func (vm *VM) Release() {
 // buildImage runs prog's chunk on a concrete machine and records it. It
 // returns nil when runs must run the chunk in full: the chunk raised,
 // printed or ran past imageStepLimit, or left a value that an image cannot
-// copy (an iterator).
+// copy (an iterator, or a table used as a key).
 func buildImage(prog *Program, cfg interp.Config) *Image {
 	m := lowlevel.NewConcreteMachine(nil, imageStepLimit)
 	rec := interp.NewPrefixRecorder(m)
@@ -123,7 +123,9 @@ func (img *Image) index(v Value) bool {
 			}
 		}
 		for j, e := range x.order {
-			if !img.index(e.key) || !img.index(e.val) {
+			// A copy keeps its keys, so a table key would stay the
+			// image's table (only HashNeutralization admits one).
+			if _, isTable := e.key.(*TableVal); isTable || !img.index(e.key) || !img.index(e.val) {
 				return false
 			}
 			if t, ok := e.val.(*TableVal); ok {

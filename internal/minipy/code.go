@@ -171,9 +171,6 @@ type Program struct {
 	MaxLine int // the highest source line carrying an instruction
 
 	images interp.PerConfig[*Image] // built by StartModule, on first use
-	// plainGlobals is the globals map shared by the images whose globals
-	// need no copying (see buildImage).
-	plainGlobals map[string]Value
 }
 
 // BlockByID returns the code block with the given id, or nil.

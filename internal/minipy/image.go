@@ -66,7 +66,7 @@ func (vm *VM) Release() {
 // buildImage runs prog's module on a concrete machine and records it. It
 // returns nil when runs must run the module in full: the module raised,
 // printed or ran past imageStepLimit, or left a value that an image cannot
-// copy (an iterator).
+// copy (an iterator, or a dict key that VMs would copy).
 func buildImage(prog *Program, cfg interp.Config) *Image {
 	m := lowlevel.NewConcreteMachine(nil, imageStepLimit)
 	rec := interp.NewPrefixRecorder(m)
@@ -81,16 +81,6 @@ func buildImage(prog *Program, cfg interp.Config) *Image {
 		if !img.index(v) {
 			return nil
 		}
-	}
-	if len(img.objs) == 0 {
-		// Such a module leaves the same functions, classes and scalars
-		// under every build (only its steps differ), so its images share
-		// one map. Builds run one at a time (interp.PerConfig).
-		img.pos = nil
-		if prog.plainGlobals == nil {
-			prog.plainGlobals = img.globals
-		}
-		img.globals = prog.plainGlobals
 	}
 	return img
 }
@@ -133,6 +123,14 @@ func (img *Image) index(v Value) bool {
 		for _, e := range x.order {
 			if !img.index(e.key) || !img.index(e.val) {
 				return false
+			}
+			// A copy keeps its keys, so a key that VMs copy would stay
+			// the image's object (only HashNeutralization admits one).
+			switch e.key.(type) {
+			case *ListVal, *DictVal, *InstanceVal, *FuncVal, *MethodVal:
+				if _, copied := img.pos[e.key]; copied {
+					return false
+				}
 			}
 		}
 	case *InstanceVal:

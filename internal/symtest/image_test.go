@@ -16,8 +16,9 @@ import (
 
 // imageCases are the targets of the module-image differential test: every
 // registered package, and programs that pin the image's edges — modules
-// that raise or print (which run in full), and module state that runs
-// mutate, alias and rebind (which each run must get a fresh copy of).
+// that raise or print (which run in full), module state that runs mutate,
+// alias and rebind (which each run must get a fresh copy of), and objects
+// used as keys.
 func imageCases() map[string]packages.Test {
 	cases := map[string]packages.Test{}
 	for _, p := range packages.All() {
@@ -68,6 +69,38 @@ function f(s)
   string.extra = Config
   if #Config.self.items ~= 3 or string.extra ~= before or Config ~= before then error("alias lost") end
   if Config.count ~= 1 or Runs ~= 1 then error("state leaked") end
+  if string.byte(s, 1) == 120 then return 1 end
+  return 0
+end
+`, Entry: "f", Inputs: in}
+	// Only HashNeutralization admits an object as a key (the vanilla
+	// modules raise), and each run needs the key its copy of the map holds
+	// to be its own copy too.
+	cases["py-object-key"] = &symtest.PyTest{Source: `
+class Key:
+    def __init__(self):
+        self.seen = 0
+KEY = Key()
+MAP = {KEY: 1}
+def f(s):
+    if MAP[KEY] != 1:
+        raise ValueError("key lost")
+    for k in MAP:
+        k.seen = k.seen + 1
+    if KEY.seen != 1:
+        raise ValueError("state leaked")
+    if s[0] == 'x':
+        return 1
+    return 0
+`, Entry: "f", Inputs: in}
+	cases["lua-table-key"] = &symtest.LuaTest{Source: `
+Key = {seen = 0}
+Map = {}
+Map[Key] = 1
+function f(s)
+  if Map[Key] ~= 1 then error("key lost") end
+  for k, v in pairs(Map) do k.seen = k.seen + 1 end
+  if Key.seen ~= 1 then error("state leaked") end
   if string.byte(s, 1) == 120 then return 1 end
   return 0
 end
